@@ -25,7 +25,7 @@ from .construct import (
     verify_certificate,
 )
 from .density import DensityWitness, mad, max_density, max_density_bruteforce
-from .errors import CapacityError, SizeCapError
+from .errors import CapacityError, ProofObligationError, SizeCapError
 from .eulerian import (
     ATDecision,
     EulerianTally,

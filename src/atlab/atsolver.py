@@ -9,10 +9,16 @@ diff != 0. The solver combines:
   * the bipartite closed form AT(G) = ceil(max_density)+1, where every
     orientation is an AT-orientation, so a bounded-outdegree orientation is
     itself the certificate;
-  * exhaustive search: backtracking over edge directions under a per-vertex
-    outdegree cap, testing each complete orientation's diff; exhausting a
-    level k proves AT > k. An acyclic orientation along a degeneracy order
-    (diff = 1, the empty subdigraph alone) caps the search from above.
+  * a level search over outdegree sequences: every orientation with
+    outdegree sequence d has |diff| equal to the coefficient of
+    prod_v x_v^(d_v) in prod_{uv} (x_u - x_v) (Alon-Tarsi), so AT(G) <= k
+    iff some monomial with every exponent <= k-1 has a nonzero coefficient.
+    The frontier-ordered coefficient program of `eulerian` decides this by
+    branching on each vertex's final exponent; a refuted level k proves
+    AT > k. A found sequence becomes an orientation by path reversal with
+    per-vertex caps and is re-checked by an independent computation. An
+    acyclic orientation along a degeneracy order (diff = 1, the empty
+    subdigraph alone) caps the search from above.
 
 Exact chromatic numbers come from biconnected-block decomposition (chi is the
 max over blocks) with a saturation-guided, symmetry-broken backtracker per
@@ -24,20 +30,18 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from .density import max_density
-from .errors import CapacityError
+from .errors import CapacityError, ProofObligationError, SearchTimeout
 from .eulerian import (
     Orientation,
-    _arc_deltas,
-    _group_half,
-    _imbalance_bits,
-    _meet,
+    diff_coefficient,
     eulerian_diff_poly,
     eulerian_tally_enumerate,
+    frontier_order,
+    monomial_search,
     poly_state_bound,
 )
 from .graphs import Graph, bipartition
@@ -87,32 +91,33 @@ class ChoosabilityReport:
     choosable: bool
 
 
-class SearchTimeout(Exception):
-    """Internal: the wall-clock budget for an exhaustive search ran out."""
-
-
 # ---------------------------------------------------------------------------
 # Bounded-outdegree orientations (path reversal)
 # ---------------------------------------------------------------------------
 
 
-def bounded_outdegree_orientation(g: Graph, cap: int) -> Optional[Orientation]:
-    """An orientation with every outdegree <= cap, or None when impossible.
+def bounded_outdegree_orientation(
+    g: Graph, cap: Union[int, Sequence[int]]
+) -> Optional[Orientation]:
+    """An orientation with outdeg(v) <= cap(v) for every v, or None when
+    impossible. `cap` is one bound for all vertices or one per vertex.
 
-    Greedy start (each edge leaves its currently-lighter endpoint), then
-    repeatedly reverse a directed path from an overloaded vertex to one with
-    spare capacity. When no such path exists the reachable set R from an
-    overloaded vertex has all arcs staying inside R and all outdegrees >= cap
-    (one of them > cap), so R induces more than cap*|R| edges: the graph has
-    max density > cap and no valid orientation at all.
+    Greedy start (each edge leaves the endpoint with more spare capacity),
+    then repeatedly reverse a directed path from an overloaded vertex to one
+    with spare capacity. When no such path exists the reachable set R from an
+    overloaded vertex has all arcs staying inside R and every outdegree at
+    its cap (one above it), so R spans more than sum_R cap(v) edges and no
+    valid orientation exists (Hakimi's theorem). So when the caps sum to
+    |E|, a result has exactly the given outdegrees.
     """
-    if cap < 0:
-        return Orientation(g, ()) if g.m == 0 else None
     n = g.n
+    caps = [cap] * n if isinstance(cap, int) else list(cap)
+    if len(caps) != n:
+        raise ValueError(f"need one cap per vertex: got {len(caps)} for {n} vertices")
     tails = []
     outdeg = [0] * n
     for u, v in g.edges:
-        t = u if (outdeg[u], u) <= (outdeg[v], v) else v
+        t = u if (outdeg[u] - caps[u], u) <= (outdeg[v] - caps[v], v) else v
         tails.append(t)
         outdeg[t] += 1
     incident: list[list[int]] = [[] for _ in range(n)]
@@ -121,7 +126,7 @@ def bounded_outdegree_orientation(g: Graph, cap: int) -> Optional[Orientation]:
         incident[v].append(k)
     edges = g.edges
     while True:
-        over = next((v for v in range(n) if outdeg[v] > cap), None)
+        over = next((v for v in range(n) if outdeg[v] > caps[v]), None)
         if over is None:
             break
         parent_edge = [-1] * n
@@ -131,7 +136,7 @@ def bounded_outdegree_orientation(g: Graph, cap: int) -> Optional[Orientation]:
         queue = [over]
         target = -1
         for x in queue:
-            if outdeg[x] < cap:
+            if outdeg[x] < caps[x]:
                 target = x
                 break
             for k in incident[x]:
@@ -359,157 +364,26 @@ def at_bipartite(g: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult
         raise ValueError("at_bipartite requires a bipartite graph")
     level = math.ceil(max_density(g).density) + 1 if g.m else 1
     d = bounded_outdegree_orientation(g, level - 1)
-    assert d is not None, "density <= level-1 must admit an orientation"
+    if d is None:
+        raise ProofObligationError("density <= level-1 must admit an orientation")
     method, magnitude = "bipartite-closed-form", None
     if g.m <= options.enum_cap:
         diff = eulerian_tally_enumerate(d, options).diff
         if diff == 0:
-            raise AssertionError("bipartite orientation computed diff 0")
+            raise ProofObligationError("bipartite orientation computed diff 0")
         method, magnitude = "enumeration", abs(diff)
     elif poly_state_bound(d) <= options.poly_budget:
         coef = eulerian_diff_poly(d, options)
         if coef == 0:
-            raise AssertionError("bipartite orientation computed diff 0")
+            raise ProofObligationError("bipartite orientation computed diff 0")
         method, magnitude = "polynomial", abs(coef)
     cert = ATCertificate(level, d, magnitude, method)
     return ATResult(level, level, cert, "density-pigeonhole")
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive level search
+# Level search
 # ---------------------------------------------------------------------------
-
-_SPLIT_DEPTH = 8
-_TIME_CHECK_MASK = 0x3FF
-
-
-def _search_tails(
-    g: Graph,
-    cap: int,
-    prefix: Sequence[int] = (),
-    deadline: Optional[float] = None,
-) -> Optional[tuple[int, ...]]:
-    """First tail vector (lexicographic: lower endpoint tried first) giving an
-    orientation with outdegrees <= cap and diff != 0; None when exhausted."""
-    m = g.m
-    n = g.n
-    edges = g.edges
-    if cap < 0:
-        return () if m == 0 else None
-    bits = _imbalance_bits(n, edges)
-    fwd = _arc_deltas(edges, bits)  # delta when the lower endpoint is the tail
-    half = m // 2
-    outdeg = [0] * n
-    undecided = list(g.degrees())
-    tails = [0] * m
-    deltas = [0] * m
-    counter = 0
-
-    def slack_ok(depth: int) -> bool:
-        remaining = m - depth
-        slack = 0
-        for v in range(n):
-            s = cap - outdeg[v]
-            u = undecided[v]
-            slack += s if s < u else u
-            if slack >= remaining:
-                return True
-        return slack >= remaining
-
-    def assign(k: int, t: int) -> bool:
-        u, v = edges[k]
-        if outdeg[t] >= cap:
-            return False
-        tails[k] = t
-        deltas[k] = fwd[k] if t == u else -fwd[k]
-        outdeg[t] += 1
-        undecided[u] -= 1
-        undecided[v] -= 1
-        return True
-
-    def undo(k: int) -> None:
-        u, v = edges[k]
-        outdeg[tails[k]] -= 1
-        undecided[u] += 1
-        undecided[v] += 1
-
-    def rec(depth: int, groups) -> bool:
-        nonlocal counter
-        counter += 1
-        if deadline is not None and (counter & _TIME_CHECK_MASK) == 0:
-            if time.monotonic() > deadline:
-                raise SearchTimeout
-        if depth == half and groups is None:
-            groups = _group_half(deltas[:half])
-        if depth == m:
-            even, odd = _meet(groups, deltas[half:])
-            return even != odd
-        u, v = edges[depth]
-        for t in (u, v):
-            if assign(depth, t):
-                if slack_ok(depth + 1) and rec(depth + 1, groups):
-                    return True
-                undo(depth)
-        return False
-
-    for k, t in enumerate(prefix):
-        if not assign(k, t) or not slack_ok(k + 1):
-            return None
-    groups = _group_half(deltas[:half]) if len(prefix) >= half else None
-    if rec(len(prefix), groups):
-        return tuple(tails)
-    return None
-
-
-def _feasible_prefixes(g: Graph, cap: int, depth: int) -> list[tuple[int, ...]]:
-    """Direction prefixes for the first `depth` edges that pass pruning."""
-    if cap < 0:
-        return []
-    n, edges = g.n, g.edges
-    outdeg = [0] * n
-    undecided = list(g.degrees())
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def slack_ok() -> bool:
-        remaining = g.m - len(prefix)
-        slack = 0
-        for v in range(n):
-            s = cap - outdeg[v]
-            u = undecided[v]
-            slack += s if s < u else u
-        return slack >= remaining
-
-    def rec(k: int) -> None:
-        if k == depth:
-            out.append(tuple(prefix))
-            return
-        u, v = edges[k]
-        for t in (u, v):
-            if outdeg[t] < cap:
-                outdeg[t] += 1
-                undecided[u] -= 1
-                undecided[v] -= 1
-                prefix.append(t)
-                if slack_ok():
-                    rec(k + 1)
-                prefix.pop()
-                outdeg[t] -= 1
-                undecided[u] += 1
-                undecided[v] += 1
-
-    rec(0)
-    return out
-
-
-def _worker_search(args) -> tuple[str, Optional[tuple[int, ...]]]:
-    vertices, edges, cap, prefix, deadline = args
-    g = Graph(vertices, edges)
-    try:
-        tails = _search_tails(g, cap, prefix, deadline)
-    except SearchTimeout:
-        return ("timeout", None)
-    return ("found", tails) if tails is not None else ("exhausted", None)
 
 
 def find_at_orientation(
@@ -518,42 +392,24 @@ def find_at_orientation(
     options: SolverOptions = DEFAULT_OPTIONS,
     deadline: Optional[float] = None,
 ) -> Optional[Orientation]:
-    """First AT-orientation with max outdegree <= cap, or None if the level
-    is exhausted. With options.threads > 1 the search tree is split at a
-    fixed depth into independent subtasks; the reduction keeps the
-    lexicographically first success, so results match the sequential order.
+    """An AT-orientation with max outdegree <= cap, or None if there is none.
+
+    All orientations with one outdegree sequence share |diff|, the
+    coefficient of that monomial in prod_{uv} (x_u - x_v). So the level is
+    decided by monomial_search over exponents <= cap, and the first sequence
+    found is realized by path reversal. Raises SearchTimeout past `deadline`.
     """
     if g.m > options.search_edge_cap:
         raise CapacityError(
             f"{g.m} edges exceeds search_edge_cap {options.search_edge_cap}"
         )
-    if options.threads > 1 and g.m > _SPLIT_DEPTH:
-        prefixes = _feasible_prefixes(g, cap, _SPLIT_DEPTH)
-        if not prefixes:
-            return None
-        args = [
-            (g.vertices, g.edges, cap, p, deadline) for p in prefixes
-        ]
-        timed_out = False
-        found: Optional[tuple[int, ...]] = None
-        with ProcessPoolExecutor(max_workers=options.threads) as pool:
-            futures = [pool.submit(_worker_search, a) for a in args]
-            for fut in futures:
-                status, tails = fut.result()
-                if status == "found":
-                    found = tails
-                    break
-                if status == "timeout":
-                    timed_out = True
-            for fut in futures:
-                fut.cancel()
-        if found is not None:
-            return Orientation(g, found)
-        if timed_out:
-            raise SearchTimeout
+    hit = monomial_search(g.n, g.edges, frontier_order(g), [0] * g.n, [cap] * g.n, deadline)
+    if hit is None:
         return None
-    tails = _search_tails(g, cap, (), deadline)
-    return Orientation(g, tails) if tails is not None else None
+    d = bounded_outdegree_orientation(g, hit[0])
+    if d is None:
+        raise ProofObligationError("a nonzero coefficient has no orientation")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -604,9 +460,16 @@ def at_bounds(g: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult:
 
 
 def _certify(g: Graph, d: Orientation, options: SolverOptions) -> ATCertificate:
-    tally = eulerian_tally_enumerate(d, options.with_(enum_cap=max(options.enum_cap, g.m)))
-    assert tally.diff != 0
-    return ATCertificate(d.max_outdegree() + 1, d, abs(tally.diff), "enumeration")
+    """Re-check a found orientation with an independent computation: the
+    tally within enum_cap, else the coefficient along the reverse of the
+    search's vertex order."""
+    if g.m <= options.enum_cap:
+        diff, method = eulerian_tally_enumerate(d, options).diff, "enumeration"
+    else:
+        diff, method = diff_coefficient(d, frontier_order(g)[::-1]), "polynomial"
+    if diff == 0:
+        raise ProofObligationError(f"level search orientation has diff 0 ({method})")
+    return ATCertificate(d.max_outdegree() + 1, d, abs(diff), method)
 
 
 def at_exact(
@@ -615,10 +478,11 @@ def at_exact(
     *,
     bipartite_shortcut: bool = True,
 ) -> ATResult:
-    """Exact AT(G) by levelwise exhaustive search, or a bracket over budget.
+    """Exact AT(G) by the levelwise coefficient search, or a bracket over
+    budget.
 
     Bipartite inputs short-circuit to the closed form unless disabled. The
-    search starts at the best lower bound; each exhausted level k proves
+    search starts at the best lower bound; each refuted level k proves
     AT > k, and the degeneracy certificate bounds the search from above.
     """
     if bipartite_shortcut and bipartition(g) is not None:
@@ -629,7 +493,8 @@ def at_exact(
     lower, reason = at_lower_bound(g, options)
     upper_cert = acyclic_certificate(g)
     hi = upper_cert.level
-    assert lower <= hi, "lower bound exceeds the acyclic upper bound"
+    if lower > hi:
+        raise ProofObligationError(f"lower bound {lower} exceeds the acyclic bound {hi}")
     if lower == hi:
         return ATResult(hi, hi, upper_cert, reason)
     if g.m > options.search_edge_cap:

@@ -344,12 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, default=4, help="toroidal sweep bound")
     p.add_argument("--pairs", type=int, default=8, help="random corona pair count")
     p.add_argument("--seed", type=int, default=11)
-    p.add_argument(
-        "--trees",
-        choices=["catalog"],
-        default="catalog",
-        help="tree sweep source (the deterministic catalog is the only one)",
-    )
     p.add_argument("--table", action="store_true")
     p.add_argument("--json", action="store_true")
     _budget_flags(p)
@@ -358,9 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int)
-    p.add_argument("--parallel", action="store_true",
-                   help="use one worker per available CPU")
+    p.add_argument("--threads", type=int, help="accepted and ignored")
+    p.add_argument("--parallel", action="store_true", help="accepted and ignored")
     p.add_argument("--enum-cap", type=int, dest="enum_cap")
     p.add_argument("--edge-cap", type=int, dest="edge_cap")
     p.add_argument("--poly-budget", type=int, dest="poly_budget")

@@ -171,7 +171,7 @@ def verify_certificate(
     method, diff = _engine_diff(orientation, recorded, options)
     recipe_ok: Optional[bool] = None
     if recipe is not None and recipe.kind == "corona":
-        recipe_ok = _corona_product_law_ok(orientation, recipe, diff, method, options)
+        recipe_ok = _corona_product_law_ok(orientation, recipe, diff, options)
         if recipe_ok is False:
             messages.append("one-way-cut product law mismatch")
             return VerifyReport(
@@ -218,7 +218,6 @@ def _corona_product_law_ok(
     orientation: Orientation,
     recipe: ConstructionRecipe,
     whole_diff: Optional[int],
-    whole_method: Optional[str],
     options: SolverOptions,
 ) -> Optional[bool]:
     """diff(D) == diff(d1) * diff(d2)^m across the copies/hub one-way cut."""
@@ -231,9 +230,7 @@ def _corona_product_law_ok(
     predicted = diff1 * diff2**m
     if whole_diff is None:
         return None
-    if whole_method == "enumeration":
-        return whole_diff == predicted
-    return abs(whole_diff) == abs(predicted)
+    return whole_diff == predicted
 
 
 def corona_cut_sides(g1: Graph, g2: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CapacityError
+from .errors import CapacityError, ProofObligationError
 from .graphs import Graph
 
 
@@ -151,7 +151,8 @@ def max_density(g: Graph) -> DensityWitness:
             hi = mid
         else:
             achieved = Fraction(induced_edge_count(g, found), len(found))
-            assert achieved > mid
+            if achieved <= mid:
+                raise ProofObligationError(f"min cut found density {achieved} <= {mid}")
             lo = achieved
             witness = found
     return DensityWitness(lo, witness)

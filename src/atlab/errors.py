@@ -7,3 +7,14 @@ class CapacityError(RuntimeError):
 
 class SizeCapError(ValueError):
     """A graph construction exceeded the configured size cap."""
+
+
+class SearchTimeout(Exception):
+    """The wall-clock deadline of a search ran out."""
+
+
+class ProofObligationError(RuntimeError):
+    """A solver result contradicts a theorem the solver relies on.
+
+    Raised explicitly, never through `assert`, so `python -O` keeps the check.
+    """

@@ -13,20 +13,23 @@ Two independent engines compute diff:
     vector packed into a single integer, and halves are joined on cancelling
     imbalances. Cost ~2^(|A|/2) dictionary operations.
   * eulerian_diff_poly - the coefficient of prod_v x_v^(outdeg v) in
-    prod_{arc (u,v)} (x_u - x_v), computed by incremental multiplication with
-    per-variable exponents capped at the outdegree. Equals diff(D) up to a
-    global sign that depends on arc processing order, so only the magnitude
-    is comparable across engines.
+    prod_{arc (t,h)} (x_t - x_h), which equals diff(D) (the Alon-Tarsi
+    identity). Computed by monomial_search, a dynamic program that multiplies
+    the factors in along a breadth-first vertex order and drops each vertex's
+    exponent once its last factor is in, so its states range over the
+    exponents of the current frontier only. The same program, branching on
+    each dropped exponent, is the level search of the AT solver.
 
 Everything is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import CapacityError
+from .errors import CapacityError, SearchTimeout
 from .graphs import Graph
 from .options import DEFAULT_OPTIONS, SolverOptions
 
@@ -209,8 +212,149 @@ def eulerian_tally_enumerate(
 
 
 # ---------------------------------------------------------------------------
-# Capped-coefficient polynomial engine
+# Frontier-ordered coefficient engine
 # ---------------------------------------------------------------------------
+
+
+def frontier_order(g: Graph) -> list[int]:
+    """Vertex order for the coefficient DP: breadth-first from a vertex of
+    minimum degree (ties: lowest index), restarting the same way in each
+    further component."""
+    deg = g.degrees()
+    seen = [False] * g.n
+    order: list[int] = []
+    for root in sorted(range(g.n), key=lambda v: (deg[v], v)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = [root]
+        for u in queue:
+            for w in g.adjacency[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+        order += queue
+    return order
+
+
+def monomial_search(
+    n: int,
+    arcs: Sequence[tuple[int, int]],
+    order: Sequence[int],
+    lo: Sequence[int],
+    hi: Sequence[int],
+    deadline: Optional[float] = None,
+) -> Optional[tuple[tuple[int, ...], int]]:
+    """First exponent vector e with lo <= e <= hi (depth first) whose monomial
+    prod_v x_v^(e_v) has a nonzero coefficient in prod_{(t, h) in arcs}
+    (x_t - x_h). Returns (e, coefficient), or None when there is none.
+
+    Factors are multiplied in along `order`: an arc when its later endpoint
+    comes up. Once a vertex's last arc is in, its exponent is final: the
+    search branches on that value, lowest first, and drops the vertex's
+    field, so a state holds the exponents of the frontier only. A state that
+    can no longer end inside [lo, hi] is pruned when it arises, and a branch
+    whose final exponents leave the others unable to sum to len(arcs) is not
+    taken. Raises SearchTimeout past `deadline`, checked at every arc and
+    every branch.
+    """
+    m = len(arcs)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    left = [0] * n  # arcs not yet multiplied in, per vertex
+    for t, h in arcs:
+        left[t] += 1
+        left[h] += 1
+    if any(not left[v] and not lo[v] <= 0 <= hi[v] for v in range(n)):
+        return None
+    width = max(max(hi, default=0), 1).bit_length()
+    mask = (1 << width) - 1
+    rest_lo = sum(lo[v] for v in range(n) if left[v])
+    rest_hi = sum(hi[v] for v in range(n) if left[v])
+    shift = [-1] * n
+    free: list[int] = []
+    slots = 0
+    # Events: ("arc", shift_t, shift_h, hi_t, hi_h, need_t, need_h), where a
+    # state keeps x_h's term only if e_t >= need_t (and symmetrically), and
+    # ("retire", v, shift_v, least, most) bounding the sum of final exponents.
+    events: list[tuple] = []
+    for t, h in sorted(arcs, key=lambda a: sorted((pos[a[0]], pos[a[1]]), reverse=True)):
+        for v in (t, h):
+            if shift[v] < 0:
+                if free:
+                    shift[v] = free.pop()
+                else:
+                    shift[v] = slots * width
+                    slots += 1
+        left[t] -= 1
+        left[h] -= 1
+        events.append(("arc", shift[t], shift[h], hi[t], hi[h],
+                       lo[t] - left[t], lo[h] - left[h]))
+        for v in (t, h):
+            if not left[v]:
+                rest_lo -= lo[v]
+                rest_hi -= hi[v]
+                events.append(("retire", v, shift[v], m - rest_hi, m - rest_lo))
+                free.append(shift[v])
+
+    # Depth-first over (next event, states, sum of final exponents, finals).
+    stack: list[tuple] = [(0, {0: 1}, 0, None)]
+    while stack:
+        i, cur, fixed, finals = stack.pop()
+        while i < len(events):
+            if deadline is not None and time.monotonic() > deadline:
+                raise SearchTimeout
+            event = events[i]
+            i += 1
+            if event[0] == "arc":
+                _, st, sh, hit, hih, need_t, need_h = event
+                bt, bh = 1 << st, 1 << sh
+                nxt: dict[int, int] = {}
+                get = nxt.get
+                for key, coef in cur.items():
+                    et = (key >> st) & mask
+                    eh = (key >> sh) & mask
+                    if et < hit and eh >= need_h:
+                        k2 = key + bt
+                        val = get(k2, 0) + coef
+                        if val:
+                            nxt[k2] = val
+                        else:
+                            del nxt[k2]
+                    if eh < hih and et >= need_t:
+                        k2 = key + bh
+                        val = get(k2, 0) - coef
+                        if val:
+                            nxt[k2] = val
+                        else:
+                            del nxt[k2]
+                cur = nxt
+                if not cur:
+                    break
+                continue
+            _, v, sv, least, most = event
+            groups: dict[int, dict[int, int]] = {}
+            for key, coef in cur.items():
+                e = (key >> sv) & mask
+                group = groups.get(e)
+                if group is None:
+                    groups[e] = group = {}
+                group[key - (e << sv)] = coef
+            branches = sorted((e for e in groups if least <= fixed + e <= most), reverse=True)
+            if not branches:
+                break
+            for e in branches[:-1]:
+                stack.append((i, groups[e], fixed + e, (v, e, finals)))
+            e = branches[-1]
+            cur, fixed, finals = groups[e], fixed + e, (v, e, finals)
+        else:
+            exps = [0] * n
+            while finals is not None:
+                v, e, finals = finals
+                exps[v] = e
+            return tuple(exps), cur[0]
+    return None
 
 
 def poly_state_bound(d: Orientation) -> int:
@@ -221,55 +365,33 @@ def poly_state_bound(d: Orientation) -> int:
     return bound
 
 
+def diff_coefficient(d: Orientation, order: Optional[Sequence[int]] = None) -> int:
+    """Coefficient of prod_v x_v^(outdeg v) in prod_{(t,h)} (x_t - x_h), with
+    no budget gate. `order` defaults to frontier_order(d.graph).
+
+    Choosing x_t keeps arc (t, h) and -x_h reverses it, so the coefficient
+    sums (-1)^|S| over the arc sets S whose reversal keeps every outdegree:
+    exactly the Eulerian subdigraphs. It therefore equals diff(d), sign
+    included.
+    """
+    if order is None:
+        order = frontier_order(d.graph)
+    out = d.outdegrees
+    hit = monomial_search(d.graph.n, d.arcs, order, out, out)
+    return 0 if hit is None else hit[1]
+
+
 def eulerian_diff_poly(
     d: Orientation, options: SolverOptions = DEFAULT_OPTIONS
 ) -> int:
-    """Coefficient of prod_v x_v^(outdeg v) in prod_{(u,v)} (x_u - x_v).
-
-    Equals diff(d) up to a global sign. Exponents are capped at the target
-    outdegree profile; monomials that overshoot any cap are pruned.
-    """
+    """Coefficient of prod_v x_v^(outdeg v) in prod_{(t,h)} (x_t - x_h), which
+    equals diff(d) (see diff_coefficient), gated by poly_budget."""
     bound = poly_state_bound(d)
     if bound > options.poly_budget:
         raise CapacityError(
             f"monomial state bound {bound} exceeds poly_budget {options.poly_budget}"
         )
-    caps = d.outdegrees
-    shifts = [0] * d.graph.n
-    acc = 0
-    for v in range(d.graph.n):
-        shifts[v] = acc
-        acc += (caps[v] + 1).bit_length()
-    masks = [(1 << (caps[v] + 1).bit_length()) - 1 for v in range(d.graph.n)]
-    cur = {0: 1}
-    for t, h in d.arcs:
-        st, sh = shifts[t], shifts[h]
-        ct, ch = caps[t], caps[h]
-        mt, mh = masks[t], masks[h]
-        bump_t, bump_h = 1 << st, 1 << sh
-        nxt: dict[int, int] = {}
-        for key, coef in cur.items():
-            if (key >> st) & mt < ct:
-                k2 = key + bump_t
-                val = nxt.get(k2, 0) + coef
-                if val:
-                    nxt[k2] = val
-                elif k2 in nxt:
-                    del nxt[k2]
-            if (key >> sh) & mh < ch:
-                k2 = key + bump_h
-                val = nxt.get(k2, 0) - coef
-                if val:
-                    nxt[k2] = val
-                elif k2 in nxt:
-                    del nxt[k2]
-        cur = nxt
-        if not cur:
-            return 0
-    target = 0
-    for v in range(d.graph.n):
-        target += caps[v] << shifts[v]
-    return cur.get(target, 0)
+    return diff_coefficient(d)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +403,7 @@ def eulerian_diff_poly(
 class ATDecision:
     """Nonzero-diff verdict plus which engine produced it.
 
-    `diff` is the signed tally difference for the enumeration engine and the
-    raw coefficient (engine-internal sign) for the polynomial engine.
+    `diff` is the signed diff(d); both engines compute it exactly.
     """
 
     is_at: bool

@@ -3,7 +3,8 @@
 Every solver entry point takes a SolverOptions; the defaults are sized for a
 desk-scale machine. Environment variables AT_LAB_THREADS, AT_LAB_ENUM_CAP and
 AT_LAB_TIME_BUDGET seed the defaults when `SolverOptions.from_env` is used
-(command-line flags override them in the CLI).
+(command-line flags override them in the CLI). `threads` (and so
+AT_LAB_THREADS) is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ class SolverOptions:
     # Max arc count for the exact even/odd Eulerian tally (meet-in-the-middle,
     # costs ~2^(arcs/2) dictionary operations).
     enum_cap: int = 24
-    # Gate for the capped-coefficient engine: product of (outdegree+1) over all
-    # vertices must not exceed this many monomials.
+    # Gate for eulerian_diff_poly: product of (outdegree+1) over all vertices
+    # must not exceed this many monomials.
     poly_budget: int = 2_000_000
-    # Max edge count for exhaustive orientation search at a level.
+    # Max edge count for the level search.
     search_edge_cap: int = 20
     # Max biconnected-block size the exact chromatic solver will attempt.
     chromatic_block_cap: int = 64
-    # Worker processes for refutation sweeps (1 = sequential).
+    # Accepted and ignored: the level search runs in one process. Kept while
+    # callers (the benchmark among them) still pass threads=1.
     threads: int = 1
     # Wall-clock budget in seconds for a single at_exact call (None = unlimited).
     time_budget: float | None = None

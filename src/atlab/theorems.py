@@ -30,7 +30,7 @@ from .atsolver import (
 )
 from .construct import corona_orientation
 from .density import max_density
-from .errors import CapacityError
+from .errors import CapacityError, ProofObligationError
 from .eulerian import eulerian_tally_enumerate
 from .graphs import (
     Graph,
@@ -109,7 +109,7 @@ def _factor_diff_certified(cert: ATCertificate, options: SolverOptions) -> Optio
     if d.graph.m <= options.enum_cap:
         diff = eulerian_tally_enumerate(d, options).diff
         if diff == 0:
-            raise AssertionError("factor certificate orientation has diff 0")
+            raise ProofObligationError("factor certificate orientation has diff 0")
         return abs(diff)
     if bipartition(d.graph) is not None:
         return None
@@ -147,7 +147,8 @@ def corona_at(g1: Graph, g2: Graph, options: SolverOptions = DEFAULT_OPTIONS) ->
         chi = None
     if chi is not None and chi > lower:
         lower, reason = chi, "chromatic"
-    assert lower <= level, "corona lower bound exceeds the certificate level"
+    if lower > level:
+        raise ProofObligationError(f"corona lower bound {lower} exceeds level {level}")
     return ATResult(lower, level, cert, reason)
 
 
@@ -361,7 +362,8 @@ def check_theorem_2(
     if at2 != 2:
         raise ValueError(f"AT({name2}) = {at2}, the formula needs 2")
     # AT = 2 forces an edge, which supplies the triangle for the n <= 2 case.
-    assert g2.m >= 1, "AT = 2 is impossible for an edgeless graph"
+    if g2.m == 0:
+        raise ProofObligationError("AT = 2 is impossible for an edgeless graph")
     predicted = 3 if n <= 2 else ceil_half(n) + 1
     result = corona_at(hypercube(n), g2, options)
     verdict = _bracket_verdict({predicted}, result.lo, result.hi)

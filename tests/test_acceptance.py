@@ -187,7 +187,7 @@ def test_criterion_06_corona_chromatic_formula():
 def test_criterion_07a_toroidal_c3c3_refutation():
     t0 = time.monotonic()
     failures = []
-    opts = SolverOptions(search_edge_cap=24, threads=2)
+    opts = SolverOptions(search_edge_cap=24)
     res = at_exact(cartesian_product(cycle(3), cycle(3)), opts)
     if res.value != 4:
         failures.append(f"AT(C3 x C3) = {res.lo}..{res.hi}, expected 4")
@@ -195,7 +195,7 @@ def test_criterion_07a_toroidal_c3c3_refutation():
         failures.append(
             f"C3 x C3 resolved via {res.lower_bound_reason}, expected level-3 refutation"
         )
-    _finish("7a", "toroidal C3xC3 with parallel refutation", failures, t0, 600)
+    _finish("7a", "toroidal C3xC3 refutation", failures, t0, 600)
 
 
 def test_criterion_07b_toroidal_rest():

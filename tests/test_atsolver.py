@@ -1,5 +1,7 @@
 import math
 import random
+import time
+from itertools import combinations
 
 import pytest
 
@@ -103,6 +105,29 @@ def test_bounded_orientation_iff_density():
                 assert d is not None and d.max_outdegree() <= cap
             else:
                 assert d is None
+
+
+def test_bounded_orientation_per_vertex_caps_is_hakimi():
+    # outdeg(v) <= cap(v) is possible iff every vertex set S spans at most
+    # sum_{v in S} cap(v) edges
+    rng = random.Random(31)
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 8), 0.5)
+        caps = [rng.randint(0, 3) for _ in range(g.n)]
+        if rng.random() < 0.5 and sum(caps) < g.m:
+            for _ in range(g.m - sum(caps)):
+                caps[rng.randrange(g.n)] += 1
+        hakimi = all(
+            sum(1 for u, v in g.edges if u in s and v in s) <= sum(caps[v] for v in s)
+            for r in range(1, g.n + 1)
+            for s in map(set, combinations(range(g.n), r))
+        )
+        d = bounded_outdegree_orientation(g, caps)
+        assert (d is not None) == hakimi, (g.edges, caps)
+        if d is not None:
+            assert all(o <= c for o, c in zip(d.outdegrees, caps))
+            if sum(caps) == g.m:
+                assert list(d.outdegrees) == caps
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +278,36 @@ def test_at_bounds_and_acyclic_certificate():
     assert res2.lo <= 3 <= res2.hi
 
 
-def test_parallel_matches_sequential():
+def test_search_is_deterministic():
     g = cartesian_product(cycle(3), cycle(3))
-    seq = at_exact(g, SolverOptions(search_edge_cap=24))
-    par = at_exact(g, SolverOptions(search_edge_cap=24, threads=2))
-    assert seq.value == par.value == 4
-    assert seq.certificate.orientation.tails == par.certificate.orientation.tails
+    first = at_exact(g, SolverOptions(search_edge_cap=24))
+    second = at_exact(g, SolverOptions(search_edge_cap=24))
+    assert first.value == second.value == 4
+    assert first.certificate.orientation.tails == second.certificate.orientation.tails
+
+
+def test_at_exact_c3xc5_refutes_level_3():
+    g = cartesian_product(cycle(3), cycle(5))
+    res = at_exact(g, SolverOptions(search_edge_cap=30))
+    assert res.value == 4
+    assert res.lower_bound_reason == "exhaustive-refutation"
+
+
+def test_at_exact_k3xk3xk2_certified_by_coefficient():
+    g = cartesian_product(cartesian_product(complete(3), complete(3)), complete(2))
+    res = at_exact(g, SolverOptions(search_edge_cap=g.m))
+    assert res.value == 4
+    cert = res.certificate
+    assert g.m > SolverOptions().enum_cap and cert.method == "polynomial"
+    assert cert.outdegree_ok() and cert.diff_magnitude > 0
+
+
+def test_at_exact_time_budget_holds_on_c5xc7():
+    g = cartesian_product(cycle(5), cycle(7))
+    t0 = time.monotonic()
+    res = at_exact(g, SolverOptions(search_edge_cap=g.m, time_budget=0.2))
+    assert time.monotonic() - t0 < 1.0
+    assert res.lo <= 4 <= res.hi
 
 
 # ---------------------------------------------------------------------------

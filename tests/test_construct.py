@@ -8,6 +8,7 @@ from atlab import (
     at_bipartite,
     bipartition,
     bounded_outdegree_orientation,
+    cartesian_product,
     complete,
     corona_cut_sides,
     corona_orientation,
@@ -152,6 +153,15 @@ def test_verify_corona_recipe_law():
     cert = ATCertificate(d.max_outdegree() + 1, d, 2, "enumeration")
     rep = verify_certificate(cert, options=WIDE, recipe=recipe)
     assert rep.accepted and rep.recipe_product_ok
+    # through the coefficient engine, with a factor of diff -1: the law
+    # holds sign included
+    prism = cartesian_product(c3, path(2))
+    d1 = orient(prism, (0, 1, 0, 3, 4, 5, 0, 4, 2))
+    assert eulerian_tally_enumerate(d1).diff == -1
+    d, recipe = corona_orientation(prism, d1, path(2), orient(path(2), [0]))
+    cert = ATCertificate(d.max_outdegree() + 1, d, 1, "enumeration")
+    rep = verify_certificate(cert, options=SolverOptions(poly_budget=10**9), recipe=recipe)
+    assert rep.accepted and rep.diff_method == "polynomial" and rep.recipe_product_ok
 
 
 def test_verify_closed_form_fallback_for_big_bipartite():

@@ -7,6 +7,9 @@ from atlab import (
     Graph,
     Orientation,
     SolverOptions,
+    acyclic_certificate,
+    at_bipartite,
+    corona_orientation,
     cycle,
     eulerian_diff_poly,
     eulerian_tally_enumerate,
@@ -18,6 +21,7 @@ from atlab import (
     orientation_from_arcs,
     path,
 )
+from atlab.eulerian import diff_coefficient, frontier_order
 from helpers import naive_tally, random_graph, random_orientation
 
 
@@ -106,6 +110,33 @@ def test_engines_agree_on_magnitude():
         tally = eulerian_tally_enumerate(d)
         coef = eulerian_diff_poly(d)
         assert abs(coef) == abs(tally.diff)
+
+
+def test_coefficient_is_the_signed_diff_in_any_vertex_order():
+    rng = random.Random(4096)
+    for _ in range(80):
+        g = random_graph(rng, rng.randint(2, 7), 0.5)
+        if g.m > 12:
+            continue
+        d = random_orientation(rng, g)
+        even, odd = naive_tally(d)
+        order = frontier_order(g)
+        shuffled = list(order)
+        rng.shuffle(shuffled)
+        for o in (order, order[::-1], shuffled):
+            assert diff_coefficient(d, o) == even - odd
+
+
+def test_coefficient_of_q3_corona_c3_certificate():
+    # the recipe orientation factors across its one-way cut:
+    # |diff| = |diff(Q3 part)| * |diff(C3 part)|^8 = 4 * 1
+    q3, c3 = hypercube(3), cycle(3)
+    d1 = at_bipartite(q3).certificate.orientation
+    d2 = acyclic_certificate(c3).orientation
+    d, _ = corona_orientation(q3, d1, c3, d2)
+    assert abs(eulerian_tally_enumerate(d1).diff) == 4
+    assert abs(eulerian_diff_poly(d, SolverOptions(poly_budget=10**15))) == 4
+    assert abs(diff_coefficient(d, frontier_order(d.graph)[::-1])) == 4
 
 
 def test_reversal_preserves_magnitude():

@@ -3,7 +3,13 @@
 import random
 from itertools import product
 
-from atlab import SolverOptions, at_exact, orient
+from atlab import (
+    SolverOptions,
+    at_exact,
+    eulerian_tally_enumerate,
+    find_at_orientation,
+    orient,
+)
 from atlab.density import Dinic
 from helpers import naive_tally, random_graph
 
@@ -36,6 +42,42 @@ def test_at_exact_matches_naive_definition():
         assert at_exact(g, opts).value == expected, (g.edges, expected)
         assert at_exact(g, opts, bipartite_shortcut=False).value == expected
         checked += 1
+
+
+def brute_min_maxout(g):
+    """Least max outdegree of an orientation with diff != 0: every
+    orientation, in order of max outdegree, tallied on its own (no
+    outdegree-class argument)."""
+    scored = []
+    for dirs in product((0, 1), repeat=g.m):
+        tails = [e[b] for e, b in zip(g.edges, dirs)]
+        out = [0] * g.n
+        for t in tails:
+            out[t] += 1
+        scored.append((max(out, default=0), tails))
+    scored.sort(key=lambda item: item[0])
+    for maxout, tails in scored:
+        if eulerian_tally_enumerate(orient(g, tails)).diff != 0:
+            return maxout
+    raise AssertionError("the acyclic orientations have diff 1")
+
+
+def test_level_search_matches_brute_force():
+    rng = random.Random(2505)
+    graphs = 0
+    while graphs < 200:
+        g = random_graph(rng, rng.randint(3, 7), rng.choice([0.4, 0.6, 0.8]))
+        if g.m > 12:
+            continue
+        graphs += 1
+        least = brute_min_maxout(g)
+        for cap in range(5):
+            found = find_at_orientation(g, cap)
+            assert (found is not None) == (cap >= least), (g.edges, cap)
+            if found is not None:
+                assert found.max_outdegree() <= cap
+                even, odd = naive_tally(found)
+                assert even != odd, (g.edges, cap, found.tails)
 
 
 def brute_min_cut(n, edges, s, t):
