@@ -38,11 +38,11 @@ from .errors import CapacityError, ProofObligationError, SearchTimeout
 from .eulerian import (
     Orientation,
     diff_coefficient,
-    eulerian_diff_poly,
+    engine_diff,
     eulerian_tally_enumerate,
     frontier_order,
     monomial_search,
-    poly_state_bound,
+    within_budget,
 )
 from .graphs import Graph, bipartition
 from .options import DEFAULT_OPTIONS, SolverOptions
@@ -366,17 +366,13 @@ def at_bipartite(g: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult
     d = bounded_outdegree_orientation(g, level - 1)
     if d is None:
         raise ProofObligationError("density <= level-1 must admit an orientation")
-    method, magnitude = "bipartite-closed-form", None
-    if g.m <= options.enum_cap:
-        diff = eulerian_tally_enumerate(d, options).diff
-        if diff == 0:
-            raise ProofObligationError("bipartite orientation computed diff 0")
-        method, magnitude = "enumeration", abs(diff)
-    elif poly_state_bound(d) <= options.poly_budget:
-        coef = eulerian_diff_poly(d, options)
-        if coef == 0:
-            raise ProofObligationError("bipartite orientation computed diff 0")
-        method, magnitude = "polynomial", abs(coef)
+    method, diff = engine_diff(d, options)
+    if diff == 0:
+        raise ProofObligationError("bipartite orientation computed diff 0")
+    if method is None:
+        method, magnitude = "bipartite-closed-form", None
+    else:
+        magnitude = abs(diff)
     cert = ATCertificate(level, d, magnitude, method)
     return ATResult(level, level, cert, "density-pigeonhole")
 
@@ -461,9 +457,9 @@ def at_bounds(g: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult:
 
 def _certify(g: Graph, d: Orientation, options: SolverOptions) -> ATCertificate:
     """Re-check a found orientation with an independent computation: the
-    tally within enum_cap, else the coefficient along the reverse of the
-    search's vertex order."""
-    if g.m <= options.enum_cap:
+    tally when its largest strongly connected component is within enum_cap,
+    else the coefficient along the reverse of the search's vertex order."""
+    if within_budget(d, "enumeration", options):
         diff, method = eulerian_tally_enumerate(d, options).diff, "enumeration"
     else:
         diff, method = diff_coefficient(d, frontier_order(g)[::-1]), "polynomial"

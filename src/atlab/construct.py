@@ -12,9 +12,13 @@ follows d2 (R2), and every hub link points from the copy vertex to its hub
 outdeg_d2(j) + 1. The all-copies/hub split is a one-way cut, so the diff of
 the composite factors exactly as diff(d1) * diff(d2)^m.
 
-Product orientations carry no such global one-way cut; their diff is checked
-by direct computation whenever an engine is within budget, and flagged
-unverified otherwise.
+Product orientations carry no such global one-way cut, but their strongly
+connected components factor them the same way: every Eulerian subdigraph
+stays inside the components, so diff is the product of the components'
+diffs. With an acyclic d2, for instance, the components are the copies of
+d1's. Both diff engines run per component and their budgets measure the
+largest one, so the diff of a composite is computed directly whenever its
+largest component is within budget, and flagged unverified otherwise.
 """
 
 from __future__ import annotations
@@ -23,13 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .atsolver import ATCertificate
-from .eulerian import (
-    Orientation,
-    eulerian_diff_poly,
-    eulerian_tally_enumerate,
-    induced_orientation,
-    poly_state_bound,
-)
+from .eulerian import ENGINES, Orientation, engine_diff
 from .graphs import Graph, bipartition, cartesian_product, corona
 from .options import DEFAULT_OPTIONS, SolverOptions
 
@@ -120,24 +118,6 @@ class VerifyReport:
         return self.verdict == "accepted"
 
 
-def _engine_diff(
-    d: Orientation, prefer_not: Optional[str], options: SolverOptions
-) -> tuple[Optional[str], Optional[int]]:
-    """Signed diff by an engine other than `prefer_not` when possible."""
-    enum_ok = d.graph.m <= options.enum_cap
-    poly_ok = poly_state_bound(d) <= options.poly_budget
-    order = ["enumeration", "polynomial"]
-    if prefer_not in order:
-        order.remove(prefer_not)
-        order.append(prefer_not)
-    for engine in order:
-        if engine == "enumeration" and enum_ok:
-            return "enumeration", eulerian_tally_enumerate(d, options).diff
-        if engine == "polynomial" and poly_ok:
-            return "polynomial", eulerian_diff_poly(d, options)
-    return None, None
-
-
 def verify_certificate(
     cert: Union[ATCertificate, Orientation],
     level: Optional[int] = None,
@@ -145,7 +125,8 @@ def verify_certificate(
     recipe: Optional[ConstructionRecipe] = None,
 ) -> VerifyReport:
     """Re-check a claimed AT certificate: outdegree bound, then diff != 0 via
-    an engine other than the recorded one when both fit the budget. Corona
+    an engine other than the recorded one when both fit the budget (both
+    budgets measure the largest strongly connected component). Corona
     recipes additionally re-derive the diff through the one-way-cut product
     law. Over-budget diff checks downgrade to an "outdegree-only" verdict
     (or accept outright via the bipartite closed form)."""
@@ -168,7 +149,9 @@ def verify_certificate(
             "rejected", level, maxout, False, None, None, None, tuple(messages)
         )
 
-    method, diff = _engine_diff(orientation, recorded, options)
+    # the recorded engine goes last, so another one re-checks when it fits
+    engines = sorted(ENGINES, key=lambda e: e == recorded)
+    method, diff = engine_diff(orientation, options, engines)
     recipe_ok: Optional[bool] = None
     if recipe is not None and recipe.kind == "corona":
         recipe_ok = _corona_product_law_ok(orientation, recipe, diff, options)
@@ -221,16 +204,11 @@ def _corona_product_law_ok(
     options: SolverOptions,
 ) -> Optional[bool]:
     """diff(D) == diff(d1) * diff(d2)^m across the copies/hub one-way cut."""
-    d1, d2 = recipe.d1, recipe.d2
-    if d1.graph.m > options.enum_cap or d2.graph.m > options.enum_cap:
+    _, diff1 = engine_diff(recipe.d1, options, ("enumeration",))
+    _, diff2 = engine_diff(recipe.d2, options, ("enumeration",))
+    if None in (diff1, diff2, whole_diff):
         return None
-    m = d1.graph.n
-    diff1 = eulerian_tally_enumerate(d1, options).diff
-    diff2 = eulerian_tally_enumerate(d2, options).diff
-    predicted = diff1 * diff2**m
-    if whole_diff is None:
-        return None
-    return whole_diff == predicted
+    return whole_diff == diff1 * diff2 ** recipe.d1.graph.n
 
 
 def corona_cut_sides(g1: Graph, g2: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:

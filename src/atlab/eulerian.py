@@ -5,20 +5,32 @@ arcs such that every vertex has equal indegree and outdegree; it is even or
 odd by arc-count parity. diff(D) = #even - #odd. An orientation is an
 AT-orientation when diff(D) != 0.
 
-Two independent engines compute diff:
+Every arc of an Eulerian subdigraph lies on a directed cycle, so it stays
+inside one strongly connected component of D. An Eulerian subdigraph is
+therefore one Eulerian subdigraph of each component, chosen independently,
+and diff(D) is the product of diff(D[C]) over the components C that have
+arcs (an acyclic D has diff 1). The corona one-way cut is a special case.
+Orientation.strong_components finds the components in one linear pass, kept
+on the orientation, and both engines run per component and multiply:
 
-  * eulerian_tally_enumerate - exact even and odd counts over all 2^|A| arc
-    subsets. Implemented meet-in-the-middle: arcs are split in halves, each
-    half subset is reduced to its per-vertex (outdegree - indegree) imbalance
-    vector packed into a single integer, and halves are joined on cancelling
-    imbalances. Cost ~2^(|A|/2) dictionary operations.
+  * eulerian_tally_enumerate - exact even and odd counts over all 2^|A|
+    arc subsets of each component, combined by parity. Implemented
+    meet-in-the-middle: arcs are split in halves, each half subset is reduced
+    to its per-vertex (outdegree - indegree) imbalance vector packed into a
+    single integer, and halves are joined on cancelling imbalances. Cost
+    ~2^(|A|/2) dictionary operations per component.
   * eulerian_diff_poly - the coefficient of prod_v x_v^(outdeg v) in
     prod_{arc (t,h)} (x_t - x_h), which equals diff(D) (the Alon-Tarsi
-    identity). Computed by monomial_search, a dynamic program that multiplies
-    the factors in along a breadth-first vertex order and drops each vertex's
-    exponent once its last factor is in, so its states range over the
-    exponents of the current frontier only. The same program, branching on
-    each dropped exponent, is the level search of the AT solver.
+    identity, which holds on each component alone). Computed by
+    monomial_search, a dynamic program that multiplies the factors in along a
+    breadth-first vertex order and drops each vertex's exponent once its last
+    factor is in, so its states range over the exponents of the current
+    frontier only. The same program, branching on each dropped exponent, is
+    the level search of the AT solver.
+
+Both budget gates measure components, not the whole orientation
+(within_budget): enum_cap bounds the arc count of the largest component and
+poly_budget the largest product of (outdegree + 1) over one component.
 
 Everything is a pure function of immutable inputs.
 """
@@ -27,7 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError, SearchTimeout
 from .graphs import Graph
@@ -37,7 +49,7 @@ from .options import DEFAULT_OPTIONS, SolverOptions
 class Orientation:
     """A direction choice for every edge of a base graph."""
 
-    __slots__ = ("graph", "tails", "outdegrees", "indegrees")
+    __slots__ = ("graph", "tails", "outdegrees", "indegrees", "_components")
 
     def __init__(self, graph: Graph, tails: Sequence[int]):
         tails = tuple(tails)
@@ -57,6 +69,7 @@ class Orientation:
         self.tails = tails
         self.outdegrees = tuple(out)
         self.indegrees = tuple(inn)
+        self._components = None
 
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
@@ -67,6 +80,13 @@ class Orientation:
 
     def max_outdegree(self) -> int:
         return max(self.outdegrees, default=0)
+
+    def strong_components(self) -> tuple["StrongComponent", ...]:
+        """The strongly connected components that have arcs, each with its
+        own arcs relabelled; computed on first use and kept."""
+        if self._components is None:
+            self._components = _strong_components(self.graph.n, self.arcs)
+        return self._components
 
     def reversed(self) -> "Orientation":
         flipped = [
@@ -86,6 +106,80 @@ class Orientation:
 
     def __repr__(self) -> str:
         return f"Orientation(m={self.graph.m}, maxout={self.max_outdegree()})"
+
+
+class StrongComponent(NamedTuple):
+    """A strongly connected component of an orientation. `vertices` holds
+    its vertex indices in the orientation's graph, ascending; `arcs` holds
+    its arcs as (tail, head) positions in `vertices`."""
+
+    vertices: tuple[int, ...]
+    arcs: tuple[tuple[int, int], ...]
+
+    def outdegrees(self) -> list[int]:
+        out = [0] * len(self.vertices)
+        for t, _ in self.arcs:
+            out[t] += 1
+        return out
+
+
+def _strong_components(
+    n: int, arcs: Sequence[tuple[int, int]]
+) -> tuple[StrongComponent, ...]:
+    """Tarjan's algorithm without recursion: the components with two or more
+    vertices (the ones that have arcs), in the order Tarjan closes them."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for t, h in arcs:
+        succ[t].append(h)
+    index = [0] * n  # visit number from 1; 0 = not visited yet
+    low = [0] * n
+    comp = [-1] * n  # visited and still -1 means on the stack
+    stack: list[int] = []
+    parts: list[list[int]] = []
+    visits = 0
+    for root in range(n):
+        if index[root]:
+            continue
+        visits += 1
+        index[root] = low[root] = visits
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, todo = work[-1]
+            for w in todo:
+                if not index[w]:
+                    visits += 1
+                    index[w] = low[w] = visits
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    part = []
+                    while True:
+                        w = stack.pop()
+                        comp[w] = len(parts)
+                        part.append(w)
+                        if w == v:
+                            break
+                    parts.append(part)
+    local = [0] * n
+    inner: dict[int, list[tuple[int, int]]] = {}
+    for c, part in enumerate(parts):
+        if len(part) > 1:
+            part.sort()
+            for i, v in enumerate(part):
+                local[v] = i
+            inner[c] = []
+    for t, h in arcs:
+        if comp[t] == comp[h]:
+            inner[comp[t]].append((local[t], local[h]))
+    return tuple(StrongComponent(tuple(parts[c]), tuple(a)) for c, a in inner.items())
 
 
 def orient(g: Graph, tails: Sequence[int]) -> Orientation:
@@ -186,19 +280,12 @@ def _meet(groups: dict[int, list[int]], deltas: Sequence[int]) -> tuple[int, int
     return even, odd
 
 
-def tally_arcs(
-    n_vertices: int, arcs: Sequence[tuple[int, int]], cap: int
-) -> tuple[int, int]:
-    """(even, odd) Eulerian subdigraph counts for a raw arc list."""
-    a = len(arcs)
-    if a > cap:
-        raise CapacityError(
-            f"{a} arcs exceeds the enumeration cap {cap}; "
-            "use the polynomial engine or raise enum_cap"
-        )
+def tally_arcs(n_vertices: int, arcs: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """(even, odd) Eulerian subdigraph counts for a raw arc list, over all of
+    its subsets, with no budget gate."""
     bits = _imbalance_bits(n_vertices, arcs)
     deltas = _arc_deltas(arcs, bits)
-    half = a // 2
+    half = len(arcs) // 2
     groups = _group_half(deltas[:half])
     return _meet(groups, deltas[half:])
 
@@ -206,8 +293,23 @@ def tally_arcs(
 def eulerian_tally_enumerate(
     d: Orientation, options: SolverOptions = DEFAULT_OPTIONS
 ) -> EulerianTally:
-    """Exact even/odd tally over all arc subsets of the orientation."""
-    even, odd = tally_arcs(d.graph.n, d.arcs, options.enum_cap)
+    """Exact even/odd tally of the orientation, gated by enum_cap on the arc
+    count of its largest strongly connected component.
+
+    Each component is tallied over all of its arc subsets. An Eulerian
+    subdigraph of d picks one in every component, and its parity is the sum
+    of theirs, so (even, odd) combine as (e1 e2 + o1 o2, e1 o2 + o1 e2).
+    """
+    if not within_budget(d, "enumeration", options):
+        raise CapacityError(
+            f"{tally_arc_bound(d)} arcs in the largest strongly connected component "
+            f"exceeds the enumeration cap {options.enum_cap}; "
+            "use the polynomial engine or raise enum_cap"
+        )
+    even, odd = 1, 0
+    for part in d.strong_components():
+        e, o = tally_arcs(len(part.vertices), part.arcs)
+        even, odd = even * e + odd * o, even * o + odd * e
     return EulerianTally(even, odd)
 
 
@@ -220,16 +322,20 @@ def frontier_order(g: Graph) -> list[int]:
     """Vertex order for the coefficient DP: breadth-first from a vertex of
     minimum degree (ties: lowest index), restarting the same way in each
     further component."""
-    deg = g.degrees()
-    seen = [False] * g.n
+    return _breadth_first_order(g.adjacency)
+
+
+def _breadth_first_order(adjacency: Sequence[Sequence[int]]) -> list[int]:
+    n = len(adjacency)
+    seen = [False] * n
     order: list[int] = []
-    for root in sorted(range(g.n), key=lambda v: (deg[v], v)):
+    for root in sorted(range(n), key=lambda v: (len(adjacency[v]), v)):
         if seen[root]:
             continue
         seen[root] = True
         queue = [root]
         for u in queue:
-            for w in g.adjacency[u]:
+            for w in adjacency[u]:
                 if not seen[w]:
                     seen[w] = True
                     queue.append(w)
@@ -357,41 +463,98 @@ def monomial_search(
     return None
 
 
+def tally_arc_bound(d: Orientation) -> int:
+    """Gate value of the tally: arc count of the largest strongly connected
+    component."""
+    return max((len(part.arcs) for part in d.strong_components()), default=0)
+
+
 def poly_state_bound(d: Orientation) -> int:
-    """Gate value: product of (outdegree + 1) over all vertices."""
+    """Gate value of the coefficient engine: the largest, over the strongly
+    connected components, product of (outdegree + 1) inside the component."""
     bound = 1
-    for c in d.outdegrees:
-        bound *= c + 1
+    for part in d.strong_components():
+        states = 1
+        for c in part.outdegrees():
+            states *= c + 1
+        bound = max(bound, states)
     return bound
+
+
+ENGINES = ("enumeration", "polynomial")
+
+
+def within_budget(d: Orientation, engine: str, options: SolverOptions) -> bool:
+    """Whether `engine` ("enumeration" or "polynomial") may run on d. Both
+    engines run per strongly connected component, so both gates measure the
+    largest one: enum_cap bounds tally_arc_bound, poly_budget
+    poly_state_bound."""
+    if engine == "enumeration":
+        return tally_arc_bound(d) <= options.enum_cap
+    if engine == "polynomial":
+        return poly_state_bound(d) <= options.poly_budget
+    raise ValueError(f"unknown diff engine {engine!r}")
 
 
 def diff_coefficient(d: Orientation, order: Optional[Sequence[int]] = None) -> int:
     """Coefficient of prod_v x_v^(outdeg v) in prod_{(t,h)} (x_t - x_h), with
-    no budget gate. `order` defaults to frontier_order(d.graph).
+    no budget gate: the product of the same coefficient over the strongly
+    connected components. An explicit `order` of d's vertices is restricted
+    to each component; by default each component takes its own
+    breadth-first order (frontier_order).
 
     Choosing x_t keeps arc (t, h) and -x_h reverses it, so the coefficient
     sums (-1)^|S| over the arc sets S whose reversal keeps every outdegree:
     exactly the Eulerian subdigraphs. It therefore equals diff(d), sign
     included.
     """
-    if order is None:
-        order = frontier_order(d.graph)
-    out = d.outdegrees
-    hit = monomial_search(d.graph.n, d.arcs, order, out, out)
-    return 0 if hit is None else hit[1]
+    coef = 1
+    for part in d.strong_components():
+        k = len(part.vertices)
+        if order is None:
+            adjacency: list[list[int]] = [[] for _ in range(k)]
+            for t, h in part.arcs:
+                adjacency[t].append(h)
+                adjacency[h].append(t)
+            sub_order = _breadth_first_order(adjacency)
+        else:
+            local = {v: i for i, v in enumerate(part.vertices)}
+            sub_order = [local[v] for v in order if v in local]
+        out = part.outdegrees()
+        hit = monomial_search(k, part.arcs, sub_order, out, out)
+        if hit is None:
+            return 0
+        coef *= hit[1]
+    return coef
 
 
 def eulerian_diff_poly(
     d: Orientation, options: SolverOptions = DEFAULT_OPTIONS
 ) -> int:
     """Coefficient of prod_v x_v^(outdeg v) in prod_{(t,h)} (x_t - x_h), which
-    equals diff(d) (see diff_coefficient), gated by poly_budget."""
-    bound = poly_state_bound(d)
-    if bound > options.poly_budget:
+    equals diff(d) (see diff_coefficient), gated by poly_budget on the largest
+    strongly connected component."""
+    if not within_budget(d, "polynomial", options):
         raise CapacityError(
-            f"monomial state bound {bound} exceeds poly_budget {options.poly_budget}"
+            f"monomial state bound {poly_state_bound(d)} exceeds poly_budget "
+            f"{options.poly_budget}"
         )
     return diff_coefficient(d)
+
+
+def engine_diff(
+    d: Orientation,
+    options: SolverOptions = DEFAULT_OPTIONS,
+    engines: Sequence[str] = ENGINES,
+) -> tuple[Optional[str], Optional[int]]:
+    """(engine, signed diff(d)) from the first of `engines` within budget on
+    d, or (None, None) when none is."""
+    for engine in engines:
+        if within_budget(d, engine, options):
+            if engine == "enumeration":
+                return engine, eulerian_tally_enumerate(d, options).diff
+            return engine, eulerian_diff_poly(d, options)
+    return None, None
 
 
 # ---------------------------------------------------------------------------
@@ -418,17 +581,14 @@ def is_at_orientation(
     d: Orientation, options: SolverOptions = DEFAULT_OPTIONS
 ) -> ATDecision:
     """True iff diff(d) != 0; engine picked by size, recorded in the result."""
-    if d.graph.m <= options.enum_cap:
-        tally = eulerian_tally_enumerate(d, options)
-        return ATDecision(tally.diff != 0, "enumeration", tally.diff)
-    if poly_state_bound(d) <= options.poly_budget:
-        coef = eulerian_diff_poly(d, options)
-        return ATDecision(coef != 0, "polynomial", coef)
-    raise CapacityError(
-        f"no diff engine within budget: {d.graph.m} arcs > enum_cap "
-        f"{options.enum_cap} and state bound {poly_state_bound(d)} > "
-        f"poly_budget {options.poly_budget}"
-    )
+    method, diff = engine_diff(d, options)
+    if method is None:
+        raise CapacityError(
+            f"no diff engine within budget: {tally_arc_bound(d)} arcs in the largest "
+            f"strongly connected component > enum_cap {options.enum_cap} and state "
+            f"bound {poly_state_bound(d)} > poly_budget {options.poly_budget}"
+        )
+    return ATDecision(diff != 0, method, diff)
 
 
 @dataclass(frozen=True)
@@ -438,7 +598,8 @@ class OneWayCutReport:
     When the split is one-way (every crossing arc leaves `left`), no Eulerian
     subdigraph can use a crossing arc, so diff factors exactly:
     diff(D) = diff(D[left]) * diff(D[right]). Diffs are filled in when the
-    enumeration engine is within budget for the respective arc sets.
+    enumeration engine is within budget for the respective orientation,
+    measured on its largest strongly connected component.
     """
 
     one_way: bool
@@ -461,7 +622,11 @@ def one_way_cut_check(
     right: Iterable[int],
     options: SolverOptions = DEFAULT_OPTIONS,
 ) -> OneWayCutReport:
-    """Check that all crossing arcs go left->right and the diff product law."""
+    """Check that all crossing arcs go left->right and the diff product law.
+
+    A one-way cut is the case of the strongly connected component product
+    where the components fall on two sides: no component crosses the cut.
+    """
     left = frozenset(left)
     right = frozenset(right)
     if left & right or (left | right) != frozenset(range(d.graph.n)):
@@ -477,9 +642,7 @@ def one_way_cut_check(
         return OneWayCutReport(False, cross + len(backward), tuple(backward))
 
     def _diff(sub: Orientation) -> Optional[int]:
-        if sub.graph.m > options.enum_cap:
-            return None
-        return eulerian_tally_enumerate(sub, options).diff
+        return engine_diff(sub, options, ("enumeration",))[1]
 
     d_left = _diff(induced_orientation(d, left))
     d_right = _diff(induced_orientation(d, right))

@@ -95,9 +95,7 @@ class Graph:
         return frozenset(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edge_set()
+        return 0 <= u < len(self._adj) and v in self._adj[u]
 
     def induced_subgraph(self, keep: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """Subgraph induced by vertex indices `keep`; also returns old->new map."""

@@ -15,11 +15,12 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class SolverOptions:
-    # Max arc count for the exact even/odd Eulerian tally (meet-in-the-middle,
-    # costs ~2^(arcs/2) dictionary operations).
+    # Max arc count of the largest strongly connected component for the exact
+    # even/odd Eulerian tally (meet-in-the-middle, costs ~2^(arcs/2)
+    # dictionary operations per component).
     enum_cap: int = 24
-    # Gate for eulerian_diff_poly: product of (outdegree+1) over all vertices
-    # must not exceed this many monomials.
+    # Gate for eulerian_diff_poly: no strongly connected component's product
+    # of (outdegree+1) over its vertices may exceed this many monomials.
     poly_budget: int = 2_000_000
     # Max edge count for the level search.
     search_edge_cap: int = 20

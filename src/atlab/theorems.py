@@ -31,7 +31,7 @@ from .atsolver import (
 from .construct import corona_orientation
 from .density import max_density
 from .errors import CapacityError, ProofObligationError
-from .eulerian import eulerian_tally_enumerate
+from .eulerian import engine_diff
 from .graphs import (
     Graph,
     bipartition,
@@ -106,8 +106,8 @@ def _factor_diff_certified(cert: ATCertificate, options: SolverOptions) -> Optio
     """Nonzero diff evidence for a factor orientation: exact magnitude when the
     enumeration engine fits, else None with bipartiteness as the guarantee."""
     d = cert.orientation
-    if d.graph.m <= options.enum_cap:
-        diff = eulerian_tally_enumerate(d, options).diff
+    method, diff = engine_diff(d, options, ("enumeration",))
+    if method is not None:
         if diff == 0:
             raise ProofObligationError("factor certificate orientation has diff 0")
         return abs(diff)

@@ -20,6 +20,7 @@ from atlab import (
     cycle,
     hypercube,
     orient,
+    orientation_from_arcs,
     path,
     star,
     tree_from_pruefer,
@@ -119,6 +120,28 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 
 def random_orientation(rng: random.Random, g: Graph) -> Orientation:
     return orient(g, [e[rng.randint(0, 1)] for e in g.edges])
+
+
+def euler_circuit_orientation(g: Graph) -> Orientation:
+    """A connected graph with all degrees even, oriented along an Eulerian
+    circuit (Hierholzer, from vertex 0): every vertex has indegree equal to
+    outdegree, so the orientation is strongly connected."""
+    unused = [list(a) for a in g.adjacency]
+    used = set()
+    stack, arcs = [0], []
+    while stack:
+        v = stack[-1]
+        while unused[v] and (min(v, unused[v][-1]), max(v, unused[v][-1])) in used:
+            unused[v].pop()
+        if unused[v]:
+            w = unused[v].pop()
+            used.add((min(v, w), max(v, w)))
+            stack.append(w)
+        else:
+            stack.pop()
+            if stack:
+                arcs.append((stack[-1], v))
+    return orientation_from_arcs(g, arcs)
 
 
 def random_bipartite_graph(rng: random.Random, max_side: int, max_edges: int) -> Graph:

@@ -5,6 +5,7 @@ from atlab import (
     Graph,
     Orientation,
     SolverOptions,
+    acyclic_certificate,
     at_bipartite,
     bipartition,
     bounded_outdegree_orientation,
@@ -172,9 +173,50 @@ def test_verify_closed_form_fallback_for_big_bipartite():
 
 
 def test_verify_outdegree_only_downgrade():
-    # non-bipartite, all engines priced out
+    # non-bipartite, all engines priced out: the directed C5 is one strongly
+    # connected component of 5 arcs and state bound 2^5
     g = cycle(5)
-    d = Orientation(g, [0, 1, 2, 3, 0])
+    d = Orientation(g, [0, 1, 2, 3, 4])
     tiny = SolverOptions(enum_cap=1, poly_budget=1)
     rep = verify_certificate(d, level=3, options=tiny)
     assert rep.verdict == "outdegree-only"
+
+
+def recipe_certificate(kind, g1, g2):
+    """A recipe certificate built from factor certificates without search:
+    the closed form for a bipartite factor, the degeneracy order otherwise.
+    Corona certificates record the product-law magnitude c1 * c2^n."""
+    c1, c2 = (
+        at_bipartite(g).certificate if bipartition(g) is not None else acyclic_certificate(g)
+        for g in (g1, g2)
+    )
+    build = corona_orientation if kind == "corona" else product_orientation
+    d, recipe = build(g1, c1.orientation, g2, c2.orientation)
+    magnitude = None
+    if kind == "corona" and None not in (c1.diff_magnitude, c2.diff_magnitude):
+        magnitude = c1.diff_magnitude * c2.diff_magnitude ** g1.n
+    return ATCertificate(d.max_outdegree() + 1, d, magnitude, "product-law"), recipe
+
+
+def test_verify_recipe_certificates_past_enum_cap():
+    # the composites are over enum_cap, but their strongly connected
+    # components are copies of the Q_n factor's (the other factor's
+    # orientation is acyclic), so the tally decides them
+    cases = [
+        ("corona", hypercube(3), cycle(3), 4),
+        ("corona", hypercube(3), path(3), 4),
+        ("corona", hypercube(2), complete(3), 2),
+        ("product", hypercube(3), cycle(3), 64),
+    ]
+    for kind, g1, g2, magnitude in cases:
+        cert, recipe = recipe_certificate(kind, g1, g2)
+        assert cert.orientation.graph.m > SolverOptions().enum_cap
+        rep = verify_certificate(cert, recipe=recipe)
+        assert rep.accepted and rep.diff_method == "enumeration", (kind, g1.n, g2.n)
+        assert rep.diff_magnitude == magnitude
+        if kind == "corona":
+            assert cert.diff_magnitude == magnitude and rep.recipe_product_ok
+    # Q4's closed-form orientation is one strongly connected component of 32
+    # arcs and 3^16 states: both engines stay gated
+    cert, recipe = recipe_certificate("corona", hypercube(4), cycle(5))
+    assert verify_certificate(cert, recipe=recipe).verdict == "outdegree-only"

@@ -145,6 +145,23 @@ def test_cli_diff_modes(tmp_path, capsys):
     assert "even 2" in out and "odd 0" in out and "diff 2" in out
 
 
+def test_cli_diff_past_enum_cap(tmp_path, capsys):
+    # Q3 o C3 from its factors' certificates: 60 arcs, over enum_cap 24, but
+    # its strongly connected components are two directed 4-cycles
+    from atlab import ATCertificate, acyclic_certificate
+
+    q3, c3 = hypercube(3), cycle(3)
+    d, _ = corona_orientation(
+        q3, at_bipartite(q3).certificate.orientation, c3, acyclic_certificate(c3).orientation
+    )
+    assert d.graph.m == 60
+    cpath = tmp_path / "q3oc3.cert"
+    cpath.write_text(serialize_certificate(ATCertificate(d.max_outdegree() + 1, d, 4, "product-law")))
+    assert main(["diff", "--cert", str(cpath)]) == 0
+    out = capsys.readouterr().out
+    assert "even 4" in out and "odd 0" in out and "diff 4" in out
+
+
 def test_cli_diff_rejects_zero_certificate(tmp_path, capsys):
     # hand-build a bogus level-2 certificate for the cyclic odd triangle
     from atlab import ATCertificate

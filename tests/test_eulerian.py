@@ -21,8 +21,8 @@ from atlab import (
     orientation_from_arcs,
     path,
 )
-from atlab.eulerian import diff_coefficient, frontier_order
-from helpers import naive_tally, random_graph, random_orientation
+from atlab.eulerian import diff_coefficient, frontier_order, poly_state_bound
+from helpers import euler_circuit_orientation, naive_tally, random_graph, random_orientation
 
 
 def cyclic(n):
@@ -78,9 +78,14 @@ def test_tally_matches_naive_oracle():
         )
 
 
+def strongly_connected_q4():
+    d = euler_circuit_orientation(hypercube(4))
+    assert [len(part.arcs) for part in d.strong_components()] == [32]
+    return d
+
+
 def test_tally_cap():
-    g = hypercube(4)  # 32 arcs
-    d = orient(g, [u for u, _ in g.edges])
+    d = strongly_connected_q4()  # one component of 32 arcs
     with pytest.raises(CapacityError):
         eulerian_tally_enumerate(d)
     t = eulerian_tally_enumerate(d, SolverOptions(enum_cap=32))
@@ -94,8 +99,7 @@ def test_poly_engine_values():
 
 
 def test_poly_budget_gate():
-    g = hypercube(4)
-    d = orient(g, [u for u, _ in g.edges])
+    d = strongly_connected_q4()
     with pytest.raises(CapacityError):
         eulerian_diff_poly(d, SolverOptions(poly_budget=10))
 
@@ -136,6 +140,8 @@ def test_coefficient_of_q3_corona_c3_certificate():
     d, _ = corona_orientation(q3, d1, c3, d2)
     assert abs(eulerian_tally_enumerate(d1).diff) == 4
     assert abs(eulerian_diff_poly(d, SolverOptions(poly_budget=10**15))) == 4
+    # its components are two directed 4-cycles, so the default budget admits it
+    assert poly_state_bound(d) == 2**4 and abs(eulerian_diff_poly(d)) == 4
     assert abs(diff_coefficient(d, frontier_order(d.graph)[::-1])) == 4
 
 
@@ -169,8 +175,7 @@ def test_is_at_orientation():
     for _ in range(10):
         assert is_at_orientation(random_orientation(rng, q3))
     # over the enumeration cap the polynomial engine takes over
-    g = hypercube(4)
-    d = orient(g, [u for u, _ in g.edges])
+    d = strongly_connected_q4()
     dec = is_at_orientation(d, SolverOptions(enum_cap=16, poly_budget=50_000_000))
     assert dec.method == "polynomial" and dec.is_at
 

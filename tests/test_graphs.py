@@ -116,6 +116,14 @@ def test_product_count_formula_matches_enumeration():
         assert prod.m == expected
 
 
+def test_has_edge_matches_edge_set():
+    g = cartesian_product(cycle(5), star(4))
+    edges = g.edge_set()
+    for u in range(g.n):
+        for v in range(g.n):
+            assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+
+
 def test_corona_counts_and_labels():
     c = corona(cycle(3), cycle(4))
     assert c.n == 15 and c.m == 3 + 3 * (4 + 4)

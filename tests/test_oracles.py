@@ -1,17 +1,21 @@
 """Deeper cross-validation: the central solvers vs. from-scratch oracles."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 from atlab import (
+    Graph,
     SolverOptions,
     at_exact,
     eulerian_tally_enumerate,
     find_at_orientation,
+    is_at_orientation,
     orient,
+    orientation_from_arcs,
 )
 from atlab.density import Dinic
-from helpers import naive_tally, random_graph
+from atlab.eulerian import diff_coefficient, frontier_order
+from helpers import naive_tally, random_graph, random_orientation
 
 
 def naive_at(g, k_max=6):
@@ -78,6 +82,97 @@ def test_level_search_matches_brute_force():
                 assert found.max_outdegree() <= cap
                 even, odd = naive_tally(found)
                 assert even != odd, (g.edges, cap, found.tails)
+
+
+def cycle_with_chords(rng, vertices, chords):
+    """A directed cycle through `vertices` (at least 3) plus up to `chords`
+    randomly directed chords: strongly connected whatever their directions."""
+    vs = list(vertices)
+    rng.shuffle(vs)
+    arcs = {(vs[i - 1], vs[i]) for i in range(len(vs))}
+    for u, v in rng.sample(list(combinations(vs, 2)), chords):
+        if (u, v) not in arcs and (v, u) not in arcs:
+            arcs.add((u, v))
+    return arcs
+
+
+def random_shaped_orientation(rng, shape):
+    """A random orientation of one of four shapes: acyclic; strongly
+    connected; strongly connected blocks joined by cross arcs that all point
+    to later blocks; a strongly connected block beside a disjoint random
+    orientation."""
+    if shape == "acyclic":
+        g = random_graph(rng, rng.randint(2, 8), 0.5)
+        rank = list(range(g.n))
+        rng.shuffle(rank)
+        arcs = {(u, v) if rank[u] < rank[v] else (v, u) for u, v in g.edges}
+        n = g.n
+    elif shape == "one component":
+        n = rng.randint(3, 7)
+        arcs = cycle_with_chords(rng, range(n), rng.randint(0, 4))
+    elif shape == "cross arcs":
+        blocks = [range(3 * i, 3 * i + 3) for i in range(rng.randint(2, 3))]
+        arcs = set()
+        for block in blocks:
+            arcs |= cycle_with_chords(rng, block, 0)
+        for _ in range(rng.randint(1, 3)):
+            i, j = sorted(rng.sample(range(len(blocks)), 2))
+            u, v = rng.choice(blocks[i]), rng.choice(blocks[j])
+            arcs.add((u, v))
+        n = 3 * len(blocks)
+    else:  # disconnected
+        k = rng.randint(3, 4)
+        arcs = cycle_with_chords(rng, range(k), 1)
+        rest = random_graph(rng, rng.randint(2, 5), 0.6)
+        arcs |= {(k + t, k + h) for t, h in random_orientation(rng, rest).arcs}
+        n = k + rest.n
+    arcs = sorted(arcs)
+    return orientation_from_arcs(Graph([str(i) for i in range(n)], arcs), arcs)
+
+
+def mutual_reach_classes(d):
+    """Vertex sets of size > 1 that reach each other, by transitive closure."""
+    n = d.graph.n
+    reach = [[u == v for v in range(n)] for u in range(n)]
+    for t, h in d.arcs:
+        reach[t][h] = True
+    for k in range(n):
+        for u in range(n):
+            if reach[u][k]:
+                for v in range(n):
+                    reach[u][v] = reach[u][v] or reach[k][v]
+    classes = {frozenset(v for v in range(n) if reach[u][v] and reach[v][u]) for u in range(n)}
+    return {c for c in classes if len(c) > 1}
+
+
+def test_component_factoring_matches_whole_orientation_oracle():
+    rng = random.Random(3131)
+    shapes = ("acyclic", "one component", "cross arcs", "disconnected")
+    seen = {shape: 0 for shape in shapes}
+    checked = 0
+    while checked < 200:
+        shape = shapes[checked % 4]
+        d = random_shaped_orientation(rng, shape)
+        if d.graph.m > 11:
+            continue
+        checked += 1
+        parts = d.strong_components()
+        classes = mutual_reach_classes(d)
+        assert {frozenset(p.vertices) for p in parts} == classes, (shape, d.arcs)
+        for p in parts:
+            inside = sorted((t, h) for t, h in d.arcs if t in p.vertices and h in p.vertices)
+            assert sorted((p.vertices[t], p.vertices[h]) for t, h in p.arcs) == inside
+        seen[shape] += len(parts) > 1 if shape == "cross arcs" else len(parts) > 0
+        even, odd = naive_tally(d)
+        tally = eulerian_tally_enumerate(d)
+        assert (tally.even_count, tally.odd_count) == (even, odd), (shape, d.arcs)
+        assert diff_coefficient(d) == even - odd, (shape, d.arcs)
+        assert diff_coefficient(d, frontier_order(d.graph)[::-1]) == even - odd
+        dec = is_at_orientation(d)
+        assert dec.diff == even - odd and dec.is_at == (even != odd)
+    # the shapes did what they say: no acyclic one has a component, every
+    # other one has one, and blocks joined by cross arcs have several
+    assert seen == {"acyclic": 0, "one component": 50, "cross arcs": 50, "disconnected": 50}
 
 
 def brute_min_cut(n, edges, s, t):
