@@ -6,6 +6,7 @@ from .atsolver import (
     ATCertificate,
     ATResult,
     ChoosabilityReport,
+    UniformCap,
     acyclic_certificate,
     at_bipartite,
     at_bounds,
@@ -15,6 +16,7 @@ from .atsolver import (
     chromatic_number,
     find_at_orientation,
     is_chromatic_at_choosable,
+    least_uniform_cap,
 )
 from .construct import (
     ConstructionRecipe,

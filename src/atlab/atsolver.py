@@ -20,6 +20,13 @@ diff != 0. The solver combines:
     acyclic orientation along a degeneracy order (diff = 1, the empty
     subdigraph alone) caps the search from above.
 
+ceil(max_density) is the least uniform cap k that path reversal can meet
+(Hakimi's theorem). `least_uniform_cap` finds it by trying k = ceil(|E|/|V|),
+k+1, ... and returns a witness for each side: an orientation with every
+outdegree <= k, and a vertex set spanning more than (k-1) edges per vertex.
+The exact rational density (the flow search in `density`) is only reported,
+never needed for an AT value.
+
 Exact chromatic numbers come from biconnected-block decomposition (chi is the
 max over blocks) with a saturation-guided, symmetry-broken backtracker per
 block.
@@ -28,12 +35,12 @@ block.
 from __future__ import annotations
 
 import heapq
-import math
 import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .density import max_density
+from .density import induced_edge_count
+from .density import max_density  # noqa: F401  unused; bench/test_bench.py pins this name
 from .errors import CapacityError, ProofObligationError, SearchTimeout
 from .eulerian import (
     Orientation,
@@ -110,10 +117,19 @@ def bounded_outdegree_orientation(
     valid orientation exists (Hakimi's theorem). So when the caps sum to
     |E|, a result has exactly the given outdegrees.
     """
+    caps = [cap] * g.n if isinstance(cap, int) else list(cap)
+    if len(caps) != g.n:
+        raise ValueError(f"need one cap per vertex: got {len(caps)} for {g.n} vertices")
+    return _reverse_paths(g, caps)[0]
+
+
+def _reverse_paths(
+    g: Graph, caps: list[int]
+) -> tuple[Optional[Orientation], tuple[int, ...]]:
+    """Path reversal under per-vertex caps: (orientation, ()) when one
+    exists, else (None, R) with R the vertex set the last search reached,
+    which spans more than sum_R cap(v) edges."""
     n = g.n
-    caps = [cap] * n if isinstance(cap, int) else list(cap)
-    if len(caps) != n:
-        raise ValueError(f"need one cap per vertex: got {len(caps)} for {n} vertices")
     tails = []
     outdeg = [0] * n
     for u, v in g.edges:
@@ -150,7 +166,7 @@ def bounded_outdegree_orientation(
                     parent_edge[head] = k
                     queue.append(head)
         if target < 0:
-            return None
+            return None, tuple(sorted(queue))
         x = target
         while x != over:
             k = parent_edge[x]
@@ -158,7 +174,47 @@ def bounded_outdegree_orientation(
             x = parent[x]
         outdeg[over] -= 1
         outdeg[target] += 1
-    return Orientation(g, tails)
+    return Orientation(g, tails), ()
+
+
+@dataclass(frozen=True)
+class UniformCap:
+    """The least k admitting an orientation with every outdegree <= k, and
+    both witnesses: such an orientation, and a vertex set R spanning more
+    than (k-1)|R| edges, so every orientation gives some vertex of R
+    outdegree >= k (pigeonhole). By Hakimi's theorem k = ceil(max density).
+    When k = 0 (no edges) R is every vertex and bounds nothing."""
+
+    cap: int
+    orientation: Orientation
+    witness: tuple[int, ...]
+
+
+def least_uniform_cap(g: Graph) -> UniformCap:
+    """Path reversal at caps ceil(|E|/|V|), ceil(|E|/|V|)+1, ... until one is
+    feasible. The first cap is a lower bound with R = V; each failed cap k
+    leaves the set its last search reached, which spans more than k|R|
+    edges, as R for cap k+1."""
+    k = -(-g.m // g.n) if g.n else 0
+    witness = tuple(range(g.n))
+    while True:
+        d, reached = _reverse_paths(g, [k] * g.n)
+        if d is not None:
+            return UniformCap(k, d, witness)
+        witness = reached
+        k += 1
+
+
+def _checked_uniform_cap(g: Graph) -> UniformCap:
+    """least_uniform_cap with its pigeonhole witness recounted."""
+    least = least_uniform_cap(g)
+    k, r = least.cap, least.witness
+    spanned = induced_edge_count(g, r)
+    if k and spanned <= (k - 1) * len(r):
+        raise ProofObligationError(
+            f"cap {k} witness spans {spanned} <= {k - 1}*{len(r)} edges"
+        )
+    return least
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +389,10 @@ def at_lower_bound(
     Terms: ceil(max_density)+1 (pigeonhole on outdegrees), chi(G) when the
     chromatic solver is within budget (chi <= AT), and any caller-registered
     lower bounds for subgraphs (AT is subgraph-monotone). Chromatic wins ties.
+    The first term is the least uniform cap plus one; its vertex-set witness
+    is recounted, so the bound does not rest on path reversal alone.
     """
-    best = math.ceil(max_density(g).density) + 1 if g.m else 1
+    best = _checked_uniform_cap(g).cap + 1
     reason = "density-pigeonhole"
     try:
         chi = chromatic_number(g, options)
@@ -357,15 +415,14 @@ def at_bipartite(g: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult
     """AT of a bipartite graph: ceil(max_density)+1, certificate included.
 
     Every orientation of a bipartite graph is an AT-orientation, so the
-    bounded-outdegree orientation at level-1 is a certificate; its diff is
-    additionally recomputed whenever an engine is within budget.
+    orientation at the least uniform cap level-1 is a certificate; its diff
+    is additionally recomputed whenever an engine is within budget. The
+    cap's vertex-set witness is recounted, proving AT >= level.
     """
     if bipartition(g) is None:
         raise ValueError("at_bipartite requires a bipartite graph")
-    level = math.ceil(max_density(g).density) + 1 if g.m else 1
-    d = bounded_outdegree_orientation(g, level - 1)
-    if d is None:
-        raise ProofObligationError("density <= level-1 must admit an orientation")
+    least = _checked_uniform_cap(g)
+    level, d = least.cap + 1, least.orientation
     method, diff = engine_diff(d, options)
     if diff == 0:
         raise ProofObligationError("bipartite orientation computed diff 0")

@@ -9,7 +9,6 @@ accepted for graph input interoperability; it synthesizes labels "0".."n-1".
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -107,6 +106,8 @@ def _parse_edge_list(lines: list[str]) -> Graph:
 
 
 def graph_sha256(g: Graph) -> str:
+    import hashlib  # here, so importing this module does not load OpenSSL (~3 MB RSS)
+
     return hashlib.sha256(serialize_graph(g).encode()).hexdigest()
 
 

@@ -5,9 +5,12 @@ from itertools import combinations
 
 import pytest
 
+import atlab
 from atlab import (
+    DEFAULT_OPTIONS,
     CapacityError,
     Graph,
+    ProofObligationError,
     SolverOptions,
     at_bipartite,
     at_bounds,
@@ -30,8 +33,11 @@ from atlab import (
     star,
     tree_from_pruefer,
 )
-from atlab.atsolver import acyclic_certificate, biconnected_blocks
-from helpers import corpus, naive_chromatic, random_graph
+from atlab.atsolver import ATCertificate, acyclic_certificate, biconnected_blocks
+from atlab.documents import serialize_certificate
+from atlab.eulerian import engine_diff
+from atlab.theorems import check_theorem_1
+from helpers import corpus, naive_chromatic, random_bipartite_graph, random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +176,61 @@ def test_at_bipartite_even_cycles_and_trees():
         assert res.certificate.diff_magnitude == 2  # the cyclic pair
     for seq in [(), (1, 1), (0, 1, 2)]:
         assert at_bipartite(tree_from_pruefer(seq)).value == 2
+
+
+def flow_density_certificate(g):
+    """The bipartite certificate built from the flow search's exact density:
+    the orientation at cap ceil(max density), its diff by the first engine
+    within budget."""
+    level = math.ceil(max_density(g).density) + 1
+    d = bounded_outdegree_orientation(g, level - 1)
+    method, diff = engine_diff(d, DEFAULT_OPTIONS)
+    if method is None:
+        return ATCertificate(level, d, None, "bipartite-closed-form")
+    return ATCertificate(level, d, abs(diff), method)
+
+
+def test_at_bipartite_pins_the_flow_density_certificate():
+    graphs = [hypercube(n) for n in range(2, 7)]
+    trees = [(), (0,), (1, 1), (0, 1, 2), (3, 3, 3, 3)]
+    graphs += [cartesian_product(hypercube(n), tree_from_pruefer(t)) for n in (1, 2, 3) for t in trees]
+    graphs += [cartesian_product(hypercube(n), cycle(2 * k)) for n in (1, 2, 3) for k in (2, 3)]
+    rng = random.Random(2504)
+    graphs += [random_bipartite_graph(rng, 6, 20) for _ in range(40)]
+    for g in graphs:
+        expected = flow_density_certificate(g)
+        res = at_bipartite(g)
+        assert (res.lo, res.hi) == (expected.level, expected.level)
+        assert res.certificate.orientation.tails == expected.orientation.tails
+        assert serialize_certificate(res.certificate) == serialize_certificate(expected)
+
+
+def test_at_values_never_call_max_density(monkeypatch):
+    def forbidden(g):
+        raise AssertionError("max_density called on the AT path")
+
+    for module in (atlab, atlab.density, atlab.atsolver, atlab.theorems):
+        monkeypatch.setattr(module, "max_density", forbidden)
+    assert at_exact(cycle(5)).value == 3
+    assert at_exact(hypercube(3)).value == 3
+    assert at_bipartite(cartesian_product(hypercube(3), path(3))).value == 4
+    assert at_lower_bound(complete(5)) == (5, "chromatic")
+    assert at_lower_bound(hypercube(4)) == (3, "density-pigeonhole")
+    report = check_theorem_1(3, tree_from_pruefer((0, 1)))
+    assert report.verdict == "pass"
+    assert report.evidence.endswith("least max outdegree 3")
+
+
+def test_density_terms_recount_the_vertex_set_witness(monkeypatch):
+    # a cap of 2 on C4 with R = V claims 4 > 1 * 4 edges: false, so no
+    # lower bound may rest on it
+    g = cycle(4)
+    false_witness = atlab.atsolver.UniformCap(2, bounded_outdegree_orientation(g, 2), (0, 1, 2, 3))
+    monkeypatch.setattr(atlab.atsolver, "least_uniform_cap", lambda _g: false_witness)
+    with pytest.raises(ProofObligationError):
+        at_lower_bound(g)
+    with pytest.raises(ProofObligationError):
+        at_bipartite(g)
 
 
 def test_at_bipartite_rejects_odd_cycles():

@@ -1,5 +1,6 @@
 """Deeper cross-validation: the central solvers vs. from-scratch oracles."""
 
+import math
 import random
 from itertools import combinations, product
 
@@ -10,10 +11,11 @@ from atlab import (
     eulerian_tally_enumerate,
     find_at_orientation,
     is_at_orientation,
+    least_uniform_cap,
     orient,
     orientation_from_arcs,
 )
-from atlab.density import Dinic
+from atlab.density import Dinic, induced_edge_count, max_density_bruteforce
 from atlab.eulerian import diff_coefficient, frontier_order
 from helpers import naive_tally, random_graph, random_orientation
 
@@ -207,6 +209,43 @@ def test_dinic_matches_brute_min_cut():
         assert s in side and t not in side
         cut = sum(cap for u, v, cap in edges if u in side and v not in side)
         assert cut == flow
+
+
+def planted_dense_graph(rng, n):
+    """A clique on a few vertices among sparse or isolated ones, so that
+    ceil(|E|/|V|) is often below ceil(max density) and path reversal fails
+    at the first caps it tries."""
+    size = rng.randint(2, n)
+    core = rng.sample(range(n), size)
+    edges = {tuple(sorted(e)) for e in combinations(core, 2)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.1}
+    return Graph([str(i) for i in range(n)], sorted(edges))
+
+
+def test_least_uniform_cap_matches_brute_force_density():
+    rng = random.Random(1965)
+    graphs = [Graph([], []), Graph(["a"], []), Graph(["a", "b", "c"], [])]
+    for _ in range(120):
+        graphs.append(random_graph(rng, rng.randint(0, 10), rng.choice((0.1, 0.3, 0.6, 0.9))))
+    for _ in range(100):
+        graphs.append(planted_dense_graph(rng, rng.randint(2, 10)))
+    seen = {"empty": 0, "no edges": 0, "isolated vertex": 0, "first cap failed": 0}
+    for g in graphs:
+        least = least_uniform_cap(g)
+        k, d, r = least.cap, least.orientation, least.witness
+        assert d.graph is g and d.max_outdegree() <= k
+        assert list(r) == sorted(set(r)) and all(0 <= v < g.n for v in r)
+        if g.n == 0:
+            assert (k, r) == (0, ())
+            seen["empty"] += 1
+            continue
+        assert k == math.ceil(max_density_bruteforce(g).density), g.edges
+        # pigeonhole: every orientation gives some vertex of R outdegree >= k
+        assert induced_edge_count(g, r) > (k - 1) * len(r), (g.edges, k, r)
+        seen["no edges"] += g.m == 0
+        seen["isolated vertex"] += min(g.degrees()) == 0
+        seen["first cap failed"] += k > -(-g.m // g.n)
+    assert len(graphs) >= 200 and min(seen.values()) >= 1, seen
 
 
 def test_acyclic_certificate_diff_is_one():
