@@ -201,12 +201,10 @@ def cmd_verify(args) -> int:
     for msg in report.messages:
         print(f"note: {msg}")
     if report.verdict == "accepted" and doc.recipe_kind == "corona":
-        hubs = [
-            i
-            for i, lab in enumerate(doc.graph.vertices)
-            if isinstance(lab, tuple) and len(lab) == 2 and lab[1] == "hub"
-        ]
-        leaves = [i for i in range(doc.graph.n) if i not in set(hubs)]
+        hubs, leaves = [], []
+        for i, lab in enumerate(doc.graph.vertices):
+            is_hub = isinstance(lab, tuple) and len(lab) == 2 and lab[1] == "hub"
+            (hubs if is_hub else leaves).append(i)
         cut = one_way_cut_check(doc.orientation, leaves, hubs, opts)
         if not cut.one_way:
             print("note: recipe cut is not one-way")

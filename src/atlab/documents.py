@@ -2,9 +2,18 @@
 
 Both formats are versioned, line-oriented and human-diffable, with fixed
 field order so canonical documents round-trip byte-exactly. Vertex labels are
-JSON-encoded one per line (tuples become arrays and are restored as tuples on
-parse). A secondary bare edge-list format ("u v" per line, 0-indexed) is
-accepted for graph input interoperability; it synthesizes labels "0".."n-1".
+JSON-encoded one per line: a string, an integer or an array of labels (tuples
+become arrays and are restored as tuples on parse). A secondary bare
+edge-list format ("u v" per line, 0-indexed) is accepted for graph input
+interoperability; it synthesizes labels "0".."n-1".
+
+A certificate's `graph-sha256` is the hash of `serialize_graph(g)`, the
+canonical graph text without the provenance line. The parser re-encodes the
+graph it reads to check it, so an equivalent non-canonical embedding (spaces
+inside a label, an edge written `e 3 1`) is accepted. The parser is strict:
+lines have exactly their fields, counts are non-negative, labels have the
+types above and only blank lines may follow a document's last section;
+anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -15,22 +24,58 @@ from typing import Optional
 
 from .atsolver import ATCertificate
 from .construct import ConstructionRecipe
-from .eulerian import Orientation
+from .eulerian import Orientation, orientation_from_arcs
 from .graphs import Graph
 
 GRAPH_MAGIC = "atlab-graph 1"
 CERT_MAGIC = "atlab-cert 1"
 
+# Built once: json.dumps with non-default separators builds an encoder per call.
+_encode_label = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True).encode
+_decode_json = json.JSONDecoder().decode
 
-def _encode_label(label) -> str:
-    return json.dumps(label, separators=(",", ":"), ensure_ascii=True)
+
+def _label(value):
+    kind = type(value)
+    if kind is str or kind is int:
+        return value
+    if kind is list:
+        return tuple(map(_label, value))
+    raise ValueError(f"vertex label part {value!r} is not a string, an integer or an array")
 
 
 def _decode_label(text: str):
-    def detuple(x):
-        return tuple(detuple(v) for v in x) if isinstance(x, list) else x
+    try:
+        return _label(_decode_json(text))
+    except RecursionError:
+        raise ValueError("vertex label nests too deeply") from None
 
-    return detuple(json.loads(text))
+
+def _fields(line: str, tag: str, count: int) -> list[str]:
+    parts = line.split()
+    if len(parts) != count or parts[0] != tag:
+        raise ValueError(f"expected a {tag!r} line of {count} fields, got {line!r}")
+    return parts
+
+
+def _count(line: str, key: str) -> int:
+    count = int(_fields(line, key, 2)[1])
+    if count < 0:
+        raise ValueError(f"negative count in {line!r}")
+    return count
+
+
+def _pair(line: str, tag: str) -> tuple[int, int]:
+    parts = line.split()  # not through _fields: this runs once per edge and arc
+    if len(parts) != 3 or parts[0] != tag:
+        raise ValueError(f"expected a {tag!r} line of 3 fields, got {line!r}")
+    return int(parts[1]), int(parts[2])
+
+
+def _expect_end(lines: list[str], i: int, what: str) -> None:
+    for line in lines[i:]:
+        if line.strip():
+            raise ValueError(f"unexpected line after the {what}: {line!r}")
 
 
 def serialize_graph(g: Graph, provenance: Optional[str] = None) -> str:
@@ -38,19 +83,14 @@ def serialize_graph(g: Graph, provenance: Optional[str] = None) -> str:
     if provenance:
         lines.append(f"provenance {provenance}")
     lines.append(f"vertices {g.n}")
-    for label in g.vertices:
-        lines.append(f"v {_encode_label(label)}")
+    lines.extend(["v " + _encode_label(label) for label in g.vertices])
     lines.append(f"edges {g.m}")
-    for u, v in g.edges:
-        lines.append(f"e {u} {v}")
+    lines.extend([f"e {u} {v}" for u, v in g.edges])
     return "\n".join(lines) + "\n"
 
 
 def parse_graph(text: str) -> tuple[Graph, Optional[str]]:
-    try:
-        return _parse_graph_lines(text.splitlines())
-    except IndexError:
-        raise ValueError("truncated graph document") from None
+    return _parse_graph_lines(text.splitlines())
 
 
 def _parse_graph_lines(lines: list[str]) -> tuple[Graph, Optional[str]]:
@@ -63,27 +103,24 @@ def _parse_graph_lines(lines: list[str]) -> tuple[Graph, Optional[str]]:
     if i < len(lines) and lines[i].startswith("provenance "):
         provenance = lines[i][len("provenance "):]
         i += 1
-    if i >= len(lines) or not lines[i].startswith("vertices "):
+    if i == len(lines):
         raise ValueError("graph document missing the vertices header")
-    n = int(lines[i].split()[1])
+    n = _count(lines[i], "vertices")
     i += 1
+    if len(lines) <= i + n:
+        raise ValueError("truncated graph document")
     labels = []
-    for _ in range(n):
-        if not lines[i].startswith("v "):
-            raise ValueError(f"expected a vertex line, got {lines[i]!r}")
-        labels.append(_decode_label(lines[i][2:]))
-        i += 1
-    if not lines[i].startswith("edges "):
-        raise ValueError("graph document missing the edges header")
-    m = int(lines[i].split()[1])
+    for line in lines[i : i + n]:
+        if not line.startswith("v "):
+            raise ValueError(f"expected a vertex line, got {line!r}")
+        labels.append(_decode_label(line[2:]))
+    i += n
+    m = _count(lines[i], "edges")
     i += 1
-    edges = []
-    for _ in range(m):
-        parts = lines[i].split()
-        if parts[0] != "e":
-            raise ValueError(f"expected an edge line, got {lines[i]!r}")
-        edges.append((int(parts[1]), int(parts[2])))
-        i += 1
+    if len(lines) < i + m:
+        raise ValueError("truncated graph document")
+    edges = [_pair(line, "e") for line in lines[i : i + m]]
+    _expect_end(lines, i + m, "edges")
     return Graph(labels, edges), provenance
 
 
@@ -105,10 +142,14 @@ def _parse_edge_list(lines: list[str]) -> Graph:
     return Graph([str(i) for i in range(max_v + 1)], edges)
 
 
-def graph_sha256(g: Graph) -> str:
+def _sha256(text: str) -> str:
     import hashlib  # here, so importing this module does not load OpenSSL (~3 MB RSS)
 
-    return hashlib.sha256(serialize_graph(g).encode()).hexdigest()
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def graph_sha256(g: Graph) -> str:
+    return _sha256(serialize_graph(g))
 
 
 @dataclass(frozen=True)
@@ -134,18 +175,22 @@ def serialize_certificate(
     recipe: Optional[ConstructionRecipe] = None,
 ) -> str:
     g = cert.orientation.graph
-    lines = [CERT_MAGIC]
-    lines.append(f"level {cert.level}")
-    lines.append(f"method {cert.method}")
+    graph_text = serialize_graph(g)
+    graph_hash = _sha256(graph_text)
+    if provenance:
+        graph_text = graph_text.replace("\n", f"\nprovenance {provenance}\n", 1)
     mag = "unverified" if cert.diff_magnitude is None else str(cert.diff_magnitude)
-    lines.append(f"diff {mag}")
-    lines.append(f"graph-sha256 {graph_sha256(g)}")
-    lines.append("graph-begin")
-    lines.append(serialize_graph(g, provenance).rstrip("\n"))
-    lines.append("graph-end")
-    lines.append(f"arcs {g.m}")
-    for t, h in cert.orientation.arcs:
-        lines.append(f"a {t} {h}")
+    lines = [
+        CERT_MAGIC,
+        f"level {cert.level}",
+        f"method {cert.method}",
+        f"diff {mag}",
+        f"graph-sha256 {graph_hash}",
+        "graph-begin",
+        graph_text + "graph-end",
+        f"arcs {g.m}",
+    ]
+    lines.extend([f"a {t} {h}" for t, h in cert.orientation.arcs])
     if recipe is not None:
         lines.append(f"recipe {recipe.kind}")
         for idx, (rule, src) in enumerate(recipe.edge_rules):
@@ -176,42 +221,32 @@ def _parse_certificate_lines(lines: list[str]) -> CertificateDocument:
     claimed_hash = expect(4, "graph-sha256")
     if lines[5] != "graph-begin":
         raise ValueError("missing graph-begin")
-    end = lines.index("graph-end", 6)
-    graph, provenance = parse_graph("\n".join(lines[6:end]) + "\n")
+    try:
+        end = lines.index("graph-end", 6)
+    except ValueError:
+        raise ValueError("missing graph-end") from None
+    graph, provenance = _parse_graph_lines(lines[6:end])
     if graph_sha256(graph) != claimed_hash:
         raise ValueError("embedded graph does not match its recorded hash")
     i = end + 1
-    m = int(expect(i, "arcs"))
+    m = _count(lines[i], "arcs")
     if m != graph.m:
         raise ValueError(f"certificate lists {m} arcs for a graph with {graph.m} edges")
     i += 1
-    arcs = []
-    for _ in range(m):
-        parts = lines[i].split()
-        if parts[0] != "a":
-            raise ValueError(f"expected an arc line, got {lines[i]!r}")
-        arcs.append((int(parts[1]), int(parts[2])))
-        i += 1
-    from .eulerian import orientation_from_arcs
-
-    orientation = orientation_from_arcs(graph, arcs)
+    if len(lines) < i + m:
+        raise ValueError("truncated certificate document")
+    orientation = orientation_from_arcs(graph, [_pair(line, "a") for line in lines[i : i + m]])
+    i += m
     recipe_kind = None
     rules: list[tuple[int, str, Optional[int]]] = []
     if i < len(lines) and lines[i].startswith("recipe "):
-        recipe_kind = lines[i].split()[1]
+        recipe_kind = _fields(lines[i], "recipe", 2)[1]
         i += 1
         while i < len(lines) and lines[i].startswith("rule "):
-            parts = lines[i].split()
-            src = None if parts[3] == "-" else int(parts[3])
-            rules.append((int(parts[1]), parts[2], src))
+            _, idx, rule, src = _fields(lines[i], "rule", 4)
+            rules.append((int(idx), rule, None if src == "-" else int(src)))
             i += 1
+    _expect_end(lines, i, "certificate")
     return CertificateDocument(
-        level,
-        method,
-        diff_magnitude,
-        graph,
-        orientation,
-        provenance,
-        recipe_kind,
-        tuple(rules),
+        level, method, diff_magnitude, graph, orientation, provenance, recipe_kind, tuple(rules)
     )

@@ -266,3 +266,241 @@ def test_cli_theorems_inconclusive_exit(capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert "inconclusive" in out and "fail" not in out.replace("0 fail", "")
+
+
+GOLDEN_Q2_CERT = """atlab-cert 1
+level 2
+method enumeration
+diff 2
+graph-sha256 d59059f0e99f56b722b5b24fbb13dcb77010a0ab0ddd7f54fe915159c6b403e5
+graph-begin
+atlab-graph 1
+vertices 4
+v "00"
+v "01"
+v "10"
+v "11"
+edges 4
+e 0 1
+e 0 2
+e 1 3
+e 2 3
+graph-end
+arcs 4
+a 0 1
+a 2 0
+a 1 3
+a 3 2
+"""
+
+
+def test_golden_certificate_document_bytes():
+    g = hypercube(2)
+    cert = at_bipartite(g).certificate
+    assert serialize_certificate(cert) == GOLDEN_Q2_CERT
+    with_provenance = GOLDEN_Q2_CERT.replace(
+        "atlab-graph 1\n", "atlab-graph 1\nprovenance hypercube n=2\n"
+    )
+    assert serialize_certificate(cert, "hypercube n=2") == with_provenance
+    # the hash covers the canonical graph text without the provenance line
+    assert f"graph-sha256 {graph_sha256(g)}\n" in GOLDEN_Q2_CERT
+    assert parse_certificate(with_provenance).graph_provenance == "hypercube n=2"
+
+
+def _replace_hash(doc: str, digest: str) -> str:
+    lines = doc.splitlines()
+    lines[4] = f"graph-sha256 {digest}"
+    return "\n".join(lines) + "\n"
+
+
+def _raw_graph_sha256(doc: str) -> str:
+    import hashlib
+
+    lines = doc.splitlines()
+    raw = "\n".join(lines[lines.index("graph-begin") + 1 : lines.index("graph-end")]) + "\n"
+    return hashlib.sha256(raw.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [('v ["0","1"]', 'v ["0", "1"]'), ("e 2 3\n", "e 3 2\n")],
+    ids=["label-spacing", "reversed-edge"],
+)
+def test_graph_hash_is_over_the_canonical_text(old, new):
+    from atlab import cartesian_product
+
+    cert = at_bipartite(cartesian_product(path(2), path(2))).certificate
+    doc = serialize_certificate(cert)
+    noncanonical = doc.replace(old, new, 1)
+    assert noncanonical != doc
+    parsed = parse_certificate(noncanonical)
+    assert parsed == parse_certificate(doc)
+    assert parsed.orientation == cert.orientation
+    raw_digest = _raw_graph_sha256(noncanonical)
+    assert raw_digest != graph_sha256(cert.orientation.graph)
+    with pytest.raises(ValueError, match="recorded hash"):
+        parse_certificate(_replace_hash(noncanonical, raw_digest))
+
+
+@pytest.mark.parametrize(
+    "label",
+    ['{"a":1}', "1.5", "null", "true", '["0",{"b":2}]', "[" * 100000 + "]" * 100000],
+    ids=["object", "float", "null", "bool", "nested-object", "too-deep"],
+)
+def test_label_outside_the_label_types_is_rejected(tmp_path, capsys, label):
+    with pytest.raises(ValueError, match="vertex label"):
+        parse_graph(f"atlab-graph 1\nvertices 1\nv {label}\nedges 0\n")
+    doc = serialize_certificate(at_bipartite(cycle(4)).certificate)
+    cpath = tmp_path / "bad-label.cert"
+    cpath.write_text(doc.replace('v "0"', f"v {label}", 1))
+    assert main(["verify", str(cpath)]) == 2
+    assert "vertex label" in capsys.readouterr().err
+
+
+def test_certificate_with_lines_after_its_last_section_is_rejected():
+    doc = serialize_certificate(at_bipartite(cycle(4)).certificate)
+    assert parse_certificate(doc + "\n\n").level == 2  # trailing blank lines are fine
+    with pytest.raises(ValueError, match="after the certificate"):
+        parse_certificate(doc + "a 0 1\n")
+    q2, p2 = hypercube(2), path(2)
+    d, recipe = corona_orientation(q2, bounded_outdegree_orientation(q2, 1), p2, orient(p2, [0]))
+    from atlab import ATCertificate
+
+    with_recipe = serialize_certificate(ATCertificate(3, d, None, "product-law"), recipe=recipe)
+    with pytest.raises(ValueError, match="after the certificate"):
+        parse_certificate(with_recipe + "junk\n")
+
+
+def test_graph_with_lines_after_its_edges_is_rejected():
+    text = serialize_graph(cycle(4))
+    assert parse_graph(text + "\n")[0] == cycle(4)
+    with pytest.raises(ValueError, match="after the edges"):
+        parse_graph(text + "e 0 2\n")
+    lines = serialize_certificate(at_bipartite(cycle(4)).certificate).splitlines()
+    end = lines.index("graph-end")
+    lines.insert(end, lines[end - 1])  # the last edge line twice
+    with pytest.raises(ValueError, match="after the edges"):
+        parse_certificate("\n".join(lines) + "\n")
+
+
+def test_every_proper_prefix_raises_value_error():
+    graph_lines = serialize_graph(hypercube(2), "hypercube n=2").splitlines()
+    cert_lines = GOLDEN_Q2_CERT.splitlines()
+    for k in range(len(graph_lines)):
+        with pytest.raises(ValueError):
+            parse_graph("\n".join(graph_lines[:k]) + "\n")
+    for k in range(len(cert_lines)):
+        with pytest.raises(ValueError):
+            parse_certificate("\n".join(cert_lines[:k]) + "\n")
+    del cert_lines[cert_lines.index("graph-end") - 1]  # the embedded graph's last edge
+    with pytest.raises(ValueError, match="truncated graph document"):
+        parse_certificate("\n".join(cert_lines) + "\n")
+
+
+def test_non_ascii_and_tuple_labels_encode_as_ascii_json():
+    from atlab import Graph
+
+    g = Graph(["\u00e9", ("a", 1, ("b",))], [(0, 1)])
+    text = serialize_graph(g)
+    assert text == 'atlab-graph 1\nvertices 2\nv "\\u00e9"\nv ["a",1,["b"]]\nedges 1\ne 0 1\n'
+    assert parse_graph(text)[0] == g
+
+
+@pytest.mark.parametrize("record", ["a", "e"])
+def test_record_line_with_extra_fields_is_rejected(record):
+    doc = serialize_certificate(at_bipartite(cycle(4)).certificate)
+    line = next(x for x in doc.splitlines() if x.startswith(record + " "))
+    with pytest.raises(ValueError, match="3 fields"):
+        parse_certificate(doc.replace(line + "\n", line + " junk\n", 1))
+    if record == "e":
+        with pytest.raises(ValueError, match="3 fields"):
+            parse_graph(serialize_graph(cycle(4)).replace("e 0 1\n", "e 0 1 junk\n"))
+
+
+def test_negative_vertex_count_is_rejected():
+    with pytest.raises(ValueError, match="negative count"):
+        parse_graph("atlab-graph 1\nvertices -1\nedges 0\n")
+
+
+def test_cli_verify_corona_recipe_prints_cut_law(tmp_path, capsys):
+    from atlab import ATCertificate, acyclic_certificate
+
+    q3, c3 = hypercube(3), cycle(3)
+    d, recipe = corona_orientation(
+        q3, at_bipartite(q3).certificate.orientation, c3, acyclic_certificate(c3).orientation
+    )
+    cpath = tmp_path / "q3oc3.cert"
+    cert = ATCertificate(d.max_outdegree() + 1, d, 4, "product-law")
+    cpath.write_text(serialize_certificate(cert, "Q3 o C3", recipe))
+    assert main(["verify", str(cpath)]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: accepted" in out
+    assert "recipe cut law: diff 4 = 1 * 4: ok" in out
+
+
+def _mutation_corpus():
+    import random
+
+    from atlab import (
+        ATCertificate,
+        Graph,
+        acyclic_certificate,
+        complete,
+        product_orientation,
+    )
+
+    q2, c3, k3 = hypercube(2), cycle(3), complete(3)
+    docs = [serialize_certificate(at_bipartite(hypercube(3)).certificate, "Q3")]
+    d, recipe = corona_orientation(
+        c3, acyclic_certificate(c3).orientation, c3, acyclic_certificate(c3).orientation
+    )
+    cert = ATCertificate(d.max_outdegree() + 1, d, 1, "product-law")
+    docs.append(serialize_certificate(cert, "C3oC3", recipe))
+    d, recipe = product_orientation(
+        q2, at_bipartite(q2).certificate.orientation, k3, acyclic_certificate(k3).orientation
+    )
+    cert = ATCertificate(d.max_outdegree() + 1, d, None, "product-rule")
+    docs.append(serialize_certificate(cert, None, recipe))
+    rng = random.Random(20261018)
+    pairs = [(i, 5 + j) for i in range(5) for j in range(5)]
+    for _ in range(20):
+        g = Graph([str(i) for i in range(10)], sorted(rng.sample(pairs, 12)))
+        d = orient(g, [rng.choice(e) for e in g.edges])
+        cert = ATCertificate(d.max_outdegree() + 1, d, None, "random-orientation")
+        docs.append(serialize_certificate(cert))
+    return rng, docs
+
+
+def _mutate(rng, text: str) -> str:
+    lines = text.splitlines()
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    kind = rng.choice(["delete", "duplicate", "swap", "digit"])
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        digits = [k for k, ch in enumerate(lines[i]) if ch.isdigit()] or [None]
+        k = rng.choice(digits)
+        if k is not None:
+            lines[i] = lines[i][:k] + str(rng.randrange(10)) + lines[i][k + 1 :]
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_certificates_parse_to_a_cover_or_raise_value_error():
+    rng, docs = _mutation_corpus()
+    parsed = rejected = 0
+    for doc in docs:
+        for _ in range(40):
+            try:
+                result = parse_certificate(_mutate(rng, doc))
+            except ValueError:
+                rejected += 1
+                continue
+            parsed += 1
+            g = result.orientation.graph
+            assert g == result.graph
+            assert sorted(tuple(sorted(a)) for a in result.orientation.arcs) == sorted(g.edges)
+    assert parsed and rejected
