@@ -27,9 +27,14 @@ outdegree <= k, and a vertex set spanning more than (k-1) edges per vertex.
 The exact rational density (the flow search in `density`) is only reported,
 never needed for an AT value.
 
-Exact chromatic numbers come from biconnected-block decomposition (chi is the
-max over blocks) with a saturation-guided, symmetry-broken backtracker per
-block.
+Exact chromatic numbers come from bounds first and a search only where the
+bounds disagree. A bipartite graph needs at most 2 colors. Otherwise a greedy
+clique (or 3, for the odd cycle) bounds chi from below and DSATUR from above;
+on a graph within chromatic_block_cap they often meet, and then that is chi.
+Else chi is the max over biconnected blocks: each distinct block is bounded
+the same way and, where its DSATUR bound beats the best block so far, searched
+by a saturation-guided, symmetry-broken backtracker that honours the
+at_exact deadline.
 """
 
 from __future__ import annotations
@@ -51,8 +56,10 @@ from .eulerian import (
     monomial_search,
     within_budget,
 )
-from .graphs import Graph, bipartition
+from .graphs import Graph, bipartition, two_coloring
 from .options import DEFAULT_OPTIONS, SolverOptions
+
+Adjacency = Sequence[Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -272,41 +279,55 @@ def biconnected_blocks(g: Graph) -> list[tuple[int, ...]]:
     return blocks
 
 
-def _greedy_clique(g: Graph) -> int:
-    order = sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]), v))
-    adjsets = [frozenset(a) for a in g.adjacency]
-    best = 1 if g.n else 0
-    for start in order[: min(g.n, 8)]:
-        clique = [start]
+def _greedy_clique(adj: Adjacency) -> int:
+    """Largest clique grown greedily in degree order from each of the eight
+    highest-degree vertices; a lower bound on chi."""
+    n = len(adj)
+    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+    masks = [sum(1 << w for w in a) for a in adj]
+    best = 1 if n else 0
+    for start in order[:8]:
+        size, common = 1, masks[start]
         for v in order:
-            if v != start and all(v in adjsets[u] for u in clique):
-                clique.append(v)
-        if len(clique) > best:
-            best = len(clique)
+            if not common:
+                break
+            if common >> v & 1:
+                size += 1
+                common &= masks[v]
+        best = max(best, size)
     return best
 
 
-def _greedy_coloring_bound(g: Graph) -> int:
-    order = sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]), v))
-    color = [-1] * g.n
+def _dsatur(adj: Adjacency) -> int:
+    """Colors used by DSATUR (Brelaz 1979), an upper bound on chi: color next
+    the uncolored vertex whose neighbors show the most distinct colors (ties:
+    higher degree, then lower index), with the least color they leave free."""
+    n = len(adj)
+    seen = [0] * n  # bitmask of the colors on each vertex's neighbors
+    rank = [len(a) for a in adj]  # n * (distinct neighbor colors) + degree
+    uncolored = list(range(n))
     used = 0
-    for v in order:
-        forbid = {color[u] for u in g.adjacency[v] if color[u] >= 0}
-        c = 0
-        while c in forbid:
-            c += 1
-        color[v] = c
-        used = max(used, c + 1)
+    while uncolored:
+        v = max(uncolored, key=rank.__getitem__)
+        uncolored.remove(v)
+        free = ~seen[v]
+        bit = free & -free
+        used = max(used, bit.bit_length())
+        for u in adj[v]:
+            if not seen[u] & bit:
+                seen[u] |= bit
+                rank[u] += n
     return used
 
 
-def _k_colorable(g: Graph, k: int) -> bool:
+def _k_colorable(adj: Adjacency, k: int, deadline: Optional[float] = None) -> bool:
     """Backtracking with most-saturated-first selection and color symmetry
-    breaking (a vertex may open at most one fresh color class)."""
-    n = g.n
-    adj = g.adjacency
+    breaking (a vertex may open at most one fresh color class). Raises
+    SearchTimeout past `deadline`, checked every 1024 nodes."""
+    n = len(adj)
     color = [-1] * n
     forbid = [0] * n
+    nodes = 0
 
     def pick() -> int:
         best, best_key = -1, (-1, -1, 0)
@@ -318,8 +339,12 @@ def _k_colorable(g: Graph, k: int) -> bool:
         return best
 
     def rec(assigned: int, used: int) -> bool:
+        nonlocal nodes
         if assigned == n:
             return True
+        nodes += 1
+        if deadline is not None and not nodes & 1023 and time.monotonic() > deadline:
+            raise SearchTimeout
         v = pick()
         avail = ~forbid[v] & ((1 << min(k, used + 1)) - 1)
         while avail:
@@ -342,35 +367,56 @@ def _k_colorable(g: Graph, k: int) -> bool:
     return rec(0, 0)
 
 
-def chromatic_number(g: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> int:
-    """Exact chi(G); chi is the max over biconnected blocks, so only blocks
-    are searched. Raises CapacityError when a block exceeds the budget."""
+def chromatic_number(
+    g: Graph,
+    options: SolverOptions = DEFAULT_OPTIONS,
+    *,
+    deadline: Optional[float] = None,
+) -> int:
+    """Exact chi(G), from bounds where they meet and a search where not.
+
+    A bipartite graph needs 1 color, or 2 with an edge. Otherwise, when G
+    fits chromatic_block_cap (so no block can exceed it), max(3, greedy
+    clique) == DSATUR on G is the answer. Else chi is the max over
+    biconnected blocks; each distinct block (by local adjacency) is skipped
+    when DSATUR colors it with at most the best so far, and searched from
+    max(3, best, clique) upwards otherwise. Raises CapacityError when a
+    non-bipartite block exceeds chromatic_block_cap, and SearchTimeout past
+    `deadline`.
+    """
     if g.n == 0:
         raise ValueError("chromatic number of the empty graph is undefined")
-    best = 1
+    adj = g.adjacency
+    if two_coloring(adj) is not None:
+        return 2 if g.m else 1
+    cap = options.chromatic_block_cap
+    if g.n <= cap:
+        upper = _dsatur(adj)
+        if max(3, _greedy_clique(adj)) == upper:
+            return upper
+    best = 2
+    solved: set[tuple[tuple[int, ...], ...]] = set()
     for blk in biconnected_blocks(g):
-        if best < 2:
-            best = 2  # a block has at least one edge
         if len(blk) == 2:
             continue
-        sub, _ = g.induced_subgraph(blk)
-        if bipartition(sub) is not None:
+        index = {v: i for i, v in enumerate(blk)}
+        local = tuple(tuple(index[w] for w in adj[v] if w in index) for v in blk)
+        if local in solved:
             continue
-        if sub.n > options.chromatic_block_cap:
+        solved.add(local)
+        if two_coloring(local) is not None:
+            continue
+        if len(blk) > cap:
             raise CapacityError(
-                f"block with {sub.n} vertices exceeds chromatic budget "
-                f"{options.chromatic_block_cap}"
+                f"block with {len(blk)} vertices exceeds chromatic budget {cap}"
             )
-        lb = max(3, _greedy_clique(sub))
-        ub = _greedy_coloring_bound(sub)
-        if ub > best:
-            value = ub
-            for k in range(lb, ub):
-                if _k_colorable(sub, k):
-                    value = k
-                    break
-            if value > best:
-                best = value
+        upper = _dsatur(local)
+        if upper <= best:
+            continue
+        k = max(3, best, _greedy_clique(local))
+        while k < upper and not _k_colorable(local, k, deadline):
+            k += 1
+        best = k
     return best
 
 
@@ -383,20 +429,23 @@ def at_lower_bound(
     g: Graph,
     options: SolverOptions = DEFAULT_OPTIONS,
     known_subgraph_bounds: Iterable[tuple[str, int]] = (),
+    *,
+    deadline: Optional[float] = None,
 ) -> tuple[int, str]:
     """Best available lower bound for AT(G) with the reason that won.
 
     Terms: ceil(max_density)+1 (pigeonhole on outdegrees), chi(G) when the
-    chromatic solver is within budget (chi <= AT), and any caller-registered
-    lower bounds for subgraphs (AT is subgraph-monotone). Chromatic wins ties.
-    The first term is the least uniform cap plus one; its vertex-set witness
-    is recounted, so the bound does not rest on path reversal alone.
+    chromatic solver is within budget and `deadline` (chi <= AT), and any
+    caller-registered lower bounds for subgraphs (AT is subgraph-monotone).
+    Chromatic wins ties. The first term is the least uniform cap plus one;
+    its vertex-set witness is recounted, so the bound does not rest on path
+    reversal alone.
     """
     best = _checked_uniform_cap(g).cap + 1
     reason = "density-pigeonhole"
     try:
-        chi = chromatic_number(g, options)
-    except CapacityError:
+        chi = chromatic_number(g, options, deadline=deadline)
+    except (CapacityError, SearchTimeout):
         chi = None
     if chi is not None and chi >= best:
         best, reason = chi, "chromatic"
@@ -543,7 +592,7 @@ def at_exact(
     deadline = (
         time.monotonic() + options.time_budget if options.time_budget else None
     )
-    lower, reason = at_lower_bound(g, options)
+    lower, reason = at_lower_bound(g, options, deadline=deadline)
     upper_cert = acyclic_certificate(g)
     hi = upper_cert.level
     if lower > hi:

@@ -225,6 +225,8 @@ def _parse_certificate_lines(lines: list[str]) -> CertificateDocument:
         end = lines.index("graph-end", 6)
     except ValueError:
         raise ValueError("missing graph-end") from None
+    if lines[6].strip() != GRAPH_MAGIC:
+        raise ValueError(f"embedded graph must start with {GRAPH_MAGIC!r}")
     graph, provenance = _parse_graph_lines(lines[6:end])
     if graph_sha256(graph) != claimed_hash:
         raise ValueError("embedded graph does not match its recorded hash")

@@ -296,23 +296,32 @@ def bipartition(g: Graph) -> Optional[Bipartition]:
     Deterministic: components are explored in vertex-index order and the
     lowest-index vertex of each component lands on the left side.
     """
-    side = [-1] * g.n
-    for start in range(g.n):
+    side = two_coloring(g.adjacency)
+    if side is None:
+        return None
+    left = tuple(v for v in range(g.n) if side[v] == 0)
+    right = tuple(v for v in range(g.n) if side[v] == 1)
+    return Bipartition(left, right)
+
+
+def two_coloring(adjacency: Sequence[Sequence[int]]) -> Optional[list[int]]:
+    """Side 0 or 1 per vertex of the graph with these neighbor lists, by
+    BFS from each lowest-index unvisited vertex; None on an odd cycle."""
+    side = [-1] * len(adjacency)
+    for start in range(len(adjacency)):
         if side[start] != -1:
             continue
         side[start] = 0
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for w in g.adjacency[u]:
+            for w in adjacency[u]:
                 if side[w] == -1:
                     side[w] = 1 - side[u]
                     queue.append(w)
                 elif side[w] == side[u]:
                     return None
-    left = tuple(v for v in range(g.n) if side[v] == 0)
-    right = tuple(v for v in range(g.n) if side[v] == 1)
-    return Bipartition(left, right)
+    return side
 
 
 def odd_closed_walk(g: Graph) -> Optional[list[int]]:

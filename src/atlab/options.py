@@ -29,7 +29,8 @@ class SolverOptions:
     # Accepted and ignored: the level search runs in one process. Kept while
     # callers (the benchmark among them) still pass threads=1.
     threads: int = 1
-    # Wall-clock budget in seconds for a single at_exact call (None = unlimited).
+    # Wall-clock budget in seconds for a single at_exact call, covering its
+    # chromatic-number search and its level search (None = unlimited).
     time_budget: float | None = None
 
     def with_(self, **kw) -> "SolverOptions":

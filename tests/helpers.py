@@ -113,6 +113,18 @@ def naive_chromatic(g: Graph, k_max: int = 6) -> int:
     raise AssertionError(f"not {k_max}-colorable")
 
 
+def mycielski(g: Graph) -> Graph:
+    """Mycielski's construction: a copy u' of each vertex u joined to u's
+    neighbors, and a new vertex joined to every copy. Raises chi by one and
+    keeps the graph triangle-free."""
+    n = g.n
+    edges = list(g.edges)
+    for u, v in g.edges:
+        edges += [(u, n + v), (v, n + u)]
+    edges += [(n + v, 2 * n) for v in range(n)]
+    return Graph([str(i) for i in range(2 * n + 1)], edges)
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph([str(i) for i in range(n)], edges)

@@ -16,6 +16,7 @@ from atlab import (
     at_bounds,
     at_exact,
     at_lower_bound,
+    bipartition,
     bounded_outdegree_orientation,
     cartesian_product,
     chromatic_number,
@@ -33,11 +34,18 @@ from atlab import (
     star,
     tree_from_pruefer,
 )
-from atlab.atsolver import ATCertificate, acyclic_certificate, biconnected_blocks
+from atlab.atsolver import (
+    ATCertificate,
+    _dsatur,
+    _greedy_clique,
+    acyclic_certificate,
+    biconnected_blocks,
+)
 from atlab.documents import serialize_certificate
+from atlab.errors import SearchTimeout
 from atlab.eulerian import engine_diff
 from atlab.theorems import check_theorem_1
-from helpers import corpus, naive_chromatic, random_bipartite_graph, random_graph
+from helpers import corpus, mycielski, naive_chromatic, random_bipartite_graph, random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -57,10 +65,63 @@ def test_chromatic_known_values():
 
 
 def test_chromatic_matches_naive_oracle():
+    # the second cap is the largest block's size: a graph of several blocks
+    # then exceeds it, so its chi comes from the block search
     rng = random.Random(4242)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 9), rng.choice((0.25, 0.45, 0.7)))
+        chi = naive_chromatic(g, k_max=9)
+        block_cap = max((len(b) for b in biconnected_blocks(g)), default=1)
+        for cap in (DEFAULT_OPTIONS.chromatic_block_cap, block_cap):
+            assert chromatic_number(g, SolverOptions(chromatic_block_cap=cap)) == chi
+        assert _greedy_clique(g.adjacency) <= chi <= _dsatur(g.adjacency)
+        if chi <= 2:  # DSATUR is exact on bipartite graphs (Brelaz)
+            assert _dsatur(g.adjacency) == chi
+
+
+def _glue(g, h):
+    """g and h joined at one cut vertex, g's vertex 0 being h's vertex 0."""
+    shift = g.n - 1
+    edges = list(g.edges) + [(u and u + shift, v and v + shift) for u, v in h.edges]
+    return Graph([str(i) for i in range(g.n + h.n - 1)], edges)
+
+
+def test_chromatic_block_search_takes_the_max_over_distinct_blocks():
+    # DSATUR uses 4 colors on h, whose chi is 3
+    h = Graph(
+        [str(i) for i in range(7)],
+        [(0, 2), (0, 4), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (3, 5), (3, 6), (5, 6)],
+    )
+    assert _dsatur(h.adjacency) == 4 and naive_chromatic(h) == 3
+    # blocks of one size but different chi; a block DSATUR over-colors
+    # beside a block that already needs as many colors as the first has
+    for a, b, chi in [(cycle(5), complete(5), 5), (cycle(3), h, 3)]:
+        options = SolverOptions(chromatic_block_cap=max(a.n, b.n))
+        for g in (_glue(a, b), _glue(b, a)):
+            assert chromatic_number(g, options) == chi
+
+
+def test_chromatic_of_coronas_and_products_follows_the_formulas():
+    # Lemma 3.5 for coronas, and chi(G x H) = max(chi(G), chi(H)); coronas
+    # also run at the largest block's size, where the m alike hub-plus-copy
+    # blocks are searched once
+    rng = random.Random(3535)
     for _ in range(40):
-        g = random_graph(rng, rng.randint(1, 8), 0.45)
-        assert chromatic_number(g) == naive_chromatic(g)
+        g1 = random_graph(rng, rng.randint(1, 5), 0.6)
+        g2 = random_graph(rng, rng.randint(1, 5), 0.6)
+        chi1, chi2 = chromatic_number(g1), chromatic_number(g2)
+        predicted = chi1 if chi2 < chi1 else chi2 + 1
+        block_cap = SolverOptions(chromatic_block_cap=max(g1.n, g2.n + 1))
+        for options in (DEFAULT_OPTIONS, block_cap):
+            assert chromatic_number(corona(g1, g2), options) == predicted
+        assert chromatic_number(cartesian_product(g1, g2)) == max(chi1, chi2)
+
+
+def test_chromatic_groetzsch_graph_is_searched_past_its_clique():
+    g = mycielski(cycle(5))  # the Groetzsch graph: 11 vertices, triangle-free
+    assert (g.n, g.m) == (11, 20)
+    assert _greedy_clique(g.adjacency) == 2
+    assert chromatic_number(g) == naive_chromatic(g) == 4
 
 
 def test_blocks_decomposition():
@@ -77,6 +138,38 @@ def test_chromatic_block_budget():
         chromatic_number(cycle(9), SolverOptions(chromatic_block_cap=5))
     # bipartite blocks skip the budget entirely
     assert chromatic_number(hypercube(6), SolverOptions(chromatic_block_cap=5)) == 2
+
+
+def test_chromatic_capacity_error_iff_a_non_bipartite_block_exceeds_the_cap():
+    rng = random.Random(6464)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(2, 14), rng.choice((0.15, 0.3, 0.5)))
+        cap = rng.randint(3, 10)
+        over = any(
+            len(b) > cap and bipartition(g.induced_subgraph(b)[0]) is None
+            for b in biconnected_blocks(g)
+        )
+        options = SolverOptions(chromatic_block_cap=cap)
+        if over:
+            with pytest.raises(CapacityError):
+                chromatic_number(g, options)
+        else:
+            assert chromatic_number(g, options) >= 1
+    # a bipartite block over the cap raises nothing: Q3 has 8 vertices
+    q3_corona_c3 = corona(hypercube(3), cycle(3))
+    assert chromatic_number(q3_corona_c3, SolverOptions(chromatic_block_cap=4)) == 4
+
+
+def test_time_budget_bounds_the_chromatic_search():
+    m5 = mycielski(mycielski(cycle(5)))
+    assert chromatic_number(m5) == 5
+    m6 = mycielski(m5)  # 47 vertices, chi 6: proving 5 colors too few is slow
+    with pytest.raises(SearchTimeout):
+        chromatic_number(m6, deadline=time.monotonic() + 0.1)
+    t0 = time.monotonic()
+    res = at_exact(m6, SolverOptions(time_budget=0.5))
+    assert time.monotonic() - t0 < 2.5
+    assert (res.lo, res.hi, res.lower_bound_reason) == (7, 9, "density-pigeonhole")
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,17 @@ def test_certificate_hash_integrity():
         parse_certificate(tampered)
 
 
+def test_certificate_embedded_graph_must_be_a_graph_document():
+    # a bare edge list synthesizes labels "0".."3" and so hashes like C4
+    lines = serialize_certificate(at_bipartite(cycle(4)).certificate).splitlines()
+    begin, end = lines.index("graph-begin"), lines.index("graph-end")
+    edge_list = [f"{u} {v}" for u, v in cycle(4).edges]
+    assert parse_graph("\n".join(edge_list))[0] == cycle(4)
+    lines[begin + 1 : end] = edge_list
+    with pytest.raises(ValueError, match="atlab-graph 1"):
+        parse_certificate("\n".join(lines) + "\n")
+
+
 def test_certificate_with_recipe_tags():
     q2, p2 = hypercube(2), path(2)
     d1 = bounded_outdegree_orientation(q2, 1)
