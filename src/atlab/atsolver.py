@@ -66,9 +66,11 @@ Adjacency = Sequence[Sequence[int]]
 class ATCertificate:
     """An orientation witnessing AT(G) <= level.
 
-    diff_magnitude is None when no diff engine was within budget and the
-    nonzero-diff claim rests on the bipartite closed form or the one-way-cut
-    product law (see `method`).
+    diff_magnitude is |diff| of the orientation, re-checked when the solver
+    made the certificate. The solvers record None only when no diff engine
+    was within budget and the nonzero-diff claim rests on the bipartite
+    closed form, directly ("bipartite-closed-form") or through a corona
+    factor ("product-law+closed-form"). Elsewhere None means unverified.
     """
 
     level: int

@@ -9,8 +9,10 @@ vertex (u, v_i) then has outdegree exactly outdeg_d1(u) + outdeg_d2(v_i).
 Corona rule: the hub copy of g1 follows d1 (R1), each attached copy of g2
 follows d2 (R2), and every hub link points from the copy vertex to its hub
 (R3). Hub i keeps outdegree outdeg_d1(i); copy vertex (i, j) gets
-outdeg_d2(j) + 1. The all-copies/hub split is a one-way cut, so the diff of
-the composite factors exactly as diff(d1) * diff(d2)^m.
+outdeg_d2(j) + 1. The all-copies/hub split (corona_cut_sides) is a one-way
+cut, so no strongly connected component crosses it and the diff of the
+composite factors exactly as diff(d1) * diff(d2)^m. eulerian.one_way_cut_check
+checks the arc directions and reads both sides' diffs off the component pass.
 
 Product orientations carry no such global one-way cut, but their strongly
 connected components factor them the same way: every Eulerian subdigraph
@@ -110,7 +112,6 @@ class VerifyReport:
     outdegree_ok: bool
     diff_method: Optional[str]
     diff_magnitude: Optional[int]
-    recipe_product_ok: Optional[bool]
     messages: tuple[str, ...]
 
     @property
@@ -122,14 +123,15 @@ def verify_certificate(
     cert: Union[ATCertificate, Orientation],
     level: Optional[int] = None,
     options: SolverOptions = DEFAULT_OPTIONS,
-    recipe: Optional[ConstructionRecipe] = None,
 ) -> VerifyReport:
     """Re-check a claimed AT certificate: outdegree bound, then diff != 0 via
     an engine other than the recorded one when both fit the budget (both
-    budgets measure the largest strongly connected component). Corona
-    recipes additionally re-derive the diff through the one-way-cut product
-    law. Over-budget diff checks downgrade to an "outdegree-only" verdict
-    (or accept outright via the bipartite closed form)."""
+    budgets measure the largest strongly connected component). Over-budget
+    diff checks downgrade to an "outdegree-only" verdict (or accept outright
+    via the bipartite closed form). The corona product law is not re-checked
+    here: certificates do not carry their factor orientations, so callers
+    run eulerian.one_way_cut_check over corona_cut_sides afterwards, as
+    `atlab verify` does."""
     if isinstance(cert, ATCertificate):
         orientation = cert.orientation
         recorded = cert.method
@@ -145,44 +147,22 @@ def verify_certificate(
     outdegree_ok = maxout <= level - 1
     if not outdegree_ok:
         messages.append(f"outdegree violation: max outdegree {maxout} > {level - 1}")
-        return VerifyReport(
-            "rejected", level, maxout, False, None, None, None, tuple(messages)
-        )
+        return VerifyReport("rejected", level, maxout, False, None, None, tuple(messages))
 
     # the recorded engine goes last, so another one re-checks when it fits
     engines = sorted(ENGINES, key=lambda e: e == recorded)
     method, diff = engine_diff(orientation, options, engines)
-    recipe_ok: Optional[bool] = None
-    if recipe is not None and recipe.kind == "corona":
-        recipe_ok = _corona_product_law_ok(orientation, recipe, diff, options)
-        if recipe_ok is False:
-            messages.append("one-way-cut product law mismatch")
-            return VerifyReport(
-                "rejected", level, maxout, True, method, None, False, tuple(messages)
-            )
-
     if method is None:
         if bipartition(orientation.graph) is not None:
             messages.append("diff engines over budget; accepted by bipartite closed form")
             return VerifyReport(
-                "accepted",
-                level,
-                maxout,
-                True,
-                "bipartite-closed-form",
-                None,
-                recipe_ok,
-                tuple(messages),
+                "accepted", level, maxout, True, "bipartite-closed-form", None, tuple(messages)
             )
         messages.append("diff engines over budget; only the outdegree bound was checked")
-        return VerifyReport(
-            "outdegree-only", level, maxout, True, None, None, recipe_ok, tuple(messages)
-        )
+        return VerifyReport("outdegree-only", level, maxout, True, None, None, tuple(messages))
     if diff == 0:
         messages.append(f"diff is zero ({method})")
-        return VerifyReport(
-            "rejected", level, maxout, True, method, 0, recipe_ok, tuple(messages)
-        )
+        return VerifyReport("rejected", level, maxout, True, method, 0, tuple(messages))
     if isinstance(cert, ATCertificate) and cert.diff_magnitude is not None:
         # both engines agree on |diff|, so any recorded magnitude must match
         if abs(diff) != cert.diff_magnitude:
@@ -190,25 +170,9 @@ def verify_certificate(
                 f"recorded magnitude {cert.diff_magnitude} != recomputed {abs(diff)}"
             )
             return VerifyReport(
-                "rejected", level, maxout, True, method, abs(diff), recipe_ok, tuple(messages)
+                "rejected", level, maxout, True, method, abs(diff), tuple(messages)
             )
-    return VerifyReport(
-        "accepted", level, maxout, True, method, abs(diff), recipe_ok, tuple(messages)
-    )
-
-
-def _corona_product_law_ok(
-    orientation: Orientation,
-    recipe: ConstructionRecipe,
-    whole_diff: Optional[int],
-    options: SolverOptions,
-) -> Optional[bool]:
-    """diff(D) == diff(d1) * diff(d2)^m across the copies/hub one-way cut."""
-    _, diff1 = engine_diff(recipe.d1, options, ("enumeration",))
-    _, diff2 = engine_diff(recipe.d2, options, ("enumeration",))
-    if None in (diff1, diff2, whole_diff):
-        return None
-    return whole_diff == diff1 * diff2 ** recipe.d1.graph.n
+    return VerifyReport("accepted", level, maxout, True, method, abs(diff), tuple(messages))
 
 
 def corona_cut_sides(g1: Graph, g2: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -597,9 +597,9 @@ class OneWayCutReport:
 
     When the split is one-way (every crossing arc leaves `left`), no Eulerian
     subdigraph can use a crossing arc, so diff factors exactly:
-    diff(D) = diff(D[left]) * diff(D[right]). Diffs are filled in when the
-    enumeration engine is within budget for the respective orientation,
-    measured on its largest strongly connected component.
+    diff(D) = diff(D[left]) * diff(D[right]). A side's diff is filled in when
+    every strongly connected component on it is within enum_cap; diff_whole
+    when both sides' are.
     """
 
     one_way: bool
@@ -622,10 +622,13 @@ def one_way_cut_check(
     right: Iterable[int],
     options: SolverOptions = DEFAULT_OPTIONS,
 ) -> OneWayCutReport:
-    """Check that all crossing arcs go left->right and the diff product law.
+    """Check that all crossing arcs go left->right and read off the product
+    law from the strongly connected components.
 
     A one-way cut is the case of the strongly connected component product
     where the components fall on two sides: no component crosses the cut.
+    Each component is tallied once and its diff multiplied into the side
+    holding it; a side with a component over enum_cap has no diff.
     """
     left = frozenset(left)
     right = frozenset(right)
@@ -641,10 +644,17 @@ def one_way_cut_check(
     if backward:
         return OneWayCutReport(False, cross + len(backward), tuple(backward))
 
-    def _diff(sub: Orientation) -> Optional[int]:
-        return engine_diff(sub, options, ("enumeration",))[1]
-
-    d_left = _diff(induced_orientation(d, left))
-    d_right = _diff(induced_orientation(d, right))
-    d_whole = _diff(d)
+    # diff per side, keyed by `in left`; None once a component is over the cap
+    sides: dict[bool, Optional[int]] = {True: 1, False: 1}
+    for part in d.strong_components():
+        side = part.vertices[0] in left
+        if sides[side] is None:
+            continue
+        if len(part.arcs) > options.enum_cap:
+            sides[side] = None
+        else:
+            even, odd = tally_arcs(len(part.vertices), part.arcs)
+            sides[side] *= even - odd
+    d_left, d_right = sides[True], sides[False]
+    d_whole = None if None in (d_left, d_right) else d_left * d_right
     return OneWayCutReport(True, cross, (), d_whole, d_left, d_right)

@@ -1,10 +1,9 @@
 """Solver budgets and tuning knobs.
 
 Every solver entry point takes a SolverOptions; the defaults are sized for a
-desk-scale machine. Environment variables AT_LAB_THREADS, AT_LAB_ENUM_CAP and
+desk-scale machine. Environment variables AT_LAB_ENUM_CAP and
 AT_LAB_TIME_BUDGET seed the defaults when `SolverOptions.from_env` is used
-(command-line flags override them in the CLI). `threads` (and so
-AT_LAB_THREADS) is accepted and ignored.
+(command-line flags override them in the CLI).
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ class SolverOptions:
     search_edge_cap: int = 20
     # Max biconnected-block size the exact chromatic solver will attempt.
     chromatic_block_cap: int = 64
-    # Accepted and ignored: the level search runs in one process. Kept while
-    # callers (the benchmark among them) still pass threads=1.
+    # Ignored: every solver runs in one process. The field stays only because
+    # the benchmark harness passes threads=1; drop it when that call does.
     threads: int = 1
     # Wall-clock budget in seconds for a single at_exact call, covering its
     # chromatic-number search and its level search (None = unlimited).
@@ -40,8 +39,6 @@ class SolverOptions:
     def from_env(cls, **overrides) -> "SolverOptions":
         """Defaults seeded from AT_LAB_* environment variables, then overridden."""
         kw = {}
-        if "AT_LAB_THREADS" in os.environ:
-            kw["threads"] = int(os.environ["AT_LAB_THREADS"])
         if "AT_LAB_ENUM_CAP" in os.environ:
             kw["enum_cap"] = int(os.environ["AT_LAB_ENUM_CAP"])
         if "AT_LAB_TIME_BUDGET" in os.environ:

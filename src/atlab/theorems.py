@@ -31,7 +31,6 @@ from .atsolver import (
 from .construct import corona_orientation
 from .density import max_density  # evidence only; bench/test_bench.py pins this name
 from .errors import CapacityError, ProofObligationError
-from .eulerian import engine_diff
 from .graphs import (
     Graph,
     bipartition,
@@ -102,35 +101,24 @@ def _exact_at(g: Graph, options: SolverOptions) -> ATResult:
     return result
 
 
-def _factor_diff_certified(cert: ATCertificate, options: SolverOptions) -> Optional[int]:
-    """Nonzero diff evidence for a factor orientation: exact magnitude when the
-    enumeration engine fits, else None with bipartiteness as the guarantee."""
-    d = cert.orientation
-    method, diff = engine_diff(d, options, ("enumeration",))
-    if method is not None:
-        if diff == 0:
-            raise ProofObligationError("factor certificate orientation has diff 0")
-        return abs(diff)
-    if bipartition(d.graph) is not None:
-        return None
-    raise CapacityError("factor orientation diff not certifiable within budget")
-
-
 def corona_at(g1: Graph, g2: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult:
     """AT of corona(g1, g2) by pinching.
 
     Upper bound: the R1/R2/R3 orientation built from the factors' own AT
     certificates; its diff is diff(d1) * diff(d2)^m across the copies/hub
-    one-way cut, nonzero because both factor diffs are. Lower bound: the
-    factors are subgraphs, and chi of the corona when within budget.
+    one-way cut, nonzero because both factor diffs are. The factor
+    certificates carry |diff| as already re-checked by at_exact or
+    at_bipartite; a magnitude is None only under the bipartite closed form.
+    Lower bound: the factors are subgraphs, and chi of the corona when
+    within budget.
     """
     r1 = _exact_at(g1, options)
     r2 = _exact_at(g2, options)
     d1 = r1.certificate.orientation
     d2 = r2.certificate.orientation
     oriented, _recipe = corona_orientation(g1, d1, g2, d2)
-    mag1 = _factor_diff_certified(r1.certificate, options)
-    mag2 = _factor_diff_certified(r2.certificate, options)
+    mag1 = r1.certificate.diff_magnitude
+    mag2 = r2.certificate.diff_magnitude
     if mag1 is not None and mag2 is not None:
         magnitude: Optional[int] = mag1 * mag2**g1.n
         method = "product-law"

@@ -42,6 +42,7 @@ from atlab import (
     eulerian_diff_poly,
     eulerian_tally_enumerate,
     hypercube,
+    induced_orientation,
     is_at_orientation,
     is_chromatic_at_choosable,
     max_density,
@@ -271,6 +272,14 @@ def test_criterion_09_one_way_cut_product_law():
         rep = one_way_cut_check(d, range(n1), range(n1, whole.n), opts)
         if not (rep.one_way and rep.product_ok):
             failures.append(f"instance {done}: {rep}")
+        # the reference route: tally each side's induced orientation, and d whole
+        reference = (
+            eulerian_tally_enumerate(induced_orientation(d, range(n1)), opts).diff,
+            eulerian_tally_enumerate(induced_orientation(d, range(n1, whole.n)), opts).diff,
+            eulerian_tally_enumerate(d, opts).diff,
+        )
+        if (rep.diff_left, rep.diff_right, rep.diff_whole) != reference:
+            failures.append(f"instance {done}: {rep} vs reference {reference}")
         done += 1
     _finish(9, "one-way cut diff product law on 100 digraphs", failures, t0, 60)
 

@@ -16,6 +16,7 @@ from atlab import (
     cycle,
     eulerian_tally_enumerate,
     hypercube,
+    induced_orientation,
     one_way_cut_check,
     orient,
     orientation_from_arcs,
@@ -24,6 +25,7 @@ from atlab import (
     tree_from_pruefer,
     verify_certificate,
 )
+from atlab.eulerian import diff_coefficient
 
 WIDE = SolverOptions(enum_cap=32)
 
@@ -96,6 +98,10 @@ def test_corona_cut_product_law():
     rep = one_way_cut_check(d, leaves, hub, WIDE)
     assert rep.one_way and rep.product_ok
     assert rep.diff_whole == rep.diff_left * rep.diff_right != 0
+    # the reference route: tally each side's induced orientation, and d whole
+    assert rep.diff_left == eulerian_tally_enumerate(induced_orientation(d, leaves), WIDE).diff
+    assert rep.diff_right == eulerian_tally_enumerate(induced_orientation(d, hub), WIDE).diff
+    assert rep.diff_whole == eulerian_tally_enumerate(d, WIDE).diff
 
 
 def test_corona_requires_at_factor():
@@ -147,13 +153,27 @@ def test_verify_rejects_outdegree_violation():
     assert rep.verdict == "rejected" and not rep.outdegree_ok
 
 
+def assert_corona_law(d, recipe, options=WIDE):
+    """diff(D) = diff(d1) * diff(d2)^m, sign included, by the coefficient
+    engine on D against the tally on the factors, and by the one-way cut."""
+    m = recipe.d1.graph.n
+    factor_law = (
+        eulerian_tally_enumerate(recipe.d1, options).diff
+        * eulerian_tally_enumerate(recipe.d2, options).diff ** m
+    )
+    assert diff_coefficient(d) == factor_law
+    cut = one_way_cut_check(d, *corona_cut_sides(recipe.d1.graph, recipe.d2.graph), options)
+    assert cut.one_way and cut.product_ok and cut.diff_whole == factor_law
+
+
 def test_verify_corona_recipe_law():
     c4, c3 = cycle(4), cycle(3)
     acyc3 = Orientation(c3, [0, 1, 0])
     d, recipe = corona_orientation(c4, cyclic(4), c3, acyc3)
     cert = ATCertificate(d.max_outdegree() + 1, d, 2, "enumeration")
-    rep = verify_certificate(cert, options=WIDE, recipe=recipe)
-    assert rep.accepted and rep.recipe_product_ok
+    rep = verify_certificate(cert, options=WIDE)
+    assert rep.accepted
+    assert_corona_law(d, recipe)
     # through the coefficient engine, with a factor of diff -1: the law
     # holds sign included
     prism = cartesian_product(c3, path(2))
@@ -161,8 +181,11 @@ def test_verify_corona_recipe_law():
     assert eulerian_tally_enumerate(d1).diff == -1
     d, recipe = corona_orientation(prism, d1, path(2), orient(path(2), [0]))
     cert = ATCertificate(d.max_outdegree() + 1, d, 1, "enumeration")
-    rep = verify_certificate(cert, options=SolverOptions(poly_budget=10**9), recipe=recipe)
-    assert rep.accepted and rep.diff_method == "polynomial" and rep.recipe_product_ok
+    options = SolverOptions(poly_budget=10**9)
+    rep = verify_certificate(cert, options=options)
+    assert rep.accepted and rep.diff_method == "polynomial"
+    assert_corona_law(d, recipe, options)
+    assert diff_coefficient(d) == -1
 
 
 def test_verify_closed_form_fallback_for_big_bipartite():
@@ -211,12 +234,23 @@ def test_verify_recipe_certificates_past_enum_cap():
     for kind, g1, g2, magnitude in cases:
         cert, recipe = recipe_certificate(kind, g1, g2)
         assert cert.orientation.graph.m > SolverOptions().enum_cap
-        rep = verify_certificate(cert, recipe=recipe)
+        rep = verify_certificate(cert)
         assert rep.accepted and rep.diff_method == "enumeration", (kind, g1.n, g2.n)
         assert rep.diff_magnitude == magnitude
         if kind == "corona":
-            assert cert.diff_magnitude == magnitude and rep.recipe_product_ok
+            assert cert.diff_magnitude == magnitude
+            assert_corona_law(cert.orientation, recipe, SolverOptions())
     # Q4's closed-form orientation is one strongly connected component of 32
     # arcs and 3^16 states: both engines stay gated
     cert, recipe = recipe_certificate("corona", hypercube(4), cycle(5))
-    assert verify_certificate(cert, recipe=recipe).verdict == "outdegree-only"
+    assert verify_certificate(cert).verdict == "outdegree-only"
+
+
+def test_corona_cut_side_over_enum_cap_has_no_diff():
+    # Q4 o C5 from the Q4 closed form and the C5 degeneracy order: the copies
+    # are acyclic (diff 1), the hub is one 32-arc component over enum_cap
+    cert, _ = recipe_certificate("corona", hypercube(4), cycle(5))
+    rep = one_way_cut_check(cert.orientation, *corona_cut_sides(hypercube(4), cycle(5)))
+    assert rep.one_way and rep.cross_count == 16 * 5  # one hub link per copy vertex
+    assert rep.diff_left == 1
+    assert rep.diff_right is None and rep.diff_whole is None and rep.product_ok is None

@@ -21,7 +21,7 @@ from atlab import (
     orientation_from_arcs,
     path,
 )
-from atlab.eulerian import diff_coefficient, frontier_order, poly_state_bound
+from atlab.eulerian import diff_coefficient, frontier_order, poly_state_bound, tally_arc_bound
 from helpers import euler_circuit_orientation, naive_tally, random_graph, random_orientation
 
 
@@ -207,6 +207,54 @@ def test_one_way_cut_rejects_bad_split():
         one_way_cut_check(d, [0], [1])
     with pytest.raises(ValueError):
         one_way_cut_check(d, [0, 1], [1, 2])
+
+
+def test_one_way_cut_matches_induced_reference():
+    # The reference tallies each side's induced orientation, and d whole,
+    # when its largest component fits enum_cap, and reports None otherwise.
+    # First two directed cycles on the left at cap 3: the 4-cycle, over the
+    # cap, is found before and after the 3-cycle that fits.
+    for sizes in ((4, 3), (3, 4)):
+        arcs, n = [], 0
+        for k in sizes:
+            arcs += [(n + i, n + (i + 1) % k) for i in range(k)]
+            n += k
+        arcs.append((0, n))
+        g = Graph([str(v) for v in range(n + 1)], [tuple(sorted(a)) for a in arcs])
+        rep = one_way_cut_check(orientation_from_arcs(g, arcs), range(n), [n],
+                                SolverOptions(enum_cap=3))
+        assert (rep.diff_left, rep.diff_right, rep.diff_whole) == (None, 1, None)
+    # Then seeded splits whose crossing arcs all leave the left side, at caps
+    # small enough that a side often holds a component over enum_cap.
+    rng = random.Random(808)
+    mixed = 0
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        g = random_graph(rng, n, rng.choice([0.4, 0.7]))
+        left = [v for v in range(n) if rng.random() < 0.5]
+        right = [v for v in range(n) if v not in left]
+        tails = [
+            (u if u in left else v) if (u in left) != (v in left) else (u, v)[rng.randint(0, 1)]
+            for u, v in g.edges
+        ]
+        d = orient(g, tails)
+        opts = SolverOptions(enum_cap=rng.choice([0, 2, 3, 4, 6, 9]))
+
+        def reference(sub):
+            if tally_arc_bound(sub) > opts.enum_cap:
+                return None
+            return eulerian_tally_enumerate(sub, opts).diff
+
+        rep = one_way_cut_check(d, left, right, opts)
+        assert rep.one_way
+        expected = (
+            reference(induced_orientation(d, left)),
+            reference(induced_orientation(d, right)),
+            reference(d),
+        )
+        assert (rep.diff_left, rep.diff_right, rep.diff_whole) == expected
+        mixed += (rep.diff_left is None) != (rep.diff_right is None)
+    assert mixed >= 10
 
 
 def test_induced_orientation():

@@ -1,3 +1,5 @@
+import pytest
+
 from atlab import SolverOptions
 from atlab.cli import main
 
@@ -17,11 +19,9 @@ def test_with_returns_new_instance():
 
 
 def test_from_env(monkeypatch):
-    monkeypatch.setenv("AT_LAB_THREADS", "3")
     monkeypatch.setenv("AT_LAB_ENUM_CAP", "26")
     monkeypatch.setenv("AT_LAB_TIME_BUDGET", "4.5")
     opts = SolverOptions.from_env()
-    assert opts.threads == 3
     assert opts.enum_cap == 26
     assert opts.time_budget == 4.5
     # explicit overrides win
@@ -47,9 +47,21 @@ def test_parallel_flag(tmp_path, capsys):
     prod = tmp_path / "c3c3.graph"
     main(["product", str(g1), str(g1), "-o", str(prod)])
     capsys.readouterr()
-    code = main(["at", str(prod), "--exact", "--edge-cap", "24", "--parallel"])
+    code = main(["at", str(prod), "--exact", "--edge-cap", "24"])
     out = capsys.readouterr().out
     assert code == 0 and "AT = 4" in out
+
+
+@pytest.mark.parametrize("flag", [["--parallel"], ["--threads", "2"]])
+def test_thread_flags_are_gone(tmp_path, capsys, flag):
+    # the solvers run in one process; the flags that claimed otherwise are
+    # rejected as unknown arguments
+    gpath = tmp_path / "c3.graph"
+    main(["gen", "cycle", "3", "-o", str(gpath)])
+    with pytest.raises(SystemExit) as exc:
+        main(["at", str(gpath), "--exact"] + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_emitted_certificates_reverify(tmp_path, capsys):

@@ -16,3 +16,31 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in atlab: {found}"
+
+
+def test_no_unused_imports():
+    # a name imported and never used is dead code; a module may keep one only
+    # under `# noqa: F401` with a reason. __init__.py imports to re-export.
+    found = []
+    for path in sorted(SOURCE.glob("**/*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            marker = lines[node.lineno - 1].partition("# noqa: F401")
+            if marker[1]:
+                if not marker[2].strip():
+                    found.append(f"{path.name}:{node.lineno} noqa without a reason")
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, f"unused imports in atlab: {found}"

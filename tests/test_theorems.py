@@ -3,6 +3,8 @@ import pytest
 from atlab import (
     Graph,
     SolverOptions,
+    at_exact,
+    cartesian_product,
     complete,
     complete_bipartite,
     corona_at,
@@ -12,6 +14,7 @@ from atlab import (
     run_suite,
     star,
     tree_from_pruefer,
+    verify_certificate,
 )
 from atlab.theorems import (
     check_chi_product,
@@ -143,6 +146,25 @@ def test_corona_at_pinches_exactly():
     assert res.value == 4
     res = corona_at(cycle(5), Graph(["0"], []))
     assert res.value == 3
+
+
+def test_corona_at_multiplies_the_recorded_factor_magnitudes():
+    # K2 o C4: the C4 closed-form orientation is a directed 4-cycle (|diff|
+    # 2), so the law gives 1 * 2^2
+    res = corona_at(complete(2), cycle(4))
+    assert res.certificate.diff_magnitude == 4
+    assert verify_certificate(res.certificate).diff_magnitude == 4
+    # with enum_cap 3 the C3 x C3 certificate is re-checked by the
+    # coefficient engine alone; its recorded |diff| still feeds the law
+    tight = SolverOptions(search_edge_cap=18, enum_cap=3)
+    c3c3 = cartesian_product(cycle(3), cycle(3))
+    factor = at_exact(c3c3, tight).certificate
+    assert factor.method == "polynomial" and factor.diff_magnitude == 2
+    res = corona_at(c3c3, complete(2), tight)
+    assert (res.lo, res.hi) == (4, 4)
+    assert res.certificate.diff_magnitude == 2 and res.certificate.method == "product-law"
+    rep = verify_certificate(res.certificate)
+    assert rep.accepted and rep.diff_magnitude == 2
 
 
 def test_remark_gap_checker():
