@@ -24,8 +24,9 @@ ceil(max_density) is the least uniform cap k that path reversal can meet
 (Hakimi's theorem). `least_uniform_cap` finds it by trying k = ceil(|E|/|V|),
 k+1, ... and returns a witness for each side: an orientation with every
 outdegree <= k, and a vertex set spanning more than (k-1) edges per vertex.
-The exact rational density (the flow search in `density`) is only reported,
-never needed for an AT value.
+Path reversal itself lives in `density`, which also runs it at higher edge
+multiplicities to find the exact rational density; that density is only
+reported, never needed for an AT value.
 
 Exact chromatic numbers come from bounds first and a search only where the
 bounds disagree. A bipartite graph needs at most 2 colors. Otherwise a greedy
@@ -44,7 +45,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .density import induced_edge_count
+from .density import induced_edge_count, reverse_paths
 from .density import max_density  # noqa: F401  unused; bench/test_bench.py pins this name
 from .errors import CapacityError, ProofObligationError, SearchTimeout
 from .eulerian import (
@@ -116,74 +117,21 @@ def bounded_outdegree_orientation(
     g: Graph, cap: Union[int, Sequence[int]]
 ) -> Optional[Orientation]:
     """An orientation with outdeg(v) <= cap(v) for every v, or None when
-    impossible. `cap` is one bound for all vertices or one per vertex.
-
-    Greedy start (each edge leaves the endpoint with more spare capacity),
-    then repeatedly reverse a directed path from an overloaded vertex to one
-    with spare capacity. When no such path exists the reachable set R from an
-    overloaded vertex has all arcs staying inside R and every outdegree at
-    its cap (one above it), so R spans more than sum_R cap(v) edges and no
-    valid orientation exists (Hakimi's theorem). So when the caps sum to
+    impossible (Hakimi's theorem, decided by `density.reverse_paths`). `cap`
+    is one bound for all vertices or one per vertex. When the caps sum to
     |E|, a result has exactly the given outdegrees.
     """
     caps = [cap] * g.n if isinstance(cap, int) else list(cap)
     if len(caps) != g.n:
         raise ValueError(f"need one cap per vertex: got {len(caps)} for {g.n} vertices")
-    return _reverse_paths(g, caps)[0]
+    split = reverse_paths(g.n, g.edges, caps, 1)[0]
+    return None if split is None else _split_orientation(g, split)
 
 
-def _reverse_paths(
-    g: Graph, caps: list[int]
-) -> tuple[Optional[Orientation], tuple[int, ...]]:
-    """Path reversal under per-vertex caps: (orientation, ()) when one
-    exists, else (None, R) with R the vertex set the last search reached,
-    which spans more than sum_R cap(v) edges."""
-    n = g.n
-    tails = []
-    outdeg = [0] * n
-    for u, v in g.edges:
-        t = u if (outdeg[u] - caps[u], u) <= (outdeg[v] - caps[v], v) else v
-        tails.append(t)
-        outdeg[t] += 1
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for k, (u, v) in enumerate(g.edges):
-        incident[u].append(k)
-        incident[v].append(k)
-    edges = g.edges
-    while True:
-        over = next((v for v in range(n) if outdeg[v] > caps[v]), None)
-        if over is None:
-            break
-        parent_edge = [-1] * n
-        parent = [-1] * n
-        seen = [False] * n
-        seen[over] = True
-        queue = [over]
-        target = -1
-        for x in queue:
-            if outdeg[x] < caps[x]:
-                target = x
-                break
-            for k in incident[x]:
-                if tails[k] != x:
-                    continue
-                u, v = edges[k]
-                head = v if x == u else u
-                if not seen[head]:
-                    seen[head] = True
-                    parent[head] = x
-                    parent_edge[head] = k
-                    queue.append(head)
-        if target < 0:
-            return None, tuple(sorted(queue))
-        x = target
-        while x != over:
-            k = parent_edge[x]
-            tails[k] = x
-            x = parent[x]
-        outdeg[over] -= 1
-        outdeg[target] += 1
-    return Orientation(g, tails), ()
+def _split_orientation(g: Graph, split: Sequence[int]) -> Orientation:
+    """The orientation of a split at multiplicity 1: each edge leaves the
+    endpoint that carries it."""
+    return Orientation(g, [u if s else v for (u, v), s in zip(g.edges, split[::2])])
 
 
 @dataclass(frozen=True)
@@ -207,9 +155,9 @@ def least_uniform_cap(g: Graph) -> UniformCap:
     k = -(-g.m // g.n) if g.n else 0
     witness = tuple(range(g.n))
     while True:
-        d, reached = _reverse_paths(g, [k] * g.n)
-        if d is not None:
-            return UniformCap(k, d, witness)
+        split, reached = reverse_paths(g.n, g.edges, [k] * g.n, 1)
+        if split is not None:
+            return UniformCap(k, _split_orientation(g, split), witness)
         witness = reached
         k += 1
 
@@ -382,9 +330,9 @@ def chromatic_number(
     clique) == DSATUR on G is the answer. Else chi is the max over
     biconnected blocks; each distinct block (by local adjacency) is skipped
     when DSATUR colors it with at most the best so far, and searched from
-    max(3, best, clique) upwards otherwise. Raises CapacityError when a
-    non-bipartite block exceeds chromatic_block_cap, and SearchTimeout past
-    `deadline`.
+    max(3, best, clique) upwards otherwise; a block that is all of G keeps
+    G's bounds. Raises CapacityError when a non-bipartite block exceeds
+    chromatic_block_cap, and SearchTimeout past `deadline`.
     """
     if g.n == 0:
         raise ValueError("chromatic number of the empty graph is undefined")
@@ -392,30 +340,37 @@ def chromatic_number(
     if two_coloring(adj) is not None:
         return 2 if g.m else 1
     cap = options.chromatic_block_cap
+    whole = None
     if g.n <= cap:
-        upper = _dsatur(adj)
-        if max(3, _greedy_clique(adj)) == upper:
+        upper, clique = _dsatur(adj), _greedy_clique(adj)
+        if max(3, clique) == upper:
             return upper
+        whole = (upper, clique)
     best = 2
     solved: set[tuple[tuple[int, ...], ...]] = set()
     for blk in biconnected_blocks(g):
         if len(blk) == 2:
             continue
-        index = {v: i for i, v in enumerate(blk)}
-        local = tuple(tuple(index[w] for w in adj[v] if w in index) for v in blk)
-        if local in solved:
-            continue
-        solved.add(local)
-        if two_coloring(local) is not None:
-            continue
-        if len(blk) > cap:
-            raise CapacityError(
-                f"block with {len(blk)} vertices exceeds chromatic budget {cap}"
-            )
-        upper = _dsatur(local)
-        if upper <= best:
-            continue
-        k = max(3, best, _greedy_clique(local))
+        if whole is not None and len(blk) == g.n:
+            # G is one block: its local adjacency is adj, bounded above
+            local, (upper, clique) = adj, whole
+        else:
+            index = {v: i for i, v in enumerate(blk)}
+            local = tuple(tuple(index[w] for w in adj[v] if w in index) for v in blk)
+            if local in solved:
+                continue
+            solved.add(local)
+            if two_coloring(local) is not None:
+                continue
+            if len(blk) > cap:
+                raise CapacityError(
+                    f"block with {len(blk)} vertices exceeds chromatic budget {cap}"
+                )
+            upper = _dsatur(local)
+            if upper <= best:
+                continue
+            clique = _greedy_clique(local)
+        k = max(3, best, clique)
         while k < upper and not _k_colorable(local, k, deadline):
             k += 1
         best = k

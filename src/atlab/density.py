@@ -1,19 +1,21 @@
-"""Exact maximum subgraph density |E(H)|/|V(H)| with a witnessing vertex set.
+"""Exact maximum subgraph density |E(H)|/|V(H)| with a witnessing vertex set,
+and the orientation primitive it rests on.
 
-The flow route: for a guess g = a/b, build a network with a source feeding
-one node per edge (capacity b after scaling), each edge node feeding its two
-endpoint nodes (capacity large enough never to be cut), and each vertex node
-feeding the sink with capacity a. A finite source/sink cut keeps an edge node
-on the source side only if both endpoints are, so
+Hakimi's theorem (1965) at multiplicity q: the q units of each edge can be
+split between its two endpoints so that every vertex v carries at most
+cap(v) units iff every vertex set S has q*e(S) <= cap(S). `reverse_paths`
+decides this. It starts from a greedy split and moves units along paths from
+an overloaded vertex to one with spare capacity. When no such path exists,
+the set R its last search reached carries more than cap(R) units, all from
+edges inside R, so q*e(R) > cap(R) and no split exists. With q = 1 a split
+is an orientation: each edge leaves the endpoint that carries it.
 
-    mincut = b*(|E| - e(S)) + a*|S|   minimized over vertex sets S,
-
-and mincut < b*|E| iff some S has e(S)/|S| > a/b. Binary search over guesses:
-every "yes" answer yields a concrete witness S (source side of the residual
-graph) whose exact density replaces the lower bound, every "no" answer lowers
-the upper bound. Distinct achievable densities are rationals with denominator
-at most |V| and so differ by at least 1/|V|^2; once the interval is narrower
-than that, the lower endpoint — always an achieved density — is the maximum.
+So density(G) <= p/q iff uniform caps p are feasible at multiplicity q.
+`max_density` runs a Dinkelbach (1967) ratio iteration on that test: start
+at lambda = |E|/|V|, and while caps p at multiplicity q = lambda's numerator
+and denominator are infeasible, move to the density of the reached set R,
+which exceeds lambda. The densities of vertex sets are finitely many and
+each round strictly raises lambda, so the iteration ends, at the maximum.
 
 All arithmetic is integer or Fraction; no floats anywhere.
 """
@@ -22,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain
+from typing import Optional, Sequence
 
 from .errors import CapacityError, ProofObligationError
 from .graphs import Graph
@@ -36,96 +39,74 @@ class DensityWitness:
     witness: tuple[int, ...]
 
 
-class Dinic:
-    """Integer max-flow (level graph + blocking flow), exact on Python ints."""
+def reverse_paths(
+    n: int, edges: Sequence[tuple[int, int]], caps: Sequence[int], q: int
+) -> tuple[Optional[list[int]], tuple[int, ...]]:
+    """Split q units of every edge between its endpoints with at most caps[v]
+    units on each vertex v. Returns (split, ()) with split[2k] and
+    split[2k + 1] the units of edge k on its first and second endpoint, or
+    (None, R) when no split exists, with R the vertex set the last search
+    reached: q*e(R) > sum_R caps[v].
 
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[list[list[int]]] = [[] for _ in range(n)]
-
-    def add_edge(self, u: int, v: int, cap: int) -> None:
-        # each stored edge: [to, capacity_left, index_of_reverse]
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
-
-    def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.n
-        self.level[s] = 0
-        queue = [s]
-        for u in queue:
-            for e in self.adj[u]:
-                if e[1] > 0 and self.level[e[0]] < 0:
-                    self.level[e[0]] = self.level[u] + 1
-                    queue.append(e[0])
-        return self.level[t] >= 0
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while self._bfs(s, t):
-            it = [0] * self.n
-            nodes = [s]
-            edges: list[list[int]] = []  # path edges, parallel to nodes[1:]
-            while nodes:
-                u = nodes[-1]
-                if u == t:
-                    pushed = min(e[1] for e in edges)
-                    flow += pushed
-                    retreat = 0
-                    for idx, e in enumerate(edges):
-                        e[1] -= pushed
-                        self.adj[e[0]][e[2]][1] += pushed
-                        if e[1] == 0 and retreat == 0:
-                            retreat = idx + 1
-                    # back to the tail of the first saturated edge
-                    del edges[retreat - 1 :]
-                    del nodes[retreat:]
-                    continue
-                advanced = False
-                adj_u = self.adj[u]
-                while it[u] < len(adj_u):
-                    e = adj_u[it[u]]
-                    if e[1] > 0 and self.level[e[0]] == self.level[u] + 1:
-                        nodes.append(e[0])
-                        edges.append(e)
-                        advanced = True
-                        break
-                    it[u] += 1
-                if not advanced:
-                    self.level[u] = -1
-                    nodes.pop()
-                    if edges:
-                        edges.pop()
-        return flow
-
-    def reachable_from(self, s: int) -> set[int]:
-        """Source side of the minimum cut, after max_flow has run."""
-        seen = {s}
-        queue = [s]
-        for u in queue:
-            for e in self.adj[u]:
-                if e[1] > 0 and e[0] not in seen:
-                    seen.add(e[0])
-                    queue.append(e[0])
-        return seen
-
-
-def _denser_subgraph(g: Graph, num: int, den: int) -> tuple[int, ...] | None:
-    """A vertex set with density strictly above num/den, or None."""
-    m, n = g.m, g.n
-    net = Dinic(m + n + 2)
-    source, sink = 0, m + n + 1
-    inf = m * max(den, 1) + 1
-    for k, (u, v) in enumerate(g.edges):
-        net.add_edge(source, 1 + k, den)
-        net.add_edge(1 + k, 1 + m + u, inf)
-        net.add_edge(1 + k, 1 + m + v, inf)
-    for v in range(n):
-        net.add_edge(1 + m + v, sink, num)
-    flow = net.max_flow(source, sink)
-    if flow >= m * den:
-        return None
-    side = net.reachable_from(source)
-    return tuple(v for v in range(n) if (1 + m + v) in side)
+    Each edge starts with all q units on the endpoint with more spare
+    capacity (ties: the lower index). Then, while some vertex is overloaded,
+    a breadth-first search from the lowest-index one follows edges whose
+    units sit on the current vertex to a vertex with spare capacity, and the
+    bottleneck amount moves along that path.
+    """
+    load = [0] * n
+    # share is the split; share[a] is on vertex ends[a]
+    share = [0] * (2 * len(edges))
+    ends = list(chain.from_iterable(edges))
+    incident: list[list[int]] = [[] for _ in range(n)]
+    a = 0
+    for u, v in edges:
+        incident[u].append(a)
+        incident[v].append(a + 1)
+        du, dv = load[u] - caps[u], load[v] - caps[v]
+        if du < dv or du == dv and u < v:
+            share[a] = q
+            load[u] += q
+        else:
+            share[a + 1] = q
+            load[v] += q
+        a += 2
+    while True:
+        over = next((v for v in range(n) if load[v] > caps[v]), None)
+        if over is None:
+            return share, ()
+        via = [-1] * n  # the slot by which the search entered each vertex
+        via[over] = -2
+        queue = [over]
+        target = -1
+        for x in queue:
+            if load[x] < caps[x]:
+                target = x
+                break
+            for a in incident[x]:
+                if share[a]:
+                    b = a ^ 1
+                    head = ends[b]
+                    if via[head] == -1:
+                        via[head] = b
+                        queue.append(head)
+        if target < 0:
+            return None, tuple(sorted(queue))
+        amount = min(load[over] - caps[over], caps[target] - load[target])
+        x = target
+        while x != over:
+            a = via[x] ^ 1
+            if share[a] < amount:
+                amount = share[a]
+            x = ends[a]
+        x = target
+        while x != over:
+            a = via[x] ^ 1
+            share[a] -= amount
+            share[a ^ 1] += amount
+            x = ends[a]
+        load[over] -= amount
+        load[target] += amount
 
 
 def induced_edge_count(g: Graph, subset: Sequence[int]) -> int:
@@ -139,23 +120,20 @@ def max_density(g: Graph) -> DensityWitness:
         raise ValueError("density of the empty graph is undefined")
     if g.m == 0:
         return DensityWitness(Fraction(0), (0,))
-    n = g.n
-    lo = Fraction(g.m, n)
-    witness = tuple(range(n))
-    hi = Fraction(min(g.max_degree(), n - 1), 2)
-    gap = Fraction(1, n * n)
-    while hi - lo >= gap:
-        mid = (lo + hi) / 2
-        found = _denser_subgraph(g, mid.numerator, mid.denominator)
-        if found is None:
-            hi = mid
-        else:
-            achieved = Fraction(induced_edge_count(g, found), len(found))
-            if achieved <= mid:
-                raise ProofObligationError(f"min cut found density {achieved} <= {mid}")
-            lo = achieved
-            witness = found
-    return DensityWitness(lo, witness)
+    density = Fraction(g.m, g.n)
+    witness = tuple(range(g.n))
+    # every vertex set S has e(S) <= max degree * |S| / 2
+    if 2 * density == g.max_degree():
+        return DensityWitness(density, witness)
+    while True:
+        p, q = density.numerator, density.denominator
+        split, reached = reverse_paths(g.n, g.edges, [p] * g.n, q)
+        if split is not None:
+            return DensityWitness(density, witness)
+        denser = Fraction(induced_edge_count(g, reached), len(reached))
+        if denser <= density:
+            raise ProofObligationError(f"path reversal reached density {denser} <= {density}")
+        density, witness = denser, reached
 
 
 def max_density_bruteforce(g: Graph) -> DensityWitness:

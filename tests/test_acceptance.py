@@ -313,14 +313,14 @@ def test_criterion_11_density_oracle():
     for name, g in corpus():
         if g.n > 14:
             continue
-        flow = max_density(g)
+        reversal = max_density(g)
         brute = max_density_bruteforce(g)
-        if flow.density != brute.density:
-            failures.append(f"{name}: flow {flow.density} vs brute {brute.density}")
-        for label, wit in (("flow", flow), ("brute", brute)):
+        if reversal.density != brute.density:
+            failures.append(f"{name}: path reversal {reversal.density} vs brute {brute.density}")
+        for label, wit in (("path reversal", reversal), ("brute", brute)):
             if g.m and induced_edge_count(g, wit.witness) != wit.density * len(wit.witness):
                 failures.append(f"{name}: {label} witness does not induce its density")
-    _finish(11, "density flow vs brute-force oracle", failures, t0, 120)
+    _finish(11, "density path reversal vs brute-force oracle", failures, t0, 120)
 
 
 # --- criterion 12: the choosability remarks -------------------------------

@@ -29,6 +29,7 @@ from atlab import (
     hypercube,
     is_chromatic_at_choosable,
     max_density,
+    max_density_bruteforce,
     orientation_from_arcs,
     path,
     star,
@@ -197,7 +198,7 @@ def test_bounded_orientation_iff_density():
     rng = random.Random(19)
     for _ in range(40):
         g = random_graph(rng, rng.randint(2, 9), 0.5)
-        dens = max_density(g).density
+        dens = max_density_bruteforce(g).density
         for cap in range(0, 4):
             d = bounded_outdegree_orientation(g, cap)
             if dens <= cap:
@@ -271,11 +272,13 @@ def test_at_bipartite_even_cycles_and_trees():
         assert at_bipartite(tree_from_pruefer(seq)).value == 2
 
 
-def flow_density_certificate(g):
-    """The bipartite certificate built from the flow search's exact density:
-    the orientation at cap ceil(max density), its diff by the first engine
-    within budget."""
-    level = math.ceil(max_density(g).density) + 1
+def density_certificate(g):
+    """The bipartite certificate built from the exact density: the
+    orientation at cap ceil(max density), its diff by the first engine within
+    budget. The density comes from the brute-force oracle where it reaches
+    (n <= 20), so path reversal is not pinned against itself there."""
+    dens = max_density_bruteforce(g) if g.n <= 20 else max_density(g)
+    level = math.ceil(dens.density) + 1
     d = bounded_outdegree_orientation(g, level - 1)
     method, diff = engine_diff(d, DEFAULT_OPTIONS)
     if method is None:
@@ -283,7 +286,7 @@ def flow_density_certificate(g):
     return ATCertificate(level, d, abs(diff), method)
 
 
-def test_at_bipartite_pins_the_flow_density_certificate():
+def test_at_bipartite_pins_the_density_certificate():
     graphs = [hypercube(n) for n in range(2, 7)]
     trees = [(), (0,), (1, 1), (0, 1, 2), (3, 3, 3, 3)]
     graphs += [cartesian_product(hypercube(n), tree_from_pruefer(t)) for n in (1, 2, 3) for t in trees]
@@ -291,7 +294,7 @@ def test_at_bipartite_pins_the_flow_density_certificate():
     rng = random.Random(2504)
     graphs += [random_bipartite_graph(rng, 6, 20) for _ in range(40)]
     for g in graphs:
-        expected = flow_density_certificate(g)
+        expected = density_certificate(g)
         res = at_bipartite(g)
         assert (res.lo, res.hi) == (expected.level, expected.level)
         assert res.certificate.orientation.tails == expected.orientation.tails

@@ -6,6 +6,7 @@ import pytest
 from atlab import (
     CapacityError,
     Graph,
+    corona,
     cycle,
     hypercube,
     mad,
@@ -33,15 +34,26 @@ def test_tree_density():
         assert len(dw.witness) == t.n
 
 
+def test_exact_density_of_larger_graphs():
+    g = corona(hypercube(3), cycle(3))
+    dw = max_density(g)
+    assert dw.density == Fraction(15, 8)
+    assert Fraction(induced_edge_count(g, dw.witness), len(dw.witness)) == dw.density
+    rng = random.Random(400)
+    t = tree_from_pruefer([rng.randrange(400) for _ in range(398)])
+    dw = max_density(t)
+    assert dw.density == Fraction(t.n - 1, t.n) and len(dw.witness) == t.n == 400
+
+
 def test_c5_plus_pendant():
     g = Graph([str(i) for i in range(6)],
               [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5)])
-    flow = max_density(g)
+    reversal = max_density(g)
     brute = max_density_bruteforce(g)
-    assert flow.density == brute.density == 1
+    assert reversal.density == brute.density == 1
     # the brute-force tie-break prefers the smaller subset: the bare 5-cycle
     assert brute.witness == (0, 1, 2, 3, 4)
-    assert Fraction(induced_edge_count(g, flow.witness), len(flow.witness)) == 1
+    assert Fraction(induced_edge_count(g, reversal.witness), len(reversal.witness)) == 1
 
 
 def test_bruteforce_frozen_values():
@@ -65,17 +77,20 @@ def test_edgeless_and_empty():
         max_density(Graph([], []))
 
 
-def test_flow_matches_bruteforce_on_corpus():
+def test_path_reversal_matches_bruteforce_on_corpus():
     for name, g in corpus():
         if g.n > 14:
             continue
-        flow = max_density(g)
+        reversal = max_density(g)
         brute = max_density_bruteforce(g)
-        assert flow.density == brute.density, name
-        assert Fraction(induced_edge_count(g, flow.witness), len(flow.witness)) == flow.density, name
+        assert reversal.density == brute.density, name
+        assert (
+            Fraction(induced_edge_count(g, reversal.witness), len(reversal.witness))
+            == reversal.density
+        ), name
 
 
-def test_flow_matches_bruteforce_random():
+def test_path_reversal_matches_bruteforce_random():
     rng = random.Random(31337)
     for _ in range(60):
         g = random_graph(rng, rng.randint(2, 10), rng.choice([0.2, 0.4, 0.7]))

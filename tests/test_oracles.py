@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 from atlab import (
@@ -15,7 +16,7 @@ from atlab import (
     orient,
     orientation_from_arcs,
 )
-from atlab.density import Dinic, induced_edge_count, max_density_bruteforce
+from atlab.density import induced_edge_count, max_density, max_density_bruteforce, reverse_paths
 from atlab.eulerian import diff_coefficient, frontier_order
 from helpers import naive_tally, random_graph, random_orientation
 
@@ -177,40 +178,6 @@ def test_component_factoring_matches_whole_orientation_oracle():
     assert seen == {"acyclic": 0, "one component": 50, "cross arcs": 50, "disconnected": 50}
 
 
-def brute_min_cut(n, edges, s, t):
-    """Min s-t cut by scanning all source-side subsets."""
-    best = None
-    for mask in range(1 << n):
-        if not (mask >> s) & 1 or (mask >> t) & 1:
-            continue
-        cut = sum(cap for u, v, cap in edges if (mask >> u) & 1 and not (mask >> v) & 1)
-        if best is None or cut < best:
-            best = cut
-    return best
-
-
-def test_dinic_matches_brute_min_cut():
-    rng = random.Random(717)
-    for _ in range(60):
-        n = rng.randint(2, 8)
-        edges = []
-        for u in range(n):
-            for v in range(n):
-                if u != v and rng.random() < 0.35:
-                    edges.append((u, v, rng.randint(0, 8)))
-        s, t = 0, n - 1
-        net = Dinic(n)
-        for u, v, cap in edges:
-            net.add_edge(u, v, cap)
-        flow = net.max_flow(s, t)
-        assert flow == brute_min_cut(n, edges, s, t)
-        # the reachable set is a minimum cut witness
-        side = net.reachable_from(s)
-        assert s in side and t not in side
-        cut = sum(cap for u, v, cap in edges if u in side and v not in side)
-        assert cut == flow
-
-
 def planted_dense_graph(rng, n):
     """A clique on a few vertices among sparse or isolated ones, so that
     ceil(|E|/|V|) is often below ceil(max density) and path reversal fails
@@ -246,6 +213,53 @@ def test_least_uniform_cap_matches_brute_force_density():
         seen["isolated vertex"] += min(g.degrees()) == 0
         seen["first cap failed"] += k > -(-g.m // g.n)
     assert len(graphs) >= 200 and min(seen.values()) >= 1, seen
+
+
+def test_reverse_paths_at_multiplicity_q_is_hakimi():
+    # the q units of each edge split with at most cap(v) on each vertex v
+    # iff every vertex set S has q*e(S) <= cap(S)
+    rng = random.Random(1967)
+    graphs = [random_graph(rng, rng.randint(1, 8), rng.choice((0.3, 0.6))) for _ in range(60)]
+    graphs += [planted_dense_graph(rng, rng.randint(2, 10)) for _ in range(60)]
+    seen = {"feasible": 0, "infeasible": 0}
+    for g in graphs:
+        for q in (2, 3, 5):
+            caps = [rng.randint(0, 3 * q) for _ in range(g.n)]
+            hakimi = all(
+                q * induced_edge_count(g, s) <= sum(caps[v] for v in s)
+                for r in range(1, g.n + 1)
+                for s in combinations(range(g.n), r)
+            )
+            split, reached = reverse_paths(g.n, g.edges, caps, q)
+            assert (split is not None) == hakimi, (g.edges, caps, q)
+            if split is not None:
+                assert reached == ()
+                assert all(split[2 * k] + split[2 * k + 1] == q for k in range(g.m))
+                assert all(x >= 0 for x in split)
+                load = [0] * g.n
+                for k, (u, v) in enumerate(g.edges):
+                    load[u] += split[2 * k]
+                    load[v] += split[2 * k + 1]
+                assert all(x <= c for x, c in zip(load, caps)), (g.edges, caps, q)
+                seen["feasible"] += 1
+            else:
+                assert list(reached) == sorted(set(reached)) and reached
+                assert q * induced_edge_count(g, reached) > sum(caps[v] for v in reached)
+                seen["infeasible"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_max_density_matches_brute_force_on_planted_dense_graphs():
+    rng = random.Random(1968)
+    seen = {"one round": 0, "more rounds": 0}
+    for _ in range(150):
+        g = planted_dense_graph(rng, rng.randint(2, 10))
+        dw, brute = max_density(g), max_density_bruteforce(g)
+        assert dw.density == brute.density, g.edges
+        assert induced_edge_count(g, dw.witness) == dw.density * len(dw.witness)
+        # |E|/|V| < max density: the first caps fail and a reached set leads on
+        seen["more rounds" if Fraction(g.m, g.n) < dw.density else "one round"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_acyclic_certificate_diff_is_one():

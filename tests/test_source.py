@@ -44,3 +44,33 @@ def test_no_unused_imports():
                 if name not in used:
                     found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, f"unused imports in atlab: {found}"
+
+
+def test_every_module_level_definition_is_referenced():
+    # a function or class that nothing in the package names is kept only for
+    # tests or benchmarks; a re-export in __init__.py counts as a reference
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SOURCE.glob("**/*.py"))}
+
+    def names(top):
+        out = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.asname or node.name)
+        return out
+
+    # names used by each module-level statement, keyed by (file, position)
+    used = {(name, i): names(node) for name, tree in trees.items()
+            for i, node in enumerate(tree.body)}
+    found = []
+    for name, tree in trees.items():
+        for i, node in enumerate(tree.body):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if not any(node.name in s for key, s in used.items() if key != (name, i)):
+                found.append(f"{name}:{node.lineno} {node.name}")
+    assert not found, f"unreferenced definitions in atlab: {found}"
