@@ -43,6 +43,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from operator import getitem
 from typing import Iterable, Optional, Sequence, Union
 
 from .density import induced_edge_count, reverse_paths
@@ -130,8 +131,8 @@ def bounded_outdegree_orientation(
 
 def _split_orientation(g: Graph, split: Sequence[int]) -> Orientation:
     """The orientation of a split at multiplicity 1: each edge leaves the
-    endpoint that carries it."""
-    return Orientation(g, [u if s else v for (u, v), s in zip(g.edges, split[::2])])
+    endpoint that carries it, its second one (index 1) iff split[2k + 1]."""
+    return Orientation(g, map(getitem, g.edges, split[1::2]))
 
 
 @dataclass(frozen=True)

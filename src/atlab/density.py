@@ -42,11 +42,11 @@ class DensityWitness:
 def reverse_paths(
     n: int, edges: Sequence[tuple[int, int]], caps: Sequence[int], q: int
 ) -> tuple[Optional[list[int]], tuple[int, ...]]:
-    """Split q units of every edge between its endpoints with at most caps[v]
-    units on each vertex v. Returns (split, ()) with split[2k] and
-    split[2k + 1] the units of edge k on its first and second endpoint, or
-    (None, R) when no split exists, with R the vertex set the last search
-    reached: q*e(R) > sum_R caps[v].
+    """Split q units of every edge (u, v), u < v as in `Graph.edges`, between
+    its endpoints with at most caps[v] units on each vertex v. Returns
+    (split, ()) with split[2k] and split[2k + 1] the units of edge k on its
+    first and second endpoint, or (None, R) when no split exists, with R the
+    vertex set the last search reached: q*e(R) > sum_R caps[v].
 
     Each edge starts with all q units on the endpoint with more spare
     capacity (ties: the lower index). Then, while some vertex is overloaded,
@@ -57,14 +57,13 @@ def reverse_paths(
     load = [0] * n
     # share is the split; share[a] is on vertex ends[a]
     share = [0] * (2 * len(edges))
-    ends = list(chain.from_iterable(edges))
+    ends = None
     incident: list[list[int]] = [[] for _ in range(n)]
     a = 0
     for u, v in edges:
         incident[u].append(a)
         incident[v].append(a + 1)
-        du, dv = load[u] - caps[u], load[v] - caps[v]
-        if du < dv or du == dv and u < v:
+        if load[u] - caps[u] <= load[v] - caps[v]:
             share[a] = q
             load[u] += q
         else:
@@ -75,6 +74,8 @@ def reverse_paths(
         over = next((v for v in range(n) if load[v] > caps[v]), None)
         if over is None:
             return share, ()
+        if ends is None:
+            ends = list(chain.from_iterable(edges))
         via = [-1] * n  # the slot by which the search entered each vertex
         via[over] = -2
         queue = [over]
@@ -92,13 +93,16 @@ def reverse_paths(
                         queue.append(head)
         if target < 0:
             return None, tuple(sorted(queue))
-        amount = min(load[over] - caps[over], caps[target] - load[target])
-        x = target
-        while x != over:
-            a = via[x] ^ 1
-            if share[a] < amount:
-                amount = share[a]
-            x = ends[a]
+        # at q = 1 every unit on the path is a whole edge, so the bottleneck is 1
+        amount = 1
+        if q > 1:
+            amount = min(load[over] - caps[over], caps[target] - load[target])
+            x = target
+            while x != over:
+                a = via[x] ^ 1
+                if share[a] < amount:
+                    amount = share[a]
+                x = ends[a]
         x = target
         while x != over:
             a = via[x] ^ 1
