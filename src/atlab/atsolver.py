@@ -4,8 +4,7 @@ AT(G) is the least k such that some orientation with max outdegree k-1 has
 diff != 0. The solver combines:
 
   * lower bounds: the pigeonhole bound ceil(max_density)+1 (any orientation
-    has a vertex of outdegree >= density), the chromatic number, and caller
-    supplied bounds for known subgraphs (AT is subgraph-monotone);
+    has a vertex of outdegree >= density) and the chromatic number;
   * the bipartite closed form AT(G) = ceil(max_density)+1, where every
     orientation is an AT-orientation, so a bounded-outdegree orientation is
     itself the certificate;
@@ -44,7 +43,7 @@ import heapq
 import time
 from dataclasses import dataclass
 from operator import getitem
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .density import induced_edge_count, reverse_paths
 from .density import max_density  # noqa: F401  unused; bench/test_bench.py pins this name
@@ -386,15 +385,13 @@ def chromatic_number(
 def at_lower_bound(
     g: Graph,
     options: SolverOptions = DEFAULT_OPTIONS,
-    known_subgraph_bounds: Iterable[tuple[str, int]] = (),
     *,
     deadline: Optional[float] = None,
 ) -> tuple[int, str]:
     """Best available lower bound for AT(G) with the reason that won.
 
-    Terms: ceil(max_density)+1 (pigeonhole on outdegrees), chi(G) when the
-    chromatic solver is within budget and `deadline` (chi <= AT), and any
-    caller-registered lower bounds for subgraphs (AT is subgraph-monotone).
+    Terms: ceil(max_density)+1 (pigeonhole on outdegrees) and chi(G) when
+    the chromatic solver is within budget and `deadline` (chi <= AT).
     Chromatic wins ties. The first term is the least uniform cap plus one;
     its vertex-set witness is recounted, so the bound does not rest on path
     reversal alone.
@@ -407,9 +404,6 @@ def at_lower_bound(
         chi = None
     if chi is not None and chi >= best:
         best, reason = chi, "chromatic"
-    for _name, bound in known_subgraph_bounds:
-        if bound > best:
-            best, reason = bound, "subgraph"
     return best, reason
 
 

@@ -40,7 +40,7 @@ from .theorems import run_suite
 
 
 def _solver_options(args) -> SolverOptions:
-    opts = SolverOptions.from_env()
+    opts = SolverOptions()
     if getattr(args, "enum_cap", None) is not None:
         opts = opts.with_(enum_cap=args.enum_cap)
     if getattr(args, "edge_cap", None) is not None:

@@ -49,7 +49,7 @@ from .options import DEFAULT_OPTIONS, SolverOptions
 class Orientation:
     """A direction choice for every edge of a base graph."""
 
-    __slots__ = ("graph", "tails", "outdegrees", "indegrees", "_components")
+    __slots__ = ("graph", "tails", "outdegrees", "_components")
 
     def __init__(self, graph: Graph, tails: Sequence[int]):
         tails = tuple(tails)
@@ -58,17 +58,13 @@ class Orientation:
                 f"need one tail per edge: got {len(tails)} for {graph.m} edges"
             )
         out = [0] * graph.n
-        inn = [0] * graph.n
         for (u, v), t in zip(graph.edges, tails):
             if t != u and t != v:
                 raise ValueError(f"tail {t} is not an endpoint of edge ({u}, {v})")
-            h = v if t == u else u
             out[t] += 1
-            inn[h] += 1
         self.graph = graph
         self.tails = tails
         self.outdegrees = tuple(out)
-        self.indegrees = tuple(inn)
         self._components = None
 
     @property

@@ -128,10 +128,10 @@ class Bipartition:
     right: tuple[int, ...]
 
 
-def hypercube(n: int, max_n: int = HYPERCUBE_MAX_N) -> Graph:
+def hypercube(n: int) -> Graph:
     """n-cube on binary strings of length n; edges flip exactly one bit."""
-    if n < 1 or n > max_n:
-        raise SizeCapError(f"hypercube dimension must be in 1..{max_n}, got {n}")
+    if n < 1 or n > HYPERCUBE_MAX_N:
+        raise SizeCapError(f"hypercube dimension must be in 1..{HYPERCUBE_MAX_N}, got {n}")
     size = 1 << n
     vertices = [format(i, f"0{n}b") for i in range(size)]
     edges = []

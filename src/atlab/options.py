@@ -1,14 +1,12 @@
 """Solver budgets and tuning knobs.
 
 Every solver entry point takes a SolverOptions; the defaults are sized for a
-desk-scale machine. Environment variables AT_LAB_ENUM_CAP and
-AT_LAB_TIME_BUDGET seed the defaults when `SolverOptions.from_env` is used
-(command-line flags override them in the CLI).
+desk-scale machine. The CLI starts from the defaults and applies its flags;
+no environment variable is read.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 
@@ -34,17 +32,6 @@ class SolverOptions:
 
     def with_(self, **kw) -> "SolverOptions":
         return replace(self, **kw)
-
-    @classmethod
-    def from_env(cls, **overrides) -> "SolverOptions":
-        """Defaults seeded from AT_LAB_* environment variables, then overridden."""
-        kw = {}
-        if "AT_LAB_ENUM_CAP" in os.environ:
-            kw["enum_cap"] = int(os.environ["AT_LAB_ENUM_CAP"])
-        if "AT_LAB_TIME_BUDGET" in os.environ:
-            kw["time_budget"] = float(os.environ["AT_LAB_TIME_BUDGET"])
-        kw.update(overrides)
-        return cls(**kw)
 
 
 DEFAULT_OPTIONS = SolverOptions()

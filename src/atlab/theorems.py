@@ -82,9 +82,9 @@ def _fmt_bracket(lo: int, hi: int) -> str:
     return str(lo) if lo == hi else f"[{lo}, {hi}]"
 
 
-def _finish(report: ClaimReport, t0: float) -> ClaimReport:
-    report.millis = (time.perf_counter() - t0) * 1000.0
-    return report
+def _report(t0: float, *fields: str) -> ClaimReport:
+    """The report with the given claim .. evidence fields, timed from t0."""
+    return ClaimReport(*fields, millis=(time.perf_counter() - t0) * 1000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,15 @@ def _exact_at(g: Graph, options: SolverOptions) -> ATResult:
 
 
 def corona_at(g1: Graph, g2: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult:
-    """AT of corona(g1, g2) by pinching.
+    """AT of corona(g1, g2) by pinching the factors' exact AT results."""
+    return _pinch(g1, _exact_at(g1, options), g2, _exact_at(g2, options), options)[0]
+
+
+def _pinch(
+    g1: Graph, r1: ATResult, g2: Graph, r2: ATResult, options: SolverOptions
+) -> tuple[ATResult, Optional[int]]:
+    """AT of corona(g1, g2) from the factors' exact results, and chi of the
+    corona (None when over budget).
 
     Upper bound: the R1/R2/R3 orientation built from the factors' own AT
     certificates; its diff is diff(d1) * diff(d2)^m across the copies/hub
@@ -112,8 +120,6 @@ def corona_at(g1: Graph, g2: Graph, options: SolverOptions = DEFAULT_OPTIONS) ->
     Lower bound: the factors are subgraphs, and chi of the corona when
     within budget.
     """
-    r1 = _exact_at(g1, options)
-    r2 = _exact_at(g2, options)
     d1 = r1.certificate.orientation
     d2 = r2.certificate.orientation
     oriented, _recipe = corona_orientation(g1, d1, g2, d2)
@@ -137,12 +143,27 @@ def corona_at(g1: Graph, g2: Graph, options: SolverOptions = DEFAULT_OPTIONS) ->
         lower, reason = chi, "chromatic"
     if lower > level:
         raise ProofObligationError(f"corona lower bound {lower} exceeds level {level}")
-    return ATResult(lower, level, cert, reason)
+    return ATResult(lower, level, cert, reason), chi
 
 
 # ---------------------------------------------------------------------------
 # Checkers
 # ---------------------------------------------------------------------------
+
+
+def _closed_form_row(
+    claim: str, instance: str, predicted: int, g: Graph, result: ATResult, evidence: str,
+    search: Optional[str], options: SolverOptions, t0: float,
+) -> ClaimReport:
+    """Row for a closed-form AT value, cross-checked by the level search on g
+    unless `search` (the evidence label of that cross-check) is None."""
+    computed, verdict = str(result.value), "pass" if result.value == predicted else "fail"
+    if search is not None:
+        cross = at_exact(g, options, bipartite_shortcut=False)
+        evidence += f"; {search}: {_fmt_bracket(cross.lo, cross.hi)}"
+        if cross.value != result.value:
+            computed, verdict = f"{result.value} vs search {cross.value}", "fail"
+    return _report(t0, claim, instance, str(predicted), computed, verdict, evidence)
 
 
 def check_lemma_3_1(
@@ -155,49 +176,23 @@ def check_lemma_3_1(
         raise ValueError(f"{name} is not regular")
     if bipartition(g) is None:
         raise ValueError(f"{name} is not bipartite")
-    d = degs.pop()
-    predicted = ceil_half(d) + 1
     result = at_bipartite(g, options)
     evidence = f"certificate maxout {result.certificate.orientation.max_outdegree()}"
-    if g.m <= options.search_edge_cap:
-        cross = at_exact(g, options, bipartite_shortcut=False)
-        evidence += f"; exhaustive search agrees: {_fmt_bracket(cross.lo, cross.hi)}"
-        if cross.value != result.value:
-            return _finish(
-                ClaimReport(
-                    "lemma3.1", name, str(predicted),
-                    f"{result.value} vs search {cross.value}", "fail", evidence,
-                ),
-                t0,
-            )
-    verdict = "pass" if result.value == predicted else "fail"
-    return _finish(
-        ClaimReport("lemma3.1", name, str(predicted), str(result.value), verdict, evidence),
-        t0,
+    search = "exhaustive search agrees" if g.m <= options.search_edge_cap else None
+    return _closed_form_row(
+        "lemma3.1", name, ceil_half(degs.pop()) + 1, g, result, evidence, search, options, t0
     )
 
 
 def check_lemma_3_2(n: int, options: SolverOptions = DEFAULT_OPTIONS) -> ClaimReport:
     """Hypercubes: AT(Q_n) = ceil(n/2) + 1."""
     t0 = time.perf_counter()
-    predicted = ceil_half(n) + 1
-    result = at_bipartite(hypercube(n), options)
-    evidence = f"density {max_density(hypercube(n)).density}"
-    if n <= 3:
-        cross = at_exact(hypercube(n), options, bipartite_shortcut=False)
-        evidence += f"; exhaustive search: {_fmt_bracket(cross.lo, cross.hi)}"
-        if cross.value != result.value:
-            return _finish(
-                ClaimReport(
-                    "lemma3.2", f"Q{n}", str(predicted),
-                    f"{result.value} vs search {cross.value}", "fail", evidence,
-                ),
-                t0,
-            )
-    verdict = "pass" if result.value == predicted else "fail"
-    return _finish(
-        ClaimReport("lemma3.2", f"Q{n}", str(predicted), str(result.value), verdict, evidence),
-        t0,
+    q = hypercube(n)
+    result = at_bipartite(q, options)
+    evidence = f"density {max_density(q).density}"
+    search = "exhaustive search" if n <= 3 else None
+    return _closed_form_row(
+        "lemma3.2", f"Q{n}", ceil_half(n) + 1, q, result, evidence, search, options, t0
     )
 
 
@@ -218,12 +213,9 @@ def check_theorem_1(
     verdict = "pass" if result.value == predicted else "fail"
     least_out = result.certificate.orientation.max_outdegree()
     evidence = f"|V|={g.n} |E|={g.m} least max outdegree {least_out}"
-    return _finish(
-        ClaimReport(
-            "theorem1", f"Q{n} x {tree_name}", str(predicted), str(result.value),
-            verdict, evidence,
-        ),
-        t0,
+    return _report(
+        t0, "theorem1", f"Q{n} x {tree_name}", str(predicted), str(result.value), verdict,
+        evidence,
     )
 
 
@@ -236,12 +228,9 @@ def check_corollary_3_4(
     g = cartesian_product(hypercube(n), cycle(2 * k))
     result = at_bipartite(g, options)
     verdict = "pass" if result.value == predicted else "fail"
-    return _finish(
-        ClaimReport(
-            "corollary3.4", f"Q{n} x C{2 * k}", str(predicted), str(result.value),
-            verdict, f"|V|={g.n} |E|={g.m}",
-        ),
-        t0,
+    return _report(
+        t0, "corollary3.4", f"Q{n} x C{2 * k}", str(predicted), str(result.value), verdict,
+        f"|V|={g.n} |E|={g.m}",
     )
 
 
@@ -259,12 +248,9 @@ def check_lemma_3_5(
     predicted = chi1 if chi2 < chi1 else chi2 + 1
     computed = chromatic_number(corona(g1, g2), options)
     verdict = "pass" if computed == predicted else "fail"
-    return _finish(
-        ClaimReport(
-            "lemma3.5", f"{name1} o {name2}", str(predicted), str(computed),
-            verdict, f"chi({name1})={chi1} chi({name2})={chi2}",
-        ),
-        t0,
+    return _report(
+        t0, "lemma3.5", f"{name1} o {name2}", str(predicted), str(computed), verdict,
+        f"chi({name1})={chi1} chi({name2})={chi2}",
     )
 
 
@@ -277,10 +263,10 @@ def check_lemma_3_6(
 ) -> ClaimReport:
     """AT(g1 o g2) = AT(g1) when AT(g2) < AT(g1), else AT(g2) or AT(g2)+1."""
     t0 = time.perf_counter()
-    at1 = _exact_at(g1, options).value
-    at2 = _exact_at(g2, options).value
+    r1, r2 = _exact_at(g1, options), _exact_at(g2, options)
+    at1, at2 = r1.value, r2.value
     predicted = {at1} if at2 < at1 else {at2, at2 + 1}
-    result = corona_at(g1, g2, options)
+    result, _chi = _pinch(g1, r1, g2, r2, options)
     bound = max(at1 - 1, at2) + 1
     evidence = (
         f"AT({name1})={at1} AT({name2})={at2}; certificate level {result.hi} "
@@ -293,12 +279,9 @@ def check_lemma_3_6(
     pred_str = str(min(predicted)) if len(predicted) == 1 else (
         "{" + ", ".join(str(x) for x in sorted(predicted)) + "}"
     )
-    return _finish(
-        ClaimReport(
-            "lemma3.6", f"{name1} o {name2}", pred_str,
-            _fmt_bracket(result.lo, result.hi), verdict, evidence,
-        ),
-        t0,
+    return _report(
+        t0, "lemma3.6", f"{name1} o {name2}", pred_str, _fmt_bracket(result.lo, result.hi),
+        verdict, evidence,
     )
 
 
@@ -311,29 +294,39 @@ def check_corollary_3_7(
 ) -> ClaimReport:
     """If AT(g2) >= AT(g1) and chi(g2) = AT(g2): chi = AT = AT(g2)+1 on the corona."""
     t0 = time.perf_counter()
-    at1 = _exact_at(g1, options).value
-    at2 = _exact_at(g2, options).value
+    r1, r2 = _exact_at(g1, options), _exact_at(g2, options)
+    at1, at2 = r1.value, r2.value
     chi2 = chromatic_number(g2, options)
     if at2 < at1 or chi2 != at2:
         raise ValueError(
             f"hypothesis violated: AT({name2})={at2}, AT({name1})={at1}, chi({name2})={chi2}"
         )
     predicted = at2 + 1
-    result = corona_at(g1, g2, options)
-    chi = chromatic_number(result.certificate.orientation.graph, options)
+    result, chi = _pinch(g1, r1, g2, r2, options)
     evidence = f"chi(corona)={chi}; AT bracket {_fmt_bracket(result.lo, result.hi)}"
-    if result.is_exact and chi == result.value == predicted:
-        verdict = "pass"
-    elif chi != predicted or _bracket_verdict({predicted}, result.lo, result.hi) == "fail":
+    # chi is in the lower bound, so the bracket alone passes only if chi = AT
+    verdict = _bracket_verdict({predicted}, result.lo, result.hi)
+    if chi not in (None, predicted):
         verdict = "fail"
-    else:
-        verdict = "inconclusive"
-    return _finish(
-        ClaimReport(
-            "corollary3.7", f"{name1} o {name2}", f"chi = AT = {predicted}",
-            f"chi={chi}, AT={_fmt_bracket(result.lo, result.hi)}", verdict, evidence,
-        ),
-        t0,
+    return _report(
+        t0, "corollary3.7", f"{name1} o {name2}", f"chi = AT = {predicted}",
+        f"chi={chi}, AT={_fmt_bracket(result.lo, result.hi)}", verdict, evidence,
+    )
+
+
+def _hypercube_corona_row(
+    claim: str, n: int, g2: Graph, name2: str, r2: ATResult, predicted: int,
+    options: SolverOptions, t0: float, show_method: bool = False,
+) -> ClaimReport:
+    """Bracket row for AT(Q_n o g2) pinched from the factors' exact results."""
+    q = hypercube(n)
+    result, _chi = _pinch(q, _exact_at(q, options), g2, r2, options)
+    evidence = f"lower {result.lo} via {result.lower_bound_reason}; certificate level {result.hi}"
+    if show_method:
+        evidence += f" ({result.certificate.method})"
+    return _report(
+        t0, claim, f"Q{n} o {name2}", str(predicted), _fmt_bracket(result.lo, result.hi),
+        _bracket_verdict({predicted}, result.lo, result.hi), evidence,
     )
 
 
@@ -347,25 +340,15 @@ def check_theorem_2(
     t0 = time.perf_counter()
     if g2.n < 2:
         raise ValueError("the attached graph needs at least 2 vertices")
-    at2 = _exact_at(g2, options).value
-    if at2 != 2:
-        raise ValueError(f"AT({name2}) = {at2}, the formula needs 2")
+    r2 = _exact_at(g2, options)
+    if r2.value != 2:
+        raise ValueError(f"AT({name2}) = {r2.value}, the formula needs 2")
     # AT = 2 forces an edge, which supplies the triangle for the n <= 2 case.
     if g2.m == 0:
         raise ProofObligationError("AT = 2 is impossible for an edgeless graph")
     predicted = 3 if n <= 2 else ceil_half(n) + 1
-    result = corona_at(hypercube(n), g2, options)
-    verdict = _bracket_verdict({predicted}, result.lo, result.hi)
-    evidence = (
-        f"lower {result.lo} via {result.lower_bound_reason}; "
-        f"certificate level {result.hi} ({result.certificate.method})"
-    )
-    return _finish(
-        ClaimReport(
-            "theorem2", f"Q{n} o {name2}", str(predicted),
-            _fmt_bracket(result.lo, result.hi), verdict, evidence,
-        ),
-        t0,
+    return _hypercube_corona_row(
+        "theorem2", n, g2, name2, r2, predicted, options, t0, show_method=True
     )
 
 
@@ -386,19 +369,10 @@ def check_lemma_3_9(
     odd = 2 * k + 1
     if odd < 3:
         raise ValueError("odd cycle needs length >= 3")
+    c = cycle(odd)
     predicted = 4 if n <= 4 else ceil_half(n) + 1
-    result = corona_at(hypercube(n), cycle(odd), options)
-    verdict = _bracket_verdict({predicted}, result.lo, result.hi)
-    evidence = (
-        f"lower {result.lo} via {result.lower_bound_reason}; "
-        f"certificate level {result.hi}"
-    )
-    return _finish(
-        ClaimReport(
-            "lemma3.9", f"Q{n} o C{odd}", str(predicted),
-            _fmt_bracket(result.lo, result.hi), verdict, evidence,
-        ),
-        t0,
+    return _hypercube_corona_row(
+        "lemma3.9", n, c, f"C{odd}", _exact_at(c, options), predicted, options, t0
     )
 
 
@@ -422,12 +396,9 @@ def check_toroidal_regression(
         result = at_exact(g, wide)
         evidence = f"exhaustive search, lower via {result.lower_bound_reason}"
     verdict = _bracket_verdict({predicted}, result.lo, result.hi)
-    return _finish(
-        ClaimReport(
-            "toroidal", f"C{m} x C{n}", str(predicted),
-            _fmt_bracket(result.lo, result.hi), verdict, evidence,
-        ),
-        t0,
+    return _report(
+        t0, "toroidal", f"C{m} x C{n}", str(predicted), _fmt_bracket(result.lo, result.hi),
+        verdict, evidence,
     )
 
 
@@ -445,12 +416,9 @@ def check_chi_product(
     predicted = max(chi1, chi2)
     computed = chromatic_number(cartesian_product(g, h), options)
     verdict = "pass" if computed == predicted else "fail"
-    return _finish(
-        ClaimReport(
-            "chi-product", f"{name1} x {name2}", str(predicted), str(computed),
-            verdict, f"chi({name1})={chi1} chi({name2})={chi2}",
-        ),
-        t0,
+    return _report(
+        t0, "chi-product", f"{name1} x {name2}", str(predicted), str(computed), verdict,
+        f"chi({name1})={chi1} chi({name2})={chi2}",
     )
 
 
@@ -476,10 +444,7 @@ def check_remark_gap(
         verdict = "fail"  # chi <= AT always, so equality: choosable after all
     else:
         verdict = "inconclusive"
-    return _finish(
-        ClaimReport("remark-gap", name, "chi < AT", computed, verdict, ""),
-        t0,
-    )
+    return _report(t0, "remark-gap", name, "chi < AT", computed, verdict, "")
 
 
 # ---------------------------------------------------------------------------

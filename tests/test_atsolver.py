@@ -242,10 +242,6 @@ def test_lower_bound_values_and_reasons():
     assert (lb, reason) == (3, "chromatic")
     lb, _ = at_lower_bound(path(2))
     assert lb == 2
-    lb, reason = at_lower_bound(
-        path(2), known_subgraph_bounds=[("something", 5)]
-    )
-    assert (lb, reason) == (5, "subgraph")
 
 
 # ---------------------------------------------------------------------------

@@ -18,26 +18,15 @@ def test_with_returns_new_instance():
     assert tweaked.enum_cap == 30 and base.enum_cap == 24
 
 
-def test_from_env(monkeypatch):
-    monkeypatch.setenv("AT_LAB_ENUM_CAP", "26")
-    monkeypatch.setenv("AT_LAB_TIME_BUDGET", "4.5")
-    opts = SolverOptions.from_env()
-    assert opts.enum_cap == 26
-    assert opts.time_budget == 4.5
-    # explicit overrides win
-    assert SolverOptions.from_env(threads=1).threads == 1
-
-
-def test_env_feeds_cli(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("AT_LAB_ENUM_CAP", "4")
+def test_env_feeds_cli(tmp_path, capsys):
+    # the budgets reach the CLI through flags alone
     gpath = tmp_path / "c6.graph"
     main(["gen", "cycle", "6", "-o", str(gpath)])
     arcs = tmp_path / "arcs.txt"
     arcs.write_text("\n".join(f"{i} {(i + 1) % 6}" for i in range(6)) + "\n")
     capsys.readouterr()
-    # 6 arcs > env cap 4: capacity exit
-    assert main(["diff", str(gpath), str(arcs)]) == 3
-    # the flag overrides the environment
+    # 6 arcs > cap 4: capacity exit
+    assert main(["diff", str(gpath), str(arcs), "--enum-cap", "4"]) == 3
     assert main(["diff", str(gpath), str(arcs), "--enum-cap", "6"]) == 0
 
 

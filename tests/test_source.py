@@ -46,6 +46,21 @@ def test_no_unused_imports():
     assert not found, f"unused imports in atlab: {found}"
 
 
+def test_no_environment_reads():
+    # budgets come from SolverOptions and CLI flags; an environment variable
+    # would be a second, hidden way to set them
+    found = []
+    for path in sorted(SOURCE.glob("**/*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                found.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name}:{node.lineno} from os import {a.name}"
+                          for a in node.names if a.name in ("environ", "getenv")]
+    assert not found, f"environment reads in atlab: {found}"
+
+
 def test_every_module_level_definition_is_referenced():
     # a function or class that nothing in the package names is kept only for
     # tests or benchmarks; a re-export in __init__.py counts as a reference

@@ -1,5 +1,6 @@
 import pytest
 
+from atlab import theorems
 from atlab import (
     Graph,
     SolverOptions,
@@ -165,6 +166,31 @@ def test_corona_at_multiplies_the_recorded_factor_magnitudes():
     assert res.certificate.diff_magnitude == 2 and res.certificate.method == "product-law"
     rep = verify_certificate(res.certificate)
     assert rep.accepted and rep.diff_magnitude == 2
+
+
+def test_checks_solve_each_graph_once(monkeypatch):
+    # a claim check hands the factor results it holds to the pinch, so no
+    # graph is solved or colored twice within one check
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(g, *args, **kwargs):
+            calls.append((name, g))
+            return fn(g, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(theorems, "at_exact", counted("at_exact", theorems.at_exact))
+    monkeypatch.setattr(
+        theorems, "chromatic_number", counted("chi", theorems.chromatic_number)
+    )
+    for check in (
+        lambda: check_lemma_3_6(cycle(4), complete(2), "C4", "K2"),
+        lambda: check_corollary_3_7(complete(2), cycle(3), "K2", "C3"),
+        lambda: check_theorem_2(2, complete(2), "K2"),
+    ):
+        calls.clear()
+        assert check().verdict == "pass"
+        assert calls and len(calls) == len(set(calls)), calls
 
 
 def test_remark_gap_checker():
