@@ -14,11 +14,16 @@ Orientation.strong_components finds the components in one linear pass, kept
 on the orientation, and both engines run per component and multiply:
 
   * eulerian_tally_enumerate - exact even and odd counts over all 2^|A|
-    arc subsets of each component, combined by parity. Implemented
-    meet-in-the-middle: arcs are split in halves, each half subset is reduced
-    to its per-vertex (outdegree - indegree) imbalance vector packed into a
-    single integer, and halves are joined on cancelling imbalances. Cost
-    ~2^(|A|/2) dictionary operations per component.
+    arc subsets of each component, combined by parity (tally_arcs). A
+    component in which every vertex has outdegree 1 is one directed cycle:
+    (2, 0) for an even length, (1, 1) for an odd one. Any other component is
+    counted meet-in-the-middle: arcs are split in halves, each half subset is
+    reduced to its per-vertex (outdegree - indegree) imbalance vector packed
+    into a single integer, and halves are joined on cancelling imbalances. A
+    vertex whose arcs all lie in one half must balance inside it, so the
+    subsets that leave it unbalanced are dropped as soon as its last arc is
+    in. Cost at most 2^ceil(|A|/2) keys per half, and fewer for every vertex
+    a half closes.
   * eulerian_diff_poly - the coefficient of prod_v x_v^(outdeg v) in
     prod_{arc (t,h)} (x_t - x_h), which equals diff(D) (the Alon-Tarsi
     identity, which holds on each component alone). Computed by
@@ -38,7 +43,9 @@ Everything is a pure function of immutable inputs.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError, SearchTimeout
@@ -81,7 +88,7 @@ class Orientation:
         """The strongly connected components that have arcs, each with its
         own arcs relabelled; computed on first use and kept."""
         if self._components is None:
-            self._components = _strong_components(self.graph.n, self.arcs)
+            self._components = _strong_components(self.graph, self.tails)
         return self._components
 
     def reversed(self) -> "Orientation":
@@ -120,16 +127,19 @@ class StrongComponent(NamedTuple):
 
 
 def _strong_components(
-    n: int, arcs: Sequence[tuple[int, int]]
+    graph: Graph, tails: Sequence[int]
 ) -> tuple[StrongComponent, ...]:
-    """Tarjan's algorithm without recursion: the components with two or more
-    vertices (the ones that have arcs), in the order Tarjan closes them."""
+    """Tarjan's algorithm without recursion on the orientation of `graph`
+    given by `tails`: the components with two or more vertices (the ones that
+    have arcs), in the order Tarjan closes them."""
+    n = graph.n
     succ: list[list[int]] = [[] for _ in range(n)]
-    for t, h in arcs:
-        succ[t].append(h)
+    for (u, v), t in zip(graph.edges, tails):
+        succ[t].append(v if t == u else u)
     index = [0] * n  # visit number from 1; 0 = not visited yet
     low = [0] * n
     comp = [-1] * n  # visited and still -1 means on the stack
+    local = [0] * n  # position in its component's sorted vertex list
     stack: list[int] = []
     parts: list[list[int]] = []
     visits = 0
@@ -155,27 +165,28 @@ def _strong_components(
                 work.pop()
                 if work and low[v] < low[work[-1][0]]:
                     low[work[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    part = []
-                    while True:
-                        w = stack.pop()
-                        comp[w] = len(parts)
-                        part.append(w)
-                        if w == v:
-                            break
-                    parts.append(part)
-    local = [0] * n
-    inner: dict[int, list[tuple[int, int]]] = {}
-    for c, part in enumerate(parts):
-        if len(part) > 1:
-            part.sort()
-            for i, v in enumerate(part):
-                local[v] = i
-            inner[c] = []
-    for t, h in arcs:
-        if comp[t] == comp[h]:
-            inner[comp[t]].append((local[t], local[h]))
-    return tuple(StrongComponent(tuple(parts[c]), tuple(a)) for c, a in inner.items())
+                if low[v] != index[v]:
+                    continue
+                if stack[-1] == v:  # v alone: no arc inside, matches no vertex
+                    stack.pop()
+                    comp[v] = n + v
+                    continue
+                part = []
+                while True:
+                    w = stack.pop()
+                    comp[w] = len(parts)
+                    part.append(w)
+                    if w == v:
+                        break
+                part.sort()
+                for i, w in enumerate(part):
+                    local[w] = i
+                parts.append(part)
+    inner: list[list[tuple[int, int]]] = [[] for _ in parts]
+    for (u, v), t in zip(graph.edges, tails):
+        if comp[u] == comp[v]:
+            inner[comp[u]].append((local[t], local[u if t == v else v]))
+    return tuple(StrongComponent(tuple(p), tuple(a)) for p, a in zip(parts, inner))
 
 
 def orient(g: Graph, tails: Sequence[int]) -> Orientation:
@@ -228,62 +239,67 @@ class EulerianTally:
 # ---------------------------------------------------------------------------
 
 
-def _imbalance_bits(n_vertices: int, arcs: Sequence[tuple[int, int]]) -> int:
-    """Field width so packed imbalance vectors are collision-free."""
+def tally_arcs(n_vertices: int, arcs: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """(even, odd) Eulerian subdigraph counts of one strongly connected
+    component with arcs, given by its vertex count and arc list, over all of
+    its arc subsets, with no budget gate.
+
+    |A| = |V| means outdegree 1 everywhere: the component is one directed
+    cycle. Otherwise (see the module docstring) each subset of a half is one
+    key holding, per vertex, `level` plus its (outdegree - indegree) in a
+    field of `bits` bits. The second half negates its imbalance, so an
+    Eulerian subdigraph is a pair of equal keys. A half holds at most
+    2^ceil(|A|/2) keys.
+    """
+    m = len(arcs)
+    if m and m == n_vertices:
+        return (1, 1) if m & 1 else (2, 0)
+    # By later endpoint, highest first: a vertex's arcs to lower neighbours
+    # then come last and together, and it closes once they are in.
+    arcs = sorted(arcs, key=max, reverse=True)
+    half = m // 2
     deg = [0] * n_vertices
-    for t, h in arcs:
+    first = [0] * n_vertices  # position of the vertex's first arc
+    last = [0] * n_vertices  # and of its last
+    for i, (t, h) in enumerate(arcs):
         deg[t] += 1
         deg[h] += 1
-    maxdeg = max(deg, default=0)
-    return (2 * maxdeg + 2).bit_length()
+        last[t] = last[h] = i
+    for i in range(m - 1, -1, -1):
+        t, h = arcs[i]
+        first[t] = first[h] = i
+    # A field of `bits` bits holds level +- deg without a carry.
+    bits = (2 * max(deg, default=0) + 2).bit_length()
+    mask = (1 << bits) - 1
+    level = 1 << bits - 1
+    base = 0  # the empty subset: every field at level
+    closes: list[list[tuple[int, int]]] = [[] for _ in arcs]
+    for v in range(n_vertices):
+        field, balanced = mask << v * bits, level << v * bits
+        base += balanced
+        if last[v] < half or first[v] >= half:  # all its arcs in one half
+            closes[last[v]].append((field, balanced))
 
+    def keys(steps: range, sign: int) -> tuple[list[int], list[int]]:
+        even, odd = [base], []
+        for i in steps:
+            t, h = arcs[i]
+            delta = sign * ((1 << t * bits) - (1 << h * bits))
+            grown = list(map(delta.__add__, even))
+            even += map(delta.__add__, odd)
+            odd += grown
+            for field, balanced in closes[i]:  # a vertex closes: it must balance
+                even = [k for k in even if k & field == balanced]
+                odd = [k for k in odd if k & field == balanced]
+        return even, odd
 
-def _arc_deltas(arcs: Sequence[tuple[int, int]], bits: int) -> list[int]:
-    """Packed imbalance contribution (+1 at tail, -1 at head) per arc."""
-    return [(1 << (t * bits)) - (1 << (h * bits)) for t, h in arcs]
-
-
-def _subset_keys(deltas: Sequence[int]) -> list[int]:
-    """Packed imbalance of every subset of `deltas`, indexed by bitmask."""
-    keys = [0] * (1 << len(deltas))
-    for m in range(1, len(keys)):
-        low = m & -m
-        keys[m] = keys[m ^ low] + deltas[low.bit_length() - 1]
-    return keys
-
-
-def _group_half(deltas: Sequence[int]) -> dict[int, list[int]]:
-    """First-half subsets grouped by negated imbalance key, split by parity."""
-    groups: dict[int, list[int]] = {}
-    for m, k in enumerate(_subset_keys(deltas)):
-        entry = groups.get(-k)
-        if entry is None:
-            groups[-k] = entry = [0, 0]
-        entry[m.bit_count() & 1] += 1
-    return groups
-
-
-def _meet(groups: dict[int, list[int]], deltas: Sequence[int]) -> tuple[int, int]:
-    """Join second-half subsets against the grouped first half."""
-    even = odd = 0
-    get = groups.get
-    for m, k in enumerate(_subset_keys(deltas)):
-        entry = get(k)
-        if entry is not None:
-            p = m.bit_count() & 1
-            even += entry[p]
-            odd += entry[1 - p]
-    return even, odd
-
-
-def tally_arcs(n_vertices: int, arcs: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """(even, odd) Eulerian subdigraph counts for a raw arc list, over all of
-    its subsets, with no budget gate."""
-    bits = _imbalance_bits(n_vertices, arcs)
-    deltas = _arc_deltas(arcs, bits)
-    half = len(arcs) // 2
-    groups = _group_half(deltas[:half])
-    return _meet(groups, deltas[half:])
+    even1, odd1 = keys(range(half), 1)
+    even2, odd2 = keys(range(half, m), -1)
+    even, odd = Counter(even1), Counter(odd1)
+    return (
+        sum(map(even.get, even2, repeat(0))) + sum(map(odd.get, odd2, repeat(0))),
+        sum(map(even.get, odd2, repeat(0))) + sum(map(odd.get, even2, repeat(0))),
+    )
 
 
 def eulerian_tally_enumerate(

@@ -13,8 +13,9 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True)
 class SolverOptions:
     # Max arc count of the largest strongly connected component for the exact
-    # even/odd Eulerian tally (meet-in-the-middle, costs ~2^(arcs/2)
-    # dictionary operations per component).
+    # even/odd Eulerian tally: meet-in-the-middle, at most 2^ceil(arcs/2) keys
+    # per half of a component's arcs, fewer where a vertex's arcs all lie in
+    # one half; a component that is one directed cycle costs none.
     enum_cap: int = 24
     # Gate for eulerian_diff_poly: no strongly connected component's product
     # of (outdegree+1) over its vertices may exceed this many monomials.

@@ -25,6 +25,7 @@ from atlab import (
     star,
     tree_from_pruefer,
 )
+from atlab.graphs import is_connected
 
 
 def corpus() -> list[tuple[str, Graph]]:
@@ -132,6 +133,20 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 
 def random_orientation(rng: random.Random, g: Graph) -> Orientation:
     return orient(g, [e[rng.randint(0, 1)] for e in g.edges])
+
+
+def random_regular_graph(rng: random.Random, n: int, k: int) -> Graph:
+    """A connected simple k-regular graph on n vertices: random pairings of
+    the n * k edge ends, drawn until one has no loop, no repeated edge and
+    one component."""
+    while True:
+        ends = [v for v in range(n) for _ in range(k)]
+        rng.shuffle(ends)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(ends[::2], ends[1::2]) if a != b}
+        if len(edges) == n * k // 2:
+            g = Graph([str(i) for i in range(n)], sorted(edges))
+            if is_connected(g):
+                return g
 
 
 def euler_circuit_orientation(g: Graph) -> Orientation:

@@ -246,6 +246,22 @@ def test_verify_recipe_certificates_past_enum_cap():
     assert verify_certificate(cert).verdict == "outdegree-only"
 
 
+def test_corona_cut_reports_on_recipe_certificates():
+    # (cross_count, diff_left, diff_right, diff_whole) of the copies/hub cut;
+    # Q4 o C5, whose hub is over enum_cap, is the next test's
+    cases = [
+        (hypercube(3), cycle(3), (24, 1, 4, 4)),
+        (hypercube(3), path(3), (24, 1, 4, 4)),
+        (hypercube(2), complete(3), (12, 1, 2, 2)),
+        (cycle(3), cycle(3), (9, 1, 1, 1)),
+    ]
+    for g1, g2, expected in cases:
+        cert, _ = recipe_certificate("corona", g1, g2)
+        rep = one_way_cut_check(cert.orientation, *corona_cut_sides(g1, g2))
+        assert rep.one_way and rep.backward_arcs == ()
+        assert (rep.cross_count, rep.diff_left, rep.diff_right, rep.diff_whole) == expected
+
+
 def test_corona_cut_side_over_enum_cap_has_no_diff():
     # Q4 o C5 from the Q4 closed form and the C5 degeneracy order: the copies
     # are acyclic (diff 1), the hub is one 32-arc component over enum_cap

@@ -9,6 +9,8 @@ from atlab import (
     SolverOptions,
     acyclic_certificate,
     at_bipartite,
+    at_exact,
+    cartesian_product,
     corona_orientation,
     cycle,
     eulerian_diff_poly,
@@ -21,8 +23,20 @@ from atlab import (
     orientation_from_arcs,
     path,
 )
-from atlab.eulerian import diff_coefficient, frontier_order, poly_state_bound, tally_arc_bound
-from helpers import euler_circuit_orientation, naive_tally, random_graph, random_orientation
+from atlab.eulerian import (
+    diff_coefficient,
+    frontier_order,
+    poly_state_bound,
+    tally_arc_bound,
+    tally_arcs,
+)
+from helpers import (
+    euler_circuit_orientation,
+    naive_tally,
+    random_graph,
+    random_orientation,
+    random_regular_graph,
+)
 
 
 def cyclic(n):
@@ -59,10 +73,12 @@ def test_tally_frozen_values():
     # single arc: only the empty subdigraph
     t = eulerian_tally_enumerate(orient(path(2), [0]))
     assert (t.even_count, t.odd_count, t.diff) == (1, 0, 1)
-    t = eulerian_tally_enumerate(cyclic(3))
-    assert (t.even_count, t.odd_count, t.diff) == (1, 1, 0)
-    t = eulerian_tally_enumerate(cyclic(4))
-    assert (t.even_count, t.odd_count, t.diff) == (2, 0, 2)
+    # a directed cycle: the empty subdigraph and the whole cycle; a 2-cycle
+    # orients no simple graph, so it goes to the kernel as a raw arc list
+    assert tally_arcs(2, [(0, 1), (1, 0)]) == (2, 0)
+    for n in range(3, 13):
+        t = eulerian_tally_enumerate(cyclic(n))
+        assert (t.even_count, t.odd_count, t.diff) == ((1, 1, 0) if n % 2 else (2, 0, 2))
 
 
 def test_tally_matches_naive_oracle():
@@ -76,6 +92,24 @@ def test_tally_matches_naive_oracle():
             eulerian_tally_enumerate(d).even_count,
             eulerian_tally_enumerate(d).odd_count,
         )
+
+
+def test_tally_of_large_components():
+    # single components too large for naive_tally: the 24 arcs of the C3 x C4
+    # level certificate, and Euler-circuit orientations of seeded random
+    # 4-regular graphs on 6..12 vertices (2n arcs); the counts are pinned
+    c3c4 = cartesian_product(cycle(3), cycle(4))
+    cases = [(at_exact(c3c4, SolverOptions(search_edge_cap=c3c4.m)).certificate.orientation,
+              (292, 256))]
+    rng = random.Random(404)
+    for n, counts in [(6, (22, 16)), (7, (30, 30)), (8, (50, 44)), (9, (80, 80)),
+                      (10, (116, 116)), (11, (188, 182)), (12, (266, 278))]:
+        cases.append((euler_circuit_orientation(random_regular_graph(rng, n, 4)), counts))
+    for d, counts in cases:
+        assert [len(part.arcs) for part in d.strong_components()] == [2 * d.graph.n]
+        t = eulerian_tally_enumerate(d)
+        assert (t.even_count, t.odd_count) == counts
+        assert t.diff == diff_coefficient(d)
 
 
 def strongly_connected_q4():

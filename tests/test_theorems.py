@@ -2,12 +2,15 @@ import pytest
 
 from atlab import theorems
 from atlab import (
+    CapacityError,
     Graph,
     SolverOptions,
     at_exact,
     cartesian_product,
+    chromatic_number,
     complete,
     complete_bipartite,
+    corona,
     corona_at,
     cycle,
     hypercube,
@@ -197,10 +200,10 @@ def test_remark_gap_checker():
     q4 = hypercube(4)
     from atlab import at_bipartite
 
-    rep = check_remark_gap(q4, "Q4", at_bipartite(q4))
+    rep = check_remark_gap("Q4", chromatic_number(q4), at_bipartite(q4))
     assert rep.verdict == "pass"
     q2 = hypercube(2)
-    rep = check_remark_gap(q2, "Q2", at_bipartite(q2))
+    rep = check_remark_gap("Q2", chromatic_number(q2), at_bipartite(q2))
     assert rep.verdict == "fail"  # AT(Q2) = 2 = chi(Q2)
 
 
@@ -239,3 +242,21 @@ def test_suite_known_failures_are_the_remark_instances():
     reports = run_suite(["remark-gap"])
     failed = [r.instance for r in reports if r.verdict == "fail"]
     assert failed == ["Q2", "Q3 o P3", "Q3 o C3"]
+
+
+def test_remark_gap_colors_each_corona_once(monkeypatch):
+    # the pinch that bounds a remark corona's AT hands its chi to the row
+    colored = []
+
+    def counted(g, *args, **kwargs):
+        colored.append(g)
+        return chromatic_number(g, *args, **kwargs)
+
+    monkeypatch.setattr(theorems, "chromatic_number", counted)
+    run_suite(["remark-gap"])
+    for g2 in (path(3), cycle(3)):
+        assert colored.count(corona(hypercube(3), g2)) == 1
+    # a corona block (hub plus copy, 4 vertices) over the chromatic budget
+    # still raises, though the pinch leaves its chi out
+    with pytest.raises(CapacityError):
+        run_suite(["remark-gap"], SolverOptions(chromatic_block_cap=3))
