@@ -5,7 +5,6 @@ closed-form values."""
 from .atsolver import (
     ATCertificate,
     ATResult,
-    ChoosabilityReport,
     UniformCap,
     acyclic_certificate,
     at_bipartite,
@@ -15,7 +14,6 @@ from .atsolver import (
     bounded_outdegree_orientation,
     chromatic_number,
     find_at_orientation,
-    is_chromatic_at_choosable,
     least_uniform_cap,
 )
 from .construct import (
@@ -26,23 +24,19 @@ from .construct import (
     product_orientation,
     verify_certificate,
 )
-from .density import DensityWitness, mad, max_density, max_density_bruteforce
+from .density import DensityWitness, max_density
 from .errors import CapacityError, ProofObligationError, SizeCapError
 from .eulerian import (
-    ATDecision,
     EulerianTally,
     OneWayCutReport,
     Orientation,
     eulerian_diff_poly,
     eulerian_tally_enumerate,
-    induced_orientation,
-    is_at_orientation,
     one_way_cut_check,
     orient,
     orientation_from_arcs,
 )
 from .graphs import (
-    Bipartition,
     Graph,
     bipartition,
     cartesian_product,
@@ -51,7 +45,6 @@ from .graphs import (
     corona,
     cycle,
     hypercube,
-    odd_closed_walk,
     path,
     star,
     tree_from_edges,

@@ -101,13 +101,6 @@ class ATResult:
         return self.lo if self.lo == self.hi else None
 
 
-@dataclass(frozen=True)
-class ChoosabilityReport:
-    chi: int
-    at: int
-    choosable: bool
-
-
 # ---------------------------------------------------------------------------
 # Bounded-outdegree orientations (path reversal)
 # ---------------------------------------------------------------------------
@@ -542,7 +535,7 @@ def at_exact(
     if bipartite_shortcut and bipartition(g) is not None:
         return at_bipartite(g, options)
     deadline = (
-        time.monotonic() + options.time_budget if options.time_budget else None
+        None if options.time_budget is None else time.monotonic() + options.time_budget
     )
     lower, reason = at_lower_bound(g, options, deadline=deadline)
     upper_cert = acyclic_certificate(g)
@@ -564,17 +557,3 @@ def at_exact(
         k += 1
         reason = "exhaustive-refutation"
     return ATResult(hi, hi, upper_cert, reason)
-
-
-def is_chromatic_at_choosable(
-    g: Graph, options: SolverOptions = DEFAULT_OPTIONS
-) -> ChoosabilityReport:
-    """chi(G) == AT(G)? Both solvers must produce exact values."""
-    chi = chromatic_number(g, options)
-    result = at_exact(g, options)
-    if not result.is_exact:
-        raise CapacityError(
-            f"AT solver returned bracket [{result.lo}, {result.hi}]; "
-            "cannot decide chromatic-AT choosability"
-        )
-    return ChoosabilityReport(chi, result.value, chi == result.value)

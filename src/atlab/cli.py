@@ -21,7 +21,7 @@ from .documents import (
     serialize_certificate,
     serialize_graph,
 )
-from .errors import CapacityError, SizeCapError
+from .errors import CapacityError
 from .eulerian import eulerian_tally_enumerate, one_way_cut_check, orientation_from_arcs
 from .graphs import (
     Graph,
@@ -76,23 +76,16 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
+# `gen` families built from a size alone
+_FAMILIES = {"hypercube": hypercube, "cycle": cycle, "path": path, "star": star,
+            "complete": complete}
+
+
 def cmd_gen(args) -> int:
     family = args.family
-    if family == "hypercube":
-        g = hypercube(args.n)
-        prov = f"hypercube n={args.n}"
-    elif family == "cycle":
-        g = cycle(args.n)
-        prov = f"cycle n={args.n}"
-    elif family == "path":
-        g = path(args.n)
-        prov = f"path n={args.n}"
-    elif family == "star":
-        g = star(args.n)
-        prov = f"star n={args.n}"
-    elif family == "complete":
-        g = complete(args.n)
-        prov = f"complete n={args.n}"
+    if family in _FAMILIES:
+        g = _FAMILIES[family](args.n)
+        prov = f"{family} n={args.n}"
     elif family == "tree":
         if args.pruefer is not None:
             seq = [int(x) for x in args.pruefer.split(",")] if args.pruefer else []
@@ -286,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a graph family member")
-    p.add_argument("family", choices=["hypercube", "cycle", "path", "star", "complete", "tree"])
+    p.add_argument("family", choices=[*_FAMILIES, "tree"])
     p.add_argument("n", type=int, nargs="?", default=0)
     p.add_argument("--pruefer", help="comma-separated Pruefer sequence (tree)")
     p.add_argument("--edges", help="comma-separated u-v pairs (tree)")
@@ -308,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("at", help="Alon-Tarsi number of a graph document")
     p.add_argument("graph")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true")
     mode.add_argument("--bipartite", action="store_true")
     mode.add_argument("--bounds", action="store_true")
     p.add_argument("--cert", help="write the certificate document here")
@@ -358,7 +350,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, SizeCapError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:

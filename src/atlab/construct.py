@@ -48,12 +48,6 @@ class ConstructionRecipe:
     d2: Orientation
     edge_rules: tuple[tuple[str, Optional[int]], ...]
 
-    def rule_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for rule, _ in self.edge_rules:
-            counts[rule] = counts.get(rule, 0) + 1
-        return counts
-
 
 def product_orientation(
     g1: Graph, d1: Orientation, g2: Graph, d2: Orientation

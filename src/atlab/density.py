@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
 
-from .errors import CapacityError, ProofObligationError
+from .errors import ProofObligationError
 from .graphs import Graph
 
 
@@ -138,52 +138,3 @@ def max_density(g: Graph) -> DensityWitness:
         if denser <= density:
             raise ProofObligationError(f"path reversal reached density {denser} <= {density}")
         density, witness = denser, reached
-
-
-def max_density_bruteforce(g: Graph) -> DensityWitness:
-    """Exhaustive oracle over all nonempty vertex subsets (|V| <= 20).
-
-    Ties broken toward smaller subsets, then lexicographically least.
-    """
-    if g.n == 0:
-        raise ValueError("density of the empty graph is undefined")
-    if g.n > 20:
-        raise CapacityError(f"brute-force density capped at 20 vertices, got {g.n}")
-    n = g.n
-    nbr_mask = [0] * n
-    for u, v in g.edges:
-        nbr_mask[u] |= 1 << v
-        nbr_mask[v] |= 1 << u
-    edge_count = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        top = mask.bit_length() - 1
-        rest = mask ^ (1 << top)
-        edge_count[mask] = edge_count[rest] + (nbr_mask[top] & rest).bit_count()
-    best_e, best_s, best_mask = 0, 1, 1
-    for mask in range(1, 1 << n):
-        e = edge_count[mask]
-        s = mask.bit_count()
-        # compare e/s with best_e/best_s by cross-multiplication
-        lhs, rhs = e * best_s, best_e * s
-        if lhs > rhs:
-            best_e, best_s, best_mask = e, s, mask
-        elif lhs == rhs:
-            if s < best_s or (s == best_s and _mask_subset(mask) < _mask_subset(best_mask)):
-                best_e, best_s, best_mask = e, s, mask
-    return DensityWitness(Fraction(best_e, best_s), _mask_subset(best_mask))
-
-
-def _mask_subset(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
-
-
-def mad(g: Graph) -> Fraction:
-    """Maximum average degree: twice the maximum subgraph density."""
-    return 2 * max_density(g).density

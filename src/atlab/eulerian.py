@@ -91,12 +91,6 @@ class Orientation:
             self._components = _strong_components(self.graph, self.tails)
         return self._components
 
-    def reversed(self) -> "Orientation":
-        flipped = [
-            v if t == u else u for (u, v), t in zip(self.graph.edges, self.tails)
-        ]
-        return Orientation(self.graph, flipped)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Orientation)
@@ -209,17 +203,6 @@ def orientation_from_arcs(g: Graph, arcs: Iterable[tuple[int, int]]) -> Orientat
     if remaining:
         raise ValueError(f"{len(remaining)} edges left unoriented")
     return Orientation(g, tails)
-
-
-def induced_orientation(d: Orientation, keep: Iterable[int]) -> Orientation:
-    """Restriction of d to the subgraph induced by vertex indices `keep`."""
-    sub, remap = d.graph.induced_subgraph(keep)
-    tails = [
-        remap[t]
-        for (u, v), t in zip(d.graph.edges, d.tails)
-        if u in remap and v in remap
-    ]
-    return Orientation(sub, tails)
 
 
 @dataclass(frozen=True)
@@ -570,37 +553,8 @@ def engine_diff(
 
 
 # ---------------------------------------------------------------------------
-# AT decision and the one-way cut law
+# The one-way cut law
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ATDecision:
-    """Nonzero-diff verdict plus which engine produced it.
-
-    `diff` is the signed diff(d); both engines compute it exactly.
-    """
-
-    is_at: bool
-    method: str
-    diff: int
-
-    def __bool__(self) -> bool:
-        return self.is_at
-
-
-def is_at_orientation(
-    d: Orientation, options: SolverOptions = DEFAULT_OPTIONS
-) -> ATDecision:
-    """True iff diff(d) != 0; engine picked by size, recorded in the result."""
-    method, diff = engine_diff(d, options)
-    if method is None:
-        raise CapacityError(
-            f"no diff engine within budget: {tally_arc_bound(d)} arcs in the largest "
-            f"strongly connected component > enum_cap {options.enum_cap} and state "
-            f"bound {poly_state_bound(d)} > poly_budget {options.poly_budget}"
-        )
-    return ATDecision(diff != 0, method, diff)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ Label conventions:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import SizeCapError
@@ -82,9 +81,6 @@ class Graph:
         """Neighbor indices per vertex, in edge-construction order."""
         return self._adj
 
-    def degree(self, v: int) -> int:
-        return len(self._adj[v])
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self._adj)
 
@@ -93,18 +89,6 @@ class Graph:
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < len(self._adj) and v in self._adj[u]
-
-    def induced_subgraph(self, keep: Iterable[int]) -> tuple["Graph", dict[int, int]]:
-        """Subgraph induced by vertex indices `keep`; also returns old->new map."""
-        keep = sorted(set(keep))
-        remap = {old: new for new, old in enumerate(keep)}
-        sub_edges = [
-            (remap[u], remap[v]) for u, v in self.edges if u in remap and v in remap
-        ]
-        return Graph([self.vertices[i] for i in keep], sub_edges), remap
 
     def __eq__(self, other) -> bool:
         return (
@@ -118,14 +102,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """Vertex 2-coloring witness: every edge joins `left` to `right`."""
-
-    left: tuple[int, ...]
-    right: tuple[int, ...]
 
 
 def hypercube(n: int) -> Graph:
@@ -290,18 +266,10 @@ def corona(g1: Graph, g2: Graph) -> Graph:
     return Graph(vertices, edges)
 
 
-def bipartition(g: Graph) -> Optional[Bipartition]:
-    """BFS 2-coloring; None when some component has an odd cycle.
-
-    Deterministic: components are explored in vertex-index order and the
-    lowest-index vertex of each component lands on the left side.
-    """
-    side = two_coloring(g.adjacency)
-    if side is None:
-        return None
-    left = tuple(v for v in range(g.n) if side[v] == 0)
-    right = tuple(v for v in range(g.n) if side[v] == 1)
-    return Bipartition(left, right)
+def bipartition(g: Graph) -> Optional[list[int]]:
+    """Side 0 or 1 per vertex by BFS 2-coloring (two_coloring); None when
+    some component has an odd cycle."""
+    return two_coloring(g.adjacency)
 
 
 def two_coloring(adjacency: Sequence[Sequence[int]]) -> Optional[list[int]]:
@@ -322,35 +290,3 @@ def two_coloring(adjacency: Sequence[Sequence[int]]) -> Optional[list[int]]:
                 elif side[w] == side[u]:
                     return None
     return side
-
-
-def odd_closed_walk(g: Graph) -> Optional[list[int]]:
-    """A closed walk of odd length, as evidence that no bipartition exists."""
-    side = [-1] * g.n
-    parent = [-1] * g.n
-    for start in range(g.n):
-        if side[start] != -1:
-            continue
-        side[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if side[w] == -1:
-                    side[w] = 1 - side[u]
-                    parent[w] = u
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    # root -> u, the conflict edge u-w, then w -> root: both
-                    # tree paths have depths of equal parity, so the walk is odd.
-                    up, wp = [], []
-                    x = u
-                    while x != -1:
-                        up.append(x)
-                        x = parent[x]
-                    x = w
-                    while x != -1:
-                        wp.append(x)
-                        x = parent[x]
-                    return list(reversed(up)) + wp
-    return None

@@ -28,7 +28,8 @@ class SolverOptions:
     # the benchmark harness passes threads=1; drop it when that call does.
     threads: int = 1
     # Wall-clock budget in seconds for a single at_exact call, covering its
-    # chromatic-number search and its level search (None = unlimited).
+    # chromatic-number search and its level search (None = unlimited; 0
+    # leaves no time, so any search past the bounds ends in a bracket).
     time_budget: float | None = None
 
     def with_(self, **kw) -> "SolverOptions":

@@ -60,10 +60,6 @@ class ClaimReport:
     evidence: str
     millis: float = field(compare=False, default=0.0)
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
 
 def ceil_half(n: int) -> int:
     return (n + 1) // 2

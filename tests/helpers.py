@@ -8,12 +8,19 @@ against code that shares nothing with them.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 from atlab import (
+    DEFAULT_OPTIONS,
+    CapacityError,
+    DensityWitness,
     Graph,
     Orientation,
+    SolverOptions,
+    at_exact,
     cartesian_product,
+    chromatic_number,
     complete,
     complete_bipartite,
     corona,
@@ -112,6 +119,84 @@ def naive_chromatic(g: Graph, k_max: int = 6) -> int:
         if colorable(k):
             return k
     raise AssertionError(f"not {k_max}-colorable")
+
+
+def max_density_bruteforce(g: Graph) -> DensityWitness:
+    """Exhaustive oracle over all nonempty vertex subsets (|V| <= 20).
+
+    Ties broken toward smaller subsets, then lexicographically least.
+    """
+    if g.n == 0:
+        raise ValueError("density of the empty graph is undefined")
+    if g.n > 20:
+        raise CapacityError(f"brute-force density capped at 20 vertices, got {g.n}")
+    n = g.n
+    nbr_mask = [0] * n
+    for u, v in g.edges:
+        nbr_mask[u] |= 1 << v
+        nbr_mask[v] |= 1 << u
+    edge_count = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        top = mask.bit_length() - 1
+        rest = mask ^ (1 << top)
+        edge_count[mask] = edge_count[rest] + (nbr_mask[top] & rest).bit_count()
+    best_e, best_s, best_mask = 0, 1, 1
+    for mask in range(1, 1 << n):
+        e = edge_count[mask]
+        s = mask.bit_count()
+        # compare e/s with best_e/best_s by cross-multiplication
+        lhs, rhs = e * best_s, best_e * s
+        if lhs > rhs:
+            best_e, best_s, best_mask = e, s, mask
+        elif lhs == rhs:
+            if s < best_s or (s == best_s and _mask_subset(mask) < _mask_subset(best_mask)):
+                best_e, best_s, best_mask = e, s, mask
+    return DensityWitness(Fraction(best_e, best_s), _mask_subset(best_mask))
+
+
+def _mask_subset(mask: int) -> tuple[int, ...]:
+    out = []
+    v = 0
+    while mask:
+        if mask & 1:
+            out.append(v)
+        mask >>= 1
+        v += 1
+    return tuple(out)
+
+
+def induced_subgraph(g: Graph, keep) -> tuple[Graph, dict[int, int]]:
+    """Subgraph induced by vertex indices `keep`; also returns old->new map."""
+    keep = sorted(set(keep))
+    remap = {old: new for new, old in enumerate(keep)}
+    sub_edges = [(remap[u], remap[v]) for u, v in g.edges if u in remap and v in remap]
+    return Graph([g.vertices[i] for i in keep], sub_edges), remap
+
+
+def induced_orientation(d: Orientation, keep) -> Orientation:
+    """Restriction of d to the subgraph induced by vertex indices `keep`."""
+    sub, remap = induced_subgraph(d.graph, keep)
+    tails = [
+        remap[t]
+        for (u, v), t in zip(d.graph.edges, d.tails)
+        if u in remap and v in remap
+    ]
+    return orient(sub, tails)
+
+
+def chromatic_at_choosable(
+    g: Graph, options: SolverOptions = DEFAULT_OPTIONS
+) -> tuple[int, int, bool]:
+    """(chi, AT, chi == AT) from the generic solvers; both must give exact
+    values."""
+    chi = chromatic_number(g, options)
+    result = at_exact(g, options)
+    if not result.is_exact:
+        raise CapacityError(
+            f"AT solver returned bracket [{result.lo}, {result.hi}]; "
+            "cannot decide chromatic-AT choosability"
+        )
+    return chi, result.value, chi == result.value
 
 
 def mycielski(g: Graph) -> Graph:

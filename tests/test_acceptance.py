@@ -42,11 +42,7 @@ from atlab import (
     eulerian_diff_poly,
     eulerian_tally_enumerate,
     hypercube,
-    induced_orientation,
-    is_at_orientation,
-    is_chromatic_at_choosable,
     max_density,
-    max_density_bruteforce,
     one_way_cut_check,
     orient,
     path,
@@ -65,7 +61,15 @@ from atlab.theorems import (
     random_corona_pairs,
     tree_catalog,
 )
-from helpers import corpus, random_bipartite_graph, random_graph, random_orientation
+from helpers import (
+    chromatic_at_choosable,
+    corpus,
+    induced_orientation,
+    max_density_bruteforce,
+    random_bipartite_graph,
+    random_graph,
+    random_orientation,
+)
 
 
 def _finish(num: int, desc: str, failures: list[str], t0: float, budget: float) -> None:
@@ -300,8 +304,7 @@ def test_criterion_10_bipartite_consistency():
     while done < 50:
         g = random_bipartite_graph(rng, max_side=5, max_edges=24)
         d = random_orientation(rng, g)
-        dec = is_at_orientation(d, opts)
-        if not dec.is_at:
+        if eulerian_tally_enumerate(d, opts).diff == 0:
             failures.append(f"bipartite orientation {done} has diff 0: {d.arcs}")
         done += 1
     _finish(10, "bipartite closed-form consistency", failures, t0, 300)
@@ -392,8 +395,8 @@ def test_criterion_12_chromatic_at_gap(
         # The program's own chi == AT verdict, through the generic solver
         # (chromatic lower bound, level search, degeneracy certificate)
         # instead of the corona rule.
-        verdict = is_chromatic_at_choosable(graph, SolverOptions(search_edge_cap=graph.m))
-        if (verdict.chi, verdict.at, verdict.choosable) != (chi_expected, at_expected, True):
+        verdict = chromatic_at_choosable(graph, SolverOptions(search_edge_cap=graph.m))
+        if verdict != (chi_expected, at_expected, True):
             failures.append(f"generic solver: {verdict}, expected chi = AT = {at_expected}")
     remark = "holds" if gap else "contradicted"
     _finish(

@@ -27,9 +27,7 @@ from atlab import (
     eulerian_tally_enumerate,
     find_at_orientation,
     hypercube,
-    is_chromatic_at_choosable,
     max_density,
-    max_density_bruteforce,
     orientation_from_arcs,
     path,
     star,
@@ -46,7 +44,16 @@ from atlab.documents import serialize_certificate
 from atlab.errors import SearchTimeout
 from atlab.eulerian import engine_diff
 from atlab.theorems import check_theorem_1
-from helpers import corpus, mycielski, naive_chromatic, random_bipartite_graph, random_graph
+from helpers import (
+    chromatic_at_choosable,
+    corpus,
+    induced_subgraph,
+    max_density_bruteforce,
+    mycielski,
+    naive_chromatic,
+    random_bipartite_graph,
+    random_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +154,7 @@ def test_chromatic_capacity_error_iff_a_non_bipartite_block_exceeds_the_cap():
         g = random_graph(rng, rng.randint(2, 14), rng.choice((0.15, 0.3, 0.5)))
         cap = rng.randint(3, 10)
         over = any(
-            len(b) > cap and bipartition(g.induced_subgraph(b)[0]) is None
+            len(b) > cap and bipartition(induced_subgraph(g, b)[0]) is None
             for b in biconnected_blocks(g)
         )
         options = SolverOptions(chromatic_block_cap=cap)
@@ -390,9 +397,10 @@ def test_at_exact_bracket_over_budget():
 
 def test_at_exact_time_budget_brackets():
     g = cartesian_product(cycle(3), cycle(3))
-    res = at_exact(g, SolverOptions(search_edge_cap=24, time_budget=1e-9))
-    assert not res.is_exact
-    assert res.lo <= 4 <= res.hi
+    for budget in (1e-9, 0):  # 0 leaves no time; it does not mean unlimited
+        res = at_exact(g, SolverOptions(search_edge_cap=24, time_budget=budget))
+        assert not res.is_exact, budget
+        assert res.lo <= 4 <= res.hi
 
 
 def test_lower_bound_never_exceeds_exact_and_certs_reverify():
@@ -413,11 +421,11 @@ def test_lower_bound_never_exceeds_exact_and_certs_reverify():
 
 def test_subgraph_monotonicity_spot_check():
     g = cartesian_product(cycle(3), cycle(3))
-    sub, _ = g.induced_subgraph(range(6))
+    sub, _ = induced_subgraph(g, range(6))
     opts = SolverOptions(search_edge_cap=24)
     assert at_exact(sub, opts).value <= at_exact(g, opts).value
     h = corona(cycle(3), path(2))
-    sub2, _ = h.induced_subgraph(range(3))
+    sub2, _ = induced_subgraph(h, range(3))
     assert at_exact(sub2, opts).value <= at_exact(h, opts).value
 
 
@@ -469,9 +477,6 @@ def test_at_exact_time_budget_holds_on_c5xc7():
 
 
 def test_chromatic_at_choosable():
-    rep = is_chromatic_at_choosable(cycle(4))
-    assert (rep.chi, rep.at, rep.choosable) == (2, 2, True)
-    rep = is_chromatic_at_choosable(cycle(3))
-    assert (rep.chi, rep.at, rep.choosable) == (3, 3, True)
-    rep = is_chromatic_at_choosable(hypercube(3))
-    assert (rep.chi, rep.at, rep.choosable) == (2, 3, False)
+    assert chromatic_at_choosable(cycle(4)) == (2, 2, True)
+    assert chromatic_at_choosable(cycle(3)) == (3, 3, True)
+    assert chromatic_at_choosable(hypercube(3)) == (2, 3, False)

@@ -196,11 +196,11 @@ def test_cli_bracket_exit_code(tmp_path, capsys):
     main(["product", str(gpath), str(c4path), "-o", str(g34_path)])
     capsys.readouterr()
     # default edge cap 20 < 24 edges: bracket only, exit 3
-    assert main(["at", str(g34_path), "--exact"]) == 3
+    assert main(["at", str(g34_path)]) == 3
     out = capsys.readouterr().out
     assert "AT in [" in out
     # raising the cap gives the exact answer
-    assert main(["at", str(g34_path), "--exact", "--edge-cap", "24"]) == 0
+    assert main(["at", str(g34_path), "--edge-cap", "24"]) == 0
     assert "AT = 3" in capsys.readouterr().out
 
 

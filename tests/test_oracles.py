@@ -11,14 +11,13 @@ from atlab import (
     at_exact,
     eulerian_tally_enumerate,
     find_at_orientation,
-    is_at_orientation,
     least_uniform_cap,
     orient,
     orientation_from_arcs,
 )
-from atlab.density import induced_edge_count, max_density, max_density_bruteforce, reverse_paths
-from atlab.eulerian import diff_coefficient, frontier_order
-from helpers import naive_tally, random_graph, random_orientation
+from atlab.density import induced_edge_count, max_density, reverse_paths
+from atlab.eulerian import diff_coefficient, engine_diff, frontier_order
+from helpers import max_density_bruteforce, naive_tally, random_graph, random_orientation
 
 
 def naive_at(g, k_max=6):
@@ -171,8 +170,7 @@ def test_component_factoring_matches_whole_orientation_oracle():
         assert (tally.even_count, tally.odd_count) == (even, odd), (shape, d.arcs)
         assert diff_coefficient(d) == even - odd, (shape, d.arcs)
         assert diff_coefficient(d, frontier_order(d.graph)[::-1]) == even - odd
-        dec = is_at_orientation(d)
-        assert dec.diff == even - odd and dec.is_at == (even != odd)
+        assert engine_diff(d)[1] == even - odd
     # the shapes did what they say: no acyclic one has a component, every
     # other one has one, and blocks joined by cross arcs have several
     assert seen == {"acyclic": 0, "one component": 50, "cross arcs": 50, "disconnected": 50}
