@@ -28,13 +28,15 @@ multiplicities to find the exact rational density; that density is only
 reported, never needed for an AT value.
 
 Exact chromatic numbers come from bounds first and a search only where the
-bounds disagree. A bipartite graph needs at most 2 colors. Otherwise a greedy
-clique (or 3, for the odd cycle) bounds chi from below and DSATUR from above;
-on a graph within chromatic_block_cap they often meet, and then that is chi.
-Else chi is the max over biconnected blocks: each distinct block is bounded
-the same way and, where its DSATUR bound beats the best block so far, searched
-by a saturation-guided, symmetry-broken backtracker that honours the
-at_exact deadline.
+bounds disagree. A bipartite graph needs at most 2 colors; any other needs at
+least 3 (its odd cycle). DSATUR bounds chi from above and runs first: a count
+of 3 is chi at once, and only a larger count calls for the greedy clique as a
+lower bound. On a graph within chromatic_block_cap the two often meet, and
+then that is chi. Else chi is the max over biconnected blocks: each distinct
+block is bounded the same way, a block DSATUR colors with at most
+max(3, best block so far) settles at that count, and the rest are searched by
+a saturation-guided, symmetry-broken backtracker that honours the at_exact
+deadline.
 """
 
 from __future__ import annotations
@@ -318,13 +320,15 @@ def chromatic_number(
 ) -> int:
     """Exact chi(G), from bounds where they meet and a search where not.
 
-    A bipartite graph needs 1 color, or 2 with an edge. Otherwise, when G
-    fits chromatic_block_cap (so no block can exceed it), max(3, greedy
-    clique) == DSATUR on G is the answer. Else chi is the max over
-    biconnected blocks; each distinct block (by local adjacency) is skipped
-    when DSATUR colors it with at most the best so far, and searched from
-    max(3, best, clique) upwards otherwise; a block that is all of G keeps
-    G's bounds. Raises CapacityError when a non-bipartite block exceeds
+    A bipartite graph needs 1 color, or 2 with an edge. Any other graph needs
+    at least 3, so DSATUR runs first and the greedy clique only when DSATUR
+    colors with more than 3. When G fits chromatic_block_cap (so no block
+    can exceed it), DSATUR == max(3, clique) on G is the answer. Else chi is
+    the max over biconnected blocks; each distinct non-bipartite block (by
+    local adjacency) whose DSATUR count is at most max(3, best so far) just
+    raises the best to that count, and any other is searched from
+    max(3, best, clique) upwards; a block that is all of G keeps G's bounds.
+    Raises CapacityError when a non-bipartite block exceeds
     chromatic_block_cap, and SearchTimeout past `deadline`.
     """
     if g.n == 0:
@@ -335,8 +339,11 @@ def chromatic_number(
     cap = options.chromatic_block_cap
     whole = None
     if g.n <= cap:
-        upper, clique = _dsatur(adj), _greedy_clique(adj)
-        if max(3, clique) == upper:
+        upper = _dsatur(adj)
+        if upper == 3:
+            return 3
+        clique = _greedy_clique(adj)
+        if clique == upper:
             return upper
         whole = (upper, clique)
     best = 2
@@ -360,7 +367,8 @@ def chromatic_number(
                     f"block with {len(blk)} vertices exceeds chromatic budget {cap}"
                 )
             upper = _dsatur(local)
-            if upper <= best:
+            if upper <= max(3, best):
+                best = max(best, upper)
                 continue
             clique = _greedy_clique(local)
         k = max(3, best, clique)

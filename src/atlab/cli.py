@@ -72,7 +72,10 @@ def _load_graph(path_: str) -> tuple[Graph, Optional[str]]:
 def _parse_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise ValueError(f"empty range {text!r}")
+        return values
     return [int(text)]
 
 

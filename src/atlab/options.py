@@ -32,6 +32,11 @@ class SolverOptions:
     # leaves no time, so any search past the bounds ends in a bracket).
     time_budget: float | None = None
 
+    def __post_init__(self) -> None:
+        # `not >= 0` also catches NaN, which compares false with every deadline
+        if self.time_budget is not None and not self.time_budget >= 0:
+            raise ValueError(f"time_budget must be None or >= 0, got {self.time_budget}")
+
     def with_(self, **kw) -> "SolverOptions":
         return replace(self, **kw)
 

@@ -74,14 +74,27 @@ def test_chromatic_known_values():
 
 def test_chromatic_matches_naive_oracle():
     # the second cap is the largest block's size: a graph of several blocks
-    # then exceeds it, so its chi comes from the block search
+    # then exceeds it, so its chi comes from the block search; at cap 3 a
+    # graph with a larger non-bipartite block raises instead. Coronas add
+    # many alike blocks that DSATUR settles beside a hub block.
     rng = random.Random(4242)
-    for _ in range(300):
-        g = random_graph(rng, rng.randint(1, 9), rng.choice((0.25, 0.45, 0.7)))
+    graphs = [random_graph(rng, rng.randint(1, 9), rng.choice((0.25, 0.45, 0.7)))
+              for _ in range(300)]
+    graphs += [corona(random_graph(rng, rng.randint(1, 4), 0.6),
+                      random_graph(rng, rng.randint(1, 5), 0.6)) for _ in range(80)]
+    for g in graphs:
         chi = naive_chromatic(g, k_max=9)
-        block_cap = max((len(b) for b in biconnected_blocks(g)), default=1)
-        for cap in (DEFAULT_OPTIONS.chromatic_block_cap, block_cap):
-            assert chromatic_number(g, SolverOptions(chromatic_block_cap=cap)) == chi
+        blocks = biconnected_blocks(g)
+        block_cap = max((len(b) for b in blocks), default=1)
+        odd_block = max((len(b) for b in blocks
+                         if bipartition(induced_subgraph(g, b)[0]) is None), default=0)
+        for cap in (DEFAULT_OPTIONS.chromatic_block_cap, block_cap, 3):
+            options = SolverOptions(chromatic_block_cap=cap)
+            if odd_block > cap:
+                with pytest.raises(CapacityError):
+                    chromatic_number(g, options)
+            else:
+                assert chromatic_number(g, options) == chi
         assert _greedy_clique(g.adjacency) <= chi <= _dsatur(g.adjacency)
         if chi <= 2:  # DSATUR is exact on bipartite graphs (Brelaz)
             assert _dsatur(g.adjacency) == chi
@@ -123,6 +136,32 @@ def test_chromatic_of_coronas_and_products_follows_the_formulas():
         for options in (DEFAULT_OPTIONS, block_cap):
             assert chromatic_number(corona(g1, g2), options) == predicted
         assert chromatic_number(cartesian_product(g1, g2)) == max(chi1, chi2)
+
+
+def test_chromatic_calls_the_clique_only_above_three_colors(monkeypatch):
+    # a non-bipartite graph needs 3 colors, so a DSATUR count of 3 is chi
+    # without the clique, on the whole graph and on each corona block
+    calls = []
+
+    def counted(adj):
+        calls.append(len(adj))
+        return _greedy_clique(adj)
+
+    monkeypatch.setattr(atlab.atsolver, "_greedy_clique", counted)
+    for g, chi, clique_calls in [
+        (cycle(7), 3, 0),
+        (corona(cycle(3), cycle(4)), 3, 0),
+        (complete(5), 5, 1),
+    ]:
+        calls.clear()
+        assert chromatic_number(g) == chi
+        assert len(calls) == clique_calls, g
+    # over the cap the whole graph goes to the block loop: the triangle and
+    # the alike hub-plus-C4 blocks each settle at DSATUR's 3
+    calls.clear()
+    options = SolverOptions(chromatic_block_cap=5)
+    assert chromatic_number(corona(cycle(3), cycle(4)), options) == 3
+    assert calls == []
 
 
 def test_chromatic_groetzsch_graph_is_searched_past_its_clique():

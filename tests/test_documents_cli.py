@@ -211,6 +211,9 @@ def test_cli_theorems_table_and_exit(capsys):
     assert main(["theorems", "--claim", "remark-gap"]) == 1
     out = capsys.readouterr().out
     assert "3 fail" in out
+    # an empty range is a usage error, not the default sweep
+    assert main(["theorems", "--claim", "lemma3.2", "--n", "5..3"]) == 2
+    assert "empty range" in capsys.readouterr().err
 
 
 def test_cli_theorems_json(capsys):

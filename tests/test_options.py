@@ -18,6 +18,25 @@ def test_with_returns_new_instance():
     assert tweaked.enum_cap == 30 and base.enum_cap == 24
 
 
+@pytest.mark.parametrize("budget", [float("nan"), -1.0, -0.5])
+def test_time_budget_must_be_a_number_of_seconds(budget):
+    # NaN compares false with every deadline, so that deadline never passes
+    with pytest.raises(ValueError):
+        SolverOptions(time_budget=budget)
+    with pytest.raises(ValueError):
+        SolverOptions().with_(time_budget=budget)
+    assert SolverOptions(time_budget=0).time_budget == 0
+
+
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+def test_cli_rejects_a_bad_time_budget(tmp_path, capsys, budget):
+    gpath = tmp_path / "c5.graph"
+    main(["gen", "cycle", "5", "-o", str(gpath)])
+    capsys.readouterr()
+    assert main(["at", str(gpath), "--time-budget", budget]) == 2
+    assert "time_budget" in capsys.readouterr().err
+
+
 def test_env_feeds_cli(tmp_path, capsys):
     # the budgets reach the CLI through flags alone
     gpath = tmp_path / "c6.graph"

@@ -196,6 +196,42 @@ def test_checks_solve_each_graph_once(monkeypatch):
         assert calls and len(calls) == len(set(calls)), calls
 
 
+def test_pinch_colors_a_corona_only_while_the_factors_leave_the_bracket_open(monkeypatch):
+    # chi <= AT, so once max(AT(G), AT(H)) meets the certificate level the
+    # corona's chi cannot raise the lower bound and is not computed
+    colored = []
+
+    def counted(g, *args, **kwargs):
+        colored.append(g)
+        return chromatic_number(g, *args, **kwargs)
+
+    monkeypatch.setattr(theorems, "chromatic_number", counted)
+    for check, closed in [
+        (lambda: check_lemma_3_9(5, 1), True),  # AT(Q5) = 4 = level
+        (lambda: check_theorem_2(3, complete(2), "K2"), True),  # AT(Q3) = 3 = level
+        (lambda: check_lemma_3_9(4, 1), False),  # AT(Q4) = AT(C3) = 3 < level 4
+    ]:
+        colored.clear()
+        assert check().verdict == "pass"
+        assert len(colored) == (0 if closed else 1)
+    colored.clear()
+    res = corona_at(hypercube(3), path(3))
+    assert (res.lo, res.hi, res.lower_bound_reason) == (3, 3, "subgraph")
+    assert colored == []
+
+
+def test_closed_form_rows_with_a_cut_short_search_are_inconclusive():
+    # no time for the cross-check's level search leaves a bracket that holds
+    # the closed-form value: inconclusive, not a contradiction
+    no_time = SolverOptions(time_budget=0)
+    for rep, bracket in [
+        (check_lemma_3_2(2, no_time), "[2, 3]"),
+        (check_lemma_3_1(complete_bipartite(3, 3), "K3,3", no_time), "[3, 4]"),
+    ]:
+        assert rep.verdict == "inconclusive", rep
+        assert rep.computed == f"{rep.predicted} vs search {bracket}"
+
+
 def test_remark_gap_checker():
     q4 = hypercube(4)
     from atlab import at_bipartite
@@ -236,6 +272,9 @@ def test_suite_filter_and_determinism():
     reports = run_suite(["lemma3.2"], n_range=range(1, 4))
     assert len(reports) == 3 and all(r.verdict == "pass" for r in reports)
     assert run_suite(["lemma3.2"], n_range=range(1, 4)) == reports
+    # an empty sweep runs nothing, not the default range
+    assert run_suite(["lemma3.2"], n_range=[]) == []
+    assert run_suite(["lemma3.9"], n_range=[5], k_range=[]) == []
 
 
 def test_suite_known_failures_are_the_remark_instances():
