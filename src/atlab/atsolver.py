@@ -81,9 +81,6 @@ class ATCertificate:
     diff_magnitude: Optional[int]
     method: str
 
-    def outdegree_ok(self) -> bool:
-        return self.orientation.max_outdegree() <= self.level - 1
-
 
 @dataclass(frozen=True)
 class ATResult:
@@ -391,19 +388,20 @@ def at_lower_bound(
 ) -> tuple[int, str]:
     """Best available lower bound for AT(G) with the reason that won.
 
-    Terms: ceil(max_density)+1 (pigeonhole on outdegrees) and chi(G) when
-    the chromatic solver is within budget and `deadline` (chi <= AT).
-    Chromatic wins ties. The first term is the least uniform cap plus one;
-    its vertex-set witness is recounted, so the bound does not rest on path
-    reversal alone.
+    Terms: ceil(max_density)+1 (pigeonhole on outdegrees) and chi(G)
+    (chi <= AT). Past chromatic_block_cap or `deadline` the chi term is 3:
+    the chromatic solver gives up only on a non-bipartite block, so G has
+    an odd cycle. Chromatic wins ties. The first term is the least uniform
+    cap plus one; its vertex-set witness is recounted, so the bound does not
+    rest on path reversal alone.
     """
     best = _checked_uniform_cap(g).cap + 1
     reason = "density-pigeonhole"
     try:
         chi = chromatic_number(g, options, deadline=deadline)
     except (CapacityError, SearchTimeout):
-        chi = None
-    if chi is not None and chi >= best:
+        chi = 3
+    if chi >= best:
         best, reason = chi, "chromatic"
     return best, reason
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Optional, Sequence
 
-from .atsolver import at_bipartite, at_bounds, at_exact
+from .atsolver import at_bounds, at_exact
 from .construct import verify_certificate
 from .documents import (
     parse_certificate,
@@ -129,12 +130,7 @@ def cmd_corona(args) -> int:
 def cmd_at(args) -> int:
     g, prov = _load_graph(args.graph)
     opts = _solver_options(args)
-    if args.bipartite:
-        result = at_bipartite(g, opts)
-    elif args.bounds:
-        result = at_bounds(g, opts)
-    else:
-        result = at_exact(g, opts)
+    result = at_bounds(g, opts) if args.bounds else at_exact(g, opts)
     if result.is_exact:
         print(f"AT = {result.value}")
     else:
@@ -224,38 +220,17 @@ def cmd_theorems(args) -> int:
         seed=args.seed,
     )
     if args.json:
-        payload = [
-            {
-                "claim": r.claim,
-                "instance": r.instance,
-                "predicted": r.predicted,
-                "computed": r.computed,
-                "verdict": r.verdict,
-                "evidence": r.evidence,
-                "millis": round(r.millis, 3),
-            }
-            for r in reports
-        ]
+        payload = [{**asdict(r), "millis": round(r.millis, 3)} for r in reports]
         print(json.dumps(payload, indent=2))
     elif args.table:
-        widths = [
-            max([len("claim")] + [len(r.claim) for r in reports]),
-            max([len("instance")] + [len(r.instance) for r in reports]),
-            max([len("predicted")] + [len(r.predicted) for r in reports]),
-            max([len("computed")] + [len(r.computed) for r in reports]),
-        ]
-        header = (
-            f"{'claim':<{widths[0]}}  {'instance':<{widths[1]}}  "
-            f"{'predicted':<{widths[2]}}  {'computed':<{widths[3]}}  verdict  millis"
-        )
+        columns = ("claim", "instance", "predicted", "computed")
+        widths = {c: max([len(c)] + [len(getattr(r, c)) for r in reports]) for c in columns}
+        header = "  ".join(c.ljust(widths[c]) for c in columns) + "  verdict  millis"
         print(header)
         print("-" * len(header))
         for r in reports:
-            print(
-                f"{r.claim:<{widths[0]}}  {r.instance:<{widths[1]}}  "
-                f"{r.predicted:<{widths[2]}}  {r.computed:<{widths[3]}}  "
-                f"{r.verdict:<7}  {r.millis:.1f}"
-            )
+            cells = "  ".join(getattr(r, c).ljust(widths[c]) for c in columns)
+            print(f"{cells}  {r.verdict:<7}  {r.millis:.1f}")
     else:
         for r in reports:
             print(
@@ -303,9 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("at", help="Alon-Tarsi number of a graph document")
     p.add_argument("graph")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--bipartite", action="store_true")
-    mode.add_argument("--bounds", action="store_true")
+    p.add_argument("--bounds", action="store_true")
     p.add_argument("--cert", help="write the certificate document here")
     _budget_flags(p)
     p.set_defaults(func=cmd_at)

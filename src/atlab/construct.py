@@ -26,7 +26,7 @@ largest component is within budget, and flagged unverified otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .atsolver import ATCertificate
 from .eulerian import ENGINES, Orientation, engine_diff
@@ -114,9 +114,7 @@ class VerifyReport:
 
 
 def verify_certificate(
-    cert: Union[ATCertificate, Orientation],
-    level: Optional[int] = None,
-    options: SolverOptions = DEFAULT_OPTIONS,
+    cert: ATCertificate, options: SolverOptions = DEFAULT_OPTIONS
 ) -> VerifyReport:
     """Re-check a claimed AT certificate: outdegree bound, then diff != 0 via
     an engine other than the recorded one when both fit the budget (both
@@ -126,16 +124,7 @@ def verify_certificate(
     here: certificates do not carry their factor orientations, so callers
     run eulerian.one_way_cut_check over corona_cut_sides afterwards, as
     `atlab verify` does."""
-    if isinstance(cert, ATCertificate):
-        orientation = cert.orientation
-        recorded = cert.method
-        if level is None:
-            level = cert.level
-    else:
-        orientation = cert
-        recorded = None
-        if level is None:
-            raise ValueError("a bare orientation needs an explicit claimed level")
+    orientation, level = cert.orientation, cert.level
     messages: list[str] = []
     maxout = orientation.max_outdegree()
     outdegree_ok = maxout <= level - 1
@@ -144,7 +133,7 @@ def verify_certificate(
         return VerifyReport("rejected", level, maxout, False, None, None, tuple(messages))
 
     # the recorded engine goes last, so another one re-checks when it fits
-    engines = sorted(ENGINES, key=lambda e: e == recorded)
+    engines = sorted(ENGINES, key=lambda e: e == cert.method)
     method, diff = engine_diff(orientation, options, engines)
     if method is None:
         if bipartition(orientation.graph) is not None:
@@ -157,7 +146,7 @@ def verify_certificate(
     if diff == 0:
         messages.append(f"diff is zero ({method})")
         return VerifyReport("rejected", level, maxout, True, method, 0, tuple(messages))
-    if isinstance(cert, ATCertificate) and cert.diff_magnitude is not None:
+    if cert.diff_magnitude is not None:
         # both engines agree on |diff|, so any recorded magnitude must match
         if abs(diff) != cert.diff_magnitude:
             messages.append(

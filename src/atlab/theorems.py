@@ -1,13 +1,16 @@
 """Claim checkers: one per published formula, each reducing to solver calls.
 
 Every checker computes its prediction from the printed piecewise formula (no
-per-instance hard-coding) and compares it with solver output:
+per-instance hard-coding) and compares it with solver output. One rule,
+`_row`, judges a predicted value (or set) against a computed bracket, a
+computed value v being [v, v]:
 
-  * pass - the computed value (or the exactly-provable bracket) matches the
-    prediction;
-  * fail - the computed value or bracket excludes the prediction;
-  * inconclusive - the solvers only produced a bracket wider than the
-    prediction (budget limitation, never counted as a contradiction).
+  * pass - the bracket lies inside the prediction;
+  * fail - the bracket excludes the prediction;
+  * inconclusive - the bracket is wider than the prediction (budget
+    limitation, never counted as a contradiction).
+
+Closed-form, corollary 3.7 and remark-gap rows keep their own text.
 
 Pinching is the proof mode for coronas too large to search exhaustively: a
 lower bound (chromatic number or a known-subgraph AT value) must meet the
@@ -19,7 +22,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .atsolver import (
     ATCertificate,
@@ -81,6 +84,17 @@ def _fmt_bracket(lo: int, hi: int) -> str:
 def _report(t0: float, *fields: str) -> ClaimReport:
     """The report with the given claim .. evidence fields, timed from t0."""
     return ClaimReport(*fields, millis=(time.perf_counter() - t0) * 1000.0)
+
+
+def _row(
+    t0: float, claim: str, instance: str, predicted: set[int], lo: int, hi: int, evidence: str
+) -> ClaimReport:
+    """The row judging the computed bracket [lo, hi] (a value v is [v, v])
+    against the predicted value, or set of values."""
+    shown = ", ".join(map(str, sorted(predicted)))
+    shown = shown if len(predicted) == 1 else "{" + shown + "}"
+    verdict = _bracket_verdict(predicted, lo, hi)
+    return _report(t0, claim, instance, shown, _fmt_bracket(lo, hi), verdict, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +172,7 @@ def _closed_form_row(
     unless `search` (the evidence label of that cross-check) is None. A search
     cut short by the budget gives a bracket, which fails the row only when it
     excludes the closed-form value."""
-    computed, verdict = str(result.value), "pass" if result.value == predicted else "fail"
+    computed, verdict = str(result.value), _bracket_verdict({predicted}, result.lo, result.hi)
     if search is not None:
         cross = at_exact(g, options, bipartite_shortcut=False)
         searched = _fmt_bracket(cross.lo, cross.hi)
@@ -214,12 +228,10 @@ def check_theorem_1(
     predicted = ceil_half(n) + 1 if (n % 2 == 1 and m == 2) else ceil_half(n) + 2
     g = cartesian_product(hypercube(n), tree)
     result = at_bipartite(g, options)
-    verdict = "pass" if result.value == predicted else "fail"
     least_out = result.certificate.orientation.max_outdegree()
     evidence = f"|V|={g.n} |E|={g.m} least max outdegree {least_out}"
-    return _report(
-        t0, "theorem1", f"Q{n} x {tree_name}", str(predicted), str(result.value), verdict,
-        evidence,
+    return _row(
+        t0, "theorem1", f"Q{n} x {tree_name}", {predicted}, result.lo, result.hi, evidence
     )
 
 
@@ -231,10 +243,25 @@ def check_corollary_3_4(
     predicted = ceil_half(n) + 2
     g = cartesian_product(hypercube(n), cycle(2 * k))
     result = at_bipartite(g, options)
-    verdict = "pass" if result.value == predicted else "fail"
-    return _report(
-        t0, "corollary3.4", f"Q{n} x C{2 * k}", str(predicted), str(result.value), verdict,
+    return _row(
+        t0, "corollary3.4", f"Q{n} x C{2 * k}", {predicted}, result.lo, result.hi,
         f"|V|={g.n} |E|={g.m}",
+    )
+
+
+def _chi_row(
+    claim: str, compose: Callable[[Graph, Graph], Graph], sign: str,
+    rule: Callable[[int, int], int], g1: Graph, g2: Graph, name1: str, name2: str,
+    options: SolverOptions,
+) -> ClaimReport:
+    """Row for chi(compose(g1, g2)) = rule(chi(g1), chi(g2))."""
+    t0 = time.perf_counter()
+    chi1 = chromatic_number(g1, options)
+    chi2 = chromatic_number(g2, options)
+    chi = chromatic_number(compose(g1, g2), options)
+    return _row(
+        t0, claim, f"{name1} {sign} {name2}", {rule(chi1, chi2)}, chi, chi,
+        f"chi({name1})={chi1} chi({name2})={chi2}",
     )
 
 
@@ -246,16 +273,8 @@ def check_lemma_3_5(
     options: SolverOptions = DEFAULT_OPTIONS,
 ) -> ClaimReport:
     """chi(g1 o g2) = chi(g1) if chi(g2) < chi(g1), else chi(g2) + 1."""
-    t0 = time.perf_counter()
-    chi1 = chromatic_number(g1, options)
-    chi2 = chromatic_number(g2, options)
-    predicted = chi1 if chi2 < chi1 else chi2 + 1
-    computed = chromatic_number(corona(g1, g2), options)
-    verdict = "pass" if computed == predicted else "fail"
-    return _report(
-        t0, "lemma3.5", f"{name1} o {name2}", str(predicted), str(computed), verdict,
-        f"chi({name1})={chi1} chi({name2})={chi2}",
-    )
+    return _chi_row("lemma3.5", corona, "o", lambda a, b: a if b < a else b + 1,
+                    g1, g2, name1, name2, options)
 
 
 def check_lemma_3_6(
@@ -276,17 +295,11 @@ def check_lemma_3_6(
         f"AT({name1})={at1} AT({name2})={at2}; certificate level {result.hi} "
         f"within rule bound {bound}; lower via {result.lower_bound_reason}"
     )
-    verdict = _bracket_verdict(predicted, result.lo, result.hi)
+    row = _row(t0, "lemma3.6", f"{name1} o {name2}", predicted, result.lo, result.hi, evidence)
     if result.hi > bound:
-        verdict = "fail"
-        evidence += "; construction exceeded the outdegree bound"
-    pred_str = str(min(predicted)) if len(predicted) == 1 else (
-        "{" + ", ".join(str(x) for x in sorted(predicted)) + "}"
-    )
-    return _report(
-        t0, "lemma3.6", f"{name1} o {name2}", pred_str, _fmt_bracket(result.lo, result.hi),
-        verdict, evidence,
-    )
+        row.verdict = "fail"
+        row.evidence += "; construction exceeded the outdegree bound"
+    return row
 
 
 def check_corollary_3_7(
@@ -330,10 +343,7 @@ def _hypercube_corona_row(
     evidence = f"lower {result.lo} via {result.lower_bound_reason}; certificate level {result.hi}"
     if show_method:
         evidence += f" ({result.certificate.method})"
-    return _report(
-        t0, claim, f"Q{n} o {name2}", str(predicted), _fmt_bracket(result.lo, result.hi),
-        _bracket_verdict({predicted}, result.lo, result.hi), evidence,
-    )
+    return _row(t0, claim, f"Q{n} o {name2}", {predicted}, result.lo, result.hi, evidence)
 
 
 def check_theorem_2(
@@ -394,18 +404,12 @@ def check_toroidal_regression(
     t0 = time.perf_counter()
     predicted = 4 if (m % 2 == 1 and n % 2 == 1) else 3
     g = cartesian_product(cycle(m), cycle(n))
+    result = at_exact(g, options.with_(search_edge_cap=max(options.search_edge_cap, g.m)))
     if bipartition(g) is not None:
-        result = at_bipartite(g, options)
         evidence = "bipartite closed form"
     else:
-        wide = options.with_(search_edge_cap=max(options.search_edge_cap, g.m))
-        result = at_exact(g, wide)
         evidence = f"exhaustive search, lower via {result.lower_bound_reason}"
-    verdict = _bracket_verdict({predicted}, result.lo, result.hi)
-    return _report(
-        t0, "toroidal", f"C{m} x C{n}", str(predicted), _fmt_bracket(result.lo, result.hi),
-        verdict, evidence,
-    )
+    return _row(t0, "toroidal", f"C{m} x C{n}", {predicted}, result.lo, result.hi, evidence)
 
 
 def check_chi_product(
@@ -416,16 +420,7 @@ def check_chi_product(
     options: SolverOptions = DEFAULT_OPTIONS,
 ) -> ClaimReport:
     """chi(g x h) = max(chi(g), chi(h))."""
-    t0 = time.perf_counter()
-    chi1 = chromatic_number(g, options)
-    chi2 = chromatic_number(h, options)
-    predicted = max(chi1, chi2)
-    computed = chromatic_number(cartesian_product(g, h), options)
-    verdict = "pass" if computed == predicted else "fail"
-    return _report(
-        t0, "chi-product", f"{name1} x {name2}", str(predicted), str(computed), verdict,
-        f"chi({name1})={chi1} chi({name2})={chi2}",
-    )
+    return _chi_row("chi-product", cartesian_product, "x", max, g, h, name1, name2, options)
 
 
 def check_remark_gap(name: str, chi: int, at_result: ATResult) -> ClaimReport:

@@ -300,7 +300,7 @@ def test_at_bipartite_hypercubes():
         res = at_bipartite(hypercube(n))
         assert res.value == (n + 1) // 2 + 1
         cert = res.certificate
-        assert cert.outdegree_ok()
+        assert cert.orientation.max_outdegree() <= cert.level - 1
         if cert.diff_magnitude is not None:
             assert cert.diff_magnitude > 0
 
@@ -410,7 +410,7 @@ def test_at_exact_c3xc3():
     res = at_exact(cartesian_product(cycle(3), cycle(3)), SolverOptions(search_edge_cap=24))
     assert res.value == 4
     assert res.lower_bound_reason == "exhaustive-refutation"
-    assert res.certificate.outdegree_ok()
+    assert res.certificate.orientation.max_outdegree() <= res.certificate.level - 1
 
 
 def test_at_exact_matches_bipartite_closed_form():
@@ -499,7 +499,7 @@ def test_at_exact_k3xk3xk2_certified_by_coefficient():
     assert res.value == 4
     cert = res.certificate
     assert g.m > SolverOptions().enum_cap and cert.method == "polynomial"
-    assert cert.outdegree_ok() and cert.diff_magnitude > 0
+    assert cert.orientation.max_outdegree() <= cert.level - 1 and cert.diff_magnitude > 0
 
 
 def test_at_exact_time_budget_holds_on_c5xc7():
@@ -519,3 +519,11 @@ def test_chromatic_at_choosable():
     assert chromatic_at_choosable(cycle(4)) == (2, 2, True)
     assert chromatic_at_choosable(cycle(3)) == (3, 3, True)
     assert chromatic_at_choosable(hypercube(3)) == (2, 3, False)
+
+
+def test_chi_over_the_chromatic_budget_still_counts_as_3():
+    # C65 is one block past chromatic_block_cap = 64, so chi is never
+    # computed; the block is not bipartite, so chi >= 3 meets the degeneracy
+    # certificate and the answer is exact
+    res = at_exact(cycle(65))
+    assert res.value == 3 and res.lower_bound_reason == "chromatic"

@@ -146,13 +146,13 @@ def test_verify_accepts_valid_certificates():
 
 
 def test_verify_rejects_zero_diff():
-    rep = verify_certificate(cyclic(3), level=2)
+    rep = verify_certificate(ATCertificate(2, cyclic(3), None, "claimed"))
     assert rep.verdict == "rejected"
     assert any("diff is zero" in m for m in rep.messages)
 
 
 def test_verify_rejects_outdegree_violation():
-    rep = verify_certificate(cyclic(4), level=1)
+    rep = verify_certificate(ATCertificate(1, cyclic(4), None, "claimed"))
     assert rep.verdict == "rejected" and not rep.outdegree_ok
 
 
@@ -204,7 +204,7 @@ def test_verify_outdegree_only_downgrade():
     g = cycle(5)
     d = Orientation(g, [0, 1, 2, 3, 4])
     tiny = SolverOptions(enum_cap=1, poly_budget=1)
-    rep = verify_certificate(d, level=3, options=tiny)
+    rep = verify_certificate(ATCertificate(3, d, None, "claimed"), options=tiny)
     assert rep.verdict == "outdegree-only"
 
 

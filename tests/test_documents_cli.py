@@ -8,6 +8,7 @@ from atlab import (
     hypercube,
     orient,
     path,
+    run_suite,
 )
 from atlab.atsolver import bounded_outdegree_orientation
 from atlab.cli import main
@@ -105,7 +106,7 @@ def test_cli_gen_and_at(tmp_path, capsys):
     gpath = tmp_path / "q4.graph"
     assert main(["gen", "hypercube", "4", "-o", str(gpath)]) == 0
     assert capsys.readouterr().out.strip() == "vertices=16 edges=32"
-    assert main(["at", str(gpath), "--bipartite"]) == 0
+    assert main(["at", str(gpath)]) == 0
     out = capsys.readouterr().out
     assert "AT = 3" in out
 
@@ -139,7 +140,7 @@ def test_cli_cert_verify_cycle(tmp_path, capsys):
     gpath = tmp_path / "q3.graph"
     cpath = tmp_path / "q3.cert"
     main(["gen", "hypercube", "3", "-o", str(gpath)])
-    assert main(["at", str(gpath), "--bipartite", "--cert", str(cpath)]) == 0
+    assert main(["at", str(gpath), "--cert", str(cpath)]) == 0
     capsys.readouterr()
     assert main(["verify", str(cpath)]) == 0
     assert "verdict: accepted" in capsys.readouterr().out
@@ -216,6 +217,36 @@ def test_cli_theorems_table_and_exit(capsys):
     assert "empty range" in capsys.readouterr().err
 
 
+def test_cli_theorems_table_columns(capsys):
+    assert main(["theorems", "--claim", "lemma3.6", "--table"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header, dashes, rows = lines[0], lines[1], lines[2:-1]
+    assert header.split() == ["claim", "instance", "predicted", "computed", "verdict", "millis"]
+    assert dashes == "-" * len(header)
+    reports = run_suite(["lemma3.6"])
+    assert len(rows) == len(reports) == 3 and lines[-1].startswith("3 checks")
+    # each cell starts under its heading, padded to two spaces before the next
+    starts = [header.index(h) for h in header.split()] + [None]
+    for line, r in zip(rows, reports):
+        cells = [line[a:b] for a, b in zip(starts, starts[1:])]
+        assert [c.rstrip() for c in cells[:-1]] == [
+            r.claim, r.instance, r.predicted, r.computed, r.verdict
+        ]
+        assert all(c.endswith("  ") for c in cells[:-1])
+        float(cells[-1])
+    assert {r.predicted for r in reports} == {"{2, 3}", "3"}
+
+
+def test_cli_at_past_the_chromatic_budget(tmp_path, capsys):
+    # C65's one block is past chromatic_block_cap; its odd cycle still
+    # gives chi >= 3, so the answer is exact
+    gpath = tmp_path / "c65.graph"
+    main(["gen", "cycle", "65", "-o", str(gpath)])
+    capsys.readouterr()
+    assert main(["at", str(gpath)]) == 0
+    assert "AT = 3" in capsys.readouterr().out
+
+
 def test_cli_theorems_json(capsys):
     import json
 
@@ -270,7 +301,7 @@ def test_truncated_documents_raise_value_error(tmp_path):
 def test_cli_accepts_bare_edge_list(tmp_path, capsys):
     raw = tmp_path / "square.txt"
     raw.write_text("0 1\n1 2\n2 3\n0 3\n")
-    assert main(["at", str(raw), "--bipartite"]) == 0
+    assert main(["at", str(raw)]) == 0
     assert "AT = 2" in capsys.readouterr().out
 
 

@@ -60,10 +60,11 @@ def test_at_runs_the_level_search_by_default(tmp_path, capsys):
     assert code == 0 and "AT = 4" in out
 
 
-@pytest.mark.parametrize("flag", [["--parallel"], ["--threads", "2"], ["--exact"]])
+@pytest.mark.parametrize("flag", [["--parallel"], ["--threads", "2"], ["--exact"], ["--bipartite"]])
 def test_thread_flags_are_gone(tmp_path, capsys, flag):
-    # the solvers run in one process and the level search is the default
-    # mode; the flags that claimed otherwise are rejected as unknown arguments
+    # the solvers run in one process, and the default mode takes the closed
+    # form on bipartite input and the level search elsewhere; the flags that
+    # claimed otherwise are rejected as unknown arguments
     gpath = tmp_path / "c3.graph"
     main(["gen", "cycle", "3", "-o", str(gpath)])
     with pytest.raises(SystemExit) as exc:
@@ -73,11 +74,11 @@ def test_thread_flags_are_gone(tmp_path, capsys, flag):
 
 
 def test_emitted_certificates_reverify(tmp_path, capsys):
-    for family, n, mode in [("hypercube", "4", ["--bipartite"]), ("cycle", "5", [])]:
+    for family, n in [("hypercube", "4"), ("cycle", "5")]:
         gpath = tmp_path / f"{family}{n}.graph"
         cpath = tmp_path / f"{family}{n}.cert"
         main(["gen", family, n, "-o", str(gpath)])
-        assert main(["at", str(gpath), *mode, "--cert", str(cpath)]) == 0
+        assert main(["at", str(gpath), "--cert", str(cpath)]) == 0
         capsys.readouterr()
         assert main(["verify", str(cpath)]) == 0
         assert "accepted" in capsys.readouterr().out

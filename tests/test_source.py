@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import atlab
@@ -61,33 +62,42 @@ def test_no_environment_reads():
     assert not found, f"environment reads in atlab: {found}"
 
 
-def test_every_module_level_definition_is_referenced():
-    # a function or class that neither the package nor the benchmark names is
-    # kept only for tests, whose oracles live in tests/helpers.py. A re-export
-    # in __init__.py is not a use. bench/spans.py names the functions it wraps
-    # as strings, so the benchmark's string constants count as names too.
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(SOURCE.glob("**/*.py")) if path.name != "__init__.py"}
+def _names(top, strings=False):
+    out = set()
+    for node in ast.walk(top):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
 
-    def names(top, strings=False):
-        out = set()
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                out.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
-            elif isinstance(node, ast.alias):
-                out.add(node.asname or node.name)
-            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-                out.add(node.value)
-        return out
 
+def _package_trees():
+    # every package module but __init__.py: a re-export there is not a use
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(SOURCE.glob("**/*.py")) if path.name != "__init__.py"}
+
+
+def _bench_names():
+    # bench/spans.py names the functions it wraps as strings, so the
+    # benchmark's string constants count as names too
     bench = sorted((Path(__file__).parents[1] / "bench").glob("*.py"))
     assert bench, "bench/*.py not found next to tests/"
-    bench_names = set().union(*(names(ast.parse(p.read_text(), filename=str(p)), strings=True)
-                                for p in bench))
+    return set().union(*(_names(ast.parse(p.read_text(), filename=str(p)), strings=True)
+                         for p in bench))
+
+
+def test_every_module_level_definition_is_referenced():
+    # a function or class that neither the package nor the benchmark names is
+    # kept only for tests, whose oracles live in tests/helpers.py
+    trees = _package_trees()
+    bench_names = _bench_names()
     # names used by each module-level statement, keyed by (file, position)
-    used = {(name, i): names(node) for name, tree in trees.items()
+    used = {(name, i): _names(node) for name, tree in trees.items()
             for i, node in enumerate(tree.body)}
     found = []
     for name, tree in trees.items():
@@ -99,3 +109,31 @@ def test_every_module_level_definition_is_referenced():
             if not any(node.name in s for key, s in used.items() if key != (name, i)):
                 found.append(f"{name}:{node.lineno} {node.name}")
     assert not found, f"unreferenced definitions in atlab: {found}"
+
+
+def test_every_method_and_property_is_referenced():
+    # the same rule for the methods and properties of package classes: each is
+    # reached as an attribute somewhere in the package outside its own body, or
+    # named by the benchmark. Dunders and dataclass fields are not methods.
+    trees = _package_trees()
+    bench_names = _bench_names()
+
+    def attributes(top):
+        return Counter(n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute))
+
+    package = sum((attributes(tree) for tree in trees.values()), Counter())
+    found = []
+    for name, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                if node.name in bench_names:
+                    continue
+                if package[node.name] <= attributes(node)[node.name]:
+                    found.append(f"{name}:{node.lineno} {cls.name}.{node.name}")
+    assert not found, f"unreferenced methods in atlab: {found}"

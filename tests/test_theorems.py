@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from atlab import theorems
@@ -275,6 +278,15 @@ def test_suite_filter_and_determinism():
     # an empty sweep runs nothing, not the default range
     assert run_suite(["lemma3.2"], n_range=[]) == []
     assert run_suite(["lemma3.9"], n_range=[5], k_range=[]) == []
+
+
+def test_default_suite_rows_match_the_golden_file():
+    # every text field of every default row at seed 11, so a change to any
+    # row's wording or verdict shows here
+    golden = json.loads(Path(__file__).with_name("golden_suite_seed11.json").read_text())
+    rows = [[r.claim, r.instance, r.predicted, r.computed, r.verdict, r.evidence]
+            for r in run_suite(seed=11)]
+    assert rows == golden
 
 
 def test_suite_known_failures_are_the_remark_instances():
