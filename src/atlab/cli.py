@@ -210,6 +210,8 @@ def cmd_verify(args) -> int:
 
 def cmd_theorems(args) -> int:
     opts = _solver_options(args)
+    if args.pairs < 0:
+        raise ValueError(f"--pairs must be >= 0, got {args.pairs}")
     reports = run_suite(
         claims=[args.claim] if args.claim else None,
         options=opts,
@@ -219,6 +221,10 @@ def cmd_theorems(args) -> int:
         pair_count=args.pairs,
         seed=args.seed,
     )
+    if not reports:
+        given = [f"--{name} {getattr(args, name)}" for name in ("claim", "n", "k")
+                 if getattr(args, name)]
+        raise ValueError(f"no check selected by {' '.join(given)} --max {args.max}")
     if args.json:
         payload = [{**asdict(r), "millis": round(r.millis, 3)} for r in reports]
         print(json.dumps(payload, indent=2))

@@ -70,9 +70,13 @@ def reverse_paths(
             share[a + 1] = q
             load[v] += q
         a += 2
+    # A target ends at most at its cap, so no vertex becomes overloaded and
+    # the lowest-index overloaded vertex only moves up.
+    over = 0
     while True:
-        over = next((v for v in range(n) if load[v] > caps[v]), None)
-        if over is None:
+        while over < n and load[over] <= caps[over]:
+            over += 1
+        if over == n:
             return share, ()
         if ends is None:
             ends = list(chain.from_iterable(edges))

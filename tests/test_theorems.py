@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -197,6 +198,45 @@ def test_checks_solve_each_graph_once(monkeypatch):
         calls.clear()
         assert check().verdict == "pass"
         assert calls and len(calls) == len(set(calls)), calls
+
+
+def test_suite_solves_each_factor_and_builds_each_hypercube_once_per_call(monkeypatch):
+    # one run_suite call shares its exact factor results and its hypercubes
+    # between checks; nothing of it outlives the call
+    factor_solves, all_solves, built = [], [], []
+    real_at_exact, real_hypercube = theorems.at_exact, theorems.hypercube
+
+    def at_exact(g, options, **kwargs):
+        all_solves.append(g)
+        if sys._getframe(1).f_code.co_name == "_exact_at":
+            factor_solves.append((g, options))
+        return real_at_exact(g, options, **kwargs)
+
+    def hypercube(n):
+        built.append(n)
+        return real_hypercube(n)
+
+    monkeypatch.setattr(theorems, "at_exact", at_exact)
+    monkeypatch.setattr(theorems, "hypercube", hypercube)
+    counts = []
+    for _ in range(2):
+        for calls in (factor_solves, all_solves, built):
+            calls.clear()
+        run_suite(seed=11)
+        assert len(factor_solves) == len(set(factor_solves)), factor_solves
+        assert sorted(built) == [1, 2, 3, 4, 5, 6]
+        assert theorems._memo is None
+        counts.append((len(factor_solves), len(all_solves), len(built)))
+    assert counts[0] == counts[1]
+    # a check called on its own solves and builds afresh
+    factor_solves.clear()
+    built.clear()
+    assert check_theorem_2(2, complete(2), "K2").verdict == "pass"
+    assert [g for g, _ in factor_solves] == [complete(2), real_hypercube(2)] and built == [2]
+    # the memo is gone after a run that raises as well
+    with pytest.raises(CapacityError):
+        run_suite(["remark-gap"], SolverOptions(chromatic_block_cap=3))
+    assert theorems._memo is None
 
 
 def test_pinch_colors_a_corona_only_while_the_factors_leave_the_bracket_open(monkeypatch):
