@@ -8,7 +8,6 @@ from .atsolver import (
     UniformCap,
     acyclic_certificate,
     at_bipartite,
-    at_bounds,
     at_exact,
     at_lower_bound,
     bounded_outdegree_orientation,

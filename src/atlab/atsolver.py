@@ -505,13 +505,6 @@ def acyclic_certificate(g: Graph) -> ATCertificate:
     return ATCertificate(d.max_outdegree() + 1, d, 1, "acyclic")
 
 
-def at_bounds(g: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult:
-    """Cheap bracket: best lower bound vs. the degeneracy certificate."""
-    lower, reason = at_lower_bound(g, options)
-    cert = acyclic_certificate(g)
-    return ATResult(min(lower, cert.level), cert.level, cert, reason)
-
-
 def _certify(g: Graph, d: Orientation, options: SolverOptions) -> ATCertificate:
     """Re-check a found orientation with an independent computation: the
     tally when its largest strongly connected component is within enum_cap,

@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict
 from typing import Optional, Sequence
 
-from .atsolver import at_bounds, at_exact
+from .atsolver import at_exact
 from .construct import verify_certificate
 from .documents import (
     parse_certificate,
@@ -130,7 +130,7 @@ def cmd_corona(args) -> int:
 def cmd_at(args) -> int:
     g, prov = _load_graph(args.graph)
     opts = _solver_options(args)
-    result = at_bounds(g, opts) if args.bounds else at_exact(g, opts)
+    result = at_exact(g, opts)
     if result.is_exact:
         print(f"AT = {result.value}")
     else:
@@ -284,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("at", help="Alon-Tarsi number of a graph document")
     p.add_argument("graph")
-    p.add_argument("--bounds", action="store_true")
     p.add_argument("--cert", help="write the certificate document here")
     _budget_flags(p)
     p.set_defaults(func=cmd_at)

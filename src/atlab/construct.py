@@ -39,13 +39,13 @@ class ConstructionRecipe:
     """Which rule oriented each composite edge, and from which factor edge.
 
     edge_rules is aligned with the composite graph's edge order; each entry is
-    (rule, factor_edge_index) with factor_edge_index indexing d1's edges for
-    R1, d2's edges for R2, and None for corona hub links (R3).
+    (rule, factor_edge_index) with factor_edge_index indexing the edges of
+    the factor orientation d1 given to the builder for R1, of d2 for R2, and
+    None for corona hub links (R3). The recipe does not keep d1 and d2: the
+    caller holds them.
     """
 
     kind: str
-    d1: Orientation
-    d2: Orientation
     edge_rules: tuple[tuple[str, Optional[int]], ...]
 
 
@@ -68,7 +68,7 @@ def product_orientation(
             tails.append(t * g1.n + a)
             rules.append(("R2", k))
     oriented = Orientation(composite, tails)
-    return oriented, ConstructionRecipe("product", d1, d2, tuple(rules))
+    return oriented, ConstructionRecipe("product", tuple(rules))
 
 
 def corona_orientation(
@@ -93,7 +93,7 @@ def corona_orientation(
             tails.append(base + j)
             rules.append(("R3", None))
     oriented = Orientation(composite, tails)
-    return oriented, ConstructionRecipe("corona", d1, d2, tuple(rules))
+    return oriented, ConstructionRecipe("corona", tuple(rules))
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,6 @@ class VerifyReport:
     verdict: str  # "accepted" | "rejected" | "outdegree-only"
     level: int
     max_outdegree: int
-    outdegree_ok: bool
     diff_method: Optional[str]
     diff_magnitude: Optional[int]
     messages: tuple[str, ...]
@@ -127,10 +126,9 @@ def verify_certificate(
     orientation, level = cert.orientation, cert.level
     messages: list[str] = []
     maxout = orientation.max_outdegree()
-    outdegree_ok = maxout <= level - 1
-    if not outdegree_ok:
+    if maxout > level - 1:
         messages.append(f"outdegree violation: max outdegree {maxout} > {level - 1}")
-        return VerifyReport("rejected", level, maxout, False, None, None, tuple(messages))
+        return VerifyReport("rejected", level, maxout, None, None, tuple(messages))
 
     # the recorded engine goes last, so another one re-checks when it fits
     engines = sorted(ENGINES, key=lambda e: e == cert.method)
@@ -139,23 +137,21 @@ def verify_certificate(
         if bipartition(orientation.graph) is not None:
             messages.append("diff engines over budget; accepted by bipartite closed form")
             return VerifyReport(
-                "accepted", level, maxout, True, "bipartite-closed-form", None, tuple(messages)
+                "accepted", level, maxout, "bipartite-closed-form", None, tuple(messages)
             )
         messages.append("diff engines over budget; only the outdegree bound was checked")
-        return VerifyReport("outdegree-only", level, maxout, True, None, None, tuple(messages))
+        return VerifyReport("outdegree-only", level, maxout, None, None, tuple(messages))
     if diff == 0:
         messages.append(f"diff is zero ({method})")
-        return VerifyReport("rejected", level, maxout, True, method, 0, tuple(messages))
+        return VerifyReport("rejected", level, maxout, method, 0, tuple(messages))
     if cert.diff_magnitude is not None:
         # both engines agree on |diff|, so any recorded magnitude must match
         if abs(diff) != cert.diff_magnitude:
             messages.append(
                 f"recorded magnitude {cert.diff_magnitude} != recomputed {abs(diff)}"
             )
-            return VerifyReport(
-                "rejected", level, maxout, True, method, abs(diff), tuple(messages)
-            )
-    return VerifyReport("accepted", level, maxout, True, method, abs(diff), tuple(messages))
+            return VerifyReport("rejected", level, maxout, method, abs(diff), tuple(messages))
+    return VerifyReport("accepted", level, maxout, method, abs(diff), tuple(messages))
 
 
 def corona_cut_sides(g1: Graph, g2: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -154,16 +154,19 @@ def graph_sha256(g: Graph) -> str:
 
 @dataclass(frozen=True)
 class CertificateDocument:
-    """Parsed certificate: the claim, the orientation and optional recipe tags."""
+    """Parsed certificate: the claim, the orientation and the recipe kind.
+
+    The parser checks the embedded graph's `provenance` line and the `rule`
+    lines but keeps neither: `atlab verify` needs only the recipe kind, to
+    run the corona cut check.
+    """
 
     level: int
     method: str
     diff_magnitude: Optional[int]
     graph: Graph
     orientation: Orientation
-    graph_provenance: Optional[str]
     recipe_kind: Optional[str]
-    rules: tuple[tuple[int, str, Optional[int]], ...]
 
     def as_certificate(self) -> ATCertificate:
         return ATCertificate(self.level, self.orientation, self.diff_magnitude, self.method)
@@ -227,7 +230,7 @@ def _parse_certificate_lines(lines: list[str]) -> CertificateDocument:
         raise ValueError("missing graph-end") from None
     if lines[6].strip() != GRAPH_MAGIC:
         raise ValueError(f"embedded graph must start with {GRAPH_MAGIC!r}")
-    graph, provenance = _parse_graph_lines(lines[6:end])
+    graph, _ = _parse_graph_lines(lines[6:end])
     if graph_sha256(graph) != claimed_hash:
         raise ValueError("embedded graph does not match its recorded hash")
     i = end + 1
@@ -240,15 +243,14 @@ def _parse_certificate_lines(lines: list[str]) -> CertificateDocument:
     orientation = orientation_from_arcs(graph, [_pair(line, "a") for line in lines[i : i + m]])
     i += m
     recipe_kind = None
-    rules: list[tuple[int, str, Optional[int]]] = []
     if i < len(lines) and lines[i].startswith("recipe "):
         recipe_kind = _fields(lines[i], "recipe", 2)[1]
         i += 1
         while i < len(lines) and lines[i].startswith("rule "):
-            _, idx, rule, src = _fields(lines[i], "rule", 4)
-            rules.append((int(idx), rule, None if src == "-" else int(src)))
+            _, idx, _, src = _fields(lines[i], "rule", 4)
+            int(idx)  # ValueError unless the indices are integers ("-" for a hub link)
+            if src != "-":
+                int(src)
             i += 1
     _expect_end(lines, i, "certificate")
-    return CertificateDocument(
-        level, method, diff_magnitude, graph, orientation, provenance, recipe_kind, tuple(rules)
-    )
+    return CertificateDocument(level, method, diff_magnitude, graph, orientation, recipe_kind)

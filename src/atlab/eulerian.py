@@ -565,12 +565,11 @@ class OneWayCutReport:
     subdigraph can use a crossing arc, so diff factors exactly:
     diff(D) = diff(D[left]) * diff(D[right]). A side's diff is filled in when
     every strongly connected component on it is within enum_cap; diff_whole
-    when both sides' are.
+    when both sides' are. A split with an arc back into `left` has one_way
+    False and no diffs.
     """
 
     one_way: bool
-    cross_count: int
-    backward_arcs: tuple[tuple[int, int], ...]
     diff_whole: Optional[int] = None
     diff_left: Optional[int] = None
     diff_right: Optional[int] = None
@@ -600,15 +599,8 @@ def one_way_cut_check(
     right = frozenset(right)
     if left & right or (left | right) != frozenset(range(d.graph.n)):
         raise ValueError("left/right do not partition the vertex set")
-    cross = 0
-    backward = []
-    for t, h in d.arcs:
-        if t in left and h in right:
-            cross += 1
-        elif t in right and h in left:
-            backward.append((t, h))
-    if backward:
-        return OneWayCutReport(False, cross + len(backward), tuple(backward))
+    if any(t in right and h in left for t, h in d.arcs):
+        return OneWayCutReport(False)
 
     # diff per side, keyed by `in left`; None once a component is over the cap
     sides: dict[bool, Optional[int]] = {True: 1, False: 1}
@@ -623,4 +615,4 @@ def one_way_cut_check(
             sides[side] *= even - odd
     d_left, d_right = sides[True], sides[False]
     d_whole = None if None in (d_left, d_right) else d_left * d_right
-    return OneWayCutReport(True, cross, (), d_whole, d_left, d_right)
+    return OneWayCutReport(True, d_whole, d_left, d_right)

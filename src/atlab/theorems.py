@@ -16,13 +16,15 @@ Pinching is the proof mode for coronas too large to search exhaustively: a
 lower bound (chromatic number or a known-subgraph AT value) must meet the
 upper bound from the constructed corona orientation.
 
-One `run_suite` call shares two things between its checks: the exact
-factor results of `_exact_at`, keyed by (graph, options), and the hypercubes
-Q_n, keyed by n. Coronas Q_n o H and products with Q_n recur across Lemma
-3.2, Theorem 1, Corollary 3.4, Theorem 2, Corollary 3.8 and Lemma 3.9, so a
-default run solves each factor graph and builds each hypercube once. Nothing
-else is kept: products, coronas, chromatic numbers and reports are made
-afresh, so memory stays flat (peak RSS of `run_suite(n_range=range(1, 10))`
+One `run_suite` call shares three things between its checks: the exact
+factor results of `_exact_at`, keyed by (graph, options), the level-search
+cross-checks of `_closed_form_row`, keyed by ("search", graph, options), and
+the hypercubes Q_n, keyed by n. Coronas Q_n o H and products with Q_n recur
+across Lemma 3.2, Theorem 1, Corollary 3.4, Theorem 2, Corollary 3.8 and
+Lemma 3.9, and Q2 and Q4 are Lemma 3.1 instances too, so a default run
+solves and searches each graph and builds each hypercube once. Nothing else
+is kept: products, coronas, chromatic numbers and reports are made afresh,
+so memory stays flat (peak RSS of `run_suite(n_range=range(1, 10))`
 is 23 MB, where keeping every solver result took 84 MB). The memo is cleared
 when the call returns or raises; a check called on its own solves afresh.
 """
@@ -113,9 +115,10 @@ def _row(
 
 
 # What the running `run_suite` call shares (see the module docstring): exact
-# factor results under (graph, options) and hypercubes under n. None outside
-# a call. `at_exact` and `hypercube` are looked up in this module at call
-# time, so a rebinding of either still sees every call that reaches it.
+# factor results under (graph, options), cross-check searches under
+# ("search", graph, options) and hypercubes under n. None outside a call.
+# `at_exact` and `hypercube` are looked up in this module at call time, so a
+# rebinding of either still sees every call that reaches it.
 _memo: Optional[dict] = None
 
 
@@ -196,15 +199,23 @@ def _pinch(
 
 def _closed_form_row(
     claim: str, instance: str, predicted: int, g: Graph, result: ATResult, evidence: str,
-    search: Optional[str], options: SolverOptions, t0: float,
+    search: str, options: SolverOptions, t0: float,
 ) -> ClaimReport:
-    """Row for a closed-form AT value, cross-checked by the level search on g
-    unless `search` (the evidence label of that cross-check) is None. A search
-    cut short by the budget gives a bracket, which fails the row only when it
-    excludes the closed-form value."""
+    """Row for the closed-form AT result of bipartite g, cross-checked by the
+    level search exactly when g is within search_edge_cap; `search` labels
+    that cross-check in the evidence. A search cut short by the time budget
+    gives a bracket, which fails the row only when it excludes the
+    closed-form value. Within a `run_suite` call each (graph, options) is
+    searched once."""
     computed, verdict = str(result.value), _bracket_verdict({predicted}, result.lo, result.hi)
-    if search is not None:
-        cross = at_exact(g, options, bipartite_shortcut=False)
+    if g.m <= options.search_edge_cap:
+        key = ("search", g, options)
+        if _memo is not None and key in _memo:
+            cross = _memo[key]
+        else:
+            cross = at_exact(g, options, bipartite_shortcut=False)
+            if _memo is not None:
+                _memo[key] = cross
         searched = _fmt_bracket(cross.lo, cross.hi)
         evidence += f"; {search}: {searched}"
         if cross.value != result.value:
@@ -224,11 +235,11 @@ def check_lemma_3_1(
         raise ValueError(f"{name} is not regular")
     if bipartition(g) is None:
         raise ValueError(f"{name} is not bipartite")
-    result = at_bipartite(g, options)
+    result = _exact_at(g, options)
     evidence = f"certificate maxout {result.certificate.orientation.max_outdegree()}"
-    search = "exhaustive search agrees" if g.m <= options.search_edge_cap else None
     return _closed_form_row(
-        "lemma3.1", name, ceil_half(degs.pop()) + 1, g, result, evidence, search, options, t0
+        "lemma3.1", name, ceil_half(degs.pop()) + 1, g, result, evidence,
+        "exhaustive search agrees", options, t0,
     )
 
 
@@ -238,9 +249,9 @@ def check_lemma_3_2(n: int, options: SolverOptions = DEFAULT_OPTIONS) -> ClaimRe
     q = _hypercube(n)
     result = _exact_at(q, options)
     evidence = f"density {max_density(q).density}"
-    search = "exhaustive search" if n <= 3 else None
     return _closed_form_row(
-        "lemma3.2", f"Q{n}", ceil_half(n) + 1, q, result, evidence, search, options, t0
+        "lemma3.2", f"Q{n}", ceil_half(n) + 1, q, result, evidence, "exhaustive search",
+        options, t0,
     )
 
 

@@ -184,6 +184,14 @@ def induced_orientation(d: Orientation, keep) -> Orientation:
     return orient(sub, tails)
 
 
+def crossing_arcs(d: Orientation, left) -> tuple[list, list]:
+    """The arcs of d that leave the vertex set `left`, and those that enter it."""
+    left = set(left)
+    leaving = [(t, h) for t, h in d.arcs if t in left and h not in left]
+    entering = [(t, h) for t, h in d.arcs if t not in left and h in left]
+    return leaving, entering
+
+
 def chromatic_at_choosable(
     g: Graph, options: SolverOptions = DEFAULT_OPTIONS
 ) -> tuple[int, int, bool]:

@@ -13,7 +13,6 @@ from atlab import (
     ProofObligationError,
     SolverOptions,
     at_bipartite,
-    at_bounds,
     at_exact,
     at_lower_bound,
     bipartition,
@@ -468,13 +467,26 @@ def test_subgraph_monotonicity_spot_check():
     assert at_exact(sub2, opts).value <= at_exact(h, opts).value
 
 
-def test_at_bounds_and_acyclic_certificate():
+def test_zero_time_budget_gives_the_bounds_bracket():
     cert = acyclic_certificate(cycle(5))
     assert cert.level == 3 and cert.diff_magnitude == 1
     assert eulerian_tally_enumerate(cert.orientation).diff == 1
-    res = at_bounds(cycle(5))
-    assert res.value == 3  # chi lower bound meets the degeneracy certificate
-    res2 = at_bounds(complete_bipartite(3, 3))
+    # with no time to search, the bracket is the best lower bound against
+    # the degeneracy certificate, which is the certificate given
+    for g, options, bracket in [
+        (cycle(5), SolverOptions(time_budget=0), (3, 3)),
+        (cartesian_product(cycle(3), cycle(5)),
+         SolverOptions(search_edge_cap=30, time_budget=0), (3, 5)),
+    ]:
+        res = at_exact(g, options)
+        lower, reason = at_lower_bound(g, options)
+        acyclic = acyclic_certificate(g)
+        assert (res.lo, res.hi) == (lower, acyclic.level) == bracket
+        assert res.lower_bound_reason == reason == "chromatic"
+        assert res.certificate == acyclic
+    # chi lower bound meets the degeneracy certificate
+    assert at_exact(cycle(5), SolverOptions(time_budget=0)).value == 3
+    res2 = at_exact(complete_bipartite(3, 3), SolverOptions(time_budget=0))
     assert res2.lo <= 3 <= res2.hi
 
 

@@ -27,7 +27,7 @@ from atlab import (
     verify_certificate,
 )
 from atlab.eulerian import diff_coefficient
-from helpers import induced_orientation
+from helpers import crossing_arcs, induced_orientation
 
 WIDE = SolverOptions(enum_cap=32)
 
@@ -140,7 +140,7 @@ def test_product_bipartite_composites_are_at():
 def test_verify_accepts_valid_certificates():
     res = at_bipartite(hypercube(3))
     rep = verify_certificate(res.certificate)
-    assert rep.accepted and rep.diff_magnitude and rep.outdegree_ok
+    assert rep.accepted and rep.diff_magnitude and rep.max_outdegree <= rep.level - 1
     # cross-engine: the certificate recorded enumeration, verify used the other
     assert rep.diff_method == "polynomial"
 
@@ -153,41 +153,45 @@ def test_verify_rejects_zero_diff():
 
 def test_verify_rejects_outdegree_violation():
     rep = verify_certificate(ATCertificate(1, cyclic(4), None, "claimed"))
-    assert rep.verdict == "rejected" and not rep.outdegree_ok
+    assert rep.verdict == "rejected" and rep.max_outdegree > rep.level - 1
+    assert rep.messages == ("outdegree violation: max outdegree 1 > 0",)
 
 
-def assert_corona_law(d, recipe, options=WIDE):
-    """diff(D) = diff(d1) * diff(d2)^m, sign included, by the coefficient
-    engine on D against the tally on the factors, and by the one-way cut."""
-    m = recipe.d1.graph.n
+def assert_corona_law(d, d1, d2, options=WIDE):
+    """diff(D) = diff(d1) * diff(d2)^m for D built from the factor
+    orientations d1 and d2, sign included, by the coefficient engine on D
+    against the tally on the factors, and by the one-way cut."""
+    m = d1.graph.n
     factor_law = (
-        eulerian_tally_enumerate(recipe.d1, options).diff
-        * eulerian_tally_enumerate(recipe.d2, options).diff ** m
+        eulerian_tally_enumerate(d1, options).diff
+        * eulerian_tally_enumerate(d2, options).diff ** m
     )
     assert diff_coefficient(d) == factor_law
-    cut = one_way_cut_check(d, *corona_cut_sides(recipe.d1.graph, recipe.d2.graph), options)
+    cut = one_way_cut_check(d, *corona_cut_sides(d1.graph, d2.graph), options)
     assert cut.one_way and cut.product_ok and cut.diff_whole == factor_law
 
 
 def test_verify_corona_recipe_law():
     c4, c3 = cycle(4), cycle(3)
     acyc3 = Orientation(c3, [0, 1, 0])
-    d, recipe = corona_orientation(c4, cyclic(4), c3, acyc3)
+    d4 = cyclic(4)
+    d, _ = corona_orientation(c4, d4, c3, acyc3)
     cert = ATCertificate(d.max_outdegree() + 1, d, 2, "enumeration")
     rep = verify_certificate(cert, options=WIDE)
     assert rep.accepted
-    assert_corona_law(d, recipe)
+    assert_corona_law(d, d4, acyc3)
     # through the coefficient engine, with a factor of diff -1: the law
     # holds sign included
     prism = cartesian_product(c3, path(2))
     d1 = orient(prism, (0, 1, 0, 3, 4, 5, 0, 4, 2))
     assert eulerian_tally_enumerate(d1).diff == -1
-    d, recipe = corona_orientation(prism, d1, path(2), orient(path(2), [0]))
+    d2 = orient(path(2), [0])
+    d, _ = corona_orientation(prism, d1, path(2), d2)
     cert = ATCertificate(d.max_outdegree() + 1, d, 1, "enumeration")
     options = SolverOptions(poly_budget=10**9)
     rep = verify_certificate(cert, options=options)
     assert rep.accepted and rep.diff_method == "polynomial"
-    assert_corona_law(d, recipe, options)
+    assert_corona_law(d, d1, d2, options)
     assert diff_coefficient(d) == -1
 
 
@@ -211,17 +215,19 @@ def test_verify_outdegree_only_downgrade():
 def recipe_certificate(kind, g1, g2):
     """A recipe certificate built from factor certificates without search:
     the closed form for a bipartite factor, the degeneracy order otherwise.
-    Corona certificates record the product-law magnitude c1 * c2^n."""
+    Corona certificates record the product-law magnitude c1 * c2^n. Returns
+    the certificate and the two factor orientations."""
     c1, c2 = (
         at_bipartite(g).certificate if bipartition(g) is not None else acyclic_certificate(g)
         for g in (g1, g2)
     )
     build = corona_orientation if kind == "corona" else product_orientation
-    d, recipe = build(g1, c1.orientation, g2, c2.orientation)
+    d, _ = build(g1, c1.orientation, g2, c2.orientation)
     magnitude = None
     if kind == "corona" and None not in (c1.diff_magnitude, c2.diff_magnitude):
         magnitude = c1.diff_magnitude * c2.diff_magnitude ** g1.n
-    return ATCertificate(d.max_outdegree() + 1, d, magnitude, "product-law"), recipe
+    cert = ATCertificate(d.max_outdegree() + 1, d, magnitude, "product-law")
+    return cert, (c1.orientation, c2.orientation)
 
 
 def test_verify_recipe_certificates_past_enum_cap():
@@ -235,23 +241,23 @@ def test_verify_recipe_certificates_past_enum_cap():
         ("product", hypercube(3), cycle(3), 64),
     ]
     for kind, g1, g2, magnitude in cases:
-        cert, recipe = recipe_certificate(kind, g1, g2)
+        cert, factors = recipe_certificate(kind, g1, g2)
         assert cert.orientation.graph.m > SolverOptions().enum_cap
         rep = verify_certificate(cert)
         assert rep.accepted and rep.diff_method == "enumeration", (kind, g1.n, g2.n)
         assert rep.diff_magnitude == magnitude
         if kind == "corona":
             assert cert.diff_magnitude == magnitude
-            assert_corona_law(cert.orientation, recipe, SolverOptions())
+            assert_corona_law(cert.orientation, *factors, SolverOptions())
     # Q4's closed-form orientation is one strongly connected component of 32
     # arcs and 3^16 states: both engines stay gated
-    cert, recipe = recipe_certificate("corona", hypercube(4), cycle(5))
+    cert, _ = recipe_certificate("corona", hypercube(4), cycle(5))
     assert verify_certificate(cert).verdict == "outdegree-only"
 
 
 def test_corona_cut_reports_on_recipe_certificates():
-    # (cross_count, diff_left, diff_right, diff_whole) of the copies/hub cut;
-    # Q4 o C5, whose hub is over enum_cap, is the next test's
+    # (crossing arc count, diff_left, diff_right, diff_whole) of the
+    # copies/hub cut; Q4 o C5, whose hub is over enum_cap, is the next test's
     cases = [
         (hypercube(3), cycle(3), (24, 1, 4, 4)),
         (hypercube(3), path(3), (24, 1, 4, 4)),
@@ -260,16 +266,20 @@ def test_corona_cut_reports_on_recipe_certificates():
     ]
     for g1, g2, expected in cases:
         cert, _ = recipe_certificate("corona", g1, g2)
-        rep = one_way_cut_check(cert.orientation, *corona_cut_sides(g1, g2))
-        assert rep.one_way and rep.backward_arcs == ()
-        assert (rep.cross_count, rep.diff_left, rep.diff_right, rep.diff_whole) == expected
+        leaves, hub = corona_cut_sides(g1, g2)
+        rep = one_way_cut_check(cert.orientation, leaves, hub)
+        leaving, entering = crossing_arcs(cert.orientation, leaves)
+        assert rep.one_way and entering == []
+        assert (len(leaving), rep.diff_left, rep.diff_right, rep.diff_whole) == expected
 
 
 def test_corona_cut_side_over_enum_cap_has_no_diff():
     # Q4 o C5 from the Q4 closed form and the C5 degeneracy order: the copies
     # are acyclic (diff 1), the hub is one 32-arc component over enum_cap
     cert, _ = recipe_certificate("corona", hypercube(4), cycle(5))
-    rep = one_way_cut_check(cert.orientation, *corona_cut_sides(hypercube(4), cycle(5)))
-    assert rep.one_way and rep.cross_count == 16 * 5  # one hub link per copy vertex
+    leaves, hub = corona_cut_sides(hypercube(4), cycle(5))
+    rep = one_way_cut_check(cert.orientation, leaves, hub)
+    leaving, _ = crossing_arcs(cert.orientation, leaves)
+    assert rep.one_way and len(leaving) == 16 * 5  # one hub link per copy vertex
     assert rep.diff_left == 1
     assert rep.diff_right is None and rep.diff_whole is None and rep.product_ok is None

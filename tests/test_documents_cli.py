@@ -84,8 +84,13 @@ def test_certificate_with_recipe_tags():
     doc = serialize_certificate(cert, recipe=recipe)
     parsed = parse_certificate(doc)
     assert parsed.recipe_kind == "corona"
-    assert len(parsed.rules) == d.graph.m
-    assert parsed.rules[0][1] == "R1"
+    rules = [line for line in doc.splitlines() if line.startswith("rule ")]
+    assert len(rules) == d.graph.m
+    assert rules[0] == "rule 0 R1 0" and rules[-1] == f"rule {d.graph.m - 1} R3 -"
+    # the parser keeps only the recipe kind, but still checks each rule line
+    for bad in ("rule 0 R1", "rule 0 R1 x", "rule x R1 0", "rule 0 R1 0 0"):
+        with pytest.raises(ValueError):
+            parse_certificate(doc.replace(rules[0], bad))
 
 
 def test_unverified_diff_roundtrip():
@@ -366,7 +371,8 @@ def test_golden_certificate_document_bytes():
     assert serialize_certificate(cert, "hypercube n=2") == with_provenance
     # the hash covers the canonical graph text without the provenance line
     assert f"graph-sha256 {graph_sha256(g)}\n" in GOLDEN_Q2_CERT
-    assert parse_certificate(with_provenance).graph_provenance == "hypercube n=2"
+    parsed = parse_certificate(with_provenance)
+    assert parsed.graph == g and parsed.orientation.tails == cert.orientation.tails
 
 
 def _replace_hash(doc: str, digest: str) -> str:

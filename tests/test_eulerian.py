@@ -5,6 +5,7 @@ import pytest
 from atlab import (
     CapacityError,
     Graph,
+    OneWayCutReport,
     Orientation,
     SolverOptions,
     acyclic_certificate,
@@ -30,6 +31,7 @@ from atlab.eulerian import (
     tally_arcs,
 )
 from helpers import (
+    crossing_arcs,
     euler_circuit_orientation,
     induced_orientation,
     naive_tally,
@@ -218,7 +220,7 @@ def test_one_way_cut_two_disjoint_arcs():
     g = Graph(["a", "b", "c", "d"], [(0, 1), (2, 3)])
     d = orient(g, [0, 2])
     rep = one_way_cut_check(d, [0, 1], [2, 3])
-    assert rep.one_way and rep.cross_count == 0
+    assert rep.one_way and crossing_arcs(d, [0, 1]) == ([], [])
     assert rep.diff_whole == 1 and rep.diff_left == 1 and rep.diff_right == 1
     assert rep.product_ok
 
@@ -232,7 +234,8 @@ def test_one_way_cut_c4_plus_arc():
     # the reversed cross arc breaks one-wayness
     d2 = orientation_from_arcs(g, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0)])
     rep2 = one_way_cut_check(d2, [0, 1, 2, 3], [4])
-    assert not rep2.one_way and rep2.backward_arcs == ((4, 0),)
+    assert crossing_arcs(d2, [0, 1, 2, 3]) == ([], [(4, 0)])
+    assert rep2 == OneWayCutReport(False)  # not one-way, so no diffs
 
 
 def test_one_way_cut_rejects_bad_split():

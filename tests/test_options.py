@@ -60,11 +60,14 @@ def test_at_runs_the_level_search_by_default(tmp_path, capsys):
     assert code == 0 and "AT = 4" in out
 
 
-@pytest.mark.parametrize("flag", [["--parallel"], ["--threads", "2"], ["--exact"], ["--bipartite"]])
+@pytest.mark.parametrize(
+    "flag", [["--parallel"], ["--threads", "2"], ["--exact"], ["--bipartite"], ["--bounds"]]
+)
 def test_thread_flags_are_gone(tmp_path, capsys, flag):
     # the solvers run in one process, and the default mode takes the closed
     # form on bipartite input and the level search elsewhere; the flags that
-    # claimed otherwise are rejected as unknown arguments
+    # claimed otherwise are rejected as unknown arguments. `--time-budget 0`
+    # gives the bounds-only bracket that `--bounds` gave
     gpath = tmp_path / "c3.graph"
     main(["gen", "cycle", "3", "-o", str(gpath)])
     with pytest.raises(SystemExit) as exc:

@@ -111,17 +111,17 @@ def test_every_module_level_definition_is_referenced():
     assert not found, f"unreferenced definitions in atlab: {found}"
 
 
+def _attributes(top):
+    return Counter(n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute))
+
+
 def test_every_method_and_property_is_referenced():
     # the same rule for the methods and properties of package classes: each is
     # reached as an attribute somewhere in the package outside its own body, or
     # named by the benchmark. Dunders and dataclass fields are not methods.
     trees = _package_trees()
     bench_names = _bench_names()
-
-    def attributes(top):
-        return Counter(n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute))
-
-    package = sum((attributes(tree) for tree in trees.values()), Counter())
+    package = sum((_attributes(tree) for tree in trees.values()), Counter())
     found = []
     for name, tree in trees.items():
         for cls in ast.walk(tree):
@@ -134,6 +134,39 @@ def test_every_method_and_property_is_referenced():
                     continue
                 if node.name in bench_names:
                     continue
-                if package[node.name] <= attributes(node)[node.name]:
+                if package[node.name] <= _attributes(node)[node.name]:
                     found.append(f"{name}:{node.lineno} {cls.name}.{node.name}")
     assert not found, f"unreferenced methods in atlab: {found}"
+
+
+def _is_record(cls):
+    # a dataclass (decorated `@dataclass` or `@dataclass(...)`) or a NamedTuple
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    names = {n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+             for n in decorators + cls.bases}
+    return bool(names & {"dataclass", "NamedTuple"})
+
+
+def test_every_field_is_read():
+    # the same rule for the fields of dataclasses and NamedTuples: each is
+    # reached as an attribute somewhere in the package outside its own class
+    # body, or named by the benchmark. A field only tests read is state kept
+    # for them, and the work that fills it is waste.
+    trees = _package_trees()
+    bench_names = _bench_names()
+    package = sum((_attributes(tree) for tree in trees.values()), Counter())
+    found = []
+    for name, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or not _is_record(cls):
+                continue
+            own = _attributes(cls)
+            for node in cls.body:
+                if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
+                    continue
+                field = node.target.id
+                if field in bench_names:
+                    continue
+                if package[field] <= own[field]:
+                    found.append(f"{name}:{node.lineno} {cls.name}.{field}")
+    assert not found, f"fields no package code reads: {found}"

@@ -64,6 +64,36 @@ def test_lemma_3_2_range():
         assert rep.verdict == "pass" and rep.predicted == str(expected)
 
 
+def test_closed_form_rows_cross_check_exactly_the_graphs_within_the_edge_cap():
+    # a search the edge cap refuses is no evidence: both closed-form claims
+    # skip it rather than report its bracket, and keep their evidence labels
+    reports = run_suite(["lemma3.1", "lemma3.2"], SolverOptions(search_edge_cap=0))
+    assert [r.verdict for r in reports] == ["pass"] * 10, reports
+    assert not any("search" in r.evidence for r in reports)
+    # Q3 has 12 edges, K3,3 9 and Q4 32
+    cap12 = {r.instance: r for r in run_suite(["lemma3.1", "lemma3.2"],
+                                              SolverOptions(search_edge_cap=12))}
+    assert cap12["Q3"].evidence.endswith("; exhaustive search: 3")
+    assert cap12["K3,3"].evidence.endswith("; exhaustive search agrees: 3")
+    assert "search" not in cap12["Q4"].evidence
+
+
+def test_suite_searches_each_closed_form_graph_once(monkeypatch):
+    searched = []
+    real_at_exact = theorems.at_exact
+
+    def at_exact(g, options, **kwargs):
+        if kwargs.get("bipartite_shortcut") is False:
+            searched.append(g)
+        return real_at_exact(g, options, **kwargs)
+
+    monkeypatch.setattr(theorems, "at_exact", at_exact)
+    run_suite()
+    # K3,3, C6 and Q2 from Lemma 3.1; Q1 and Q3 from Lemma 3.2, whose Q2
+    # is Lemma 3.1's
+    assert len(searched) == len(set(searched)) == 5, searched
+
+
 def test_theorem_1_cases():
     rep = check_theorem_1(3, path(2), "P2")
     assert rep.predicted == "3" and rep.verdict == "pass"  # odd n, m=2
