@@ -19,6 +19,14 @@ diff != 0. The solver combines:
     acyclic orientation along a degeneracy order (diff = 1, the empty
     subdigraph alone) caps the search from above.
 
+Every result is a bracket that `bracket` joins from (value, reason) lower
+terms and one certificate: lo is the first greatest term, so the term order
+is the tie order, and hi is the certificate's level. A term above the level
+contradicts a proof and raises ProofObligationError. `at_lower_bound` gives
+[chromatic, density-pigeonhole] and each refuted level k appends
+(k + 1, exhaustive-refutation); the corona pinch in `theorems` gives
+[subgraph, chromatic].
+
 ceil(max_density) is the least uniform cap k that path reversal can meet
 (Hakimi's theorem). `least_uniform_cap` finds it by trying k = ceil(|E|/|V|),
 k+1, ... and returns a witness for each side: an orientation with every
@@ -44,7 +52,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Optional, Sequence, Union
 
 from .density import induced_edge_count, reverse_paths
@@ -88,7 +96,7 @@ class ATResult:
 
     lo: int
     hi: int
-    certificate: Optional[ATCertificate]
+    certificate: ATCertificate
     lower_bound_reason: str
 
     @property
@@ -98,6 +106,18 @@ class ATResult:
     @property
     def value(self) -> Optional[int]:
         return self.lo if self.lo == self.hi else None
+
+
+def bracket(terms: Sequence[tuple[int, str]], cert: ATCertificate) -> ATResult:
+    """The bracket [lo, cert.level] that proved (value, reason) lower terms
+    make with a certificate; lo and its reason come from the first greatest
+    term. Raises ProofObligationError when a term exceeds the level."""
+    lo, reason = max(terms, key=itemgetter(0))
+    if lo > cert.level:
+        raise ProofObligationError(
+            f"{reason} lower bound {lo} exceeds certificate level {cert.level} ({cert.method})"
+        )
+    return ATResult(lo, cert.level, cert, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -385,25 +405,22 @@ def at_lower_bound(
     options: SolverOptions = DEFAULT_OPTIONS,
     *,
     deadline: Optional[float] = None,
-) -> tuple[int, str]:
-    """Best available lower bound for AT(G) with the reason that won.
+) -> list[tuple[int, str]]:
+    """The lower-bound terms for AT(G) in tie order, chromatic first:
+    [(chi(G), "chromatic"), (ceil(max_density)+1, "density-pigeonhole")].
 
-    Terms: ceil(max_density)+1 (pigeonhole on outdegrees) and chi(G)
-    (chi <= AT). Past chromatic_block_cap or `deadline` the chi term is 3:
-    the chromatic solver gives up only on a non-bipartite block, so G has
-    an odd cycle. Chromatic wins ties. The first term is the least uniform
+    chi <= AT; past chromatic_block_cap or `deadline` the chi term is 3: the
+    chromatic solver gives up only on a non-bipartite block, so G has an odd
+    cycle. The density term (pigeonhole on outdegrees) is the least uniform
     cap plus one; its vertex-set witness is recounted, so the bound does not
     rest on path reversal alone.
     """
-    best = _checked_uniform_cap(g).cap + 1
-    reason = "density-pigeonhole"
+    density = _checked_uniform_cap(g).cap + 1
     try:
         chi = chromatic_number(g, options, deadline=deadline)
     except (CapacityError, SearchTimeout):
         chi = 3
-    if chi >= best:
-        best, reason = chi, "chromatic"
-    return best, reason
+    return [(chi, "chromatic"), (density, "density-pigeonhole")]
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +447,7 @@ def at_bipartite(g: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult
         method, magnitude = "bipartite-closed-form", None
     else:
         magnitude = abs(diff)
-    cert = ATCertificate(level, d, magnitude, method)
-    return ATResult(level, level, cert, "density-pigeonhole")
+    return bracket([(level, "density-pigeonhole")], ATCertificate(level, d, magnitude, method))
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +544,7 @@ def at_exact(
     budget.
 
     Bipartite inputs short-circuit to the closed form unless disabled. The
-    search starts at the best lower bound; each refuted level k proves
+    search starts at the best lower term; each refuted level k proves
     AT > k, and the degeneracy certificate bounds the search from above.
     """
     if bipartite_shortcut and bipartition(g) is not None:
@@ -536,23 +552,15 @@ def at_exact(
     deadline = (
         None if options.time_budget is None else time.monotonic() + options.time_budget
     )
-    lower, reason = at_lower_bound(g, options, deadline=deadline)
-    upper_cert = acyclic_certificate(g)
-    hi = upper_cert.level
-    if lower > hi:
-        raise ProofObligationError(f"lower bound {lower} exceeds the acyclic bound {hi}")
-    if lower == hi:
-        return ATResult(hi, hi, upper_cert, reason)
-    if g.m > options.search_edge_cap:
-        return ATResult(lower, hi, upper_cert, reason)
-    k = lower
-    while k < hi:
-        try:
-            found = find_at_orientation(g, k - 1, options, deadline)
-        except SearchTimeout:
-            return ATResult(k, hi, upper_cert, reason)
-        if found is not None:
-            return ATResult(k, k, _certify(g, found, options), reason)
-        k += 1
-        reason = "exhaustive-refutation"
-    return ATResult(hi, hi, upper_cert, reason)
+    terms = at_lower_bound(g, options, deadline=deadline)
+    upper = acyclic_certificate(g)
+    if g.m <= options.search_edge_cap:
+        for k in range(max(terms)[0], upper.level):
+            try:
+                found = find_at_orientation(g, k - 1, options, deadline)
+            except SearchTimeout:
+                break
+            if found is not None:
+                return bracket(terms, _certify(g, found, options))
+            terms.append((k + 1, "exhaustive-refutation"))
+    return bracket(terms, upper)

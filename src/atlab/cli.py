@@ -136,16 +136,15 @@ def cmd_at(args) -> int:
     else:
         print(f"AT in [{result.lo}, {result.hi}]")
     print(f"lower-bound reason: {result.lower_bound_reason}")
-    if result.certificate is not None:
-        cert = result.certificate
-        print(
-            f"certificate: level {cert.level}, max outdegree "
-            f"{cert.orientation.max_outdegree()}, method {cert.method}"
-        )
-        if args.cert:
-            with open(args.cert, "w") as fh:
-                fh.write(serialize_certificate(cert, prov))
-            print(f"certificate written to {args.cert}")
+    cert = result.certificate
+    print(
+        f"certificate: level {cert.level}, max outdegree "
+        f"{cert.orientation.max_outdegree()}, method {cert.method}"
+    )
+    if args.cert:
+        with open(args.cert, "w") as fh:
+            fh.write(serialize_certificate(cert, prov))
+        print(f"certificate written to {args.cert}")
     return 0 if result.is_exact else 3
 
 

@@ -13,20 +13,26 @@ computed value v being [v, v]:
 Closed-form, corollary 3.7 and remark-gap rows keep their own text.
 
 Pinching is the proof mode for coronas too large to search exhaustively: a
-lower bound (chromatic number or a known-subgraph AT value) must meet the
-upper bound from the constructed corona orientation.
+lower bound (a known-subgraph AT value, then the chromatic number, in tie
+order) must meet the upper bound from the constructed corona orientation;
+`atsolver.bracket` joins them.
 
-One `run_suite` call shares three things between its checks: the exact
-factor results of `_exact_at`, keyed by (graph, options), the level-search
-cross-checks of `_closed_form_row`, keyed by ("search", graph, options), and
-the hypercubes Q_n, keyed by n. Coronas Q_n o H and products with Q_n recur
-across Lemma 3.2, Theorem 1, Corollary 3.4, Theorem 2, Corollary 3.8 and
-Lemma 3.9, and Q2 and Q4 are Lemma 3.1 instances too, so a default run
-solves and searches each graph and builds each hypercube once. Nothing else
-is kept: products, coronas, chromatic numbers and reports are made afresh,
-so memory stays flat (peak RSS of `run_suite(n_range=range(1, 10))`
-is 23 MB, where keeping every solver result took 84 MB). The memo is cleared
-when the call returns or raises; a check called on its own solves afresh.
+One `run_suite` call shares three things between its checks, each through
+`_shared(key, make)`: the factor results of `_exact_at`, keyed by
+(graph, options), the level-search cross-checks of `_closed_form_row`, keyed
+by ("search", graph, options), and the hypercubes Q_n, keyed by n. Coronas
+Q_n o H and products with Q_n recur across Lemma 3.2, Theorem 1,
+Corollary 3.4, Theorem 2, Corollary 3.8 and Lemma 3.9, and Q2 and Q4 are
+Lemma 3.1 instances too, so a default run solves and searches each graph and
+builds each hypercube once. Nothing else is kept: products, coronas,
+chromatic numbers and reports are made afresh, so memory stays flat (peak
+RSS of `run_suite(n_range=range(1, 10))` is 23 MB, where keeping every
+solver result took 84 MB). The memo is cleared when the call returns or
+raises; a check called on its own solves afresh.
+
+`run_suite` times each check and sets its `ClaimReport.millis`; a check
+called on its own leaves it 0.0. The checks are not re-exported from
+`atlab`: import them from this module.
 """
 
 from __future__ import annotations
@@ -34,13 +40,14 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from .atsolver import (
     ATCertificate,
     ATResult,
     at_bipartite,
     at_exact,
+    bracket,
     chromatic_number,
 )
 from .construct import corona_orientation
@@ -61,6 +68,8 @@ from .graphs import (
     tree_from_pruefer,
 )
 from .options import DEFAULT_OPTIONS, SolverOptions
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -93,20 +102,15 @@ def _fmt_bracket(lo: int, hi: int) -> str:
     return str(lo) if lo == hi else f"[{lo}, {hi}]"
 
 
-def _report(t0: float, *fields: str) -> ClaimReport:
-    """The report with the given claim .. evidence fields, timed from t0."""
-    return ClaimReport(*fields, millis=(time.perf_counter() - t0) * 1000.0)
-
-
 def _row(
-    t0: float, claim: str, instance: str, predicted: set[int], lo: int, hi: int, evidence: str
+    claim: str, instance: str, predicted: set[int], lo: int, hi: int, evidence: str
 ) -> ClaimReport:
     """The row judging the computed bracket [lo, hi] (a value v is [v, v])
     against the predicted value, or set of values."""
     shown = ", ".join(map(str, sorted(predicted)))
     shown = shown if len(predicted) == 1 else "{" + shown + "}"
     verdict = _bracket_verdict(predicted, lo, hi)
-    return _report(t0, claim, instance, shown, _fmt_bracket(lo, hi), verdict, evidence)
+    return ClaimReport(claim, instance, shown, _fmt_bracket(lo, hi), verdict, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -114,34 +118,33 @@ def _row(
 # ---------------------------------------------------------------------------
 
 
-# What the running `run_suite` call shares (see the module docstring): exact
-# factor results under (graph, options), cross-check searches under
-# ("search", graph, options) and hypercubes under n. None outside a call.
-# `at_exact` and `hypercube` are looked up in this module at call time, so a
-# rebinding of either still sees every call that reaches it.
+# What the running `run_suite` call shares (see the module docstring); None
+# outside a call. Only `_shared` and `run_suite` touch it. `at_exact` and
+# `hypercube` are looked up in this module at call time, so a rebinding of
+# either still sees every call that reaches it.
 _memo: Optional[dict] = None
 
 
+def _shared(key: object, make: Callable[[], T]) -> T:
+    """make(), kept under key for the rest of the running `run_suite` call."""
+    if _memo is None:
+        return make()
+    if key not in _memo:
+        _memo[key] = make()
+    return _memo[key]
+
+
 def _exact_at(g: Graph, options: SolverOptions) -> ATResult:
-    key = (g, options)
-    if _memo is not None and key in _memo:
-        return _memo[key]
-    result = at_exact(g, options)
+    result = _shared((g, options), lambda: at_exact(g, options))
     if not result.is_exact:
         raise CapacityError(
             f"need exact AT of a factor but got bracket [{result.lo}, {result.hi}]"
         )
-    if _memo is not None:
-        _memo[key] = result
     return result
 
 
 def _hypercube(n: int) -> Graph:
-    if _memo is None:
-        return hypercube(n)
-    if n not in _memo:
-        _memo[n] = hypercube(n)
-    return _memo[n]
+    return _shared(n, lambda: hypercube(n))
 
 
 def corona_at(g1: Graph, g2: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult:
@@ -175,21 +178,18 @@ def _pinch(
     else:
         magnitude = None
         method = "product-law+closed-form"
-    level = oriented.max_outdegree() + 1
-    cert = ATCertificate(level, oriented, magnitude, method)
+    cert = ATCertificate(oriented.max_outdegree() + 1, oriented, magnitude, method)
 
-    lower, reason = max(r1.value, r2.value), "subgraph"
+    lower = max(r1.value, r2.value)
+    terms = [(lower, "subgraph")]
     chi = None
-    if lower < level:
+    if lower < cert.level:
         try:
             chi = chromatic_number(oriented.graph, options)
+            terms.append((chi, "chromatic"))
         except CapacityError:
             pass
-    if chi is not None and chi > lower:
-        lower, reason = chi, "chromatic"
-    if lower > level:
-        raise ProofObligationError(f"corona lower bound {lower} exceeds level {level}")
-    return ATResult(lower, level, cert, reason), chi
+    return bracket(terms, cert), chi
 
 
 # ---------------------------------------------------------------------------
@@ -199,37 +199,31 @@ def _pinch(
 
 def _closed_form_row(
     claim: str, instance: str, predicted: int, g: Graph, result: ATResult, evidence: str,
-    search: str, options: SolverOptions, t0: float,
+    options: SolverOptions,
 ) -> ClaimReport:
     """Row for the closed-form AT result of bipartite g, cross-checked by the
-    level search exactly when g is within search_edge_cap; `search` labels
-    that cross-check in the evidence. A search cut short by the time budget
-    gives a bracket, which fails the row only when it excludes the
-    closed-form value. Within a `run_suite` call each (graph, options) is
-    searched once."""
+    level search exactly when g is within search_edge_cap; the evidence shows
+    what the search computed. A search cut short by the time budget gives a
+    bracket, which fails the row only when it excludes the closed-form
+    value. Within a `run_suite` call each (graph, options) is searched once."""
     computed, verdict = str(result.value), _bracket_verdict({predicted}, result.lo, result.hi)
     if g.m <= options.search_edge_cap:
-        key = ("search", g, options)
-        if _memo is not None and key in _memo:
-            cross = _memo[key]
-        else:
-            cross = at_exact(g, options, bipartite_shortcut=False)
-            if _memo is not None:
-                _memo[key] = cross
+        cross = _shared(
+            ("search", g, options), lambda: at_exact(g, options, bipartite_shortcut=False)
+        )
         searched = _fmt_bracket(cross.lo, cross.hi)
-        evidence += f"; {search}: {searched}"
+        evidence += f"; exhaustive search: {searched}"
         if cross.value != result.value:
             computed = f"{result.value} vs search {searched}"
             if verdict == "pass":
                 verdict = _bracket_verdict({result.value}, cross.lo, cross.hi)
-    return _report(t0, claim, instance, str(predicted), computed, verdict, evidence)
+    return ClaimReport(claim, instance, str(predicted), computed, verdict, evidence)
 
 
 def check_lemma_3_1(
     g: Graph, name: str, options: SolverOptions = DEFAULT_OPTIONS
 ) -> ClaimReport:
     """d-regular bipartite graphs: AT = ceil(d/2) + 1."""
-    t0 = time.perf_counter()
     degs = set(g.degrees())
     if len(degs) != 1:
         raise ValueError(f"{name} is not regular")
@@ -238,21 +232,16 @@ def check_lemma_3_1(
     result = _exact_at(g, options)
     evidence = f"certificate maxout {result.certificate.orientation.max_outdegree()}"
     return _closed_form_row(
-        "lemma3.1", name, ceil_half(degs.pop()) + 1, g, result, evidence,
-        "exhaustive search agrees", options, t0,
+        "lemma3.1", name, ceil_half(degs.pop()) + 1, g, result, evidence, options
     )
 
 
 def check_lemma_3_2(n: int, options: SolverOptions = DEFAULT_OPTIONS) -> ClaimReport:
     """Hypercubes: AT(Q_n) = ceil(n/2) + 1."""
-    t0 = time.perf_counter()
     q = _hypercube(n)
     result = _exact_at(q, options)
     evidence = f"density {max_density(q).density}"
-    return _closed_form_row(
-        "lemma3.2", f"Q{n}", ceil_half(n) + 1, q, result, evidence, "exhaustive search",
-        options, t0,
-    )
+    return _closed_form_row("lemma3.2", f"Q{n}", ceil_half(n) + 1, q, result, evidence, options)
 
 
 def check_theorem_1(
@@ -262,7 +251,6 @@ def check_theorem_1(
     options: SolverOptions = DEFAULT_OPTIONS,
 ) -> ClaimReport:
     """AT(Q_n x T_m): ceil(n/2)+1 when n odd and m = 2, else ceil(n/2)+2."""
-    t0 = time.perf_counter()
     if not is_tree(tree) or tree.n < 2:
         raise ValueError(f"{tree_name} is not a tree on >= 2 vertices")
     m = tree.n
@@ -271,21 +259,18 @@ def check_theorem_1(
     result = at_bipartite(g, options)
     least_out = result.certificate.orientation.max_outdegree()
     evidence = f"|V|={g.n} |E|={g.m} least max outdegree {least_out}"
-    return _row(
-        t0, "theorem1", f"Q{n} x {tree_name}", {predicted}, result.lo, result.hi, evidence
-    )
+    return _row("theorem1", f"Q{n} x {tree_name}", {predicted}, result.lo, result.hi, evidence)
 
 
 def check_corollary_3_4(
     n: int, k: int, options: SolverOptions = DEFAULT_OPTIONS
 ) -> ClaimReport:
     """AT(Q_n x C_2k) = ceil(n/2) + 2."""
-    t0 = time.perf_counter()
     predicted = ceil_half(n) + 2
     g = cartesian_product(_hypercube(n), cycle(2 * k))
     result = at_bipartite(g, options)
     return _row(
-        t0, "corollary3.4", f"Q{n} x C{2 * k}", {predicted}, result.lo, result.hi,
+        "corollary3.4", f"Q{n} x C{2 * k}", {predicted}, result.lo, result.hi,
         f"|V|={g.n} |E|={g.m}",
     )
 
@@ -296,12 +281,11 @@ def _chi_row(
     options: SolverOptions,
 ) -> ClaimReport:
     """Row for chi(compose(g1, g2)) = rule(chi(g1), chi(g2))."""
-    t0 = time.perf_counter()
     chi1 = chromatic_number(g1, options)
     chi2 = chromatic_number(g2, options)
     chi = chromatic_number(compose(g1, g2), options)
     return _row(
-        t0, claim, f"{name1} {sign} {name2}", {rule(chi1, chi2)}, chi, chi,
+        claim, f"{name1} {sign} {name2}", {rule(chi1, chi2)}, chi, chi,
         f"chi({name1})={chi1} chi({name2})={chi2}",
     )
 
@@ -326,7 +310,6 @@ def check_lemma_3_6(
     options: SolverOptions = DEFAULT_OPTIONS,
 ) -> ClaimReport:
     """AT(g1 o g2) = AT(g1) when AT(g2) < AT(g1), else AT(g2) or AT(g2)+1."""
-    t0 = time.perf_counter()
     r1, r2 = _exact_at(g1, options), _exact_at(g2, options)
     at1, at2 = r1.value, r2.value
     predicted = {at1} if at2 < at1 else {at2, at2 + 1}
@@ -336,7 +319,7 @@ def check_lemma_3_6(
         f"AT({name1})={at1} AT({name2})={at2}; certificate level {result.hi} "
         f"within rule bound {bound}; lower via {result.lower_bound_reason}"
     )
-    row = _row(t0, "lemma3.6", f"{name1} o {name2}", predicted, result.lo, result.hi, evidence)
+    row = _row("lemma3.6", f"{name1} o {name2}", predicted, result.lo, result.hi, evidence)
     if result.hi > bound:
         row.verdict = "fail"
         row.evidence += "; construction exceeded the outdegree bound"
@@ -351,7 +334,6 @@ def check_corollary_3_7(
     options: SolverOptions = DEFAULT_OPTIONS,
 ) -> ClaimReport:
     """If AT(g2) >= AT(g1) and chi(g2) = AT(g2): chi = AT = AT(g2)+1 on the corona."""
-    t0 = time.perf_counter()
     r1, r2 = _exact_at(g1, options), _exact_at(g2, options)
     at1, at2 = r1.value, r2.value
     chi2 = chromatic_number(g2, options)
@@ -368,15 +350,15 @@ def check_corollary_3_7(
     verdict = _bracket_verdict({predicted}, result.lo, result.hi)
     if chi not in (None, predicted):
         verdict = "fail"
-    return _report(
-        t0, "corollary3.7", f"{name1} o {name2}", f"chi = AT = {predicted}",
+    return ClaimReport(
+        "corollary3.7", f"{name1} o {name2}", f"chi = AT = {predicted}",
         f"chi={chi}, AT={_fmt_bracket(result.lo, result.hi)}", verdict, evidence,
     )
 
 
 def _hypercube_corona_row(
     claim: str, n: int, g2: Graph, name2: str, r2: ATResult, predicted: int,
-    options: SolverOptions, t0: float, show_method: bool = False,
+    options: SolverOptions, show_method: bool = False,
 ) -> ClaimReport:
     """Bracket row for AT(Q_n o g2) pinched from the factors' exact results."""
     q = _hypercube(n)
@@ -384,7 +366,7 @@ def _hypercube_corona_row(
     evidence = f"lower {result.lo} via {result.lower_bound_reason}; certificate level {result.hi}"
     if show_method:
         evidence += f" ({result.certificate.method})"
-    return _row(t0, claim, f"Q{n} o {name2}", {predicted}, result.lo, result.hi, evidence)
+    return _row(claim, f"Q{n} o {name2}", {predicted}, result.lo, result.hi, evidence)
 
 
 def check_theorem_2(
@@ -394,7 +376,6 @@ def check_theorem_2(
     options: SolverOptions = DEFAULT_OPTIONS,
 ) -> ClaimReport:
     """AT(Q_n o g2) with AT(g2) = 2: equals 3 for n <= 2, ceil(n/2)+1 for n > 2."""
-    t0 = time.perf_counter()
     if g2.n < 2:
         raise ValueError("the attached graph needs at least 2 vertices")
     r2 = _exact_at(g2, options)
@@ -405,7 +386,7 @@ def check_theorem_2(
         raise ProofObligationError("AT = 2 is impossible for an edgeless graph")
     predicted = 3 if n <= 2 else ceil_half(n) + 1
     return _hypercube_corona_row(
-        "theorem2", n, g2, name2, r2, predicted, options, t0, show_method=True
+        "theorem2", n, g2, name2, r2, predicted, options, show_method=True
     )
 
 
@@ -422,14 +403,13 @@ def check_lemma_3_9(
     n: int, k: int, options: SolverOptions = DEFAULT_OPTIONS
 ) -> ClaimReport:
     """AT(Q_n o C_{2k+1}) = 4 for n <= 4, ceil(n/2)+1 for n > 4."""
-    t0 = time.perf_counter()
     odd = 2 * k + 1
     if odd < 3:
         raise ValueError("odd cycle needs length >= 3")
     c = cycle(odd)
     predicted = 4 if n <= 4 else ceil_half(n) + 1
     return _hypercube_corona_row(
-        "lemma3.9", n, c, f"C{odd}", _exact_at(c, options), predicted, options, t0
+        "lemma3.9", n, c, f"C{odd}", _exact_at(c, options), predicted, options
     )
 
 
@@ -442,7 +422,6 @@ def check_toroidal_regression(
     A. Gordeev ("The Alon-Tarsi number of a toroidal grid"); these rows
     regress the solver against it.
     """
-    t0 = time.perf_counter()
     predicted = 4 if (m % 2 == 1 and n % 2 == 1) else 3
     g = cartesian_product(cycle(m), cycle(n))
     result = at_exact(g, options.with_(search_edge_cap=max(options.search_edge_cap, g.m)))
@@ -450,7 +429,7 @@ def check_toroidal_regression(
         evidence = "bipartite closed form"
     else:
         evidence = f"exhaustive search, lower via {result.lower_bound_reason}"
-    return _row(t0, "toroidal", f"C{m} x C{n}", {predicted}, result.lo, result.hi, evidence)
+    return _row("toroidal", f"C{m} x C{n}", {predicted}, result.lo, result.hi, evidence)
 
 
 def check_chi_product(
@@ -473,15 +452,12 @@ def check_remark_gap(name: str, chi: int, at_result: ATResult) -> ClaimReport:
     Acceptance criterion 12 asserts the proven equality on Q3 o P3 and
     Q3 o C3, and the remark as printed on Q2, where that sub-case fails.
     """
-    t0 = time.perf_counter()
-    computed = f"chi={chi}, AT={_fmt_bracket(at_result.lo, at_result.hi)}"
-    if chi < at_result.lo:
-        verdict = "pass"
-    elif chi >= at_result.hi:
-        verdict = "fail"  # chi <= AT always, so equality: choosable after all
-    else:
-        verdict = "inconclusive"
-    return _report(t0, "remark-gap", name, "chi < AT", computed, verdict, "")
+    lo, hi = at_result.lo, at_result.hi
+    # chi <= AT always, so a fail means equality: choosable after all
+    verdict = _bracket_verdict(set(range(chi + 1, hi + 1)), lo, hi)
+    return ClaimReport(
+        "remark-gap", name, "chi < AT", f"chi={chi}, AT={_fmt_bracket(lo, hi)}", verdict, ""
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +549,9 @@ def run_suite(
     seed: int = 11,
 ) -> list[ClaimReport]:
     """Run the selected claims (all by default) over their default instance
-    sweeps; reports come back in deterministic order. The checks share the
-    factor results and hypercubes of this call (see the module docstring)."""
+    sweeps; reports come back in deterministic order, each timed in millis.
+    The checks share the factor results, cross-check searches and hypercubes
+    of this call (see the module docstring)."""
     wanted = None if claims is None else {c.lower() for c in claims}
 
     def want(name: str) -> bool:
@@ -583,10 +560,17 @@ def run_suite(
     def sweep(given: Optional[Sequence[int]], default: range) -> Sequence[int]:
         return default if given is None else given
 
+    reports: list[ClaimReport] = []
+
+    def row(check: Callable[..., ClaimReport], *args) -> None:
+        t0 = time.perf_counter()
+        report = check(*args)
+        report.millis = (time.perf_counter() - t0) * 1000.0
+        reports.append(report)
+
     global _memo
     _memo = {}
     try:
-        reports: list[ClaimReport] = []
         if want("lemma3.1"):
             for name, g in [
                 ("K3,3", complete_bipartite(3, 3)),
@@ -594,34 +578,34 @@ def run_suite(
                 ("Q2", _hypercube(2)),
                 ("Q4", _hypercube(4)),
             ]:
-                reports.append(check_lemma_3_1(g, name, options))
+                row(check_lemma_3_1, g, name, options)
         if want("lemma3.2"):
             for n in sweep(n_range, range(1, 7)):
-                reports.append(check_lemma_3_2(n, options))
+                row(check_lemma_3_2, n, options)
         if want("theorem1"):
             for n in sweep(n_range, range(1, 4)):
                 for m in range(2, 6):
                     for tname, tree in tree_catalog(m, seed):
-                        reports.append(check_theorem_1(n, tree, tname, options))
+                        row(check_theorem_1, n, tree, tname, options)
         if want("corollary3.4"):
             for n in sweep(n_range, range(1, 4)):
                 for k in sweep(k_range, range(2, 4)):
                     if k >= 2:  # C_2k needs at least 4 vertices
-                        reports.append(check_corollary_3_4(n, k, options))
+                        row(check_corollary_3_4, n, k, options)
         if want("lemma3.5"):
-            reports.append(check_lemma_3_5(cycle(3), cycle(4), "C3", "C4", options))
-            reports.append(check_lemma_3_5(cycle(4), cycle(3), "C4", "C3", options))
-            reports.append(check_lemma_3_5(complete(2), Graph(["0"], []), "K2", "K1", options))
+            row(check_lemma_3_5, cycle(3), cycle(4), "C3", "C4", options)
+            row(check_lemma_3_5, cycle(4), cycle(3), "C4", "C3", options)
+            row(check_lemma_3_5, complete(2), Graph(["0"], []), "K2", "K1", options)
             for n1, g1, n2, g2 in random_corona_pairs(pair_count, seed=seed):
-                reports.append(check_lemma_3_5(g1, g2, n1, n2, options))
+                row(check_lemma_3_5, g1, g2, n1, n2, options)
         if want("lemma3.6"):
-            reports.append(check_lemma_3_6(cycle(4), complete(2), "C4", "K2", options))
-            reports.append(check_lemma_3_6(cycle(5), Graph(["0"], []), "C5", "K1", options))
-            reports.append(check_lemma_3_6(_hypercube(2), path(4), "Q2", "P4", options))
+            row(check_lemma_3_6, cycle(4), complete(2), "C4", "K2", options)
+            row(check_lemma_3_6, cycle(5), Graph(["0"], []), "C5", "K1", options)
+            row(check_lemma_3_6, _hypercube(2), path(4), "Q2", "P4", options)
         if want("corollary3.7"):
-            reports.append(check_corollary_3_7(complete(2), cycle(3), "K2", "C3", options))
-            reports.append(check_corollary_3_7(path(3), complete(3), "P3", "K3", options))
-            reports.append(check_corollary_3_7(complete(2), cycle(4), "K2", "C4", options))
+            row(check_corollary_3_7, complete(2), cycle(3), "K2", "C3", options)
+            row(check_corollary_3_7, path(3), complete(3), "P3", "K3", options)
+            row(check_corollary_3_7, complete(2), cycle(4), "K2", "C4", options)
         if want("theorem2"):
             for n in sweep(n_range, range(1, 5)):
                 for name, g2 in [
@@ -630,27 +614,27 @@ def run_suite(
                     ("P4", path(4)),
                     ("C4", cycle(4)),
                 ]:
-                    reports.append(check_theorem_2(n, g2, name, options))
+                    row(check_theorem_2, n, g2, name, options)
         if want("corollary3.8"):
             for n in sweep(n_range, range(1, 4)):
                 for k in sweep(k_range, range(2, 4)):
                     if k >= 2:
-                        reports.append(check_corollary_3_8(n, k, options))
+                        row(check_corollary_3_8, n, k, options)
         if want("lemma3.9"):
             for n in sweep(n_range, range(1, 6)):
                 for k in sweep(k_range, range(1, 3)):
-                    reports.append(check_lemma_3_9(n, k, options))
+                    row(check_lemma_3_9, n, k, options)
         if want("toroidal"):
             for m in range(3, toroidal_max + 1):
                 for n in range(m, toroidal_max + 1):
-                    reports.append(check_toroidal_regression(m, n, options))
+                    row(check_toroidal_regression, m, n, options)
         if want("chi-product"):
-            reports.append(check_chi_product(complete(2), cycle(5), "K2", "C5", options))
-            reports.append(check_chi_product(cycle(3), cycle(3), "C3", "C3", options))
-            reports.append(check_chi_product(_hypercube(2), _hypercube(2), "Q2", "Q2", options))
+            row(check_chi_product, complete(2), cycle(5), "K2", "C5", options)
+            row(check_chi_product, cycle(3), cycle(3), "C3", "C3", options)
+            row(check_chi_product, _hypercube(2), _hypercube(2), "Q2", "Q2", options)
         if want("remark-gap"):
             for name, chi, at_result in remark_instances(options):
-                reports.append(check_remark_gap(name, chi, at_result))
+                row(check_remark_gap, name, chi, at_result)
     finally:
         _memo = None
     return reports

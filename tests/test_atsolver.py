@@ -38,6 +38,7 @@ from atlab.atsolver import (
     _greedy_clique,
     acyclic_certificate,
     biconnected_blocks,
+    bracket,
 )
 from atlab.documents import serialize_certificate
 from atlab.errors import SearchTimeout
@@ -281,12 +282,36 @@ def test_bounded_orientation_per_vertex_caps_is_hakimi():
 
 
 def test_lower_bound_values_and_reasons():
-    lb, reason = at_lower_bound(hypercube(4))
-    assert (lb, reason) == (3, "density-pigeonhole")
-    lb, reason = at_lower_bound(corona(cycle(3), cycle(4)))
-    assert (lb, reason) == (3, "chromatic")
-    lb, _ = at_lower_bound(path(2))
-    assert lb == 2
+    # every term with its value, chromatic first; bracket picks the winner
+    for g, terms, reason in [
+        (hypercube(4), [(2, "chromatic"), (3, "density-pigeonhole")], "density-pigeonhole"),
+        (corona(cycle(3), cycle(4)), [(3, "chromatic"), (3, "density-pigeonhole")], "chromatic"),
+        (path(2), [(2, "chromatic"), (2, "density-pigeonhole")], "chromatic"),
+    ]:
+        assert at_lower_bound(g) == terms
+        res = bracket(terms, acyclic_certificate(g))
+        assert (res.lo, res.lower_bound_reason) == (max(v for v, _ in terms), reason)
+
+
+def test_bracket_keeps_the_first_of_tied_terms():
+    cert = acyclic_certificate(cycle(5))  # level 3
+    for terms, reason in [
+        ([(3, "chromatic"), (3, "density-pigeonhole")], "chromatic"),
+        ([(3, "density-pigeonhole"), (3, "chromatic")], "density-pigeonhole"),
+        ([(2, "subgraph"), (3, "chromatic"), (3, "subgraph")], "chromatic"),
+    ]:
+        res = bracket(terms, cert)
+        assert (res.lo, res.hi, res.lower_bound_reason) == (3, 3, reason)
+        assert res.certificate is cert
+
+
+def test_bracket_error_names_the_term_above_the_level():
+    cert = acyclic_certificate(cycle(5))  # level 3
+    with pytest.raises(ProofObligationError, match="exhaustive-refutation lower bound 4"):
+        bracket([(3, "chromatic"), (2, "density-pigeonhole"),
+                 (4, "exhaustive-refutation")], cert)
+    with pytest.raises(ProofObligationError, match="subgraph lower bound 5"):
+        bracket([(5, "subgraph"), (4, "chromatic")], cert)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +376,8 @@ def test_at_values_never_call_max_density(monkeypatch):
     assert at_exact(cycle(5)).value == 3
     assert at_exact(hypercube(3)).value == 3
     assert at_bipartite(cartesian_product(hypercube(3), path(3))).value == 4
-    assert at_lower_bound(complete(5)) == (5, "chromatic")
-    assert at_lower_bound(hypercube(4)) == (3, "density-pigeonhole")
+    assert at_lower_bound(complete(5)) == [(5, "chromatic"), (3, "density-pigeonhole")]
+    assert at_lower_bound(hypercube(4)) == [(2, "chromatic"), (3, "density-pigeonhole")]
     report = check_theorem_1(3, tree_from_pruefer((0, 1)))
     assert report.verdict == "pass"
     assert report.evidence.endswith("least max outdegree 3")
@@ -450,11 +475,11 @@ def test_lower_bound_never_exceeds_exact_and_certs_reverify():
         res = at_exact(g, SolverOptions(search_edge_cap=18))
         if not res.is_exact:
             continue
-        lb, _ = at_lower_bound(g)
-        assert lb <= res.value, name
-        assert chromatic_number(g) <= res.value, name
-        if res.certificate is not None:
-            assert verify_certificate(res.certificate).accepted, name
+        terms = at_lower_bound(g)
+        assert [reason for _, reason in terms] == ["chromatic", "density-pigeonhole"], name
+        assert all(value <= res.value for value, _ in terms), (name, terms)
+        assert terms[0][0] == chromatic_number(g) <= res.value, name
+        assert verify_certificate(res.certificate).accepted, name
 
 
 def test_subgraph_monotonicity_spot_check():
@@ -473,21 +498,33 @@ def test_zero_time_budget_gives_the_bounds_bracket():
     assert eulerian_tally_enumerate(cert.orientation).diff == 1
     # with no time to search, the bracket is the best lower bound against
     # the degeneracy certificate, which is the certificate given
-    for g, options, bracket in [
-        (cycle(5), SolverOptions(time_budget=0), (3, 3)),
+    for g, options, terms, expected in [
+        (cycle(5), SolverOptions(time_budget=0),
+         [(3, "chromatic"), (2, "density-pigeonhole")], (3, 3)),
         (cartesian_product(cycle(3), cycle(5)),
-         SolverOptions(search_edge_cap=30, time_budget=0), (3, 5)),
+         SolverOptions(search_edge_cap=30, time_budget=0),
+         [(3, "chromatic"), (3, "density-pigeonhole")], (3, 5)),
     ]:
         res = at_exact(g, options)
-        lower, reason = at_lower_bound(g, options)
+        assert at_lower_bound(g, options) == terms
         acyclic = acyclic_certificate(g)
-        assert (res.lo, res.hi) == (lower, acyclic.level) == bracket
-        assert res.lower_bound_reason == reason == "chromatic"
+        assert (res.lo, res.hi) == (max(v for v, _ in terms), acyclic.level) == expected
+        assert res.lower_bound_reason == "chromatic"
         assert res.certificate == acyclic
     # chi lower bound meets the degeneracy certificate
     assert at_exact(cycle(5), SolverOptions(time_budget=0)).value == 3
     res2 = at_exact(complete_bipartite(3, 3), SolverOptions(time_budget=0))
     assert res2.lo <= 3 <= res2.hi
+
+
+def test_a_certificate_below_a_refuted_level_breaks_the_proof(monkeypatch):
+    # C3 x C3 refutes level 3 before it finds level 4; a certificate claiming
+    # level 2 contradicts both lower terms and the refutation
+    g = cartesian_product(cycle(3), cycle(3))
+    monkeypatch.setattr(atlab.atsolver, "_certify",
+                        lambda _g, d, _o: ATCertificate(2, d, 1, "enumeration"))
+    with pytest.raises(ProofObligationError, match="exhaustive-refutation lower bound 4"):
+        at_exact(g, SolverOptions(search_edge_cap=24))
 
 
 def test_search_is_deterministic():

@@ -170,3 +170,31 @@ def test_every_field_is_read():
                 if package[field] <= own[field]:
                     found.append(f"{name}:{node.lineno} {cls.name}.{field}")
     assert not found, f"fields no package code reads: {found}"
+
+
+def _uses(trees, match):
+    # (file, enclosing module-level statement, line) of every node that matches
+    return [(name, top, node.lineno) for name, tree in trees.items()
+            for top in tree.body for node in ast.walk(top) if match(node)]
+
+
+def test_only_bracket_builds_an_at_result():
+    # every AT result joins its lower terms and its certificate in one place,
+    # which checks that no term exceeds the certificate level
+    calls = _uses(_package_trees(),
+                  lambda n: isinstance(n, ast.Call) and "ATResult" in _names(n.func))
+    found = [f"{name}:{line}" for name, top, line in calls
+             if (name, getattr(top, "name", None)) != ("atsolver.py", "bracket")]
+    assert calls and not found, f"ATResult built outside atsolver.bracket: {found}"
+
+
+def test_only_shared_and_run_suite_touch_the_memo():
+    # one way to share a run_suite call's results: a second hand-written
+    # lookup could key or clear the memo differently
+    uses = _uses(_package_trees(), lambda n: "_memo" in (getattr(n, "id", None),
+                                                        getattr(n, "attr", None)))
+    found = [f"{name}:{line}" for name, top, line in uses
+             if name != "theorems.py" or not (
+                 getattr(top, "name", None) in ("_shared", "run_suite")
+                 or isinstance(top, ast.AnnAssign) and top.target.id == "_memo")]
+    assert uses and not found, f"theorems._memo touched outside _shared and run_suite: {found}"

@@ -66,7 +66,7 @@ def test_lemma_3_2_range():
 
 def test_closed_form_rows_cross_check_exactly_the_graphs_within_the_edge_cap():
     # a search the edge cap refuses is no evidence: both closed-form claims
-    # skip it rather than report its bracket, and keep their evidence labels
+    # skip it rather than report its bracket, and label a search alike
     reports = run_suite(["lemma3.1", "lemma3.2"], SolverOptions(search_edge_cap=0))
     assert [r.verdict for r in reports] == ["pass"] * 10, reports
     assert not any("search" in r.evidence for r in reports)
@@ -74,8 +74,14 @@ def test_closed_form_rows_cross_check_exactly_the_graphs_within_the_edge_cap():
     cap12 = {r.instance: r for r in run_suite(["lemma3.1", "lemma3.2"],
                                               SolverOptions(search_edge_cap=12))}
     assert cap12["Q3"].evidence.endswith("; exhaustive search: 3")
-    assert cap12["K3,3"].evidence.endswith("; exhaustive search agrees: 3")
+    assert cap12["K3,3"].evidence.endswith("; exhaustive search: 3")
     assert "search" not in cap12["Q4"].evidence
+
+
+def test_run_suite_times_every_row_and_a_lone_check_is_untimed():
+    reports = run_suite(["lemma3.2", "remark-gap"], n_range=[1, 2])
+    assert len(reports) == 11 and all(r.millis > 0 for r in reports), reports
+    assert check_lemma_3_2(1).millis == 0.0
 
 
 def test_suite_searches_each_closed_form_graph_once(monkeypatch):
@@ -238,7 +244,9 @@ def test_suite_solves_each_factor_and_builds_each_hypercube_once_per_call(monkey
 
     def at_exact(g, options, **kwargs):
         all_solves.append(g)
-        if sys._getframe(1).f_code.co_name == "_exact_at":
+        # a factor solve is the `make` that `_exact_at` hands to `_shared`
+        # (callers: the lambda, then `_shared`, then `_exact_at`)
+        if sys._getframe(3).f_code.co_name == "_exact_at":
             factor_solves.append((g, options))
         return real_at_exact(g, options, **kwargs)
 
