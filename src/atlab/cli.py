@@ -245,8 +245,10 @@ def cmd_theorems(args) -> int:
     total = len(reports)
     fails = sum(1 for r in reports if r.verdict == "fail")
     inconclusive = sum(1 for r in reports if r.verdict == "inconclusive")
+    # stdout in --json mode holds the JSON array alone
     print(f"{total} checks: {total - fails - inconclusive} pass, "
-          f"{fails} fail, {inconclusive} inconclusive")
+          f"{fails} fail, {inconclusive} inconclusive",
+          file=sys.stderr if args.json else sys.stdout)
     if fails:
         return 1
     if inconclusive:

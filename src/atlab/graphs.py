@@ -13,6 +13,18 @@ Label conventions:
   * cartesian products use (u_label, v_label) pairs;
   * coronas use (i, "hub") for vertex i of the base graph and (i, j) for
     vertex j of the i-th attached copy.
+
+Checked and unchecked construction:
+  * `Graph(vertices, edges)` checks its input: the vertex cap, distinct
+    labels, and every edge for range, self-loop and duplicate. Documents, the
+    CLI, callers and `tree_from_edges` (the caller's edge list) build this way.
+  * hypercube, cycle, path, star, complete, complete_bipartite,
+    tree_from_pruefer, cartesian_product and corona build through the private
+    `_built`, which skips those checks. Each refuses sizes over VERTEX_CAP
+    before it builds a list, validates its own arguments, and emits distinct
+    labels and only distinct in-range edges (i, j) with i < j, so the checks
+    could not fire; the products take Graphs, which are valid already. Both
+    ways fill the graph through the same `Graph._fill`.
 """
 
 from __future__ import annotations
@@ -39,10 +51,7 @@ class Graph:
 
     def __init__(self, vertices: Sequence[Label], edges: Iterable[tuple[int, int]]):
         vertices = tuple(vertices)
-        if len(vertices) > VERTEX_CAP:
-            raise SizeCapError(
-                f"{len(vertices)} vertices exceeds the construction cap {VERTEX_CAP}"
-            )
+        _refuse_over_cap(len(vertices), "graph")
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex labels")
         n = len(vertices)
@@ -59,14 +68,18 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add((u, v))
             norm.append((u, v))
+        self._fill(vertices, tuple(norm))
+
+    def _fill(self, vertices: tuple, edges: tuple) -> None:
+        # the one place a Graph's slots are set, checked or not
         self.vertices = vertices
-        self.edges = tuple(norm)
-        adj = [[] for _ in range(n)]
-        for u, v in self.edges:
+        self.edges = edges
+        adj = [[] for _ in vertices]
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
-        self._adj = tuple(tuple(a) for a in adj)
-        self._hash = hash((self.vertices, self.edges))
+        self._adj = tuple(map(tuple, adj))
+        self._hash = hash((vertices, edges))
 
     @property
     def n(self) -> int:
@@ -104,6 +117,21 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _built(vertices: Sequence[Label], edges: Sequence[tuple[int, int]]) -> Graph:
+    """Graph from a generator below, without Graph.__init__'s checks; the
+    module docstring says why they could not fire on a generator's output."""
+    g = object.__new__(Graph)
+    g._fill(tuple(vertices), tuple(edges))
+    return g
+
+
+def _refuse_over_cap(count: int, what: str) -> None:
+    # before any label or edge list exists: complete(VERTEX_CAP + 1) would
+    # otherwise build about 2.1e9 edge tuples first
+    if count > VERTEX_CAP:
+        raise SizeCapError(f"{what} would have {count} vertices (cap {VERTEX_CAP})")
+
+
 def hypercube(n: int) -> Graph:
     """n-cube on binary strings of length n; edges flip exactly one bit."""
     if n < 1 or n > HYPERCUBE_MAX_N:
@@ -116,42 +144,47 @@ def hypercube(n: int) -> Graph:
             j = i ^ (1 << bit)
             if j > i:
                 edges.append((i, j))
-    return Graph(vertices, edges)
+    return _built(vertices, edges)
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+    _refuse_over_cap(n, "cycle")
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    return Graph([str(i) for i in range(n)], edges)
+    return _built([str(i) for i in range(n)], edges)
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"path needs at least 1 vertex, got {n}")
-    return Graph([str(i) for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+    _refuse_over_cap(n, "path")
+    return _built([str(i) for i in range(n)], [(i, i + 1) for i in range(n - 1)])
 
 
 def star(n: int) -> Graph:
     """Star on n vertices total: center "0" joined to n-1 leaves."""
     if n < 1:
         raise ValueError(f"star needs at least 1 vertex, got {n}")
-    return Graph([str(i) for i in range(n)], [(0, i) for i in range(1, n)])
+    _refuse_over_cap(n, "star")
+    return _built([str(i) for i in range(n)], [(0, i) for i in range(1, n)])
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"complete graph needs at least 1 vertex, got {n}")
+    _refuse_over_cap(n, "complete graph")
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return Graph([str(i) for i in range(n)], edges)
+    return _built([str(i) for i in range(n)], edges)
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b}: left side "0".."a-1", right side "a".."a+b-1"."""
     if a < 1 or b < 1:
         raise ValueError("both sides of a complete bipartite graph must be nonempty")
+    _refuse_over_cap(a + b, "complete bipartite graph")
     edges = [(i, a + j) for i in range(a) for j in range(b)]
-    return Graph([str(i) for i in range(a + b)], edges)
+    return _built([str(i) for i in range(a + b)], edges)
 
 
 def tree_from_pruefer(sequence: Sequence[int]) -> Graph:
@@ -159,8 +192,9 @@ def tree_from_pruefer(sequence: Sequence[int]) -> Graph:
 
     The empty sequence decodes to K_2.
     """
+    n = len(sequence) + 2
+    _refuse_over_cap(n, "Pruefer tree")
     seq = list(sequence)
-    n = len(seq) + 2
     for entry in seq:
         if not (0 <= entry < n):
             raise ValueError(f"Pruefer entry {entry} outside 0..{n - 1}")
@@ -182,7 +216,7 @@ def tree_from_pruefer(sequence: Sequence[int]) -> Graph:
     u = heapq.heappop(leaves)
     v = heapq.heappop(leaves)
     edges.append((min(u, v), max(u, v)))
-    return Graph([str(i) for i in range(n)], edges)
+    return _built([str(i) for i in range(n)], edges)
 
 
 def tree_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
@@ -224,8 +258,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     """
     if g.n == 0 or h.n == 0:
         raise ValueError("cartesian product factors must be nonempty")
-    if g.n * h.n > VERTEX_CAP:
-        raise SizeCapError(f"product would have {g.n * h.n} vertices (cap {VERTEX_CAP})")
+    _refuse_over_cap(g.n * h.n, "product")
     vertices = [(u, v) for v in h.vertices for u in g.vertices]
     # vertex (u_a, v_i) sits at index i*|V(g)| + a
     edges = []
@@ -236,7 +269,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     for i, j in h.edges:
         for a in range(g.n):
             edges.append((i * g.n + a, j * g.n + a))
-    return Graph(vertices, edges)
+    return _built(vertices, edges)
 
 
 def corona(g1: Graph, g2: Graph) -> Graph:
@@ -249,9 +282,7 @@ def corona(g1: Graph, g2: Graph) -> Graph:
     """
     if g1.n == 0:
         raise ValueError("corona base graph must be nonempty")
-    total = g1.n * (1 + g2.n)
-    if total > VERTEX_CAP:
-        raise SizeCapError(f"corona would have {total} vertices (cap {VERTEX_CAP})")
+    _refuse_over_cap(g1.n * (1 + g2.n), "corona")
     m = g1.n
     vertices: list[Label] = [(i, "hub") for i in range(m)]
     for i in range(m):
@@ -263,7 +294,7 @@ def corona(g1: Graph, g2: Graph) -> Graph:
             edges.append((base + a, base + b))
         for j in range(g2.n):
             edges.append((i, base + j))
-    return Graph(vertices, edges)
+    return _built(vertices, edges)
 
 
 def bipartition(g: Graph) -> Optional[list[int]]:

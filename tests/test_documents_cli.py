@@ -273,12 +273,11 @@ def test_cli_theorems_json(capsys):
     import json
 
     assert main(["theorems", "--claim", "toroidal", "--max", "4", "--json"]) == 0
-    out = capsys.readouterr().out
-    start = out.index("[")
-    end = out.rindex("]") + 1
-    rows = json.loads(out[start:end])
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)
     assert {r["instance"] for r in rows} == {"C3 x C3", "C3 x C4", "C4 x C4"}
     assert all(r["verdict"] == "pass" for r in rows)
+    assert captured.err == "3 checks: 3 pass, 0 fail, 0 inconclusive\n"
 
 
 def test_cli_deterministic_bytes(tmp_path, capsys):

@@ -1,5 +1,13 @@
+import os
+import resource
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
+
 import pytest
 
+import atlab
 from atlab import (
     Graph,
     SizeCapError,
@@ -15,6 +23,7 @@ from atlab import (
     tree_from_edges,
     tree_from_pruefer,
 )
+from atlab.graphs import VERTEX_CAP
 
 
 def test_graph_rejects_bad_edges():
@@ -156,3 +165,79 @@ def test_construction_determinism():
 def test_size_cap_on_products():
     with pytest.raises(SizeCapError):
         cartesian_product(hypercube(10), hypercube(10))
+
+
+@pytest.mark.parametrize("build", [
+    cycle, path, star, lambda n: tree_from_pruefer([0] * (n - 2)),
+], ids=["cycle", "path", "star", "tree_from_pruefer"])
+def test_generators_refuse_one_vertex_over_the_cap(build):
+    with pytest.raises(SizeCapError):
+        build(VERTEX_CAP + 1)
+
+
+def _limit_memory():
+    # 512 MB of address space: a generator that builds its edge list before
+    # checking the cap dies of MemoryError instead of exhausting the machine
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize("call", [
+    "complete(VERTEX_CAP + 1)",
+    "complete_bipartite((VERTEX_CAP + 1) // 2, VERTEX_CAP + 1 - (VERTEX_CAP + 1) // 2)",
+], ids=["complete", "complete_bipartite"])
+def test_dense_generators_refuse_over_the_cap_before_building(call):
+    # about 2.1e9 (complete) and 1.1e9 (bipartite) edge tuples if built first
+    code = ("from atlab import SizeCapError, complete, complete_bipartite\n"
+            "from atlab.graphs import VERTEX_CAP\n"
+            "try:\n"
+            f"    {call}\n"
+            "except SizeCapError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('built without SizeCapError')\n")
+    src = str(Path(atlab.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, preexec_fn=_limit_memory,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-500:]
+
+
+def _families():
+    out = [hypercube(n) for n in range(1, 7)]
+    out += [cycle(n) for n in range(3, 9)]
+    out += [build(n) for build in (path, star, complete) for n in range(1, 9)]
+    out += [complete_bipartite(a, b) for a in range(1, 8) for b in range(1, 9 - a)]
+    return out
+
+
+def _pruefer_trees(max_n):
+    return [tree_from_pruefer(seq) for n in range(2, max_n + 1)
+            for seq in product(range(n), repeat=n - 2)]
+
+
+def _assert_as_if_checked(g):
+    checked = Graph(g.vertices, g.edges)
+    assert checked.vertices == g.vertices
+    assert checked.edges == g.edges
+    assert checked.adjacency == g.adjacency
+    assert hash(checked) == hash(g)
+    assert checked == g
+
+
+def test_generators_build_what_the_checked_constructor_builds():
+    # the generators skip Graph.__init__'s checks: every graph they build
+    # must pass them and come out identical, adjacency order included
+    families = _families()
+    trees = _pruefer_trees(6)
+    assert len(trees) == 1 + 3 + 16 + 125 + 1296
+    for g in families + trees:
+        _assert_as_if_checked(g)
+    factors = [g for g in families if g.n <= 5] + _pruefer_trees(4)
+    for g in factors:
+        for h in factors:
+            _assert_as_if_checked(cartesian_product(g, h))
+            _assert_as_if_checked(corona(g, h))
+    for n in range(1, 5):
+        for h in factors:
+            _assert_as_if_checked(cartesian_product(hypercube(n), h))
+            _assert_as_if_checked(corona(hypercube(n), h))

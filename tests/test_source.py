@@ -188,6 +188,26 @@ def test_only_bracket_builds_an_at_result():
     assert calls and not found, f"ATResult built outside atsolver.bracket: {found}"
 
 
+GENERATORS = {"hypercube", "cycle", "path", "star", "complete", "complete_bipartite",
+              "tree_from_pruefer", "cartesian_product", "corona"}
+
+
+def test_only_generators_build_a_graph_unchecked():
+    # graphs._built skips Graph.__init__'s checks, so only the generators
+    # whose output is valid by construction may call it; a graph from a
+    # document, the CLI or a caller's edge list must go through the checks
+    trees = _package_trees()
+    calls = _uses(trees, lambda n: isinstance(n, ast.Call) and "_built" in _names(n.func))
+    found = [f"{name}:{line}" for name, top, line in calls
+             if name != "graphs.py" or getattr(top, "name", None) not in GENERATORS]
+    assert calls and not found, f"graphs._built called outside the generators: {found}"
+    # and _built is the one place a Graph is made without __init__
+    news = _uses(trees, lambda n: isinstance(n, ast.Call) and "__new__" in _names(n.func))
+    found = [f"{name}:{line}" for name, top, line in news
+             if (name, getattr(top, "name", None)) != ("graphs.py", "_built")]
+    assert news and not found, f"__new__ called outside graphs._built: {found}"
+
+
 def test_only_shared_and_run_suite_touch_the_memo():
     # one way to share a run_suite call's results: a second hand-written
     # lookup could key or clear the memo differently
