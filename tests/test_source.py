@@ -194,13 +194,13 @@ GENERATORS = {"hypercube", "cycle", "path", "star", "complete", "complete_bipart
 
 def test_only_generators_build_a_graph_unchecked():
     # graphs._built skips Graph.__init__'s checks, so only the generators
-    # whose output is valid by construction may call it; a graph from a
+    # whose output is valid by construction may name it; a graph from a
     # document, the CLI or a caller's edge list must go through the checks
     trees = _package_trees()
-    calls = _uses(trees, lambda n: isinstance(n, ast.Call) and "_built" in _names(n.func))
-    found = [f"{name}:{line}" for name, top, line in calls
+    uses = _uses(trees, lambda n: "_built" in (getattr(n, "id", None), getattr(n, "attr", None)))
+    found = [f"{name}:{line}" for name, top, line in uses
              if name != "graphs.py" or getattr(top, "name", None) not in GENERATORS]
-    assert calls and not found, f"graphs._built called outside the generators: {found}"
+    assert uses and not found, f"graphs._built used outside the generators: {found}"
     # and _built is the one place a Graph is made without __init__
     news = _uses(trees, lambda n: isinstance(n, ast.Call) and "__new__" in _names(n.func))
     found = [f"{name}:{line}" for name, top, line in news
