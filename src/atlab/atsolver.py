@@ -27,6 +27,13 @@ contradicts a proof and raises ProofObligationError. `at_lower_bound` gives
 (k + 1, exhaustive-refutation); the corona pinch in `theorems` gives
 [subgraph, chromatic].
 
+`at_exact` computes the density term only when it can beat chi. The term is
+at most the degeneracy certificate's level, since that acyclic orientation
+meets cap = degeneracy, and at most ceil(max degree / 2) + 1, since every
+vertex set S spans at most max degree * |S| / 2 edges. Chi comes first in
+tie order, so when chi reaches either bound the term could not be the first
+greatest, and leaving it out changes no bracket, reason or certificate.
+
 ceil(max_density) is the least uniform cap k that path reversal can meet
 (Hakimi's theorem). `least_uniform_cap` finds it by trying k = ceil(|E|/|V|),
 k+1, ... and returns a witness for each side: an orientation with every
@@ -175,10 +182,11 @@ def least_uniform_cap(g: Graph) -> UniformCap:
 
 
 def _checked_uniform_cap(g: Graph) -> UniformCap:
-    """least_uniform_cap with its pigeonhole witness recounted."""
+    """least_uniform_cap with its pigeonhole witness recounted; a witness
+    that is every vertex spans every edge."""
     least = least_uniform_cap(g)
     k, r = least.cap, least.witness
-    spanned = induced_edge_count(g, r)
+    spanned = g.m if r == tuple(range(g.n)) else induced_edge_count(g, r)
     if k and spanned <= (k - 1) * len(r):
         raise ProofObligationError(
             f"cap {k} witness spans {spanned} <= {k - 1}*{len(r)} edges"
@@ -400,27 +408,33 @@ def chromatic_number(
 # ---------------------------------------------------------------------------
 
 
+def _chromatic_term(
+    g: Graph, options: SolverOptions, deadline: Optional[float]
+) -> int:
+    """chi(G), or 3 past chromatic_block_cap or `deadline`: the chromatic
+    solver gives up only on a non-bipartite block, so G has an odd cycle."""
+    try:
+        return chromatic_number(g, options, deadline=deadline)
+    except (CapacityError, SearchTimeout):
+        return 3
+
+
+def _density_term(g: Graph) -> tuple[int, str]:
+    return _checked_uniform_cap(g).cap + 1, "density-pigeonhole"
+
+
 def at_lower_bound(
-    g: Graph,
-    options: SolverOptions = DEFAULT_OPTIONS,
-    *,
-    deadline: Optional[float] = None,
+    g: Graph, options: SolverOptions = DEFAULT_OPTIONS
 ) -> list[tuple[int, str]]:
     """The lower-bound terms for AT(G) in tie order, chromatic first:
     [(chi(G), "chromatic"), (ceil(max_density)+1, "density-pigeonhole")].
 
-    chi <= AT; past chromatic_block_cap or `deadline` the chi term is 3: the
-    chromatic solver gives up only on a non-bipartite block, so G has an odd
-    cycle. The density term (pigeonhole on outdegrees) is the least uniform
-    cap plus one; its vertex-set witness is recounted, so the bound does not
-    rest on path reversal alone.
+    chi <= AT; past chromatic_block_cap the chi term is 3. The density term
+    (pigeonhole on outdegrees) is the least uniform cap plus one; its
+    vertex-set witness is recounted, so the bound does not rest on path
+    reversal alone.
     """
-    density = _checked_uniform_cap(g).cap + 1
-    try:
-        chi = chromatic_number(g, options, deadline=deadline)
-    except (CapacityError, SearchTimeout):
-        chi = 3
-    return [(chi, "chromatic"), (density, "density-pigeonhole")]
+    return [(_chromatic_term(g, options, None), "chromatic"), _density_term(g)]
 
 
 # ---------------------------------------------------------------------------
@@ -544,16 +558,25 @@ def at_exact(
     budget.
 
     Bipartite inputs short-circuit to the closed form unless disabled. The
-    search starts at the best lower term; each refuted level k proves
-    AT > k, and the degeneracy certificate bounds the search from above.
+    lower terms are those of `at_lower_bound`, but the density term is
+    computed only when chi is below both its ceilings: the degeneracy
+    certificate's level (that orientation meets cap = degeneracy) and
+    ceil(max degree / 2) + 1 (no subgraph is denser than half the max
+    degree). Chi comes first in tie order, so at either ceiling the density
+    term could not give lo or its reason. The search starts at the best
+    lower term; each refuted level k proves AT > k, and the degeneracy
+    certificate bounds the search from above.
     """
     if bipartite_shortcut and bipartition(g) is not None:
         return at_bipartite(g, options)
     deadline = (
         None if options.time_budget is None else time.monotonic() + options.time_budget
     )
-    terms = at_lower_bound(g, options, deadline=deadline)
+    chi = _chromatic_term(g, options, deadline)
     upper = acyclic_certificate(g)
+    terms = [(chi, "chromatic")]
+    if chi < min(upper.level, (g.max_degree() + 1) // 2 + 1):
+        terms.append(_density_term(g))
     if g.m <= options.search_edge_cap:
         for k in range(max(terms)[0], upper.level):
             try:

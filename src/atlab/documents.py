@@ -13,7 +13,9 @@ graph it reads to check it, so an equivalent non-canonical embedding (spaces
 inside a label, an edge written `e 3 1`) is accepted. The parser is strict:
 lines have exactly their fields, counts are non-negative, labels have the
 types above and only blank lines may follow a document's last section;
-anything else raises ValueError.
+anything else raises ValueError. The writers raise ValueError on a label the
+parser would refuse (a float, a bool, None, ...), so every document they
+write reads back.
 """
 
 from __future__ import annotations
@@ -35,13 +37,30 @@ _encode_label = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True).encod
 _decode_json = json.JSONDecoder().decode
 
 
+_BAD_LABEL = "vertex label part {!r} is not a string, an integer or an array"
+
+
 def _label(value):
     kind = type(value)
     if kind is str or kind is int:
         return value
     if kind is list:
         return tuple(map(_label, value))
-    raise ValueError(f"vertex label part {value!r} is not a string, an integer or an array")
+    raise ValueError(_BAD_LABEL.format(value))
+
+
+def _check_labels(labels) -> None:
+    """Raise ValueError unless every label is one `_label` reads back: a
+    string, an integer (not a bool) or a tuple of labels. Without this a
+    float, bool or None would be written and then refused on read."""
+    parts = list(labels)
+    while parts:
+        part = parts.pop()
+        kind = type(part)
+        if kind is tuple:
+            parts.extend(part)
+        elif kind is not str and kind is not int:
+            raise ValueError(_BAD_LABEL.format(part))
 
 
 def _decode_label(text: str):
@@ -83,6 +102,7 @@ def serialize_graph(g: Graph, provenance: Optional[str] = None) -> str:
     if provenance:
         lines.append(f"provenance {provenance}")
     lines.append(f"vertices {g.n}")
+    _check_labels(g.vertices)
     lines.extend(["v " + _encode_label(label) for label in g.vertices])
     lines.append(f"edges {g.m}")
     lines.extend([f"e {u} {v}" for u, v in g.edges])

@@ -33,6 +33,10 @@ class SolverOptions:
     time_budget: float | None = None
 
     def __post_init__(self) -> None:
+        # a negative cap would silently switch its engine off; 0 is a cap
+        for name in ("enum_cap", "poly_budget", "search_edge_cap", "chromatic_block_cap"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         # `not >= 0` also catches NaN, which compares false with every deadline
         if self.time_budget is not None and not self.time_budget >= 0:
             raise ValueError(f"time_budget must be None or >= 0, got {self.time_budget}")

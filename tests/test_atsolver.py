@@ -39,7 +39,9 @@ from atlab.atsolver import (
     acyclic_certificate,
     biconnected_blocks,
     bracket,
+    least_uniform_cap,
 )
+from atlab.density import induced_edge_count
 from atlab.documents import serialize_certificate
 from atlab.errors import SearchTimeout
 from atlab.eulerian import engine_diff
@@ -393,6 +395,50 @@ def test_density_terms_recount_the_vertex_set_witness(monkeypatch):
         at_lower_bound(g)
     with pytest.raises(ProofObligationError):
         at_bipartite(g)
+
+
+def test_at_exact_runs_path_reversal_only_where_the_density_term_can_win(monkeypatch):
+    # the density term is at most the degeneracy level and ceil(max deg/2)+1,
+    # and chi wins ties, so at_exact skips it when chi reaches either bound
+    def forbidden(g):
+        raise AssertionError("path reversal run for a term that cannot win")
+
+    monkeypatch.setattr(atlab.atsolver, "least_uniform_cap", forbidden)
+    for g, value, reason in [
+        # chi 5 is past the ceiling ceil(5/2)+1 = 4
+        (cartesian_product(complete(5), complete(2)), 5, "chromatic"),
+        # chi 3 meets the ceiling ceil(4/2)+1 = 3; level 3 is refuted
+        (cartesian_product(cycle(3), cycle(3)), 4, "exhaustive-refutation"),
+        # chi 4 meets the degeneracy level 4
+        (corona(cycle(3), cycle(3)), 4, "chromatic"),
+    ]:
+        res = at_exact(g, SolverOptions(search_edge_cap=g.m))
+        assert (res.value, res.lower_bound_reason) == (value, reason)
+
+    # K3 x K3 x K2: the term 4 beats chi 3 under both bounds (level 6, ceiling 4)
+    calls = []
+    monkeypatch.setattr(atlab.atsolver, "least_uniform_cap",
+                        lambda g: calls.append(g) or least_uniform_cap(g))
+    g = cartesian_product(cartesian_product(complete(3), complete(3)), complete(2))
+    res = at_exact(g, SolverOptions(search_edge_cap=g.m))
+    assert calls == [g]
+    assert (res.value, res.lower_bound_reason) == (4, "density-pigeonhole")
+
+
+def test_a_witness_of_every_vertex_is_not_recounted(monkeypatch):
+    recounted = []
+    monkeypatch.setattr(atlab.atsolver, "induced_edge_count",
+                        lambda g, r: recounted.append(r) or induced_edge_count(g, r))
+    k3k3k2 = cartesian_product(cartesian_product(complete(3), complete(3)), complete(2))
+    assert at_lower_bound(hypercube(4)) == [(2, "chromatic"), (3, "density-pigeonhole")]
+    assert at_bipartite(hypercube(4)).value == 3
+    assert at_exact(k3k3k2, SolverOptions(search_edge_cap=k3k3k2.m)).value == 4
+    assert recounted == []
+    # K6 with a pendant path: the witness is the K6, and it is recounted
+    g = Graph([str(i) for i in range(10)],
+              list(complete(6).edges) + [(0, 6), (6, 7), (7, 8), (8, 9)])
+    assert at_lower_bound(g) == [(6, "chromatic"), (4, "density-pigeonhole")]
+    assert recounted == [(0, 1, 2, 3, 4, 5)]
 
 
 def test_at_bipartite_rejects_odd_cycles():

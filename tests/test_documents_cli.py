@@ -473,6 +473,27 @@ def test_non_ascii_and_tuple_labels_encode_as_ascii_json():
     assert parse_graph(text)[0] == g
 
 
+@pytest.mark.parametrize(
+    "label",
+    [1.5, True, None, frozenset({"a"}), ("a", 2.5), ("a", (False,)), b"0"],
+    ids=["float", "bool", "none", "frozenset", "tuple-float", "nested-bool", "bytes"],
+)
+def test_writers_refuse_labels_the_reader_refuses(label):
+    from atlab import ATCertificate, Graph
+
+    g = Graph(["0", label], [(0, 1)])
+    cert = ATCertificate(2, orient(g, [0]), 1, "acyclic")
+    with pytest.raises(ValueError, match="vertex label"):
+        serialize_graph(g)
+    with pytest.raises(ValueError, match="vertex label"):
+        serialize_certificate(cert)
+    # the same shapes of label in the reader's types write and read back
+    ok = Graph(["0", ("a", 2, ("b",))], [(0, 1)])
+    assert parse_graph(serialize_graph(ok))[0] == ok
+    assert parse_certificate(serialize_certificate(ATCertificate(
+        2, orient(ok, [0]), 1, "acyclic"))).orientation.graph == ok
+
+
 @pytest.mark.parametrize("record", ["a", "e"])
 def test_record_line_with_extra_fields_is_rejected(record):
     doc = serialize_certificate(at_bipartite(cycle(4)).certificate)

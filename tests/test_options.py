@@ -37,6 +37,32 @@ def test_cli_rejects_a_bad_time_budget(tmp_path, capsys, budget):
     assert "time_budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["enum_cap", "poly_budget", "search_edge_cap",
+                                   "chromatic_block_cap"])
+def test_caps_must_not_be_negative(field):
+    # a negative cap switched its engine off without a word: at
+    # search_edge_cap=-5, C3 x C3 came out as the bracket [3, 5]
+    for value in (-1, -5):
+        with pytest.raises(ValueError, match=field):
+            SolverOptions(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            SolverOptions().with_(**{field: value})
+    assert getattr(SolverOptions(**{field: 0}), field) == 0
+
+
+@pytest.mark.parametrize(
+    "flag, field",
+    [("--edge-cap", "search_edge_cap"), ("--enum-cap", "enum_cap"),
+     ("--poly-budget", "poly_budget")],
+)
+def test_cli_rejects_a_negative_cap(tmp_path, capsys, flag, field):
+    gpath = tmp_path / "c5.graph"
+    main(["gen", "cycle", "5", "-o", str(gpath)])
+    capsys.readouterr()
+    assert main(["at", str(gpath), flag, "-1"]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_env_feeds_cli(tmp_path, capsys):
     # the budgets reach the CLI through flags alone
     gpath = tmp_path / "c6.graph"
