@@ -25,7 +25,7 @@ is the tie order, and hi is the certificate's level. A term above the level
 contradicts a proof and raises ProofObligationError. `at_lower_bound` gives
 [chromatic, density-pigeonhole] and each refuted level k appends
 (k + 1, exhaustive-refutation); the corona pinch in `theorems` gives
-[subgraph, chromatic].
+[subgraph, chromatic], its chromatic term being chi(H) + 1 of the cone K1 + H.
 
 `at_exact` computes the density term only when it can beat chi. The term is
 at most the degeneracy certificate's level, since that acyclic orientation
@@ -356,11 +356,19 @@ def chromatic_number(
     Raises CapacityError when a non-bipartite block exceeds
     chromatic_block_cap, and SearchTimeout past `deadline`.
     """
+    return _chromatic(g, options, deadline, two_coloring(g.adjacency) is not None)
+
+
+def _chromatic(
+    g: Graph, options: SolverOptions, deadline: Optional[float], bipartite: bool
+) -> int:
+    """chromatic_number's body for a G already 2-colored: `bipartite` says
+    whether the coloring succeeded."""
     if g.n == 0:
         raise ValueError("chromatic number of the empty graph is undefined")
-    adj = g.adjacency
-    if two_coloring(adj) is not None:
+    if bipartite:
         return 2 if g.m else 1
+    adj = g.adjacency
     cap = options.chromatic_block_cap
     whole = None
     if g.n <= cap:
@@ -409,12 +417,13 @@ def chromatic_number(
 
 
 def _chromatic_term(
-    g: Graph, options: SolverOptions, deadline: Optional[float]
+    g: Graph, options: SolverOptions, deadline: Optional[float], bipartite: bool
 ) -> int:
-    """chi(G), or 3 past chromatic_block_cap or `deadline`: the chromatic
-    solver gives up only on a non-bipartite block, so G has an odd cycle."""
+    """chi(G) as `_chromatic` gives it, or 3 past chromatic_block_cap or
+    `deadline`: the chromatic solver gives up only on a non-bipartite block,
+    so G has an odd cycle."""
     try:
-        return chromatic_number(g, options, deadline=deadline)
+        return _chromatic(g, options, deadline, bipartite)
     except (CapacityError, SearchTimeout):
         return 3
 
@@ -434,7 +443,8 @@ def at_lower_bound(
     vertex-set witness is recounted, so the bound does not rest on path
     reversal alone.
     """
-    return [(_chromatic_term(g, options, None), "chromatic"), _density_term(g)]
+    bipartite = bipartition(g) is not None
+    return [(_chromatic_term(g, options, None, bipartite), "chromatic"), _density_term(g)]
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +462,11 @@ def at_bipartite(g: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult
     """
     if bipartition(g) is None:
         raise ValueError("at_bipartite requires a bipartite graph")
+    return _at_bipartite(g, options)
+
+
+def _at_bipartite(g: Graph, options: SolverOptions) -> ATResult:
+    """at_bipartite's body for a G already known to be bipartite."""
     least = _checked_uniform_cap(g)
     level, d = least.cap + 1, least.orientation
     method, diff = engine_diff(d, options)
@@ -557,22 +572,23 @@ def at_exact(
     """Exact AT(G) by the levelwise coefficient search, or a bracket over
     budget.
 
-    Bipartite inputs short-circuit to the closed form unless disabled. The
-    lower terms are those of `at_lower_bound`, but the density term is
-    computed only when chi is below both its ceilings: the degeneracy
-    certificate's level (that orientation meets cap = degeneracy) and
-    ceil(max degree / 2) + 1 (no subgraph is denser than half the max
-    degree). Chi comes first in tie order, so at either ceiling the density
-    term could not give lo or its reason. The search starts at the best
-    lower term; each refuted level k proves AT > k, and the degeneracy
-    certificate bounds the search from above.
+    G is 2-colored once, here. Bipartite inputs short-circuit to the closed
+    form unless disabled. The lower terms are those of `at_lower_bound`, but
+    the density term is computed only when chi is below both its ceilings:
+    the degeneracy certificate's level (that orientation meets
+    cap = degeneracy) and ceil(max degree / 2) + 1 (no subgraph is denser
+    than half the max degree). Chi comes first in tie order, so at either
+    ceiling the density term could not give lo or its reason. The search
+    starts at the best lower term; each refuted level k proves AT > k, and
+    the degeneracy certificate bounds the search from above.
     """
-    if bipartite_shortcut and bipartition(g) is not None:
-        return at_bipartite(g, options)
+    bipartite = bipartition(g) is not None
+    if bipartite_shortcut and bipartite:
+        return _at_bipartite(g, options)
     deadline = (
         None if options.time_budget is None else time.monotonic() + options.time_budget
     )
-    chi = _chromatic_term(g, options, deadline)
+    chi = _chromatic_term(g, options, deadline, bipartite)
     upper = acyclic_certificate(g)
     terms = [(chi, "chromatic")]
     if chi < min(upper.level, (g.max_degree() + 1) // 2 + 1):

@@ -12,10 +12,12 @@ computed value v being [v, v]:
 
 Closed-form, corollary 3.7 and remark-gap rows keep their own text.
 
-Pinching is the proof mode for coronas too large to search exhaustively: a
-lower bound (a known-subgraph AT value, then the chromatic number, in tie
-order) must meet the upper bound from the constructed corona orientation;
-`atsolver.bracket` joins them.
+Pinching is the proof mode for coronas G o H too large to search
+exhaustively: a lower bound (a known-subgraph AT value, then chi of the cone
+K1 + H, a hub with its copy of H, in tie order) must meet the upper bound
+from the constructed corona orientation; `atsolver.bracket` joins them. The
+pinch colors H, never the corona; the rows that report chi of a corona
+(lemma 3.5, corollary 3.7, remark-gap) color it themselves.
 
 One `run_suite` call shares three things between its checks, each through
 `_shared(key, make)`: the factor results of `_exact_at`, keyed by
@@ -149,23 +151,29 @@ def _hypercube(n: int) -> Graph:
 
 def corona_at(g1: Graph, g2: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult:
     """AT of corona(g1, g2) by pinching the factors' exact AT results."""
-    return _pinch(g1, _exact_at(g1, options), g2, _exact_at(g2, options), options)[0]
+    return _pinch(g1, _exact_at(g1, options), g2, _exact_at(g2, options), options, chi2=None)
 
 
 def _pinch(
-    g1: Graph, r1: ATResult, g2: Graph, r2: ATResult, options: SolverOptions
-) -> tuple[ATResult, Optional[int]]:
-    """AT of corona(g1, g2) from the factors' exact results, and chi of the
-    corona (None when over budget, or when the factors already close the
-    bracket and chi <= AT could not raise the lower bound).
+    g1: Graph, r1: ATResult, g2: Graph, r2: ATResult, options: SolverOptions,
+    *, chi2: Optional[int],
+) -> ATResult:
+    """AT of corona(g1, g2) from the factors' exact results. chi2 is chi(g2)
+    when the caller has it, else None: the pinch then colors g2 itself, and
+    only if it needs to.
 
     Upper bound: the R1/R2/R3 orientation built from the factors' own AT
     certificates; its diff is diff(d1) * diff(d2)^m across the copies/hub
     one-way cut, nonzero because both factor diffs are. The factor
     certificates carry |diff| as already re-checked by at_exact or
     at_bipartite; a magnitude is None only under the bipartite closed form.
-    Lower bound: the factors are subgraphs, and chi of the corona when the
-    factors leave the bracket open and the coloring is within budget.
+    Lower bound: the factors are subgraphs, and, while they leave the
+    bracket open, the cone K1 + g2 (a hub with its copy of g2): its apex
+    sees all of g2, so it needs chi(g2) + 1 colors. chi of the whole corona
+    is max(chi(g1), chi(g2) + 1) and chi(g1) <= AT(g1), so coloring the
+    corona would prove no more. The term is left out when coloring g2 is
+    over budget. An empty g2 leaves the corona g1 at level AT(g1), so the
+    bracket is closed and g2 is never colored.
     """
     d1 = r1.certificate.orientation
     d2 = r2.certificate.orientation
@@ -182,14 +190,14 @@ def _pinch(
 
     lower = max(r1.value, r2.value)
     terms = [(lower, "subgraph")]
-    chi = None
     if lower < cert.level:
         try:
-            chi = chromatic_number(oriented.graph, options)
-            terms.append((chi, "chromatic"))
+            if chi2 is None:
+                chi2 = chromatic_number(g2, options)
+            terms.append((chi2 + 1, "chromatic"))
         except CapacityError:
             pass
-    return bracket(terms, cert), chi
+    return bracket(terms, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +321,7 @@ def check_lemma_3_6(
     r1, r2 = _exact_at(g1, options), _exact_at(g2, options)
     at1, at2 = r1.value, r2.value
     predicted = {at1} if at2 < at1 else {at2, at2 + 1}
-    result, _chi = _pinch(g1, r1, g2, r2, options)
+    result = _pinch(g1, r1, g2, r2, options, chi2=None)
     bound = max(at1 - 1, at2) + 1
     evidence = (
         f"AT({name1})={at1} AT({name2})={at2}; certificate level {result.hi} "
@@ -343,12 +351,20 @@ def check_corollary_3_7(
         )
     predicted = at2 + 1
     # AT(g2) >= AT(g1) puts the corona certificate at level AT(g2) + 1, above
-    # both factors, so the pinch colors the corona (chi is None over budget)
-    result, chi = _pinch(g1, r1, g2, r2, options)
+    # both factors, so the pinch bounds AT by the cone K1 + g2: chi2 + 1,
+    # from the chi2 computed above. The row reports chi of the corona itself,
+    # so it colors the corona (chi is None over budget).
+    result = _pinch(g1, r1, g2, r2, options, chi2=chi2)
+    try:
+        chi: Optional[int] = chromatic_number(result.certificate.orientation.graph, options)
+    except CapacityError:
+        chi = None
     evidence = f"chi(corona)={chi}; AT bracket {_fmt_bracket(result.lo, result.hi)}"
-    # chi is in the lower bound, so the bracket alone passes only if chi = AT
+    # the row claims chi = AT, so it passes only on a chi it computed
     verdict = _bracket_verdict({predicted}, result.lo, result.hi)
-    if chi not in (None, predicted):
+    if chi is None and verdict == "pass":
+        verdict = "inconclusive"
+    elif chi not in (None, predicted):
         verdict = "fail"
     return ClaimReport(
         "corollary3.7", f"{name1} o {name2}", f"chi = AT = {predicted}",
@@ -362,7 +378,7 @@ def _hypercube_corona_row(
 ) -> ClaimReport:
     """Bracket row for AT(Q_n o g2) pinched from the factors' exact results."""
     q = _hypercube(n)
-    result, _chi = _pinch(q, _exact_at(q, options), g2, r2, options)
+    result = _pinch(q, _exact_at(q, options), g2, r2, options, chi2=None)
     evidence = f"lower {result.lo} via {result.lower_bound_reason}; certificate level {result.hi}"
     if show_method:
         evidence += f" ({result.certificate.method})"
@@ -516,8 +532,7 @@ def random_corona_pairs(
 
 def remark_instances(options: SolverOptions = DEFAULT_OPTIONS) -> list[tuple[str, int, ATResult]]:
     """The instances quoted by the non-choosability remarks, each with its chi
-    and its AT computed by the route appropriate to its family. A corona's
-    chi is the one its pinch computed, if it computed one."""
+    and its AT computed by the route appropriate to its family."""
     cubes = {n: _hypercube(n) for n in range(2, 7)}
     out = [
         (f"Q{n}", chromatic_number(q, options), _exact_at(q, options))
@@ -531,10 +546,9 @@ def remark_instances(options: SolverOptions = DEFAULT_OPTIONS) -> list[tuple[str
     q3 = cubes[3]
     r3 = _exact_at(q3, options)
     for name, g2 in (("Q3 o P3", path(3)), ("Q3 o C3", cycle(3))):
-        result, chi = _pinch(q3, r3, g2, _exact_at(g2, options), options)
-        if chi is None:  # closed by the factors (Q3 o P3) or over budget: color here
-            chi = chromatic_number(result.certificate.orientation.graph, options)
-        out.append((name, chi, result))
+        result = _pinch(q3, r3, g2, _exact_at(g2, options), options, chi2=None)
+        corona_graph = result.certificate.orientation.graph
+        out.append((name, chromatic_number(corona_graph, options), result))
     return out
 
 

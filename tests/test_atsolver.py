@@ -45,6 +45,7 @@ from atlab.density import induced_edge_count
 from atlab.documents import serialize_certificate
 from atlab.errors import SearchTimeout
 from atlab.eulerian import engine_diff
+from atlab.graphs import two_coloring
 from atlab.theorems import check_theorem_1
 from helpers import (
     chromatic_at_choosable,
@@ -423,6 +424,34 @@ def test_at_exact_runs_path_reversal_only_where_the_density_term_can_win(monkeyp
     res = at_exact(g, SolverOptions(search_edge_cap=g.m))
     assert calls == [g]
     assert (res.value, res.lower_bound_reason) == (4, "density-pigeonhole")
+
+
+def test_at_exact_two_colors_each_graph_once(monkeypatch):
+    # the bipartite shortcut and the chromatic term share one 2-coloring;
+    # the public at_bipartite and chromatic_number keep their own
+    colored = []
+
+    def counted(adjacency):
+        colored.append(adjacency)
+        return two_coloring(adjacency)
+
+    monkeypatch.setattr(atlab.graphs, "two_coloring", counted)
+    monkeypatch.setattr(atlab.atsolver, "two_coloring", counted)
+    for g, shortcut, value in [
+        (hypercube(3), True, 3),
+        (hypercube(3), False, 3),
+        (cycle(5), True, 3),
+        (cartesian_product(cycle(5), complete(2)), True, 3),
+        (corona(cycle(3), cycle(3)), True, 4),
+    ]:
+        colored.clear()
+        options = SolverOptions(search_edge_cap=g.m)
+        assert at_exact(g, options, bipartite_shortcut=shortcut).value == value
+        assert [a for a in colored if a is g.adjacency] == [g.adjacency], g
+    for public in (at_bipartite, chromatic_number):
+        colored.clear()
+        public(hypercube(3))
+        assert len(colored) == 1
 
 
 def test_a_witness_of_every_vertex_is_not_recounted(monkeypatch):

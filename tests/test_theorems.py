@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -24,6 +25,7 @@ from atlab import (
     tree_from_pruefer,
     verify_certificate,
 )
+from atlab.atsolver import bracket
 from atlab.theorems import (
     check_chi_product,
     check_corollary_3_4,
@@ -42,6 +44,7 @@ from atlab.theorems import (
     remark_instances,
     tree_catalog,
 )
+from helpers import naive_chromatic
 
 
 def test_lemma_3_1_instances():
@@ -277,9 +280,10 @@ def test_suite_solves_each_factor_and_builds_each_hypercube_once_per_call(monkey
     assert theorems._memo is None
 
 
-def test_pinch_colors_a_corona_only_while_the_factors_leave_the_bracket_open(monkeypatch):
-    # chi <= AT, so once max(AT(G), AT(H)) meets the certificate level the
-    # corona's chi cannot raise the lower bound and is not computed
+def test_pinch_colors_h_only_while_the_factors_leave_the_bracket_open(monkeypatch):
+    # the pinch bounds chi by the cone K1 + H, so it colors H and never the
+    # corona; and chi <= AT, so once max(AT(G), AT(H)) meets the certificate
+    # level it colors nothing
     colored = []
 
     def counted(g, *args, **kwargs):
@@ -287,18 +291,81 @@ def test_pinch_colors_a_corona_only_while_the_factors_leave_the_bracket_open(mon
         return chromatic_number(g, *args, **kwargs)
 
     monkeypatch.setattr(theorems, "chromatic_number", counted)
-    for check, closed in [
-        (lambda: check_lemma_3_9(5, 1), True),  # AT(Q5) = 4 = level
-        (lambda: check_theorem_2(3, complete(2), "K2"), True),  # AT(Q3) = 3 = level
-        (lambda: check_lemma_3_9(4, 1), False),  # AT(Q4) = AT(C3) = 3 < level 4
+    for check, h in [
+        (lambda: check_lemma_3_9(5, 1), None),  # AT(Q5) = 4 = level
+        (lambda: check_theorem_2(3, complete(2), "K2"), None),  # AT(Q3) = 3 = level
+        (lambda: check_lemma_3_9(4, 1), cycle(3)),  # AT(Q4) = AT(C3) = 3 < level 4
+        (lambda: check_theorem_2(2, path(3), "P3"), path(3)),  # AT(Q2) = AT(P3) = 2 < 3
     ]:
         colored.clear()
         assert check().verdict == "pass"
-        assert len(colored) == (0 if closed else 1)
+        assert colored == ([] if h is None else [h])
     colored.clear()
     res = corona_at(hypercube(3), path(3))
     assert (res.lo, res.hi, res.lower_bound_reason) == (3, 3, "subgraph")
     assert colored == []
+    res = corona_at(hypercube(3), cycle(3))
+    assert (res.lo, res.hi, res.lower_bound_reason) == (4, 4, "chromatic")
+    assert colored == [cycle(3)]
+
+
+def _labelled_graphs(max_n):
+    """Every graph on the vertices 0..n-1, for n = 1..max_n."""
+    for n in range(1, max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+            yield Graph([str(i) for i in range(n)], edges)
+
+
+def test_cone_term_matches_coloring_the_whole_corona(monkeypatch):
+    # chi(G o H) = max(chi(G), chi(H) + 1) and chi(G) <= AT(G), so the cone
+    # K1 + H gives each pinch the bracket and reason that coloring the whole
+    # corona gave: the reference below colors the corona
+    monkeypatch.setattr(theorems, "_memo", {})  # solve each factor once
+    small = list(_labelled_graphs(4))
+    pairs = [(g1, g2) for g1 in small for g2 in small]
+    pairs += [(g1, g2) for _, g1, _, g2 in random_corona_pairs(100, max_vertices=7, seed=2026)]
+    at = {g: at_exact(g).value for g in set(itertools.chain(*pairs))}
+    reasons = set()
+    for g1, g2 in pairs:
+        res = corona_at(g1, g2)
+        c = corona(g1, g2)
+        chi = chromatic_number(c)
+        assert chi == max(chromatic_number(g1), chromatic_number(g2) + 1)
+        if c.n <= 10:
+            assert chi == naive_chromatic(c)
+        lower = max(at[g1], at[g2])
+        terms = [(lower, "subgraph")] + ([(chi, "chromatic")] if lower < res.hi else [])
+        ref = bracket(terms, res.certificate)
+        assert (res.lo, res.hi, res.lower_bound_reason) == (
+            ref.lo, ref.hi, ref.lower_bound_reason
+        ), (g1, g2)
+        reasons.add(res.lower_bound_reason)
+    assert reasons == {"subgraph", "chromatic"}
+    # an empty H leaves G at its own level: closed, with nothing to color
+    res = corona_at(cycle(5), Graph([], []))
+    assert (res.lo, res.hi, res.lower_bound_reason) == (3, 3, "subgraph")
+
+
+def test_tight_chromatic_cap_colors_h_where_the_corona_is_over_budget():
+    # H's blocks are smaller than the corona's hub-plus-copy blocks, so at a
+    # tight chromatic_block_cap the cone term still closes these brackets
+    tight = SolverOptions(chromatic_block_cap=3)
+    for rep, value in [
+        (check_lemma_3_9(3, 1, tight), "4"),
+        (check_theorem_2(1, path(3), "P3", tight), "3"),
+    ]:
+        assert (rep.verdict, rep.computed) == ("pass", value), rep
+        assert f"lower {value} via chromatic" in rep.evidence
+    # the row claims chi = AT of the corona, whose coloring is over budget:
+    # the cone closes the AT bracket, but the row does not pass without chi
+    rep = check_corollary_3_7(complete(2), cycle(3), "K2", "C3", tight)
+    assert rep.verdict == "inconclusive", rep
+    assert rep.computed == "chi=None, AT=4"
+    # the remark rows report chi of the corona itself
+    with pytest.raises(CapacityError):
+        run_suite(["remark-gap"], tight)
 
 
 def test_closed_form_rows_with_a_cut_short_search_are_inconclusive():
@@ -374,7 +441,7 @@ def test_suite_known_failures_are_the_remark_instances():
 
 
 def test_remark_gap_colors_each_corona_once(monkeypatch):
-    # the pinch that bounds a remark corona's AT hands its chi to the row
+    # the pinch colors H, not the corona, so the row colors each corona once
     colored = []
 
     def counted(g, *args, **kwargs):
@@ -386,6 +453,6 @@ def test_remark_gap_colors_each_corona_once(monkeypatch):
     for g2 in (path(3), cycle(3)):
         assert colored.count(corona(hypercube(3), g2)) == 1
     # a corona block (hub plus copy, 4 vertices) over the chromatic budget
-    # still raises, though the pinch leaves its chi out
+    # raises when the row colors the corona
     with pytest.raises(CapacityError):
         run_suite(["remark-gap"], SolverOptions(chromatic_block_cap=3))
