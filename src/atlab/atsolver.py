@@ -19,13 +19,14 @@ diff != 0. The solver combines:
     acyclic orientation along a degeneracy order (diff = 1, the empty
     subdigraph alone) caps the search from above.
 
-Every result is a bracket that `bracket` joins from (value, reason) lower
-terms and one certificate: lo is the first greatest term, so the term order
-is the tie order, and hi is the certificate's level. A term above the level
+Every result keeps the (value, reason) lower terms and the one certificate
+that `bracket` joined: lo is the first greatest term, so the term order is
+the tie order, and hi is the certificate's level. A term above the level
 contradicts a proof and raises ProofObligationError. `at_lower_bound` gives
 [chromatic, density-pigeonhole] and each refuted level k appends
-(k + 1, exhaustive-refutation); the corona pinch in `theorems` gives
-[subgraph, chromatic], its chromatic term being chi(H) + 1 of the cone K1 + H.
+(k + 1, exhaustive-refutation); `at_bipartite` gives [density-pigeonhole,
+chromatic]; the corona pinch in `theorems` gives [subgraph, chromatic], its
+chromatic term being H's plus one (the cone K1 + H).
 
 `at_exact` computes the density term only when it can beat chi. The term is
 at most the degeneracy certificate's level, since that acyclic orientation
@@ -42,16 +43,10 @@ Path reversal itself lives in `density`, which also runs it at higher edge
 multiplicities to find the exact rational density; that density is only
 reported, never needed for an AT value.
 
-Exact chromatic numbers come from bounds first and a search only where the
-bounds disagree. A bipartite graph needs at most 2 colors; any other needs at
-least 3 (its odd cycle). DSATUR bounds chi from above and runs first: a count
-of 3 is chi at once, and only a larger count calls for the greedy clique as a
-lower bound. On a graph within chromatic_block_cap the two often meet, and
-then that is chi. Else chi is the max over biconnected blocks: each distinct
-block is bounded the same way, a block DSATUR colors with at most
-max(3, best block so far) settles at that count, and the rest are searched by
-a saturation-guided, symmetry-broken backtracker that honours the at_exact
-deadline.
+Exact chromatic numbers come from bounds first (the 2-coloring kept on the
+graph, an odd cycle's 3, DSATUR, a greedy clique). Only where they disagree
+does a saturation-guided, symmetry-broken backtracker search, block by block
+and within the at_exact deadline; `chromatic_number` gives the order.
 """
 
 from __future__ import annotations
@@ -99,12 +94,23 @@ class ATCertificate:
 
 @dataclass(frozen=True)
 class ATResult:
-    """Exact AT value when lo == hi, otherwise the proved bracket [lo, hi]."""
+    """Exact AT value when lo == hi, otherwise the proved bracket [lo, hi],
+    read from the lower terms and the certificate that `bracket` joined."""
 
-    lo: int
-    hi: int
+    terms: tuple[tuple[int, str], ...]
     certificate: ATCertificate
-    lower_bound_reason: str
+
+    @property
+    def lo(self) -> int:
+        return max(self.terms, key=itemgetter(0))[0]
+
+    @property
+    def hi(self) -> int:
+        return self.certificate.level
+
+    @property
+    def lower_bound_reason(self) -> str:
+        return max(self.terms, key=itemgetter(0))[1]
 
     @property
     def is_exact(self) -> bool:
@@ -112,19 +118,20 @@ class ATResult:
 
     @property
     def value(self) -> Optional[int]:
-        return self.lo if self.lo == self.hi else None
+        lo = self.lo
+        return lo if lo == self.hi else None
 
 
 def bracket(terms: Sequence[tuple[int, str]], cert: ATCertificate) -> ATResult:
     """The bracket [lo, cert.level] that proved (value, reason) lower terms
-    make with a certificate; lo and its reason come from the first greatest
-    term. Raises ProofObligationError when a term exceeds the level."""
+    make with a certificate. Raises ProofObligationError when a term exceeds
+    the level."""
     lo, reason = max(terms, key=itemgetter(0))
     if lo > cert.level:
         raise ProofObligationError(
             f"{reason} lower bound {lo} exceeds certificate level {cert.level} ({cert.method})"
         )
-    return ATResult(lo, cert.level, cert, reason)
+    return ATResult(tuple(terms), cert)
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +363,9 @@ def chromatic_number(
     Raises CapacityError when a non-bipartite block exceeds
     chromatic_block_cap, and SearchTimeout past `deadline`.
     """
-    return _chromatic(g, options, deadline, two_coloring(g.adjacency) is not None)
-
-
-def _chromatic(
-    g: Graph, options: SolverOptions, deadline: Optional[float], bipartite: bool
-) -> int:
-    """chromatic_number's body for a G already 2-colored: `bipartite` says
-    whether the coloring succeeded."""
     if g.n == 0:
         raise ValueError("chromatic number of the empty graph is undefined")
-    if bipartite:
+    if bipartition(g) is not None:
         return 2 if g.m else 1
     adj = g.adjacency
     cap = options.chromatic_block_cap
@@ -416,14 +415,11 @@ def _chromatic(
 # ---------------------------------------------------------------------------
 
 
-def _chromatic_term(
-    g: Graph, options: SolverOptions, deadline: Optional[float], bipartite: bool
-) -> int:
-    """chi(G) as `_chromatic` gives it, or 3 past chromatic_block_cap or
-    `deadline`: the chromatic solver gives up only on a non-bipartite block,
-    so G has an odd cycle."""
+def _chromatic_term(g: Graph, options: SolverOptions, deadline: Optional[float]) -> int:
+    """chi(G), or 3 past chromatic_block_cap or `deadline`: the chromatic
+    solver gives up only on a non-bipartite block, so G has an odd cycle."""
     try:
-        return _chromatic(g, options, deadline, bipartite)
+        return chromatic_number(g, options, deadline=deadline)
     except (CapacityError, SearchTimeout):
         return 3
 
@@ -443,8 +439,7 @@ def at_lower_bound(
     vertex-set witness is recounted, so the bound does not rest on path
     reversal alone.
     """
-    bipartite = bipartition(g) is not None
-    return [(_chromatic_term(g, options, None, bipartite), "chromatic"), _density_term(g)]
+    return [(_chromatic_term(g, options, None), "chromatic"), _density_term(g)]
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +453,12 @@ def at_bipartite(g: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult
     Every orientation of a bipartite graph is an AT-orientation, so the
     orientation at the least uniform cap level-1 is a certificate; its diff
     is additionally recomputed whenever an engine is within budget. The
-    cap's vertex-set witness is recounted, proving AT >= level.
+    cap's vertex-set witness is recounted, proving AT >= level. The terms
+    are [density-pigeonhole, chromatic], chi being 2 (1 without edges);
+    density comes first, so it gives the reason on a tie.
     """
     if bipartition(g) is None:
         raise ValueError("at_bipartite requires a bipartite graph")
-    return _at_bipartite(g, options)
-
-
-def _at_bipartite(g: Graph, options: SolverOptions) -> ATResult:
-    """at_bipartite's body for a G already known to be bipartite."""
     least = _checked_uniform_cap(g)
     level, d = least.cap + 1, least.orientation
     method, diff = engine_diff(d, options)
@@ -476,7 +468,8 @@ def _at_bipartite(g: Graph, options: SolverOptions) -> ATResult:
         method, magnitude = "bipartite-closed-form", None
     else:
         magnitude = abs(diff)
-    return bracket([(level, "density-pigeonhole")], ATCertificate(level, d, magnitude, method))
+    terms = [(level, "density-pigeonhole"), (2 if g.m else 1, "chromatic")]
+    return bracket(terms, ATCertificate(level, d, magnitude, method))
 
 
 # ---------------------------------------------------------------------------
@@ -572,23 +565,19 @@ def at_exact(
     """Exact AT(G) by the levelwise coefficient search, or a bracket over
     budget.
 
-    G is 2-colored once, here. Bipartite inputs short-circuit to the closed
-    form unless disabled. The lower terms are those of `at_lower_bound`, but
-    the density term is computed only when chi is below both its ceilings:
-    the degeneracy certificate's level (that orientation meets
-    cap = degeneracy) and ceil(max degree / 2) + 1 (no subgraph is denser
-    than half the max degree). Chi comes first in tie order, so at either
-    ceiling the density term could not give lo or its reason. The search
-    starts at the best lower term; each refuted level k proves AT > k, and
-    the degeneracy certificate bounds the search from above.
+    Bipartite inputs short-circuit to `at_bipartite` unless disabled; the
+    shortcut, at_bipartite and chi share the 2-coloring kept on G. The lower
+    terms are those of `at_lower_bound`, the density term only where it can
+    beat chi (see the module docstring). The search starts at the best lower
+    term; each refuted level k proves AT > k, and the degeneracy certificate
+    bounds the search from above.
     """
-    bipartite = bipartition(g) is not None
-    if bipartite_shortcut and bipartite:
-        return _at_bipartite(g, options)
+    if bipartite_shortcut and bipartition(g) is not None:
+        return at_bipartite(g, options)
     deadline = (
         None if options.time_budget is None else time.monotonic() + options.time_budget
     )
-    chi = _chromatic_term(g, options, deadline, bipartite)
+    chi = _chromatic_term(g, options, deadline)
     upper = acyclic_certificate(g)
     terms = [(chi, "chromatic")]
     if chi < min(upper.level, (g.max_degree() + 1) // 2 + 1):

@@ -4,7 +4,8 @@ Graphs are immutable: a tuple of vertex labels plus a tuple of edges given as
 index pairs (i, j) with i < j, in construction order. Construction order is
 part of the contract — building the same family twice yields bit-identical
 vertex and edge sequences, which is what makes orientation certificates
-portable across runs.
+portable across runs. `bipartition` computes a graph's 2-coloring on first
+use and keeps it on the graph.
 
 Label conventions:
   * hypercube vertices are binary strings of length n ("000", "001", ...),
@@ -43,11 +44,14 @@ HYPERCUBE_MAX_N = 16
 
 Label = object  # str, int, or nested tuples thereof
 
+# `Graph._sides` until `bipartition` runs (its None means "not bipartite")
+_UNCOLORED = object()
+
 
 class Graph:
     """Immutable simple undirected graph with labeled vertices."""
 
-    __slots__ = ("vertices", "edges", "_adj", "_hash")
+    __slots__ = ("vertices", "edges", "_adj", "_hash", "_sides")
 
     def __init__(self, vertices: Sequence[Label], edges: Iterable[tuple[int, int]]):
         vertices = tuple(vertices)
@@ -80,6 +84,7 @@ class Graph:
             adj[v].append(u)
         self._adj = tuple(map(tuple, adj))
         self._hash = hash((vertices, edges))
+        self._sides = _UNCOLORED  # bipartition(self), kept on first use
 
     @property
     def n(self) -> int:
@@ -297,10 +302,13 @@ def corona(g1: Graph, g2: Graph) -> Graph:
     return _built(vertices, edges)
 
 
-def bipartition(g: Graph) -> Optional[list[int]]:
+def bipartition(g: Graph) -> Optional[tuple[int, ...]]:
     """Side 0 or 1 per vertex by BFS 2-coloring (two_coloring); None when
-    some component has an odd cycle."""
-    return two_coloring(g.adjacency)
+    some component has an odd cycle. Computed on first use and kept on g."""
+    if g._sides is _UNCOLORED:
+        sides = two_coloring(g.adjacency)
+        g._sides = None if sides is None else tuple(sides)
+    return g._sides
 
 
 def two_coloring(adjacency: Sequence[Sequence[int]]) -> Optional[list[int]]:

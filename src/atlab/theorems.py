@@ -16,8 +16,10 @@ Pinching is the proof mode for coronas G o H too large to search
 exhaustively: a lower bound (a known-subgraph AT value, then chi of the cone
 K1 + H, a hub with its copy of H, in tie order) must meet the upper bound
 from the constructed corona orientation; `atsolver.bracket` joins them. The
-pinch colors H, never the corona; the rows that report chi of a corona
-(lemma 3.5, corollary 3.7, remark-gap) color it themselves.
+cone term is H's own chromatic term plus one, so the pinch colors nothing;
+the rows that report chi of a corona (lemma 3.5, corollary 3.7, remark-gap)
+color it themselves, and corollary 3.7 falls back on the cone bound when
+that coloring is over budget.
 
 One `run_suite` call shares three things between its checks, each through
 `_shared(key, make)`: the factor results of `_exact_at`, keyed by
@@ -145,22 +147,22 @@ def _exact_at(g: Graph, options: SolverOptions) -> ATResult:
     return result
 
 
+def _chi_term(result: ATResult) -> Optional[int]:
+    """The chromatic lower term of a result, None when it has none."""
+    return next((value for value, why in result.terms if why == "chromatic"), None)
+
+
 def _hypercube(n: int) -> Graph:
     return _shared(n, lambda: hypercube(n))
 
 
 def corona_at(g1: Graph, g2: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult:
     """AT of corona(g1, g2) by pinching the factors' exact AT results."""
-    return _pinch(g1, _exact_at(g1, options), g2, _exact_at(g2, options), options, chi2=None)
+    return _pinch(g1, _exact_at(g1, options), g2, _exact_at(g2, options))
 
 
-def _pinch(
-    g1: Graph, r1: ATResult, g2: Graph, r2: ATResult, options: SolverOptions,
-    *, chi2: Optional[int],
-) -> ATResult:
-    """AT of corona(g1, g2) from the factors' exact results. chi2 is chi(g2)
-    when the caller has it, else None: the pinch then colors g2 itself, and
-    only if it needs to.
+def _pinch(g1: Graph, r1: ATResult, g2: Graph, r2: ATResult) -> ATResult:
+    """AT of corona(g1, g2) from the factors' exact results.
 
     Upper bound: the R1/R2/R3 orientation built from the factors' own AT
     certificates; its diff is diff(d1) * diff(d2)^m across the copies/hub
@@ -171,9 +173,10 @@ def _pinch(
     bracket open, the cone K1 + g2 (a hub with its copy of g2): its apex
     sees all of g2, so it needs chi(g2) + 1 colors. chi of the whole corona
     is max(chi(g1), chi(g2) + 1) and chi(g1) <= AT(g1), so coloring the
-    corona would prove no more. The term is left out when coloring g2 is
-    over budget. An empty g2 leaves the corona g1 at level AT(g1), so the
-    bracket is closed and g2 is never colored.
+    corona would prove no more. chi(g2) is r2's chromatic term: exact, or 3
+    where coloring g2 was over budget, still a lower bound for a
+    non-bipartite g2. An empty g2 leaves the corona g1 at level AT(g1), so
+    the bracket is closed and takes no cone term.
     """
     d1 = r1.certificate.orientation
     d2 = r2.certificate.orientation
@@ -191,12 +194,7 @@ def _pinch(
     lower = max(r1.value, r2.value)
     terms = [(lower, "subgraph")]
     if lower < cert.level:
-        try:
-            if chi2 is None:
-                chi2 = chromatic_number(g2, options)
-            terms.append((chi2 + 1, "chromatic"))
-        except CapacityError:
-            pass
+        terms.append((_chi_term(r2) + 1, "chromatic"))
     return bracket(terms, cert)
 
 
@@ -321,7 +319,7 @@ def check_lemma_3_6(
     r1, r2 = _exact_at(g1, options), _exact_at(g2, options)
     at1, at2 = r1.value, r2.value
     predicted = {at1} if at2 < at1 else {at2, at2 + 1}
-    result = _pinch(g1, r1, g2, r2, options, chi2=None)
+    result = _pinch(g1, r1, g2, r2)
     bound = max(at1 - 1, at2) + 1
     evidence = (
         f"AT({name1})={at1} AT({name2})={at2}; certificate level {result.hi} "
@@ -351,16 +349,19 @@ def check_corollary_3_7(
         )
     predicted = at2 + 1
     # AT(g2) >= AT(g1) puts the corona certificate at level AT(g2) + 1, above
-    # both factors, so the pinch bounds AT by the cone K1 + g2: chi2 + 1,
-    # from the chi2 computed above. The row reports chi of the corona itself,
-    # so it colors the corona (chi is None over budget).
-    result = _pinch(g1, r1, g2, r2, options, chi2=chi2)
+    # both factors, so the pinch bounds AT by the cone K1 + g2. The row
+    # reports chi of the corona itself, so it colors the corona. Over budget,
+    # chi >= the cone term and chi <= AT <= the certificate level, so chi is
+    # proved where those meet, and None where they do not.
+    result = _pinch(g1, r1, g2, r2)
     try:
         chi: Optional[int] = chromatic_number(result.certificate.orientation.graph, options)
+        how = ""
     except CapacityError:
-        chi = None
-    evidence = f"chi(corona)={chi}; AT bracket {_fmt_bracket(result.lo, result.hi)}"
-    # the row claims chi = AT, so it passes only on a chi it computed
+        chi = result.hi if _chi_term(result) == result.hi else None
+        how = " by the cone bound" if chi is not None else ""
+    evidence = f"chi(corona)={chi}{how}; AT bracket {_fmt_bracket(result.lo, result.hi)}"
+    # the row claims chi = AT, so it passes only on a chi it computed or proved
     verdict = _bracket_verdict({predicted}, result.lo, result.hi)
     if chi is None and verdict == "pass":
         verdict = "inconclusive"
@@ -378,7 +379,7 @@ def _hypercube_corona_row(
 ) -> ClaimReport:
     """Bracket row for AT(Q_n o g2) pinched from the factors' exact results."""
     q = _hypercube(n)
-    result = _pinch(q, _exact_at(q, options), g2, r2, options, chi2=None)
+    result = _pinch(q, _exact_at(q, options), g2, r2)
     evidence = f"lower {result.lo} via {result.lower_bound_reason}; certificate level {result.hi}"
     if show_method:
         evidence += f" ({result.certificate.method})"
@@ -546,7 +547,7 @@ def remark_instances(options: SolverOptions = DEFAULT_OPTIONS) -> list[tuple[str
     q3 = cubes[3]
     r3 = _exact_at(q3, options)
     for name, g2 in (("Q3 o P3", path(3)), ("Q3 o C3", cycle(3))):
-        result = _pinch(q3, r3, g2, _exact_at(g2, options), options, chi2=None)
+        result = _pinch(q3, r3, g2, _exact_at(g2, options))
         corona_graph = result.certificate.orientation.graph
         out.append((name, chromatic_number(corona_graph, options), result))
     return out

@@ -57,6 +57,7 @@ from helpers import (
     random_bipartite_graph,
     random_graph,
 )
+from test_golden_at_exact import golden_graphs
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +297,33 @@ def test_lower_bound_values_and_reasons():
         assert (res.lo, res.lower_bound_reason) == (max(v for v, _ in terms), reason)
 
 
+def test_results_carry_their_terms():
+    # lo and its reason are the first greatest term, no term passes the
+    # certificate level, the chromatic term is chi (or the odd-cycle 3 with
+    # no time left), and a bipartite result carries chi after its density
+    rng = random.Random(2110)
+    graphs = [g for _, g in golden_graphs()]
+    graphs += [random_graph(rng, rng.randint(1, 8), rng.choice((0.0, 0.3, 0.6)))
+               for _ in range(150)]
+    for g in graphs:
+        chi = naive_chromatic(g, k_max=9)
+        options = SolverOptions(search_edge_cap=g.m)
+        results = [at_exact(g, options), at_exact(g, options, bipartite_shortcut=False),
+                   at_exact(g, options.with_(time_budget=0))]
+        for res in results:
+            top = max(value for value, _ in res.terms)
+            assert (res.lo, res.lower_bound_reason) == next(
+                t for t in res.terms if t[0] == top), g.edges
+            assert res.hi == res.certificate.level and top <= res.hi
+            chromatic = [value for value, why in res.terms if why == "chromatic"]
+            allowed = {chi, min(chi, 3)} if res is results[2] else {chi}
+            assert len(chromatic) == 1 and chromatic[0] in allowed, g.edges
+        if bipartition(g) is not None:
+            res = at_bipartite(g)
+            assert res.terms == ((res.hi, "density-pigeonhole"), (2 if g.m else 1, "chromatic"))
+            assert results[0] == res
+
+
 def test_bracket_keeps_the_first_of_tied_terms():
     cert = acyclic_certificate(cycle(5))  # level 3
     for terms, reason in [
@@ -427,8 +455,9 @@ def test_at_exact_runs_path_reversal_only_where_the_density_term_can_win(monkeyp
 
 
 def test_at_exact_two_colors_each_graph_once(monkeypatch):
-    # the bipartite shortcut and the chromatic term share one 2-coloring;
-    # the public at_bipartite and chromatic_number keep their own
+    # bipartition keeps the 2-coloring on the graph, so the bipartite
+    # shortcut, the chromatic term, at_bipartite and chromatic_number share
+    # one coloring of each graph object
     colored = []
 
     def counted(adjacency):
@@ -448,10 +477,15 @@ def test_at_exact_two_colors_each_graph_once(monkeypatch):
         options = SolverOptions(search_edge_cap=g.m)
         assert at_exact(g, options, bipartite_shortcut=shortcut).value == value
         assert [a for a in colored if a is g.adjacency] == [g.adjacency], g
-    for public in (at_bipartite, chromatic_number):
+    for g, bipartite in [(hypercube(3), True), (corona(cycle(3), cycle(3)), False)]:
         colored.clear()
-        public(hypercube(3))
-        assert len(colored) == 1
+        calls = [chromatic_number, at_exact, at_lower_bound] + [at_bipartite] * bipartite
+        for call in calls:
+            call(g)
+        assert [a for a in colored if a is g.adjacency] == [g.adjacency], g
+        sides = bipartition(g)
+        assert sides is bipartition(g)
+        assert type(sides) is tuple if bipartite else sides is None
 
 
 def test_a_witness_of_every_vertex_is_not_recounted(monkeypatch):

@@ -218,3 +218,25 @@ def test_only_shared_and_run_suite_touch_the_memo():
                  getattr(top, "name", None) in ("_shared", "run_suite")
                  or isinstance(top, ast.AnnAssign) and top.target.id == "_memo")]
     assert uses and not found, f"theorems._memo touched outside _shared and run_suite: {found}"
+
+
+def test_only_fill_and_bipartition_touch_the_kept_coloring():
+    # Graph._sides keeps the 2-coloring that bipartition computes once; a
+    # second reader or writer could see it unset or set it out of step
+    def touches(node):
+        return "_sides" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+    allowed, found = set(), []
+    for name, tree in _package_trees().items():
+        for top in tree.body:
+            # a class's methods are scoped one by one, other statements whole
+            scopes = top.body if isinstance(top, ast.ClassDef) else [top]
+            for scope in scopes:
+                where = (name, getattr(top, "name", None), getattr(scope, "name", None))
+                for node in filter(touches, ast.walk(scope)):
+                    if where in (("graphs.py", "Graph", "_fill"),
+                                 ("graphs.py", "bipartition", "bipartition")):
+                        allowed.add(where)
+                    else:
+                        found.append(f"{name}:{node.lineno}")
+    assert len(allowed) == 2 and not found, f"Graph._sides touched elsewhere: {found}"

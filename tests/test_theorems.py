@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import atlab
 from atlab import theorems
 from atlab import (
     CapacityError,
@@ -280,33 +281,37 @@ def test_suite_solves_each_factor_and_builds_each_hypercube_once_per_call(monkey
     assert theorems._memo is None
 
 
-def test_pinch_colors_h_only_while_the_factors_leave_the_bracket_open(monkeypatch):
-    # the pinch bounds chi by the cone K1 + H, so it colors H and never the
-    # corona; and chi <= AT, so once max(AT(G), AT(H)) meets the certificate
-    # level it colors nothing
-    colored = []
+def test_pinch_colors_nothing(monkeypatch):
+    # the cone K1 + H bounds chi by H's own chromatic term plus one, so the
+    # pinch reads chi(H) from H's result and colors neither H nor the
+    # corona, with time to spare or none; and chi <= AT, so once
+    # max(AT(G), AT(H)) meets the certificate level it adds no cone term
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the pinch colored a graph")
 
-    def counted(g, *args, **kwargs):
-        colored.append(g)
-        return chromatic_number(g, *args, **kwargs)
-
-    monkeypatch.setattr(theorems, "chromatic_number", counted)
-    for check, h in [
-        (lambda: check_lemma_3_9(5, 1), None),  # AT(Q5) = 4 = level
-        (lambda: check_theorem_2(3, complete(2), "K2"), None),  # AT(Q3) = 3 = level
-        (lambda: check_lemma_3_9(4, 1), cycle(3)),  # AT(Q4) = AT(C3) = 3 < level 4
-        (lambda: check_theorem_2(2, path(3), "P3"), path(3)),  # AT(Q2) = AT(P3) = 2 < 3
-    ]:
-        colored.clear()
+    for options in (SolverOptions(), SolverOptions(time_budget=0)):
+        cases = [
+            (hypercube(5), cycle(3), (4, 4, "subgraph")),  # AT(Q5) = 4 = level
+            (hypercube(3), complete(2), (3, 3, "subgraph")),  # AT(Q3) = 3 = level
+            (hypercube(3), path(3), (3, 3, "subgraph")),
+            (hypercube(4), cycle(3), (4, 4, "chromatic")),  # AT(Q4) = AT(C3) = 3 < 4
+            (hypercube(2), path(3), (3, 3, "chromatic")),  # AT(Q2) = AT(P3) = 2 < 3
+            (hypercube(3), cycle(3), (4, 4, "chromatic")),
+        ]
+        solved = [(g1, at_exact(g1, options), g2, at_exact(g2, options), expected)
+                  for g1, g2, expected in cases]
+        with monkeypatch.context() as patch:
+            for module in (theorems, atlab.atsolver):
+                patch.setattr(module, "chromatic_number", forbidden)
+            patch.setattr(atlab.graphs, "two_coloring", forbidden)
+            for g1, r1, g2, r2, expected in solved:
+                res = theorems._pinch(g1, r1, g2, r2)
+                assert (res.lo, res.hi, res.lower_bound_reason) == expected, (g1, g2)
+    # nor does a claim row that pinches color anything beyond its factors
+    monkeypatch.setattr(theorems, "chromatic_number", forbidden)
+    for check in (lambda: check_lemma_3_9(4, 1), lambda: check_theorem_2(2, path(3), "P3"),
+                  lambda: check_lemma_3_6(cycle(4), complete(2), "C4", "K2")):
         assert check().verdict == "pass"
-        assert colored == ([] if h is None else [h])
-    colored.clear()
-    res = corona_at(hypercube(3), path(3))
-    assert (res.lo, res.hi, res.lower_bound_reason) == (3, 3, "subgraph")
-    assert colored == []
-    res = corona_at(hypercube(3), cycle(3))
-    assert (res.lo, res.hi, res.lower_bound_reason) == (4, 4, "chromatic")
-    assert colored == [cycle(3)]
 
 
 def _labelled_graphs(max_n):
@@ -355,14 +360,21 @@ def test_tight_chromatic_cap_colors_h_where_the_corona_is_over_budget():
     for rep, value in [
         (check_lemma_3_9(3, 1, tight), "4"),
         (check_theorem_2(1, path(3), "P3", tight), "3"),
+        # C5 is over the budget too: its chromatic term is the odd-cycle 3
+        (check_lemma_3_9(4, 2, tight), "4"),
     ]:
         assert (rep.verdict, rep.computed) == ("pass", value), rep
         assert f"lower {value} via chromatic" in rep.evidence
     # the row claims chi = AT of the corona, whose coloring is over budget:
-    # the cone closes the AT bracket, but the row does not pass without chi
-    rep = check_corollary_3_7(complete(2), cycle(3), "K2", "C3", tight)
-    assert rep.verdict == "inconclusive", rep
-    assert rep.computed == "chi=None, AT=4"
+    # chi >= the cone term and chi <= AT <= the certificate level, and the
+    # two meet, so the cone bound proves chi
+    reports = run_suite(["corollary3.7"], tight)
+    assert [(r.instance, r.verdict, r.computed) for r in reports] == [
+        ("K2 o C3", "pass", "chi=4, AT=4"),
+        ("P3 o K3", "pass", "chi=4, AT=4"),
+        ("K2 o C4", "pass", "chi=3, AT=3"),
+    ]
+    assert all("by the cone bound" in r.evidence for r in reports)
     # the remark rows report chi of the corona itself
     with pytest.raises(CapacityError):
         run_suite(["remark-gap"], tight)
@@ -441,7 +453,7 @@ def test_suite_known_failures_are_the_remark_instances():
 
 
 def test_remark_gap_colors_each_corona_once(monkeypatch):
-    # the pinch colors H, not the corona, so the row colors each corona once
+    # the pinch colors nothing, so the row colors each corona once
     colored = []
 
     def counted(g, *args, **kwargs):
