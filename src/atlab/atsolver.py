@@ -17,7 +17,7 @@ diff != 0. The solver combines:
     AT > k. A found sequence becomes an orientation by path reversal with
     per-vertex caps and is re-checked by an independent computation. An
     acyclic orientation along a degeneracy order (diff = 1, the empty
-    subdigraph alone) caps the search from above.
+    subdigraph alone) caps the search from above at the degeneracy plus one.
 
 Every result keeps the (value, reason) lower terms and the one certificate
 that `bracket` joined: lo is the first greatest term, so the term order is
@@ -28,11 +28,19 @@ contradicts a proof and raises ProofObligationError. `at_lower_bound` gives
 chromatic]; the corona pinch in `theorems` gives [subgraph, chromatic], its
 chromatic term being H's plus one (the cone K1 + H).
 
+`at_exact` builds only the certificate it returns. One heap peel gives the
+degeneracy order and the degeneracy, so the level of the acyclic
+certificate is known before it is built, and it is built along that order
+only when no search level returns. The density term needs the least
+uniform cap and its vertex-set witness, not its orientation, which
+`UniformCap` keeps as a split and builds when read (`at_bipartite` reads
+it).
+
 `at_exact` computes the density term only when it can beat chi. The term is
-at most the degeneracy certificate's level, since that acyclic orientation
-meets cap = degeneracy, and at most ceil(max degree / 2) + 1, since every
-vertex set S spans at most max degree * |S| / 2 edges. Chi comes first in
-tie order, so when chi reaches either bound the term could not be the first
+at most the degeneracy level, since the acyclic orientation meets
+cap = degeneracy, and at most ceil(max degree / 2) + 1, since every vertex
+set S spans at most max degree * |S| / 2 edges. Chi comes first in tie
+order, so when chi reaches either bound the term could not be the first
 greatest, and leaving it out changes no bracket, reason or certificate.
 
 ceil(max_density) is the least uniform cap k that path reversal can meet
@@ -166,11 +174,19 @@ class UniformCap:
     both witnesses: such an orientation, and a vertex set R spanning more
     than (k-1)|R| edges, so every orientation gives some vertex of R
     outdegree >= k (pigeonhole). By Hakimi's theorem k = ceil(max density).
-    When k = 0 (no edges) R is every vertex and bounds nothing."""
+    When k = 0 (no edges) R is every vertex and bounds nothing.
+
+    The orientation is kept as path reversal's split of `graph`'s edges and
+    built when read: the density lower term needs only k and R."""
 
     cap: int
-    orientation: Orientation
+    graph: Graph
+    split: tuple[int, ...]
     witness: tuple[int, ...]
+
+    @property
+    def orientation(self) -> Orientation:
+        return _split_orientation(self.graph, self.split)
 
 
 def least_uniform_cap(g: Graph) -> UniformCap:
@@ -183,7 +199,7 @@ def least_uniform_cap(g: Graph) -> UniformCap:
     while True:
         split, reached = reverse_paths(g.n, g.edges, [k] * g.n, 1)
         if split is not None:
-            return UniformCap(k, _split_orientation(g, split), witness)
+            return UniformCap(k, g, tuple(split), witness)
         witness = reached
         k += 1
 
@@ -508,39 +524,56 @@ def find_at_orientation(
 # ---------------------------------------------------------------------------
 
 
+def _peel(g: Graph) -> tuple[list[int], int]:
+    """Vertices in repeated-minimum-degree removal order (ties: lowest
+    index), and the degeneracy: the largest degree at removal time."""
+    n, adjacency = g.n, g.adjacency
+    deg = list(g.degrees())  # -1 once removed
+    heap = list(zip(deg, range(n)))  # (degree, v), stale once either moves
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    order = []
+    degeneracy = 0
+    while len(order) < n:  # then only stale entries are left
+        d0, v = pop(heap)
+        if d0 != deg[v]:
+            continue
+        deg[v] = -1
+        order.append(v)
+        if d0 > degeneracy:
+            degeneracy = d0
+        for w in adjacency[v]:
+            d = deg[w]
+            if d >= 0:
+                deg[w] = d - 1
+                push(heap, (d - 1, w))
+    return order, degeneracy
+
+
 def degeneracy_order(g: Graph) -> list[int]:
     """Vertices in repeated-minimum-degree removal order (ties: lowest index)."""
-    deg = list(g.degrees())
-    heap = [(deg[v], v) for v in range(g.n)]
-    heapq.heapify(heap)
-    removed = [False] * g.n
-    order = []
-    while heap:
-        d0, v = heapq.heappop(heap)
-        if removed[v] or d0 != deg[v]:
-            continue
-        removed[v] = True
-        order.append(v)
-        for w in g.adjacency[v]:
-            if not removed[w]:
-                deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
-    return order
+    return _peel(g)[0]
+
+
+def _acyclic_along(g: Graph, order: Sequence[int]) -> ATCertificate:
+    """Certificate from the acyclic orientation along `order`: arcs point
+    from earlier to later vertices, and a DAG has the empty subdigraph as its
+    only Eulerian subdigraph, so diff = 1."""
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    tails = [u if pos[u] < pos[v] else v for u, v in g.edges]
+    d = Orientation(g, tails)
+    return ATCertificate(d.max_outdegree() + 1, d, 1, "acyclic")
 
 
 def acyclic_certificate(g: Graph) -> ATCertificate:
     """Certificate from the acyclic orientation along a degeneracy order.
 
-    Arcs point from earlier-removed to later-removed vertices, so each vertex
-    has outdegree equal to its removal-time degree (<= the degeneracy), and a
-    DAG has the empty subdigraph as its only Eulerian subdigraph: diff = 1.
+    Each vertex's outdegree is its removal-time degree, so the level is the
+    degeneracy plus one.
     """
-    pos = [0] * g.n
-    for i, v in enumerate(degeneracy_order(g)):
-        pos[v] = i
-    tails = [u if pos[u] < pos[v] else v for u, v in g.edges]
-    d = Orientation(g, tails)
-    return ATCertificate(d.max_outdegree() + 1, d, 1, "acyclic")
+    return _acyclic_along(g, degeneracy_order(g))
 
 
 def _certify(g: Graph, d: Orientation, options: SolverOptions) -> ATCertificate:
@@ -569,8 +602,9 @@ def at_exact(
     shortcut, at_bipartite and chi share the 2-coloring kept on G. The lower
     terms are those of `at_lower_bound`, the density term only where it can
     beat chi (see the module docstring). The search starts at the best lower
-    term; each refuted level k proves AT > k, and the degeneracy certificate
-    bounds the search from above.
+    term; each refuted level k proves AT > k, and the degeneracy level (the
+    degeneracy plus one) bounds the search from above. The acyclic
+    certificate at that level is built only when no search level returns.
     """
     if bipartite_shortcut and bipartition(g) is not None:
         return at_bipartite(g, options)
@@ -578,12 +612,12 @@ def at_exact(
         None if options.time_budget is None else time.monotonic() + options.time_budget
     )
     chi = _chromatic_term(g, options, deadline)
-    upper = acyclic_certificate(g)
+    order, degeneracy = _peel(g)
     terms = [(chi, "chromatic")]
-    if chi < min(upper.level, (g.max_degree() + 1) // 2 + 1):
+    if chi < min(degeneracy + 1, (g.max_degree() + 1) // 2 + 1):
         terms.append(_density_term(g))
     if g.m <= options.search_edge_cap:
-        for k in range(max(terms)[0], upper.level):
+        for k in range(max(terms)[0], degeneracy + 1):
             try:
                 found = find_at_orientation(g, k - 1, options, deadline)
             except SearchTimeout:
@@ -591,4 +625,4 @@ def at_exact(
             if found is not None:
                 return bracket(terms, _certify(g, found, options))
             terms.append((k + 1, "exhaustive-refutation"))
-    return bracket(terms, upper)
+    return bracket(terms, _acyclic_along(g, order))

@@ -324,7 +324,8 @@ def _breadth_first_order(adjacency: Sequence[Sequence[int]]) -> list[int]:
     n = len(adjacency)
     seen = [False] * n
     order: list[int] = []
-    for root in sorted(range(n), key=lambda v: (len(adjacency[v]), v)):
+    degree = list(map(len, adjacency))
+    for root in sorted(range(n), key=degree.__getitem__):  # stable: ties by index
         if seen[root]:
             continue
         seen[root] = True
@@ -364,40 +365,49 @@ def monomial_search(
     for i, v in enumerate(order):
         pos[v] = i
     left = [0] * n  # arcs not yet multiplied in, per vertex
+    when = []  # per arc: (later, earlier) endpoint position
     for t, h in arcs:
         left[t] += 1
         left[h] += 1
-    if any(not left[v] and not lo[v] <= 0 <= hi[v] for v in range(n)):
-        return None
+        pt, ph = pos[t], pos[h]
+        when.append((pt, ph) if pt > ph else (ph, pt))
+    rest_lo = rest_hi = 0  # bounds on the exponents still to be fixed
+    for v in range(n):
+        if left[v]:
+            rest_lo += lo[v]
+            rest_hi += hi[v]
+        elif not lo[v] <= 0 <= hi[v]:
+            return None
     width = max(max(hi, default=0), 1).bit_length()
     mask = (1 << width) - 1
-    rest_lo = sum(lo[v] for v in range(n) if left[v])
-    rest_hi = sum(hi[v] for v in range(n) if left[v])
     shift = [-1] * n
-    free: list[int] = []
-    slots = 0
+    # Field offsets not in use: every one at first, lowest on top, and each
+    # retired vertex's field on top of those for the next vertex to arrive.
+    free = [k * width for k in reversed(range(n))]
     # Events: ("arc", shift_t, shift_h, hi_t, hi_h, need_t, need_h), where a
     # state keeps x_h's term only if e_t >= need_t (and symmetrically), and
     # ("retire", v, shift_v, least, most) bounding the sum of final exponents.
     events: list[tuple] = []
-    for t, h in sorted(arcs, key=lambda a: sorted((pos[a[0]], pos[a[1]]), reverse=True)):
-        for v in (t, h):
-            if shift[v] < 0:
-                if free:
-                    shift[v] = free.pop()
-                else:
-                    shift[v] = slots * width
-                    slots += 1
-        left[t] -= 1
-        left[h] -= 1
-        events.append(("arc", shift[t], shift[h], hi[t], hi[h],
-                       lo[t] - left[t], lo[h] - left[h]))
-        for v in (t, h):
-            if not left[v]:
-                rest_lo -= lo[v]
-                rest_hi -= hi[v]
-                events.append(("retire", v, shift[v], m - rest_hi, m - rest_lo))
-                free.append(shift[v])
+    for i in sorted(range(m), key=when.__getitem__):
+        t, h = arcs[i]
+        st, sh = shift[t], shift[h]
+        if st < 0:
+            st = shift[t] = free.pop()
+        if sh < 0:
+            sh = shift[h] = free.pop()
+        lt = left[t] = left[t] - 1
+        lh = left[h] = left[h] - 1
+        events.append(("arc", st, sh, hi[t], hi[h], lo[t] - lt, lo[h] - lh))
+        if not lt:
+            rest_lo -= lo[t]
+            rest_hi -= hi[t]
+            events.append(("retire", t, st, m - rest_hi, m - rest_lo))
+            free.append(st)
+        if not lh:
+            rest_lo -= lo[h]
+            rest_hi -= hi[h]
+            events.append(("retire", h, sh, m - rest_hi, m - rest_lo))
+            free.append(sh)
 
     # Depth-first over (next event, states, sum of final exponents, finals).
     stack: list[tuple] = [(0, {0: 1}, 0, None)]

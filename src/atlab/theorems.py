@@ -21,18 +21,21 @@ the rows that report chi of a corona (lemma 3.5, corollary 3.7, remark-gap)
 color it themselves, and corollary 3.7 falls back on the cone bound when
 that coloring is over budget.
 
-One `run_suite` call shares three things between its checks, each through
+One `run_suite` call shares four things between its checks, each through
 `_shared(key, make)`: the factor results of `_exact_at`, keyed by
 (graph, options), the level-search cross-checks of `_closed_form_row`, keyed
-by ("search", graph, options), and the hypercubes Q_n, keyed by n. Coronas
-Q_n o H and products with Q_n recur across Lemma 3.2, Theorem 1,
-Corollary 3.4, Theorem 2, Corollary 3.8 and Lemma 3.9, and Q2 and Q4 are
-Lemma 3.1 instances too, so a default run solves and searches each graph and
-builds each hypercube once. Nothing else is kept: products, coronas,
-chromatic numbers and reports are made afresh, so memory stays flat (peak
-RSS of `run_suite(n_range=range(1, 10))` is 23 MB, where keeping every
-solver result took 84 MB). The memo is cleared when the call returns or
-raises; a check called on its own solves afresh.
+by ("search", graph, options), the chromatic numbers of the factors that
+the rows reporting chi color, keyed by ("chi", graph, options), and the
+hypercubes Q_n, keyed by n. Coronas Q_n o H and products with Q_n recur
+across Lemma 3.2, Theorem 1, Corollary 3.4, Theorem 2, Corollary 3.8 and
+Lemma 3.9, and Q2 and Q4 are Lemma 3.1 instances too, so a default run
+solves, searches and colors each graph and builds each hypercube once.
+Nothing else is kept: products, coronas and reports are made afresh, and
+the product or corona a row colors is its own instance, met once, so
+keeping it would only hold memory (and give the garbage collector more to
+scan). Memory stays flat (peak RSS of `run_suite(n_range=range(1, 10))` is
+23 MB, where keeping every solver result took 84 MB). The memo is cleared
+when the call returns or raises; a check called on its own solves afresh.
 
 `run_suite` times each check and sets its `ClaimReport.millis`; a check
 called on its own leaves it 0.0. The checks are not re-exported from
@@ -123,9 +126,9 @@ def _row(
 
 
 # What the running `run_suite` call shares (see the module docstring); None
-# outside a call. Only `_shared` and `run_suite` touch it. `at_exact` and
-# `hypercube` are looked up in this module at call time, so a rebinding of
-# either still sees every call that reaches it.
+# outside a call. Only `_shared` and `run_suite` touch it. `at_exact`,
+# `chromatic_number` and `hypercube` are looked up in this module at call
+# time, so a rebinding of any of them still sees every call that reaches it.
 _memo: Optional[dict] = None
 
 
@@ -154,6 +157,10 @@ def _chi_term(result: ATResult) -> Optional[int]:
 
 def _hypercube(n: int) -> Graph:
     return _shared(n, lambda: hypercube(n))
+
+
+def _chromatic(g: Graph, options: SolverOptions) -> int:
+    return _shared(("chi", g, options), lambda: chromatic_number(g, options))
 
 
 def corona_at(g1: Graph, g2: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult:
@@ -287,8 +294,8 @@ def _chi_row(
     options: SolverOptions,
 ) -> ClaimReport:
     """Row for chi(compose(g1, g2)) = rule(chi(g1), chi(g2))."""
-    chi1 = chromatic_number(g1, options)
-    chi2 = chromatic_number(g2, options)
+    chi1 = _chromatic(g1, options)
+    chi2 = _chromatic(g2, options)
     chi = chromatic_number(compose(g1, g2), options)
     return _row(
         claim, f"{name1} {sign} {name2}", {rule(chi1, chi2)}, chi, chi,
@@ -342,7 +349,7 @@ def check_corollary_3_7(
     """If AT(g2) >= AT(g1) and chi(g2) = AT(g2): chi = AT = AT(g2)+1 on the corona."""
     r1, r2 = _exact_at(g1, options), _exact_at(g2, options)
     at1, at2 = r1.value, r2.value
-    chi2 = chromatic_number(g2, options)
+    chi2 = _chromatic(g2, options)
     if at2 < at1 or chi2 != at2:
         raise ValueError(
             f"hypothesis violated: AT({name2})={at2}, AT({name1})={at1}, chi({name2})={chi2}"
@@ -536,7 +543,7 @@ def remark_instances(options: SolverOptions = DEFAULT_OPTIONS) -> list[tuple[str
     and its AT computed by the route appropriate to its family."""
     cubes = {n: _hypercube(n) for n in range(2, 7)}
     out = [
-        (f"Q{n}", chromatic_number(q, options), _exact_at(q, options))
+        (f"Q{n}", _chromatic(q, options), _exact_at(q, options))
         for n, q in cubes.items()
     ]
     for name, g in (

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -39,6 +40,7 @@ from atlab.atsolver import (
     acyclic_certificate,
     biconnected_blocks,
     bracket,
+    degeneracy_order,
     least_uniform_cap,
 )
 from atlab.density import induced_edge_count
@@ -418,7 +420,7 @@ def test_density_terms_recount_the_vertex_set_witness(monkeypatch):
     # a cap of 2 on C4 with R = V claims 4 > 1 * 4 edges: false, so no
     # lower bound may rest on it
     g = cycle(4)
-    false_witness = atlab.atsolver.UniformCap(2, bounded_outdegree_orientation(g, 2), (0, 1, 2, 3))
+    false_witness = replace(least_uniform_cap(g), cap=2, witness=(0, 1, 2, 3))
     monkeypatch.setattr(atlab.atsolver, "least_uniform_cap", lambda _g: false_witness)
     with pytest.raises(ProofObligationError):
         at_lower_bound(g)
@@ -452,6 +454,69 @@ def test_at_exact_runs_path_reversal_only_where_the_density_term_can_win(monkeyp
     res = at_exact(g, SolverOptions(search_edge_cap=g.m))
     assert calls == [g]
     assert (res.value, res.lower_bound_reason) == (4, "density-pigeonhole")
+
+
+def test_at_exact_builds_only_the_certificate_it_returns(monkeypatch):
+    # the degeneracy level comes from the peel and the density term from the
+    # split, so the one orientation built is the certificate: the search's at
+    # a found level, the acyclic one at the degeneracy level, and no other
+    built = []
+    real = atlab.atsolver.Orientation
+
+    def counted(g, tails):
+        built.append(real(g, tails))
+        return built[-1]
+
+    c3c4 = cartesian_product(cycle(3), cycle(4))
+    c3oc3 = corona(cycle(3), cycle(3))
+    k3k3k2 = cartesian_product(cartesian_product(complete(3), complete(3)), complete(2))
+    acyclic = acyclic_certificate(c3oc3)
+    monkeypatch.setattr(atlab.atsolver, "Orientation", counted)
+    for g, value, method in [
+        (c3c4, 3, "enumeration"),  # found at level 3, below the degeneracy level 5
+        (c3oc3, 4, "acyclic"),  # chi 4 meets the degeneracy level 4
+        (k3k3k2, 4, "polynomial"),  # the density term 4 runs path reversal
+    ]:
+        built.clear()
+        res = at_exact(g, SolverOptions(search_edge_cap=g.m))
+        assert (res.value, res.certificate.method) == (value, method)
+        assert built == [res.certificate.orientation]
+        if method == "acyclic":
+            assert res.certificate == acyclic
+    assert res.lower_bound_reason == "density-pigeonhole"
+    # the split is oriented when read, as path reversal oriented it
+    built.clear()
+    assert atlab.atsolver._density_term(k3k3k2) == (4, "density-pigeonhole")
+    assert built == []
+    for g in (hypercube(3), cartesian_product(hypercube(3), path(3)), complete_bipartite(2, 5)):
+        cert = at_bipartite(g).certificate
+        assert cert.orientation == bounded_outdegree_orientation(g, cert.level - 1)
+        assert cert.orientation.graph is g
+
+
+def _naive_peel(g):
+    """Repeatedly remove a vertex of least remaining degree, lowest index
+    first; the order and the largest degree at removal."""
+    alive, order, most = set(range(g.n)), [], 0
+    while alive:
+        degree = {v: sum(w in alive for w in g.adjacency[v]) for v in alive}
+        v = min(alive, key=lambda v: (degree[v], v))
+        order.append(v)
+        most = max(most, degree[v])
+        alive.remove(v)
+    return order, most
+
+
+def test_the_peel_gives_the_degeneracy_order_and_level():
+    rng = random.Random(2204)
+    graphs = [Graph([], []), Graph(["a"], []), cycle(5), complete(6), hypercube(3)]
+    while len(graphs) < 300:
+        graphs.append(random_graph(rng, rng.randint(0, 12), rng.choice((0.1, 0.3, 0.6, 0.9))))
+    for g in graphs:
+        order, degeneracy = atlab.atsolver._peel(g)
+        assert (order, degeneracy) == _naive_peel(g), g.edges
+        assert degeneracy_order(g) == order
+        assert acyclic_certificate(g).level == degeneracy + 1
 
 
 def test_at_exact_two_colors_each_graph_once(monkeypatch):

@@ -424,6 +424,16 @@ def test_label_outside_the_label_types_is_rejected(tmp_path, capsys, label):
     assert "vertex label" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["at", "verify"])
+def test_a_directory_or_missing_file_is_an_error_not_a_traceback(tmp_path, capsys, command):
+    # every OS error on the input path (IsADirectoryError, FileNotFoundError,
+    # PermissionError, ...) ends in "error: ..." and exit 2
+    for target in (tmp_path, tmp_path / "absent.txt"):
+        assert main([command, str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+
+
 def test_certificate_with_lines_after_its_last_section_is_rejected():
     doc = serialize_certificate(at_bipartite(cycle(4)).certificate)
     assert parse_certificate(doc + "\n\n").level == 2  # trailing blank lines are fine

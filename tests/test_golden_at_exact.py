@@ -1,11 +1,11 @@
 """at_exact against answers recorded from an earlier solver.
 
-Every bracket, lower-bound reason and certificate that at_exact gives on a
-fixed corpus is compared field by field with `golden_at_exact.json`. The
-corpus is the `exact` benchmark ladder, C3 x C5, K3 x K3 x K2 and seeded
-random non-bipartite graphs on 3 to 9 vertices, each solved with
-search_edge_cap = |E| and no time budget. Work that only speeds the solver
-up must leave every field as it was.
+Every bracket, lower-bound reason, list of lower terms and certificate that
+at_exact gives on a fixed corpus is compared field by field with
+`golden_at_exact.json`. The corpus is the `exact` benchmark ladder, C3 x C5,
+K3 x K3 x K2 and seeded random non-bipartite graphs on 3 to 9 vertices, each
+solved with search_edge_cap = |E| and no time budget. Work that only speeds
+the solver up must leave every field as it was.
 
 Running this file as a script prints the JSON for the solver on the path:
 `PYTHONPATH=src python tests/test_golden_at_exact.py > tests/golden_at_exact.json`.
@@ -72,7 +72,8 @@ def outputs(g: Graph) -> list:
     res = at_exact(g, SolverOptions(search_edge_cap=g.m))
     cert = res.certificate
     return [res.lo, res.hi, res.lower_bound_reason, cert.level, cert.method,
-            cert.diff_magnitude, list(cert.orientation.tails)]
+            cert.diff_magnitude, list(cert.orientation.tails),
+            [[value, reason] for value, reason in res.terms]]
 
 
 def test_at_exact_gives_the_recorded_answers():

@@ -281,6 +281,28 @@ def test_suite_solves_each_factor_and_builds_each_hypercube_once_per_call(monkey
     assert theorems._memo is None
 
 
+def test_suite_colors_each_graph_once_per_call(monkeypatch):
+    # the rows that report chi share their factors' chi through the
+    # run_suite memo, keyed by ("chi", graph, options), and color their own
+    # product or corona once: one coloring per distinct graph
+    colored = []
+
+    def counted(g, *args, **kwargs):
+        colored.append(g)
+        return chromatic_number(g, *args, **kwargs)
+
+    monkeypatch.setattr(theorems, "chromatic_number", counted)
+    for _ in range(2):
+        colored.clear()
+        run_suite(seed=11)
+        assert colored and len(colored) == len(set(colored))
+    # a check called on its own colors afresh
+    colored.clear()
+    check_lemma_3_5(cycle(3), cycle(4), "C3", "C4")
+    check_lemma_3_5(cycle(3), cycle(4), "C3", "C4")
+    assert len(colored) == 6
+
+
 def test_pinch_colors_nothing(monkeypatch):
     # the cone K1 + H bounds chi by H's own chromatic term plus one, so the
     # pinch reads chi(H) from H's result and colors neither H nor the
