@@ -26,7 +26,9 @@ contradicts a proof and raises ProofObligationError. `at_lower_bound` gives
 [chromatic, density-pigeonhole] and each refuted level k appends
 (k + 1, exhaustive-refutation); `at_bipartite` gives [density-pigeonhole,
 chromatic]; the corona pinch in `theorems` gives [subgraph, chromatic], its
-chromatic term being H's plus one (the cone K1 + H).
+chromatic term being H's plus one (the cone K1 + H). A "chromatic" term is
+always chi: where `chromatic_number` gives up, on a non-bipartite block, it
+is (3, "odd-cycle") instead, and the pinch's cone term is (4, "odd-wheel").
 
 `at_exact` builds only the certificate it returns. One heap peel gives the
 degeneracy order and the degeneracy, so the level of the acyclic
@@ -36,12 +38,12 @@ uniform cap and its vertex-set witness, not its orientation, which
 `UniformCap` keeps as a split and builds when read (`at_bipartite` reads
 it).
 
-`at_exact` computes the density term only when it can beat chi. The term is
-at most the degeneracy level, since the acyclic orientation meets
-cap = degeneracy, and at most ceil(max degree / 2) + 1, since every vertex
-set S spans at most max degree * |S| / 2 edges. Chi comes first in tie
-order, so when chi reaches either bound the term could not be the first
-greatest, and leaving it out changes no bracket, reason or certificate.
+`at_exact` computes the density term only when it can beat the chromatic
+term, which comes first in tie order. The density term is at most the
+degeneracy level, since the acyclic orientation meets cap = degeneracy, and
+at most ceil(max degree / 2) + 1, since every vertex set S spans at most
+max degree * |S| / 2 edges. So when the chromatic term reaches either bound,
+leaving the density term out changes no bracket, reason or certificate.
 
 ceil(max_density) is the least uniform cap k that path reversal can meet
 (Hakimi's theorem). `least_uniform_cap` finds it by trying k = ceil(|E|/|V|),
@@ -431,13 +433,13 @@ def chromatic_number(
 # ---------------------------------------------------------------------------
 
 
-def _chromatic_term(g: Graph, options: SolverOptions, deadline: Optional[float]) -> int:
-    """chi(G), or 3 past chromatic_block_cap or `deadline`: the chromatic
-    solver gives up only on a non-bipartite block, so G has an odd cycle."""
+def _chromatic_term(g: Graph, options: SolverOptions, deadline: Optional[float]) -> tuple[int, str]:
+    """(chi(G), "chromatic"), or (3, "odd-cycle") past chromatic_block_cap or
+    `deadline`, where the solver gives up only on a non-bipartite block."""
     try:
-        return chromatic_number(g, options, deadline=deadline)
+        return chromatic_number(g, options, deadline=deadline), "chromatic"
     except (CapacityError, SearchTimeout):
-        return 3
+        return 3, "odd-cycle"
 
 
 def _density_term(g: Graph) -> tuple[int, str]:
@@ -450,12 +452,12 @@ def at_lower_bound(
     """The lower-bound terms for AT(G) in tie order, chromatic first:
     [(chi(G), "chromatic"), (ceil(max_density)+1, "density-pigeonhole")].
 
-    chi <= AT; past chromatic_block_cap the chi term is 3. The density term
-    (pigeonhole on outdegrees) is the least uniform cap plus one; its
-    vertex-set witness is recounted, so the bound does not rest on path
-    reversal alone.
+    chi <= AT; where chi is past chromatic_block_cap the first term is
+    (3, "odd-cycle") instead. The density term (pigeonhole on outdegrees) is
+    the least uniform cap plus one; its vertex-set witness is recounted, so
+    the bound does not rest on path reversal alone.
     """
-    return [(_chromatic_term(g, options, None), "chromatic"), _density_term(g)]
+    return [_chromatic_term(g, options, None), _density_term(g)]
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +615,8 @@ def at_exact(
     )
     chi = _chromatic_term(g, options, deadline)
     order, degeneracy = _peel(g)
-    terms = [(chi, "chromatic")]
-    if chi < min(degeneracy + 1, (g.max_degree() + 1) // 2 + 1):
+    terms = [chi]
+    if chi[0] < min(degeneracy + 1, (g.max_degree() + 1) // 2 + 1):
         terms.append(_density_term(g))
     if g.m <= options.search_edge_cap:
         for k in range(max(terms)[0], degeneracy + 1):

@@ -19,6 +19,7 @@ from .construct import verify_certificate
 from .documents import (
     parse_certificate,
     parse_graph,
+    parse_pairs,
     serialize_certificate,
     serialize_graph,
 )
@@ -40,17 +41,19 @@ from .options import SolverOptions
 from .theorems import run_suite
 
 
+# budget flag -> the SolverOptions field it sets (also its dest), its type
+# and the commands that read it
+_BUDGET_FLAGS = {
+    "--enum-cap": ("enum_cap", int, ("at", "diff", "verify", "theorems")),
+    "--edge-cap": ("search_edge_cap", int, ("at", "theorems")),
+    "--poly-budget": ("poly_budget", int, ("at", "verify", "theorems")),
+    "--time-budget": ("time_budget", float, ("at", "theorems")),
+}
+
+
 def _solver_options(args) -> SolverOptions:
-    opts = SolverOptions()
-    if getattr(args, "enum_cap", None) is not None:
-        opts = opts.with_(enum_cap=args.enum_cap)
-    if getattr(args, "edge_cap", None) is not None:
-        opts = opts.with_(search_edge_cap=args.edge_cap)
-    if getattr(args, "poly_budget", None) is not None:
-        opts = opts.with_(poly_budget=args.poly_budget)
-    if getattr(args, "time_budget", None) is not None:
-        opts = opts.with_(time_budget=args.time_budget)
-    return opts
+    given = {f: getattr(args, f, None) for f, _, _ in _BUDGET_FLAGS.values()}
+    return SolverOptions().with_(**{f: v for f, v in given.items() if v is not None})
 
 
 def _emit_graph(g: Graph, provenance: str, output: Optional[str]) -> None:
@@ -98,8 +101,11 @@ def cmd_gen(args) -> int:
         elif args.edges is not None:
             pairs = []
             for chunk in args.edges.split(","):
-                u, v = chunk.split("-")
-                pairs.append((int(u), int(v)))
+                try:
+                    u, v = map(int, chunk.split("-"))
+                except ValueError:
+                    raise ValueError(f"bad --edges pair {chunk!r}, expected u-v") from None
+                pairs.append((u, v))
             n = max(max(u, v) for u, v in pairs) + 1
             g = tree_from_edges(n, pairs)
             prov = f"tree edges={args.edges}"
@@ -159,13 +165,7 @@ def cmd_diff(args) -> int:
             raise ValueError("diff needs --cert, or a graph document plus an arc file")
         g, _ = _load_graph(args.graph)
         with open(args.arcs) as fh:
-            arcs = []
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                u, v = line.split()
-                arcs.append((int(u), int(v)))
+            arcs = parse_pairs(fh, "arc")
         orientation = orientation_from_arcs(g, arcs)
     tally = eulerian_tally_enumerate(orientation, opts)
     print(f"even {tally.even_count}")
@@ -286,19 +286,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("at", help="Alon-Tarsi number of a graph document")
     p.add_argument("graph")
     p.add_argument("--cert", help="write the certificate document here")
-    _budget_flags(p)
     p.set_defaults(func=cmd_at)
 
     p = sub.add_parser("diff", help="even/odd Eulerian tally of an orientation")
     p.add_argument("graph", nargs="?")
     p.add_argument("arcs", nargs="?", help="file with one 'tail head' arc per line")
     p.add_argument("--cert", help="read the orientation from a certificate")
-    _budget_flags(p)
     p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser("verify", help="re-check a certificate document")
     p.add_argument("cert")
-    _budget_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("theorems", help="run the formula regression suite")
@@ -310,16 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--table", action="store_true")
     p.add_argument("--json", action="store_true")
-    _budget_flags(p)
     p.set_defaults(func=cmd_theorems)
+
+    for flag, (field, kind, commands) in _BUDGET_FLAGS.items():
+        for command in commands:
+            sub.choices[command].add_argument(flag, type=kind, dest=field)
     return parser
-
-
-def _budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--enum-cap", type=int, dest="enum_cap")
-    p.add_argument("--edge-cap", type=int, dest="edge_cap")
-    p.add_argument("--poly-budget", type=int, dest="poly_budget")
-    p.add_argument("--time-budget", type=float, dest="time_budget")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .atsolver import ATCertificate
 from .construct import ConstructionRecipe
@@ -117,7 +117,11 @@ def _parse_graph_lines(lines: list[str]) -> tuple[Graph, Optional[str]]:
     if not lines:
         raise ValueError("empty graph document")
     if lines[0].strip() != GRAPH_MAGIC:
-        return _parse_edge_list(lines), None
+        edges = parse_pairs(lines, "edge-list")
+        max_v = max((max(e) for e in edges), default=-1)
+        if max_v < 0:
+            raise ValueError("edge-list document has no edges")
+        return Graph([str(i) for i in range(max_v + 1)], edges), None
     provenance = None
     i = 1
     if i < len(lines) and lines[i].startswith("provenance "):
@@ -144,22 +148,20 @@ def _parse_graph_lines(lines: list[str]) -> tuple[Graph, Optional[str]]:
     return Graph(labels, edges), provenance
 
 
-def _parse_edge_list(lines: list[str]) -> Graph:
-    edges = []
-    max_v = -1
+def parse_pairs(lines: Iterable[str], what: str) -> list[tuple[int, int]]:
+    """The integer pairs of bare "u v" lines, skipping blank lines and
+    '#' comments; any other line raises ValueError naming it."""
+    pairs = []
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge-list line: {line!r}")
-        u, v = int(parts[0]), int(parts[1])
-        edges.append((u, v))
-        max_v = max(max_v, u, v)
-    if max_v < 0:
-        raise ValueError("edge-list document has no edges")
-    return Graph([str(i) for i in range(max_v + 1)], edges)
+        try:
+            u, v = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"bad {what} line: {line!r}") from None
+        pairs.append((u, v))
+    return pairs
 
 
 def _sha256(text: str) -> str:

@@ -16,7 +16,7 @@ Pinching is the proof mode for coronas G o H too large to search
 exhaustively: a lower bound (a known-subgraph AT value, then chi of the cone
 K1 + H, a hub with its copy of H, in tie order) must meet the upper bound
 from the constructed corona orientation; `atsolver.bracket` joins them. The
-cone term is H's own chromatic term plus one, so the pinch colors nothing;
+cone term comes from H's own chromatic term, so the pinch colors nothing;
 the rows that report chi of a corona (lemma 3.5, corollary 3.7, remark-gap)
 color it themselves, and corollary 3.7 falls back on the cone bound when
 that coloring is over budget.
@@ -24,18 +24,17 @@ that coloring is over budget.
 One `run_suite` call shares four things between its checks, each through
 `_shared(key, make)`: the factor results of `_exact_at`, keyed by
 (graph, options), the level-search cross-checks of `_closed_form_row`, keyed
-by ("search", graph, options), the chromatic numbers of the factors that
-the rows reporting chi color, keyed by ("chi", graph, options), and the
-hypercubes Q_n, keyed by n. Coronas Q_n o H and products with Q_n recur
-across Lemma 3.2, Theorem 1, Corollary 3.4, Theorem 2, Corollary 3.8 and
-Lemma 3.9, and Q2 and Q4 are Lemma 3.1 instances too, so a default run
-solves, searches and colors each graph and builds each hypercube once.
-Nothing else is kept: products, coronas and reports are made afresh, and
-the product or corona a row colors is its own instance, met once, so
-keeping it would only hold memory (and give the garbage collector more to
-scan). Memory stays flat (peak RSS of `run_suite(n_range=range(1, 10))` is
-23 MB, where keeping every solver result took 84 MB). The memo is cleared
-when the call returns or raises; a check called on its own solves afresh.
+by ("search", graph, options), chromatic numbers, keyed by
+("chi", graph, options), and the hypercubes Q_n, keyed by n. `_chromatic` is
+the one reader of chi, and `_exact_at` gives it the chi a solved result
+holds. Coronas Q_n o H and products with Q_n recur across Lemma 3.2,
+Theorem 1, Corollary 3.4, Theorem 2, Corollary 3.8 and Lemma 3.9, and Q2 and
+Q4 are Lemma 3.1 instances too, so a default run solves, searches and colors
+each graph and builds each hypercube once. Nothing else is kept: reports,
+and the products and coronas that no row colors, are made afresh. Memory
+stays flat (peak RSS of `run_suite(n_range=range(1, 10))` is 23 MB, where
+keeping every solver result took 84 MB). The memo is cleared when the call
+returns or raises; a check called on its own solves afresh.
 
 `run_suite` times each check and sets its `ClaimReport.millis`; a check
 called on its own leaves it 0.0. The checks are not re-exported from
@@ -142,7 +141,14 @@ def _shared(key: object, make: Callable[[], T]) -> T:
 
 
 def _exact_at(g: Graph, options: SolverOptions) -> ATResult:
-    result = _shared((g, options), lambda: at_exact(g, options))
+    def solve() -> ATResult:
+        result = at_exact(g, options)
+        chi, why = _chi_term(result)
+        if why == "chromatic":  # feeds `_chromatic`
+            _shared(("chi", g, options), lambda: chi)
+        return result
+
+    result = _shared((g, options), solve)
     if not result.is_exact:
         raise CapacityError(
             f"need exact AT of a factor but got bracket [{result.lo}, {result.hi}]"
@@ -150,9 +156,9 @@ def _exact_at(g: Graph, options: SolverOptions) -> ATResult:
     return result
 
 
-def _chi_term(result: ATResult) -> Optional[int]:
-    """The chromatic lower term of a result, None when it has none."""
-    return next((value for value, why in result.terms if why == "chromatic"), None)
+def _chi_term(result: ATResult) -> tuple[int, str]:
+    """A solver result's chromatic term: chi, or the odd-cycle 3."""
+    return next(t for t in result.terms if t[1] in ("chromatic", "odd-cycle"))
 
 
 def _hypercube(n: int) -> Graph:
@@ -180,10 +186,10 @@ def _pinch(g1: Graph, r1: ATResult, g2: Graph, r2: ATResult) -> ATResult:
     bracket open, the cone K1 + g2 (a hub with its copy of g2): its apex
     sees all of g2, so it needs chi(g2) + 1 colors. chi of the whole corona
     is max(chi(g1), chi(g2) + 1) and chi(g1) <= AT(g1), so coloring the
-    corona would prove no more. chi(g2) is r2's chromatic term: exact, or 3
-    where coloring g2 was over budget, still a lower bound for a
-    non-bipartite g2. An empty g2 leaves the corona g1 at level AT(g1), so
-    the bracket is closed and takes no cone term.
+    corona would prove no more. The cone term is chi(g2) + 1 from r2's
+    chromatic term, or (4, "odd-wheel") where r2 holds only g2's odd cycle.
+    An empty g2 leaves the corona g1 at level AT(g1), so the bracket is
+    closed and takes no cone term.
     """
     d1 = r1.certificate.orientation
     d2 = r2.certificate.orientation
@@ -201,7 +207,8 @@ def _pinch(g1: Graph, r1: ATResult, g2: Graph, r2: ATResult) -> ATResult:
     lower = max(r1.value, r2.value)
     terms = [(lower, "subgraph")]
     if lower < cert.level:
-        terms.append((_chi_term(r2) + 1, "chromatic"))
+        chi2, why = _chi_term(r2)
+        terms.append((chi2 + 1, why) if why == "chromatic" else (4, "odd-wheel"))
     return bracket(terms, cert)
 
 
@@ -296,7 +303,7 @@ def _chi_row(
     """Row for chi(compose(g1, g2)) = rule(chi(g1), chi(g2))."""
     chi1 = _chromatic(g1, options)
     chi2 = _chromatic(g2, options)
-    chi = chromatic_number(compose(g1, g2), options)
+    chi = _chromatic(compose(g1, g2), options)
     return _row(
         claim, f"{name1} {sign} {name2}", {rule(chi1, chi2)}, chi, chi,
         f"chi({name1})={chi1} chi({name2})={chi2}",
@@ -362,10 +369,11 @@ def check_corollary_3_7(
     # proved where those meet, and None where they do not.
     result = _pinch(g1, r1, g2, r2)
     try:
-        chi: Optional[int] = chromatic_number(result.certificate.orientation.graph, options)
+        chi: Optional[int] = _chromatic(result.certificate.orientation.graph, options)
         how = ""
     except CapacityError:
-        chi = result.hi if _chi_term(result) == result.hi else None
+        by_cone = result.is_exact and result.lower_bound_reason != "subgraph"
+        chi = result.hi if by_cone else None
         how = " by the cone bound" if chi is not None else ""
     evidence = f"chi(corona)={chi}{how}; AT bracket {_fmt_bracket(result.lo, result.hi)}"
     # the row claims chi = AT, so it passes only on a chi it computed or proved
@@ -542,22 +550,17 @@ def remark_instances(options: SolverOptions = DEFAULT_OPTIONS) -> list[tuple[str
     """The instances quoted by the non-choosability remarks, each with its chi
     and its AT computed by the route appropriate to its family."""
     cubes = {n: _hypercube(n) for n in range(2, 7)}
-    out = [
-        (f"Q{n}", _chromatic(q, options), _exact_at(q, options))
-        for n, q in cubes.items()
-    ]
+    results = [(f"Q{n}", q, _exact_at(q, options)) for n, q in cubes.items()]
     for name, g in (
         ("Q2 x P4", cartesian_product(cubes[2], path(4))),
         ("Q2 x C4", cartesian_product(cubes[2], cycle(4))),
     ):
-        out.append((name, chromatic_number(g, options), at_bipartite(g, options)))
-    q3 = cubes[3]
-    r3 = _exact_at(q3, options)
+        results.append((name, g, at_bipartite(g, options)))
+    r3 = _exact_at(cubes[3], options)
     for name, g2 in (("Q3 o P3", path(3)), ("Q3 o C3", cycle(3))):
-        result = _pinch(q3, r3, g2, _exact_at(g2, options))
-        corona_graph = result.certificate.orientation.graph
-        out.append((name, chromatic_number(corona_graph, options), result))
-    return out
+        result = _pinch(cubes[3], r3, g2, _exact_at(g2, options))
+        results.append((name, result.certificate.orientation.graph, result))
+    return [(name, _chromatic(g, options), result) for name, g, result in results]
 
 
 def run_suite(

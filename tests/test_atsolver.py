@@ -301,29 +301,41 @@ def test_lower_bound_values_and_reasons():
 
 def test_results_carry_their_terms():
     # lo and its reason are the first greatest term, no term passes the
-    # certificate level, the chromatic term is chi (or the odd-cycle 3 with
-    # no time left), and a bipartite result carries chi after its density
+    # certificate level, and a bipartite result carries chi after its
+    # density. A "chromatic" term is chi, at any chromatic_block_cap or time
+    # budget; where chi is not computed the term is "odd-cycle", 3 on a
+    # graph that is not bipartite
     rng = random.Random(2110)
     graphs = [g for _, g in golden_graphs()]
     graphs += [random_graph(rng, rng.randint(1, 8), rng.choice((0.0, 0.3, 0.6)))
                for _ in range(150)]
+    kinds = set()
     for g in graphs:
         chi = naive_chromatic(g, k_max=9)
+        assert chromatic_number(g, SolverOptions(chromatic_block_cap=g.n)) == chi
         options = SolverOptions(search_edge_cap=g.m)
+        tight = options.with_(chromatic_block_cap=3)
         results = [at_exact(g, options), at_exact(g, options, bipartite_shortcut=False),
-                   at_exact(g, options.with_(time_budget=0))]
+                   at_exact(g, options.with_(time_budget=0)), at_exact(g, tight)]
         for res in results:
             top = max(value for value, _ in res.terms)
             assert (res.lo, res.lower_bound_reason) == next(
                 t for t in res.terms if t[0] == top), g.edges
             assert res.hi == res.certificate.level and top <= res.hi
-            chromatic = [value for value, why in res.terms if why == "chromatic"]
-            allowed = {chi, min(chi, 3)} if res is results[2] else {chi}
-            assert len(chromatic) == 1 and chromatic[0] in allowed, g.edges
+        firsts = [at_lower_bound(g, options)[0], at_lower_bound(g, tight)[0]]
+        for term in firsts + [t for res in results for t in res.terms]:
+            if term[1] == "chromatic":
+                assert term[0] == chi, g.edges
+            elif term[1] == "odd-cycle":
+                assert term[0] == 3 and bipartition(g) is None, g.edges
+            kinds.add(term[1])
+        for res in results:
+            assert sum(why in ("chromatic", "odd-cycle") for _, why in res.terms) == 1
         if bipartition(g) is not None:
             res = at_bipartite(g)
             assert res.terms == ((res.hi, "density-pigeonhole"), (2 if g.m else 1, "chromatic"))
             assert results[0] == res
+    assert {"chromatic", "odd-cycle"} <= kinds
 
 
 def test_bracket_keeps_the_first_of_tied_terms():
@@ -746,7 +758,9 @@ def test_chromatic_at_choosable():
 
 def test_chi_over_the_chromatic_budget_still_counts_as_3():
     # C65 is one block past chromatic_block_cap = 64, so chi is never
-    # computed; the block is not bipartite, so chi >= 3 meets the degeneracy
-    # certificate and the answer is exact
+    # computed; the block is not bipartite, so its odd cycle gives chi >= 3,
+    # which meets the degeneracy certificate and the answer is exact. The
+    # term is named for the odd cycle, not for chi
     res = at_exact(cycle(65))
-    assert res.value == 3 and res.lower_bound_reason == "chromatic"
+    assert (res.lo, res.hi, res.lower_bound_reason) == (3, 3, "odd-cycle")
+    assert at_lower_bound(cycle(65))[0] == (3, "odd-cycle")

@@ -125,6 +125,9 @@ def test_cli_gen_tree_pruefer(tmp_path, capsys):
 def test_cli_gen_bad_params(capsys):
     assert main(["gen", "hypercube", "0"]) == 2
     assert "error" in capsys.readouterr().err
+    for edges, chunk in [("", "''"), ("0-1,1-2-3", "'1-2-3'"), ("0-x", "'0-x'")]:
+        assert main(["gen", "tree", "--edges", edges]) == 2
+        assert f"error: bad --edges pair {chunk}, expected u-v" in capsys.readouterr().err
 
 
 def test_cli_product_corona(tmp_path, capsys):
@@ -160,6 +163,14 @@ def test_cli_diff_modes(tmp_path, capsys):
     assert main(["diff", str(gpath), str(arcs)]) == 0
     out = capsys.readouterr().out
     assert "even 2" in out and "odd 0" in out and "diff 2" in out
+    # the arc file and a bare edge-list graph share one parser, which names
+    # the line it cannot read
+    for bad in ["0 1 2", "0 x", "7"]:
+        arcs.write_text(f"# arcs\n0 1\n{bad}\n")
+        assert main(["diff", str(gpath), str(arcs)]) == 2
+        assert f"error: bad arc line: {bad!r}" in capsys.readouterr().err
+        assert main(["at", str(arcs)]) == 2
+        assert f"error: bad edge-list line: {bad!r}" in capsys.readouterr().err
 
 
 def test_cli_diff_past_enum_cap(tmp_path, capsys):
@@ -261,12 +272,13 @@ def test_cli_theorems_table_columns(capsys):
 
 def test_cli_at_past_the_chromatic_budget(tmp_path, capsys):
     # C65's one block is past chromatic_block_cap; its odd cycle still
-    # gives chi >= 3, so the answer is exact
+    # gives chi >= 3, so the answer is exact, and the reason names the bound
     gpath = tmp_path / "c65.graph"
     main(["gen", "cycle", "65", "-o", str(gpath)])
     capsys.readouterr()
     assert main(["at", str(gpath)]) == 0
-    assert "AT = 3" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "AT = 3" in out and "lower-bound reason: odd-cycle" in out
 
 
 def test_cli_theorems_json(capsys):

@@ -102,6 +102,19 @@ def test_thread_flags_are_gone(tmp_path, capsys, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("diff", "--edge-cap"), ("diff", "--poly-budget"), ("diff", "--time-budget"),
+    ("verify", "--edge-cap"), ("verify", "--time-budget"),
+])
+def test_commands_take_only_the_budget_flags_they_read(capsys, command, flag):
+    # `diff` runs the tally alone and `verify` no search, so a search or time
+    # budget there would be accepted and ignored; the parser rejects it first
+    with pytest.raises(SystemExit) as exc:
+        main([command, "some.cert", flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_emitted_certificates_reverify(tmp_path, capsys):
     for family, n in [("hypercube", "4"), ("cycle", "5")]:
         gpath = tmp_path / f"{family}{n}.graph"

@@ -240,3 +240,15 @@ def test_only_fill_and_bipartition_touch_the_kept_coloring():
                     else:
                         found.append(f"{name}:{node.lineno}")
     assert len(allowed) == 2 and not found, f"Graph._sides touched elsewhere: {found}"
+
+
+def test_only_chromatic_reads_chi_in_theorems():
+    # theorems reads every chi through _chromatic, whose memo the factors'
+    # exact results feed; a second caller of chromatic_number could color a
+    # graph that the running call has already solved
+    trees = {"theorems.py": _package_trees()["theorems.py"]}
+    uses = _uses(trees, lambda n: "chromatic_number" in (getattr(n, "id", None),
+                                                        getattr(n, "attr", None)))
+    found = [f"{name}:{line}" for name, top, line in uses
+             if getattr(top, "name", None) != "_chromatic"]
+    assert uses and not found, f"chromatic_number named outside theorems._chromatic: {found}"

@@ -282,20 +282,30 @@ def test_suite_solves_each_factor_and_builds_each_hypercube_once_per_call(monkey
 
 
 def test_suite_colors_each_graph_once_per_call(monkeypatch):
-    # the rows that report chi share their factors' chi through the
-    # run_suite memo, keyed by ("chi", graph, options), and color their own
-    # product or corona once: one coloring per distinct graph
-    colored = []
+    # the rows that report chi share it through the run_suite memo, keyed by
+    # ("chi", graph, options), which their factors' exact results feed: one
+    # coloring per distinct graph, and none of a graph already solved
+    colored, solved, after_solve = [], set(), []
+    exact_at = theorems._exact_at
 
     def counted(g, *args, **kwargs):
         colored.append(g)
+        if g in solved:
+            after_solve.append(g)
         return chromatic_number(g, *args, **kwargs)
 
+    def solving(g, options):
+        solved.add(g)
+        return exact_at(g, options)
+
     monkeypatch.setattr(theorems, "chromatic_number", counted)
+    monkeypatch.setattr(theorems, "_exact_at", solving)
     for _ in range(2):
         colored.clear()
+        solved.clear()
         run_suite(seed=11)
         assert colored and len(colored) == len(set(colored))
+        assert solved and not after_solve
     # a check called on its own colors afresh
     colored.clear()
     check_lemma_3_5(cycle(3), cycle(4), "C3", "C4")
@@ -379,14 +389,17 @@ def test_tight_chromatic_cap_colors_h_where_the_corona_is_over_budget():
     # H's blocks are smaller than the corona's hub-plus-copy blocks, so at a
     # tight chromatic_block_cap the cone term still closes these brackets
     tight = SolverOptions(chromatic_block_cap=3)
-    for rep, value in [
-        (check_lemma_3_9(3, 1, tight), "4"),
-        (check_theorem_2(1, path(3), "P3", tight), "3"),
-        # C5 is over the budget too: its chromatic term is the odd-cycle 3
-        (check_lemma_3_9(4, 2, tight), "4"),
+    for rep, value, why in [
+        (check_lemma_3_9(3, 1, tight), "4", "chromatic"),
+        (check_theorem_2(1, path(3), "P3", tight), "3", "chromatic"),
+        # C5 is over the budget too: its chromatic term is the odd-cycle 3,
+        # and an apex over an odd cycle is an odd wheel, which needs 4
+        (check_lemma_3_9(4, 2, tight), "4", "odd-wheel"),
     ]:
         assert (rep.verdict, rep.computed) == ("pass", value), rep
-        assert f"lower {value} via chromatic" in rep.evidence
+        assert f"lower {value} via {why}" in rep.evidence
+    res = corona_at(hypercube(4), cycle(5), tight)
+    assert res.terms == ((3, "subgraph"), (4, "odd-wheel")) and res.value == 4
     # the row claims chi = AT of the corona, whose coloring is over budget:
     # chi >= the cone term and chi <= AT <= the certificate level, and the
     # two meet, so the cone bound proves chi
