@@ -73,14 +73,15 @@ def _load_graph(path_: str) -> tuple[Graph, Optional[str]]:
         return parse_graph(fh.read())
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
-        if not values:
-            raise ValueError(f"empty range {text!r}")
-        return values
-    return [int(text)]
+def _parse_range(text: str, flag: str) -> list[int]:
+    lo, dots, hi = text.partition("..")
+    try:
+        values = list(range(int(lo), int(hi if dots else lo) + 1))
+    except ValueError:
+        raise ValueError(f"bad range {text!r} for {flag}, expected n or lo..hi") from None
+    if not values:
+        raise ValueError(f"empty range {text!r} for {flag}")
+    return values
 
 
 # `gen` families built from a size alone
@@ -95,7 +96,10 @@ def cmd_gen(args) -> int:
         prov = f"{family} n={args.n}"
     elif family == "tree":
         if args.pruefer is not None:
-            seq = [int(x) for x in args.pruefer.split(",")] if args.pruefer else []
+            try:
+                seq = [int(x) for x in args.pruefer.split(",")] if args.pruefer else []
+            except ValueError:
+                raise ValueError(f"bad --pruefer {args.pruefer!r}, expected integers") from None
             g = tree_from_pruefer(seq)
             prov = f"tree pruefer={args.pruefer}"
         elif args.edges is not None:
@@ -117,19 +121,18 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_product(args) -> int:
-    g1, p1 = _load_graph(args.g1)
-    g2, p2 = _load_graph(args.g2)
-    g = cartesian_product(g1, g2)
-    _emit_graph(g, f"product ({p1 or '?'}) ({p2 or '?'})", args.output)
-    return 0
+# composite command -> the operation it applies and its help line
+_COMPOSITES = {
+    "product": (cartesian_product, "cartesian product of two graph documents"),
+    "corona": (corona, "corona of two graph documents"),
+}
 
 
-def cmd_corona(args) -> int:
+def cmd_composite(args) -> int:
     g1, p1 = _load_graph(args.g1)
     g2, p2 = _load_graph(args.g2)
-    g = corona(g1, g2)
-    _emit_graph(g, f"corona ({p1 or '?'}) ({p2 or '?'})", args.output)
+    g = _COMPOSITES[args.command][0](g1, g2)
+    _emit_graph(g, f"{args.command} ({p1 or '?'}) ({p2 or '?'})", args.output)
     return 0
 
 
@@ -214,8 +217,8 @@ def cmd_theorems(args) -> int:
     reports = run_suite(
         claims=[args.claim] if args.claim else None,
         options=opts,
-        n_range=_parse_range(args.n) if args.n else None,
-        k_range=_parse_range(args.k) if args.k else None,
+        n_range=_parse_range(args.n, "--n") if args.n else None,
+        k_range=_parse_range(args.k, "--k") if args.k else None,
         toroidal_max=args.max,
         pair_count=args.pairs,
         seed=args.seed,
@@ -271,17 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("product", help="cartesian product of two graph documents")
-    p.add_argument("g1")
-    p.add_argument("g2")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_product)
-
-    p = sub.add_parser("corona", help="corona of two graph documents")
-    p.add_argument("g1")
-    p.add_argument("g2")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_corona)
+    for name, (_, help_line) in _COMPOSITES.items():
+        p = sub.add_parser(name, help=help_line)
+        p.add_argument("g1")
+        p.add_argument("g2")
+        p.add_argument("-o", "--output")
+        p.set_defaults(func=cmd_composite)
 
     p = sub.add_parser("at", help="Alon-Tarsi number of a graph document")
     p.add_argument("graph")

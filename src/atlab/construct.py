@@ -36,17 +36,15 @@ from .options import DEFAULT_OPTIONS, SolverOptions
 
 @dataclass(frozen=True)
 class ConstructionRecipe:
-    """Which rule oriented each composite edge, and from which factor edge.
+    """Which rule set built a composite orientation: "product" (R1/R2) or
+    "corona" (R1/R2/R3).
 
-    edge_rules is aligned with the composite graph's edge order; each entry is
-    (rule, factor_edge_index) with factor_edge_index indexing the edges of
-    the factor orientation d1 given to the builder for R1, of d2 for R2, and
-    None for corona hub links (R3). The recipe does not keep d1 and d2: the
-    caller holds them.
+    The rules orient each composite edge by its place in the composite's
+    edge order, which cartesian_product and corona fix, so the kind is the
+    whole recipe. The recipe does not keep d1 and d2: the caller holds them.
     """
 
     kind: str
-    edge_rules: tuple[tuple[str, Optional[int]], ...]
 
 
 def product_orientation(
@@ -56,19 +54,10 @@ def product_orientation(
     if d1.graph != g1 or d2.graph != g2:
         raise ValueError("orientations do not match the given factor graphs")
     composite = cartesian_product(g1, g2)
-    tails: list[int] = []
-    rules: list[tuple[str, Optional[int]]] = []
-    for i in range(g2.n):
-        base = i * g1.n
-        for k, t in enumerate(d1.tails):
-            tails.append(base + t)
-            rules.append(("R1", k))
-    for k, t in enumerate(d2.tails):
-        for a in range(g1.n):
-            tails.append(t * g1.n + a)
-            rules.append(("R2", k))
-    oriented = Orientation(composite, tails)
-    return oriented, ConstructionRecipe("product", tuple(rules))
+    n1 = g1.n
+    tails = [i * n1 + t for i in range(g2.n) for t in d1.tails]
+    tails += [t * n1 + a for t in d2.tails for a in range(n1)]
+    return Orientation(composite, tails), ConstructionRecipe("product")
 
 
 def corona_orientation(
@@ -79,21 +68,13 @@ def corona_orientation(
         raise ValueError("orientations do not match the given factor graphs")
     composite = corona(g1, g2)
     m = g1.n
-    tails: list[int] = []
-    rules: list[tuple[str, Optional[int]]] = []
-    for k, t in enumerate(d1.tails):
-        tails.append(t)
-        rules.append(("R1", k))
+    # per copy: its edges follow d2, then each hub link leaves the copy vertex
+    copy_tails = (*d2.tails, *range(g2.n))
+    tails = list(d1.tails)
     for i in range(m):
         base = m + i * g2.n
-        for k, t in enumerate(d2.tails):
-            tails.append(base + t)
-            rules.append(("R2", k))
-        for j in range(g2.n):
-            tails.append(base + j)
-            rules.append(("R3", None))
-    oriented = Orientation(composite, tails)
-    return oriented, ConstructionRecipe("corona", tuple(rules))
+        tails += [base + t for t in copy_tails]
+    return Orientation(composite, tails), ConstructionRecipe("corona")
 
 
 @dataclass(frozen=True)

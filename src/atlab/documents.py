@@ -16,6 +16,11 @@ types above and only blank lines may follow a document's last section;
 anything else raises ValueError. The writers raise ValueError on a label the
 parser would refuse (a float, a bool, None, ...), so every document they
 write reads back.
+
+A certificate built by a construction recipe ends with a `recipe <kind>`
+line. Documents written before the recipe was reduced to its kind also list
+one `rule` line per edge after it; the parser still checks and then ignores
+them, so those documents stay readable.
 """
 
 from __future__ import annotations
@@ -77,8 +82,15 @@ def _fields(line: str, tag: str, count: int) -> list[str]:
     return parts
 
 
+def _int(field: str, line: str) -> int:
+    try:
+        return int(field)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {field!r} in {line!r}") from None
+
+
 def _count(line: str, key: str) -> int:
-    count = int(_fields(line, key, 2)[1])
+    count = _int(_fields(line, key, 2)[1], line)
     if count < 0:
         raise ValueError(f"negative count in {line!r}")
     return count
@@ -88,7 +100,10 @@ def _pair(line: str, tag: str) -> tuple[int, int]:
     parts = line.split()  # not through _fields: this runs once per edge and arc
     if len(parts) != 3 or parts[0] != tag:
         raise ValueError(f"expected a {tag!r} line of 3 fields, got {line!r}")
-    return int(parts[1]), int(parts[2])
+    try:
+        return int(parts[1]), int(parts[2])
+    except ValueError:
+        raise ValueError(f"expected two integers in {line!r}") from None
 
 
 def _expect_end(lines: list[str], i: int, what: str) -> None:
@@ -178,9 +193,9 @@ def graph_sha256(g: Graph) -> str:
 class CertificateDocument:
     """Parsed certificate: the claim, the orientation and the recipe kind.
 
-    The parser checks the embedded graph's `provenance` line and the `rule`
-    lines but keeps neither: `atlab verify` needs only the recipe kind, to
-    run the corona cut check.
+    The parser checks the embedded graph's `provenance` line and any legacy
+    `rule` lines but keeps neither: `atlab verify` needs only the recipe
+    kind, to run the corona cut check.
     """
 
     level: int
@@ -218,8 +233,6 @@ def serialize_certificate(
     lines.extend([f"a {t} {h}" for t, h in cert.orientation.arcs])
     if recipe is not None:
         lines.append(f"recipe {recipe.kind}")
-        for idx, (rule, src) in enumerate(recipe.edge_rules):
-            lines.append(f"rule {idx} {rule} {'-' if src is None else src}")
     return "\n".join(lines) + "\n"
 
 
@@ -239,10 +252,10 @@ def _parse_certificate_lines(lines: list[str]) -> CertificateDocument:
             raise ValueError(f"expected {key!r} line, got {lines[i]!r}")
         return lines[i][len(key) + 1 :]
 
-    level = int(expect(1, "level"))
+    level = _int(expect(1, "level"), lines[1])
     method = expect(2, "method")
     diff_text = expect(3, "diff")
-    diff_magnitude = None if diff_text == "unverified" else int(diff_text)
+    diff_magnitude = None if diff_text == "unverified" else _int(diff_text, lines[3])
     claimed_hash = expect(4, "graph-sha256")
     if lines[5] != "graph-begin":
         raise ValueError("missing graph-begin")
@@ -268,11 +281,12 @@ def _parse_certificate_lines(lines: list[str]) -> CertificateDocument:
     if i < len(lines) and lines[i].startswith("recipe "):
         recipe_kind = _fields(lines[i], "recipe", 2)[1]
         i += 1
+        # legacy `rule <edge> <R1|R2|R3> <factor edge, or - for a hub link>`
         while i < len(lines) and lines[i].startswith("rule "):
             _, idx, _, src = _fields(lines[i], "rule", 4)
-            int(idx)  # ValueError unless the indices are integers ("-" for a hub link)
+            _int(idx, lines[i])
             if src != "-":
-                int(src)
+                _int(src, lines[i])
             i += 1
     _expect_end(lines, i, "certificate")
     return CertificateDocument(level, method, diff_magnitude, graph, orientation, recipe_kind)

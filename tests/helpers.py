@@ -192,6 +192,39 @@ def crossing_arcs(d: Orientation, left) -> tuple[list, list]:
     return leaving, entering
 
 
+def recipe_tail_labels(kind: str, d1: Orientation, d2: Orientation, composite: Graph) -> list:
+    """The paper's product or corona rules applied edge by edge, read from
+    the composite's vertex labels alone: the label of each edge's tail. An
+    edge inside a copy of a factor follows that factor's orientation, a
+    product cross edge follows d2, and a corona hub link leaves the copy
+    vertex."""
+
+    def tail(d, x, y):  # index of the tail d gives the factor edge {x, y}
+        return next(t for e, t in zip(d.graph.edges, d.tails) if set(e) == {x, y})
+
+    g1, g2 = d1.graph, d2.graph
+    labels = []
+    for u, v in composite.edges:
+        a, b = composite.vertices[u], composite.vertices[v]
+        if kind == "product":  # (g1 label, g2 label)
+            (a1, a2), (b1, b2) = a, b
+            if a2 == b2:
+                t = tail(d1, g1.vertices.index(a1), g1.vertices.index(b1))
+                labels.append((g1.vertices[t], a2))
+            else:
+                t = tail(d2, g2.vertices.index(a2), g2.vertices.index(b2))
+                labels.append((a1, g2.vertices[t]))
+        else:  # (hub index, "hub") or (hub index, g2 index)
+            (i, x), (k, y) = a, b
+            if x == y == "hub":
+                labels.append((tail(d1, i, k), "hub"))
+            elif x == "hub" or y == "hub":
+                labels.append(b if x == "hub" else a)
+            else:
+                labels.append((i, tail(d2, x, y)))
+    return labels
+
+
 def chromatic_at_choosable(
     g: Graph, options: SolverOptions = DEFAULT_OPTIONS
 ) -> tuple[int, int, bool]:

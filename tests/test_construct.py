@@ -1,4 +1,4 @@
-from collections import Counter
+import random
 
 import pytest
 
@@ -27,7 +27,13 @@ from atlab import (
     verify_certificate,
 )
 from atlab.eulerian import diff_coefficient
-from helpers import crossing_arcs, induced_orientation
+from helpers import (
+    crossing_arcs,
+    induced_orientation,
+    random_graph,
+    random_orientation,
+    recipe_tail_labels,
+)
 
 WIDE = SolverOptions(enum_cap=32)
 
@@ -36,13 +42,18 @@ def cyclic(n):
     return orientation_from_arcs(cycle(n), [(i, (i + 1) % n) for i in range(n)])
 
 
+def tail_labels(d):
+    return [d.graph.vertices[t] for t in d.tails]
+
+
 def test_product_k2_k2():
     k2 = path(2)
     arc = orient(k2, [0])
     d, recipe = product_orientation(k2, arc, k2, arc)
     assert sorted(d.outdegrees, reverse=True) == [2, 1, 1, 0]
     assert eulerian_tally_enumerate(d).diff == 1  # acyclic
-    assert Counter(rule for rule, _ in recipe.edge_rules) == {"R1": 2, "R2": 2}
+    assert recipe.kind == "product"
+    assert tail_labels(d) == recipe_tail_labels("product", arc, arc, d.graph)
 
 
 def test_product_outdegree_profile_exact():
@@ -59,7 +70,7 @@ def test_product_outdegree_profile_exact():
     assert d.max_outdegree() == 2
     tally = eulerian_tally_enumerate(d, WIDE)
     assert tally.diff == 16  # frozen; level-3 certificate for the product
-    assert len(recipe.edge_rules) == comp.m
+    assert recipe.kind == "product"
 
 
 def test_product_fig2_path_variant():
@@ -88,8 +99,24 @@ def test_corona_outdegree_profile_exact():
         for j in range(t4.n):
             assert d.outdegrees[base + j] == d2.outdegrees[j] + 1
     assert d.max_outdegree() <= max(d1.max_outdegree(), d2.max_outdegree() + 1)
-    assert Counter(rule for rule, _ in recipe.edge_rules) == {
-        "R1": q2.m, "R2": m * t4.m, "R3": m * t4.n}
+    assert recipe.kind == "corona"
+    assert tail_labels(d) == recipe_tail_labels("corona", d1, d2, d.graph)
+
+
+@pytest.mark.parametrize("kind", ["product", "corona"])
+def test_builders_follow_the_rules_on_random_factors(kind):
+    build = product_orientation if kind == "product" else corona_orientation
+    rng = random.Random(2410)
+    edgeless = 0
+    for _ in range(60):
+        g1, g2 = (random_graph(rng, rng.randint(1, 5), rng.choice([0, 0.4, 0.8]))
+                  for _ in range(2))
+        edgeless += g1.m == 0 or g2.m == 0
+        d1, d2 = random_orientation(rng, g1), random_orientation(rng, g2)
+        d, recipe = build(g1, d1, g2, d2)
+        assert recipe.kind == kind
+        assert tail_labels(d) == recipe_tail_labels(kind, d1, d2, d.graph)
+    assert edgeless
 
 
 def test_corona_cut_product_law():

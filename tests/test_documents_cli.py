@@ -73,6 +73,16 @@ def test_certificate_embedded_graph_must_be_a_graph_document():
         parse_certificate("\n".join(lines) + "\n")
 
 
+def _with_legacy_rules(doc: str, g1, g2) -> str:
+    """A corona recipe certificate as version-1 writers emitted it before the
+    recipe was reduced to its kind: one `rule` line per edge after the
+    `recipe` line."""
+    rules = [("R1", k) for k in range(g1.m)]
+    for _ in range(g1.n):
+        rules += [("R2", k) for k in range(g2.m)] + [("R3", "-")] * g2.n
+    return doc + "".join(f"rule {i} {rule} {src}\n" for i, (rule, src) in enumerate(rules))
+
+
 def test_certificate_with_recipe_tags():
     q2, p2 = hypercube(2), path(2)
     d1 = bounded_outdegree_orientation(q2, 1)
@@ -82,15 +92,34 @@ def test_certificate_with_recipe_tags():
 
     cert = ATCertificate(d.max_outdegree() + 1, d, None, "product-law+closed-form")
     doc = serialize_certificate(cert, recipe=recipe)
+    lines = doc.splitlines()
+    assert lines.count("recipe corona") == 1 and lines[-1] == "recipe corona"
+    assert not [line for line in lines if line.startswith("rule ")]
     parsed = parse_certificate(doc)
     assert parsed.recipe_kind == "corona"
-    rules = [line for line in doc.splitlines() if line.startswith("rule ")]
+    legacy = _with_legacy_rules(doc, q2, p2)
+    rules = [line for line in legacy.splitlines() if line.startswith("rule ")]
     assert len(rules) == d.graph.m
     assert rules[0] == "rule 0 R1 0" and rules[-1] == f"rule {d.graph.m - 1} R3 -"
+    old = parse_certificate(legacy)
+    assert old.orientation == parsed.orientation and old.recipe_kind == "corona"
     # the parser keeps only the recipe kind, but still checks each rule line
     for bad in ("rule 0 R1", "rule 0 R1 x", "rule x R1 0", "rule 0 R1 0 0"):
         with pytest.raises(ValueError):
-            parse_certificate(doc.replace(rules[0], bad))
+            parse_certificate(legacy.replace(rules[0], bad))
+
+
+def test_recipe_certificate_roundtrip_bit_exact():
+    from atlab import ATCertificate, ConstructionRecipe, acyclic_certificate
+
+    q3, c3 = hypercube(3), cycle(3)
+    d, recipe = corona_orientation(
+        q3, at_bipartite(q3).certificate.orientation, c3, acyclic_certificate(c3).orientation
+    )
+    doc = serialize_certificate(ATCertificate(4, d, 4, "product-law"), "Q3 o C3", recipe)
+    parsed = parse_certificate(doc)
+    again = ConstructionRecipe(parsed.recipe_kind)
+    assert serialize_certificate(parsed.as_certificate(), "Q3 o C3", again) == doc
 
 
 def test_unverified_diff_roundtrip():
@@ -128,6 +157,43 @@ def test_cli_gen_bad_params(capsys):
     for edges, chunk in [("", "''"), ("0-1,1-2-3", "'1-2-3'"), ("0-x", "'0-x'")]:
         assert main(["gen", "tree", "--edges", edges]) == 2
         assert f"error: bad --edges pair {chunk}, expected u-v" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, tag",
+    [
+        (["at"], "e"),
+        (["at"], "vertices"),
+        (["verify"], "level"),
+        (["verify"], "diff"),
+        (["verify"], "a"),
+        (["verify"], "rule"),
+        (["gen", "tree", "--pruefer", "1,x"], "--pruefer"),
+        (["theorems", "--n", "1..x"], "--n"),
+    ],
+    ids=["edge", "vertices", "level", "diff", "arc", "legacy-rule", "pruefer", "range"],
+)
+def test_cli_non_integer_field_names_its_line_or_flag(tmp_path, capsys, argv, tag):
+    named = tag
+    if not tag.startswith("--"):  # a document field: the first `tag` line ends in x
+        if argv == ["at"]:
+            lines = serialize_graph(cycle(4)).splitlines()
+        else:
+            from atlab import ATCertificate
+
+            q2, p2 = hypercube(2), path(2)
+            d, recipe = corona_orientation(
+                q2, bounded_outdegree_orientation(q2, 1), p2, orient(p2, [0]))
+            cert = serialize_certificate(ATCertificate(3, d, 1, "product-law"), recipe=recipe)
+            lines = _with_legacy_rules(cert, q2, p2).splitlines()
+        k = next(k for k, line in enumerate(lines) if line.startswith(tag + " "))
+        lines[k] = named = lines[k].rsplit(" ", 1)[0] + " x"
+        doc = tmp_path / "doc"
+        doc.write_text("\n".join(lines) + "\n")
+        argv = [*argv, str(doc)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "invalid literal" not in err
 
 
 def test_cli_product_corona(tmp_path, capsys):
@@ -566,6 +632,7 @@ def _mutation_corpus():
     )
     cert = ATCertificate(d.max_outdegree() + 1, d, 1, "product-law")
     docs.append(serialize_certificate(cert, "C3oC3", recipe))
+    docs.append(_with_legacy_rules(docs[-1], c3, c3))
     d, recipe = product_orientation(
         q2, at_bipartite(q2).certificate.orientation, k3, acyclic_certificate(k3).orientation
     )
