@@ -77,7 +77,6 @@ from .eulerian import (
     eulerian_tally_enumerate,
     frontier_order,
     monomial_search,
-    within_budget,
 )
 from .graphs import Graph, bipartition, two_coloring
 from .options import DEFAULT_OPTIONS, SolverOptions
@@ -469,9 +468,9 @@ def at_bipartite(g: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult
     """AT of a bipartite graph: ceil(max_density)+1, certificate included.
 
     Every orientation of a bipartite graph is an AT-orientation, so the
-    orientation at the least uniform cap level-1 is a certificate; its diff
-    is additionally recomputed whenever an engine is within budget. The
-    cap's vertex-set witness is recounted, proving AT >= level. The terms
+    orientation at the least uniform cap level-1 is a certificate; engine_diff
+    recomputes its diff, or falls back on this closed form. The cap's
+    vertex-set witness is recounted, proving AT >= level. The terms
     are [density-pigeonhole, chromatic], chi being 2 (1 without edges);
     density comes first, so it gives the reason on a tie.
     """
@@ -482,10 +481,7 @@ def at_bipartite(g: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult
     method, diff = engine_diff(d, options)
     if diff == 0:
         raise ProofObligationError("bipartite orientation computed diff 0")
-    if method is None:
-        method, magnitude = "bipartite-closed-form", None
-    else:
-        magnitude = abs(diff)
+    magnitude = None if diff is None else abs(diff)
     terms = [(level, "density-pigeonhole"), (2 if g.m else 1, "chromatic")]
     return bracket(terms, ATCertificate(level, d, magnitude, method))
 
@@ -582,9 +578,9 @@ def _certify(g: Graph, d: Orientation, options: SolverOptions) -> ATCertificate:
     """Re-check a found orientation with an independent computation: the
     tally when its largest strongly connected component is within enum_cap,
     else the coefficient along the reverse of the search's vertex order."""
-    if within_budget(d, "enumeration", options):
+    try:
         diff, method = eulerian_tally_enumerate(d, options).diff, "enumeration"
-    else:
+    except CapacityError:
         diff, method = diff_coefficient(d, frontier_order(g)[::-1]), "polynomial"
     if diff == 0:
         raise ProofObligationError(f"level search orientation has diff 0 ({method})")

@@ -191,7 +191,7 @@ def cmd_verify(args) -> int:
         print(f"note: {msg}")
     if report.verdict == "accepted" and doc.recipe_kind == "corona":
         hubs, leaves = [], []
-        for i, lab in enumerate(doc.graph.vertices):
+        for i, lab in enumerate(doc.orientation.graph.vertices):
             is_hub = isinstance(lab, tuple) and len(lab) == 2 and lab[1] == "hub"
             (hubs if is_hub else leaves).append(i)
         cut = one_way_cut_check(doc.orientation, leaves, hubs, opts)

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .atsolver import ATCertificate
-from .eulerian import ENGINES, Orientation, engine_diff
-from .graphs import Graph, bipartition, cartesian_product, corona
+from .eulerian import Orientation, engine_diff
+from .graphs import Graph, cartesian_product, corona
 from .options import DEFAULT_OPTIONS, SolverOptions
 
 
@@ -96,14 +96,14 @@ class VerifyReport:
 def verify_certificate(
     cert: ATCertificate, options: SolverOptions = DEFAULT_OPTIONS
 ) -> VerifyReport:
-    """Re-check a claimed AT certificate: outdegree bound, then diff != 0 via
-    an engine other than the recorded one when both fit the budget (both
-    budgets measure the largest strongly connected component). Over-budget
-    diff checks downgrade to an "outdegree-only" verdict (or accept outright
-    via the bipartite closed form). The corona product law is not re-checked
-    here: certificates do not carry their factor orientations, so callers
-    run eulerian.one_way_cut_check over corona_cut_sides afterwards, as
-    `atlab verify` does."""
+    """Re-check a claimed AT certificate: outdegree bound, then diff != 0 by
+    engine_diff with the recorded engine last, so the other one re-checks
+    when it fits. The bipartite closed form accepts without a magnitude; no
+    answer (both engines over budget, not bipartite) is "outdegree-only".
+    The corona product law is not re-checked here: certificates do not
+    carry their factor orientations, so callers run
+    eulerian.one_way_cut_check over corona_cut_sides afterwards, as `atlab
+    verify` does."""
     orientation, level = cert.orientation, cert.level
     messages: list[str] = []
     maxout = orientation.max_outdegree()
@@ -111,17 +111,13 @@ def verify_certificate(
         messages.append(f"outdegree violation: max outdegree {maxout} > {level - 1}")
         return VerifyReport("rejected", level, maxout, None, None, tuple(messages))
 
-    # the recorded engine goes last, so another one re-checks when it fits
-    engines = sorted(ENGINES, key=lambda e: e == cert.method)
-    method, diff = engine_diff(orientation, options, engines)
+    method, diff = engine_diff(orientation, options, cert.method)
     if method is None:
-        if bipartition(orientation.graph) is not None:
-            messages.append("diff engines over budget; accepted by bipartite closed form")
-            return VerifyReport(
-                "accepted", level, maxout, "bipartite-closed-form", None, tuple(messages)
-            )
         messages.append("diff engines over budget; only the outdegree bound was checked")
         return VerifyReport("outdegree-only", level, maxout, None, None, tuple(messages))
+    if diff is None:
+        messages.append("diff engines over budget; accepted by bipartite closed form")
+        return VerifyReport("accepted", level, maxout, method, None, tuple(messages))
     if diff == 0:
         messages.append(f"diff is zero ({method})")
         return VerifyReport("rejected", level, maxout, method, 0, tuple(messages))

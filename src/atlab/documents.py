@@ -14,8 +14,9 @@ inside a label, an edge written `e 3 1`) is accepted. The parser is strict:
 lines have exactly their fields, counts are non-negative, labels have the
 types above and only blank lines may follow a document's last section;
 anything else raises ValueError. The writers raise ValueError on a label the
-parser would refuse (a float, a bool, None, ...), so every document they
-write reads back.
+parser would refuse (a float, a bool, None, ...), on a provenance that
+str.splitlines breaks and on a recipe kind that is not one word, so every
+document they write reads back.
 
 A certificate built by a construction recipe ends with a `recipe <kind>`
 line. Documents written before the recipe was reduced to its kind also list
@@ -106,6 +107,11 @@ def _pair(line: str, tag: str) -> tuple[int, int]:
         raise ValueError(f"expected two integers in {line!r}") from None
 
 
+def _check_provenance(provenance: str) -> None:
+    if provenance.splitlines() != [provenance]:
+        raise ValueError(f"provenance {provenance!r} does not fit on one line")
+
+
 def _expect_end(lines: list[str], i: int, what: str) -> None:
     for line in lines[i:]:
         if line.strip():
@@ -115,6 +121,7 @@ def _expect_end(lines: list[str], i: int, what: str) -> None:
 def serialize_graph(g: Graph, provenance: Optional[str] = None) -> str:
     lines = [GRAPH_MAGIC]
     if provenance:
+        _check_provenance(provenance)
         lines.append(f"provenance {provenance}")
     lines.append(f"vertices {g.n}")
     _check_labels(g.vertices)
@@ -201,7 +208,6 @@ class CertificateDocument:
     level: int
     method: str
     diff_magnitude: Optional[int]
-    graph: Graph
     orientation: Orientation
     recipe_kind: Optional[str]
 
@@ -218,6 +224,7 @@ def serialize_certificate(
     graph_text = serialize_graph(g)
     graph_hash = _sha256(graph_text)
     if provenance:
+        _check_provenance(provenance)
         graph_text = graph_text.replace("\n", f"\nprovenance {provenance}\n", 1)
     mag = "unverified" if cert.diff_magnitude is None else str(cert.diff_magnitude)
     lines = [
@@ -232,6 +239,8 @@ def serialize_certificate(
     ]
     lines.extend([f"a {t} {h}" for t, h in cert.orientation.arcs])
     if recipe is not None:
+        if recipe.kind.split() != [recipe.kind]:
+            raise ValueError(f"recipe kind {recipe.kind!r} is not one word")
         lines.append(f"recipe {recipe.kind}")
     return "\n".join(lines) + "\n"
 
@@ -289,4 +298,4 @@ def _parse_certificate_lines(lines: list[str]) -> CertificateDocument:
                 _int(src, lines[i])
             i += 1
     _expect_end(lines, i, "certificate")
-    return CertificateDocument(level, method, diff_magnitude, graph, orientation, recipe_kind)
+    return CertificateDocument(level, method, diff_magnitude, orientation, recipe_kind)

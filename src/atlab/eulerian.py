@@ -33,9 +33,11 @@ on the orientation, and both engines run per component and multiply:
     frontier only. The same program, branching on each dropped exponent, is
     the level search of the AT solver.
 
-Both budget gates measure components, not the whole orientation
-(within_budget): enum_cap bounds the arc count of the largest component and
-poly_budget the largest product of (outdegree + 1) over one component.
+Each engine raises CapacityError past its own gate, which measures
+components, not the whole orientation: enum_cap bounds the arc count of the
+largest component and poly_budget the largest product of (outdegree + 1)
+over one component. engine_diff alone picks an engine, or the bipartite
+closed form when both are over budget.
 
 Everything is a pure function of immutable inputs.
 """
@@ -49,7 +51,7 @@ from itertools import repeat
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError, SearchTimeout
-from .graphs import Graph
+from .graphs import Graph, bipartition
 from .options import DEFAULT_OPTIONS, SolverOptions
 
 
@@ -295,9 +297,10 @@ def eulerian_tally_enumerate(
     subdigraph of d picks one in every component, and its parity is the sum
     of theirs, so (even, odd) combine as (e1 e2 + o1 o2, e1 o2 + o1 e2).
     """
-    if not within_budget(d, "enumeration", options):
+    arcs = tally_arc_bound(d)
+    if arcs > options.enum_cap:
         raise CapacityError(
-            f"{tally_arc_bound(d)} arcs in the largest strongly connected component "
+            f"{arcs} arcs in the largest strongly connected component "
             f"exceeds the enumeration cap {options.enum_cap}; "
             "use the polynomial engine or raise enum_cap"
         )
@@ -486,21 +489,6 @@ def poly_state_bound(d: Orientation) -> int:
     return bound
 
 
-ENGINES = ("enumeration", "polynomial")
-
-
-def within_budget(d: Orientation, engine: str, options: SolverOptions) -> bool:
-    """Whether `engine` ("enumeration" or "polynomial") may run on d. Both
-    engines run per strongly connected component, so both gates measure the
-    largest one: enum_cap bounds tally_arc_bound, poly_budget
-    poly_state_bound."""
-    if engine == "enumeration":
-        return tally_arc_bound(d) <= options.enum_cap
-    if engine == "polynomial":
-        return poly_state_bound(d) <= options.poly_budget
-    raise ValueError(f"unknown diff engine {engine!r}")
-
-
 def diff_coefficient(d: Orientation, order: Optional[Sequence[int]] = None) -> int:
     """Coefficient of prod_v x_v^(outdeg v) in prod_{(t,h)} (x_t - x_h), with
     no budget gate: the product of the same coefficient over the strongly
@@ -539,9 +527,10 @@ def eulerian_diff_poly(
     """Coefficient of prod_v x_v^(outdeg v) in prod_{(t,h)} (x_t - x_h), which
     equals diff(d) (see diff_coefficient), gated by poly_budget on the largest
     strongly connected component."""
-    if not within_budget(d, "polynomial", options):
+    states = poly_state_bound(d)
+    if states > options.poly_budget:
         raise CapacityError(
-            f"monomial state bound {poly_state_bound(d)} exceeds poly_budget "
+            f"monomial state bound {states} exceeds poly_budget "
             f"{options.poly_budget}"
         )
     return diff_coefficient(d)
@@ -550,15 +539,22 @@ def eulerian_diff_poly(
 def engine_diff(
     d: Orientation,
     options: SolverOptions = DEFAULT_OPTIONS,
-    engines: Sequence[str] = ENGINES,
+    recorded: Optional[str] = None,
 ) -> tuple[Optional[str], Optional[int]]:
-    """(engine, signed diff(d)) from the first of `engines` within budget on
-    d, or (None, None) when none is."""
-    for engine in engines:
-        if within_budget(d, engine, options):
-            if engine == "enumeration":
-                return engine, eulerian_tally_enumerate(d, options).diff
-            return engine, eulerian_diff_poly(d, options)
+    """(method, signed diff(d)) from the first engine within budget: the tally
+    ("enumeration"), then the coefficient ("polynomial"), the `recorded` one
+    last so that the other re-checks it. With both over budget,
+    ("bipartite-closed-form", None) when d's graph is bipartite (every
+    orientation of it has diff != 0), else (None, None)."""
+    tally = ("enumeration", lambda: eulerian_tally_enumerate(d, options).diff)
+    poly = ("polynomial", lambda: eulerian_diff_poly(d, options))
+    for method, run in (poly, tally) if recorded == "enumeration" else (tally, poly):
+        try:
+            return method, run()
+        except CapacityError:
+            pass
+    if bipartition(d.graph) is not None:
+        return "bipartite-closed-form", None
     return None, None
 
 

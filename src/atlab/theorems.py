@@ -497,9 +497,9 @@ def check_remark_gap(name: str, chi: int, at_result: ATResult) -> ClaimReport:
 # ---------------------------------------------------------------------------
 
 
-def tree_catalog(m: int, seed: int = 7, random_count: int = 2) -> list[tuple[str, Graph]]:
+def tree_catalog(m: int, seed: int = 7) -> list[tuple[str, Graph]]:
     """Deterministic tree sweep for one vertex count: path, star, broom, plus
-    seeded random Pruefer trees. Duplicate shapes are dropped by edge set."""
+    two seeded random Pruefer trees. Duplicate shapes are dropped by edge set."""
     if m < 2:
         raise ValueError("trees in the catalog need >= 2 vertices")
     out: list[tuple[str, Graph]] = [(f"P{m}", path(m))]
@@ -512,7 +512,7 @@ def tree_catalog(m: int, seed: int = 7, random_count: int = 2) -> list[tuple[str
         out.append((f"B{m}", Graph([str(i) for i in range(m)], edges)))
     if m >= 4:
         rng = random.Random(seed * 1000 + m)
-        for t in range(random_count):
+        for t in range(2):
             seq = [rng.randrange(m) for _ in range(m - 2)]
             out.append((f"R{m}.{t}", tree_from_pruefer(seq)))
     seen: set[frozenset] = set()

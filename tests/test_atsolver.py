@@ -385,16 +385,14 @@ def test_at_bipartite_even_cycles_and_trees():
 
 def density_certificate(g):
     """The bipartite certificate built from the exact density: the
-    orientation at cap ceil(max density), its diff by the first engine within
-    budget. The density comes from the brute-force oracle where it reaches
+    orientation at cap ceil(max density), its method and diff as engine_diff
+    gives them. The density comes from the brute-force oracle where it reaches
     (n <= 20), so path reversal is not pinned against itself there."""
     dens = max_density_bruteforce(g) if g.n <= 20 else max_density(g)
     level = math.ceil(dens.density) + 1
     d = bounded_outdegree_orientation(g, level - 1)
     method, diff = engine_diff(d, DEFAULT_OPTIONS)
-    if method is None:
-        return ATCertificate(level, d, None, "bipartite-closed-form")
-    return ATCertificate(level, d, abs(diff), method)
+    return ATCertificate(level, d, None if diff is None else abs(diff), method)
 
 
 def test_at_bipartite_pins_the_density_certificate():

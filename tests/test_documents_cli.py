@@ -449,7 +449,7 @@ def test_golden_certificate_document_bytes():
     # the hash covers the canonical graph text without the provenance line
     assert f"graph-sha256 {graph_sha256(g)}\n" in GOLDEN_Q2_CERT
     parsed = parse_certificate(with_provenance)
-    assert parsed.graph == g and parsed.orientation.tails == cert.orientation.tails
+    assert parsed.orientation.graph == g and parsed.orientation.tails == cert.orientation.tails
 
 
 def _replace_hash(doc: str, digest: str) -> str:
@@ -582,6 +582,109 @@ def test_writers_refuse_labels_the_reader_refuses(label):
         2, orient(ok, [0]), 1, "acyclic"))).orientation.graph == ok
 
 
+# every break that str.splitlines, and so the parser, splits a line on
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=[repr(b) for b in LINE_BREAKS])
+def test_writers_refuse_a_provenance_the_reader_would_split(brk):
+    from atlab import ATCertificate
+
+    cert = ATCertificate(2, orient(path(2), [0]), 1, "acyclic")
+    for provenance in (f"a{brk}b", f"a{brk}", brk):
+        with pytest.raises(ValueError, match="provenance"):
+            serialize_graph(path(2), provenance)
+        with pytest.raises(ValueError, match="provenance"):
+            serialize_certificate(cert, provenance)
+
+
+@pytest.mark.parametrize("kind", ["", "my kind", "corona\n", "a\tb", "\u2028", " corona"])
+def test_writer_refuses_a_recipe_kind_that_is_not_one_word(kind):
+    from atlab import ATCertificate, ConstructionRecipe
+
+    cert = ATCertificate(2, orient(path(2), [0]), 1, "acyclic")
+    with pytest.raises(ValueError, match="recipe kind"):
+        serialize_certificate(cert, recipe=ConstructionRecipe(kind))
+
+
+def test_every_document_a_writer_returns_reads_back():
+    import random
+
+    from atlab import ATCertificate, ConstructionRecipe
+
+    rng = random.Random(2505)
+    alphabet = ["a", " ", "\t", "\x1f", "\u00e9", "#", "provenance", "graph-end",
+                *LINE_BREAKS]
+    g = corona(cycle(3), path(2))
+    d = bounded_outdegree_orientation(g, 2)
+    cert = ATCertificate(3, d, None, "acyclic")
+    written = refused = 0
+    for _ in range(400):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
+        recipe = ConstructionRecipe(text) if rng.random() < 0.5 else None
+        try:
+            graph_doc = serialize_graph(g, text)
+            cert_doc = serialize_certificate(cert, text, recipe)
+        except ValueError:
+            refused += 1
+            continue
+        written += 1
+        assert parse_graph(graph_doc) == (g, text or None)
+        parsed = parse_certificate(cert_doc)
+        assert parsed.orientation == d
+        assert parsed.recipe_kind == (None if recipe is None else text)
+        assert serialize_certificate(parsed.as_certificate(), text, recipe) == cert_doc
+    assert written and refused
+
+
+@pytest.mark.parametrize("flag, value", [("--edges", "0-1\n"), ("--pruefer", "1,\n1")])
+def test_cli_gen_refuses_a_provenance_over_two_lines(tmp_path, capsys, flag, value):
+    gpath = tmp_path / "t.graph"
+    assert main(["gen", "tree", flag, value, "-o", str(gpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: provenance ") and repr(value)[1:-1] in err
+    assert not gpath.exists()
+
+
+def _verify_document(name):
+    """One of the three kinds of certificate `atlab verify` decides
+    differently: accepted by the bipartite closed form ("q4"), a corona
+    recipe over both budgets ("q4oc5"), and a level-search certificate
+    re-checked by the other engine ("c3c3")."""
+    from atlab import ATCertificate, acyclic_certificate, at_exact, cartesian_product
+
+    q4 = hypercube(4)
+    if name == "q4":
+        return serialize_certificate(at_bipartite(q4).certificate, "hypercube n=4")
+    if name == "q4oc5":
+        c5 = cycle(5)
+        d, recipe = corona_orientation(
+            q4, at_bipartite(q4).certificate.orientation, c5, acyclic_certificate(c5).orientation
+        )
+        cert = ATCertificate(d.max_outdegree() + 1, d, None, "product-law")
+        return serialize_certificate(cert, "Q4 o C5", recipe)
+    found = at_exact(cartesian_product(cycle(3), cycle(3))).certificate
+    assert found.method == "enumeration"
+    return serialize_certificate(found, "C3 x C3")
+
+
+@pytest.mark.parametrize("name, code, out", [
+    ("q4", 0, "verdict: accepted\nmax outdegree 2 (level 3)\n"
+              "diff check: bipartite-closed-form -> nonzero\n"
+              "note: diff engines over budget; accepted by bipartite closed form\n"),
+    ("q4oc5", 3, "verdict: outdegree-only\nmax outdegree 3 (level 4)\n"
+                 "note: diff engines over budget; only the outdegree bound was checked\n"),
+    ("c3c3", 0, "verdict: accepted\nmax outdegree 3 (level 4)\n"
+                "diff check: polynomial -> 2\n"),
+])
+def test_cli_verify_output_per_diff_route(tmp_path, capsys, name, code, out):
+    cpath = tmp_path / f"{name}.cert"
+    cpath.write_text(_verify_document(name))
+    assert main(["verify", str(cpath)]) == code
+    assert capsys.readouterr() == (out, "")
+
+
 @pytest.mark.parametrize("record", ["a", "e"])
 def test_record_line_with_extra_fields_is_rejected(record):
     doc = serialize_certificate(at_bipartite(cycle(4)).certificate)
@@ -678,6 +781,5 @@ def test_mutated_certificates_parse_to_a_cover_or_raise_value_error():
                 continue
             parsed += 1
             g = result.orientation.graph
-            assert g == result.graph
             assert sorted(tuple(sorted(a)) for a in result.orientation.arcs) == sorted(g.edges)
     assert parsed and rejected

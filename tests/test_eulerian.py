@@ -216,6 +216,42 @@ def test_is_at_orientation():
     assert method == "polynomial" and diff != 0
 
 
+def test_engine_diff_falls_back_on_the_bipartite_closed_form_only():
+    # with both engines over budget the closed form answers for a bipartite
+    # graph, where every orientation has diff != 0, and nothing else does
+    tiny = SolverOptions(enum_cap=1, poly_budget=1)
+    assert engine_diff(cyclic(4), tiny) == ("bipartite-closed-form", None)
+    assert engine_diff(cyclic(3), tiny) == (None, None)
+    assert engine_diff(cyclic(5), tiny, "enumeration") == (None, None)
+    d = at_bipartite(hypercube(4)).certificate.orientation
+    assert engine_diff(d) == ("bipartite-closed-form", None)
+
+
+def test_engine_diff_runs_the_recorded_engine_last():
+    no_tally, no_poly = SolverOptions(enum_cap=1), SolverOptions(poly_budget=1)
+    c4 = cyclic(4)
+    assert engine_diff(c4, recorded="enumeration") == ("polynomial", 2)
+    assert engine_diff(c4, no_poly, "enumeration") == ("enumeration", 2)
+    for recorded in ("polynomial", "acyclic", None):
+        assert engine_diff(c4, recorded=recorded) == ("enumeration", 2)
+        assert engine_diff(c4, no_tally, recorded) == ("polynomial", 2)
+
+
+def test_engine_diff_checks_each_gate_once(monkeypatch):
+    import atlab.eulerian as eulerian
+
+    calls = []
+    for name in ("tally_arc_bound", "poly_state_bound"):
+        gate = getattr(eulerian, name)
+        monkeypatch.setattr(eulerian, name,
+                            lambda d, gate=gate, name=name: calls.append(name) or gate(d))
+    engine_diff(cyclic(4))
+    assert calls == ["tally_arc_bound"]
+    calls.clear()
+    assert engine_diff(cyclic(4), SolverOptions(enum_cap=1, poly_budget=1))[1] is None
+    assert calls == ["tally_arc_bound", "poly_state_bound"]
+
+
 def test_one_way_cut_two_disjoint_arcs():
     g = Graph(["a", "b", "c", "d"], [(0, 1), (2, 3)])
     d = orient(g, [0, 2])

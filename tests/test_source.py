@@ -252,3 +252,18 @@ def test_only_chromatic_reads_chi_in_theorems():
     found = [f"{name}:{line}" for name, top, line in uses
              if getattr(top, "name", None) != "_chromatic"]
     assert uses and not found, f"chromatic_number named outside theorems._chromatic: {found}"
+
+
+def test_only_the_gated_engines_read_their_budgets():
+    # each diff engine checks its own gate and raises CapacityError past it;
+    # a caller that read enum_cap or poly_budget ahead of the engine would
+    # have to follow every change to the gate. one_way_cut_check tallies
+    # each side's components itself, so it reads enum_cap too.
+    owners = {"enum_cap": ("eulerian_tally_enumerate", "one_way_cut_check"),
+              "poly_budget": ("eulerian_diff_poly",)}
+    trees = _package_trees()
+    for attr, allowed in owners.items():
+        uses = _uses(trees, lambda n: isinstance(n, ast.Attribute) and n.attr == attr)
+        found = [f"{name}:{line}" for name, top, line in uses
+                 if name != "eulerian.py" or getattr(top, "name", None) not in allowed]
+        assert uses and not found, f"{attr} read outside {allowed}: {found}"
