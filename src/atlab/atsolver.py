@@ -14,10 +14,11 @@ diff != 0. The solver combines:
     iff some monomial with every exponent <= k-1 has a nonzero coefficient.
     The frontier-ordered coefficient program of `eulerian` decides this by
     branching on each vertex's final exponent; a refuted level k proves
-    AT > k. A found sequence becomes an orientation by path reversal with
-    per-vertex caps and is re-checked by an independent computation. An
-    acyclic orientation along a degeneracy order (diff = 1, the empty
-    subdigraph alone) caps the search from above at the degeneracy plus one.
+    AT > k. The search takes per-vertex caps, as path reversal does, which
+    realizes a found sequence for an independent re-check. An acyclic
+    orientation along a degeneracy order (diff = 1, the empty subdigraph
+    alone) caps the search from above at the degeneracy plus one, where the
+    level loop also ends on CapacityError or SearchTimeout.
 
 Every result keeps the (value, reason) lower terms and the one certificate
 that `bracket` joined: lo is the first greatest term, so the term order is
@@ -31,12 +32,10 @@ always chi: where `chromatic_number` gives up, on a non-bipartite block, it
 is (3, "odd-cycle") instead, and the pinch's cone term is (4, "odd-wheel").
 
 `at_exact` builds only the certificate it returns. One heap peel gives the
-degeneracy order and the degeneracy, so the level of the acyclic
-certificate is known before it is built, and it is built along that order
-only when no search level returns. The density term needs the least
-uniform cap and its vertex-set witness, not its orientation, which
-`UniformCap` keeps as a split and builds when read (`at_bipartite` reads
-it).
+degeneracy order and level, so the acyclic certificate is built only when
+no search level returns. The density term needs the least uniform cap and
+its vertex-set witness, not its orientation, which `UniformCap` keeps as a
+split and builds when read (`at_bipartite` reads it).
 
 `at_exact` computes the density term only when it can beat the chromatic
 term, which comes first in tie order. The density term is at most the
@@ -156,11 +155,15 @@ def bounded_outdegree_orientation(
     is one bound for all vertices or one per vertex. When the caps sum to
     |E|, a result has exactly the given outdegrees.
     """
+    split = reverse_paths(g.n, g.edges, _caps(g, cap), 1)[0]
+    return None if split is None else _split_orientation(g, split)
+
+
+def _caps(g: Graph, cap: Union[int, Sequence[int]]) -> list[int]:
     caps = [cap] * g.n if isinstance(cap, int) else list(cap)
     if len(caps) != g.n:
         raise ValueError(f"need one cap per vertex: got {len(caps)} for {g.n} vertices")
-    split = reverse_paths(g.n, g.edges, caps, 1)[0]
-    return None if split is None else _split_orientation(g, split)
+    return caps
 
 
 def _split_orientation(g: Graph, split: Sequence[int]) -> Orientation:
@@ -493,22 +496,23 @@ def at_bipartite(g: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult
 
 def find_at_orientation(
     g: Graph,
-    cap: int,
+    cap: Union[int, Sequence[int]],
     options: SolverOptions = DEFAULT_OPTIONS,
     deadline: Optional[float] = None,
 ) -> Optional[Orientation]:
-    """An AT-orientation with max outdegree <= cap, or None if there is none.
+    """An AT-orientation with outdeg(v) <= cap(v) for every v, or None if
+    there is none; `cap` is one bound for all vertices or one per vertex.
 
     All orientations with one outdegree sequence share |diff|, the
-    coefficient of that monomial in prod_{uv} (x_u - x_v). So the level is
-    decided by monomial_search over exponents <= cap, and the first sequence
-    found is realized by path reversal. Raises SearchTimeout past `deadline`.
+    coefficient of that monomial in prod_{uv} (x_u - x_v), so monomial_search
+    over exponents <= cap(v) decides, and path reversal realizes its hit.
+    Raises CapacityError past search_edge_cap and SearchTimeout past `deadline`.
     """
     if g.m > options.search_edge_cap:
         raise CapacityError(
             f"{g.m} edges exceeds search_edge_cap {options.search_edge_cap}"
         )
-    hit = monomial_search(g.n, g.edges, frontier_order(g), [0] * g.n, [cap] * g.n, deadline)
+    hit = monomial_search(g.n, g.edges, frontier_order(g), [0] * g.n, _caps(g, cap), deadline)
     if hit is None:
         return None
     d = bounded_outdegree_orientation(g, hit[0])
@@ -548,11 +552,6 @@ def _peel(g: Graph) -> tuple[list[int], int]:
     return order, degeneracy
 
 
-def degeneracy_order(g: Graph) -> list[int]:
-    """Vertices in repeated-minimum-degree removal order (ties: lowest index)."""
-    return _peel(g)[0]
-
-
 def _acyclic_along(g: Graph, order: Sequence[int]) -> ATCertificate:
     """Certificate from the acyclic orientation along `order`: arcs point
     from earlier to later vertices, and a DAG has the empty subdigraph as its
@@ -571,7 +570,7 @@ def acyclic_certificate(g: Graph) -> ATCertificate:
     Each vertex's outdegree is its removal-time degree, so the level is the
     degeneracy plus one.
     """
-    return _acyclic_along(g, degeneracy_order(g))
+    return _acyclic_along(g, _peel(g)[0])
 
 
 def _certify(g: Graph, d: Orientation, options: SolverOptions) -> ATCertificate:
@@ -601,8 +600,9 @@ def at_exact(
     terms are those of `at_lower_bound`, the density term only where it can
     beat chi (see the module docstring). The search starts at the best lower
     term; each refuted level k proves AT > k, and the degeneracy level (the
-    degeneracy plus one) bounds the search from above. The acyclic
-    certificate at that level is built only when no search level returns.
+    degeneracy plus one) bounds the search from above, and CapacityError or
+    SearchTimeout ends it. The acyclic certificate at that level is built
+    only when no search level returns.
     """
     if bipartite_shortcut and bipartition(g) is not None:
         return at_bipartite(g, options)
@@ -614,13 +614,12 @@ def at_exact(
     terms = [chi]
     if chi[0] < min(degeneracy + 1, (g.max_degree() + 1) // 2 + 1):
         terms.append(_density_term(g))
-    if g.m <= options.search_edge_cap:
-        for k in range(max(terms)[0], degeneracy + 1):
-            try:
-                found = find_at_orientation(g, k - 1, options, deadline)
-            except SearchTimeout:
-                break
-            if found is not None:
-                return bracket(terms, _certify(g, found, options))
-            terms.append((k + 1, "exhaustive-refutation"))
+    for k in range(max(terms)[0], degeneracy + 1):
+        try:
+            found = find_at_orientation(g, k - 1, options, deadline)
+        except (CapacityError, SearchTimeout):
+            break
+        if found is not None:
+            return bracket(terms, _certify(g, found, options))
+        terms.append((k + 1, "exhaustive-refutation"))
     return bracket(terms, _acyclic_along(g, order))

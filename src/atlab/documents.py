@@ -107,9 +107,9 @@ def _pair(line: str, tag: str) -> tuple[int, int]:
         raise ValueError(f"expected two integers in {line!r}") from None
 
 
-def _check_provenance(provenance: str) -> None:
-    if provenance.splitlines() != [provenance]:
-        raise ValueError(f"provenance {provenance!r} does not fit on one line")
+def _check_one_line(key: str, value: str) -> None:
+    if value.splitlines() != [value]:
+        raise ValueError(f"{key} {value!r} does not fit on one line")
 
 
 def _expect_end(lines: list[str], i: int, what: str) -> None:
@@ -121,7 +121,7 @@ def _expect_end(lines: list[str], i: int, what: str) -> None:
 def serialize_graph(g: Graph, provenance: Optional[str] = None) -> str:
     lines = [GRAPH_MAGIC]
     if provenance:
-        _check_provenance(provenance)
+        _check_one_line("provenance", provenance)
         lines.append(f"provenance {provenance}")
     lines.append(f"vertices {g.n}")
     _check_labels(g.vertices)
@@ -224,8 +224,9 @@ def serialize_certificate(
     graph_text = serialize_graph(g)
     graph_hash = _sha256(graph_text)
     if provenance:
-        _check_provenance(provenance)
+        _check_one_line("provenance", provenance)
         graph_text = graph_text.replace("\n", f"\nprovenance {provenance}\n", 1)
+    _check_one_line("method", cert.method)
     mag = "unverified" if cert.diff_magnitude is None else str(cert.diff_magnitude)
     lines = [
         CERT_MAGIC,

@@ -530,8 +530,8 @@ def eulerian_diff_poly(
     states = poly_state_bound(d)
     if states > options.poly_budget:
         raise CapacityError(
-            f"monomial state bound {states} exceeds poly_budget "
-            f"{options.poly_budget}"
+            f"monomial state bound of {states.bit_length()} bits exceeds "
+            f"poly_budget {options.poly_budget}"
         )
     return diff_coefficient(d)
 

@@ -32,6 +32,7 @@ from atlab import (
     star,
     tree_from_pruefer,
 )
+from atlab.atsolver import biconnected_blocks
 from atlab.graphs import is_connected
 
 
@@ -119,6 +120,19 @@ def naive_chromatic(g: Graph, k_max: int = 6) -> int:
         if colorable(k):
             return k
     raise AssertionError(f"not {k_max}-colorable")
+
+
+def is_gallai_tree(g: Graph) -> bool:
+    """Whether every block of g is a complete graph or an odd cycle. A block's
+    vertices span only that block's edges, so counting them decides it; the
+    blocks come from `biconnected_blocks`, which the level search does not
+    use."""
+    for blk in biconnected_blocks(g):
+        k = len(blk)
+        m = induced_subgraph(g, blk)[0].m
+        if m != k * (k - 1) // 2 and not (k % 2 and m == k):
+            return False
+    return True
 
 
 def max_density_bruteforce(g: Graph) -> DensityWitness:

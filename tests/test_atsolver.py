@@ -40,7 +40,6 @@ from atlab.atsolver import (
     acyclic_certificate,
     biconnected_blocks,
     bracket,
-    degeneracy_order,
     least_uniform_cap,
 )
 from atlab.density import induced_edge_count
@@ -525,7 +524,6 @@ def test_the_peel_gives_the_degeneracy_order_and_level():
     for g in graphs:
         order, degeneracy = atlab.atsolver._peel(g)
         assert (order, degeneracy) == _naive_peel(g), g.edges
-        assert degeneracy_order(g) == order
         assert acyclic_certificate(g).level == degeneracy + 1
 
 

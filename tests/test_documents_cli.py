@@ -347,6 +347,17 @@ def test_cli_at_past_the_chromatic_budget(tmp_path, capsys):
     assert "AT = 3" in out and "lower-bound reason: odd-cycle" in out
 
 
+def test_cli_at_on_a_graph_past_every_diff_engine(tmp_path, capsys):
+    # C14400's certificate is past both engines' gates, and the coefficient
+    # gate's bound 2^14400 is too long for str(int): the closed form answers
+    gpath = tmp_path / "c14400.graph"
+    main(["gen", "cycle", "14400", "-o", str(gpath)])
+    capsys.readouterr()
+    assert main(["at", str(gpath)]) == 0
+    out = capsys.readouterr().out
+    assert "AT = 2" in out and "method bipartite-closed-form" in out
+
+
 def test_cli_theorems_json(capsys):
     import json
 
@@ -597,6 +608,16 @@ def test_writers_refuse_a_provenance_the_reader_would_split(brk):
             serialize_graph(path(2), provenance)
         with pytest.raises(ValueError, match="provenance"):
             serialize_certificate(cert, provenance)
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=[repr(b) for b in LINE_BREAKS])
+def test_writer_refuses_a_method_the_reader_would_split(brk):
+    from atlab import ATCertificate
+
+    for method in (f"a{brk}b", f"acyclic{brk}", brk):
+        cert = ATCertificate(2, orient(path(2), [0]), 1, method)
+        with pytest.raises(ValueError, match="method"):
+            serialize_certificate(cert)
 
 
 @pytest.mark.parametrize("kind", ["", "my kind", "corona\n", "a\tb", "\u2028", " corona"])

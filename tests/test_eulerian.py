@@ -181,6 +181,16 @@ def test_coefficient_of_q3_corona_c3_certificate():
     assert abs(diff_coefficient(d, frontier_order(d.graph)[::-1])) == 4
 
 
+def test_the_coefficient_gate_refuses_a_bound_too_long_to_print():
+    # the directed 14400-cycle's state bound is 2^14400, past the 4300 digits
+    # that str(int) converts; the gate must still raise CapacityError
+    n = 14400
+    d = orientation_from_arcs(cycle(n), [(i, (i + 1) % n) for i in range(n)])
+    assert poly_state_bound(d) == 2**n
+    with pytest.raises(CapacityError, match="14401 bits"):
+        eulerian_diff_poly(d)
+
+
 def test_reversal_preserves_magnitude():
     rng = random.Random(55)
     for _ in range(40):

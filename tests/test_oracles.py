@@ -5,10 +5,13 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import pytest
+
 from atlab import (
     Graph,
     SolverOptions,
     at_exact,
+    bounded_outdegree_orientation,
     eulerian_tally_enumerate,
     find_at_orientation,
     least_uniform_cap,
@@ -17,7 +20,14 @@ from atlab import (
 )
 from atlab.density import induced_edge_count, max_density, reverse_paths
 from atlab.eulerian import diff_coefficient, engine_diff, frontier_order
-from helpers import max_density_bruteforce, naive_tally, random_graph, random_orientation
+from atlab.graphs import is_connected
+from helpers import (
+    is_gallai_tree,
+    max_density_bruteforce,
+    naive_tally,
+    random_graph,
+    random_orientation,
+)
 
 
 def naive_at(g, k_max=6):
@@ -50,40 +60,78 @@ def test_at_exact_matches_naive_definition():
         checked += 1
 
 
-def brute_min_maxout(g):
-    """Least max outdegree of an orientation with diff != 0: every
-    orientation, in order of max outdegree, tallied on its own (no
-    outdegree-class argument)."""
-    scored = []
-    for dirs in product((0, 1), repeat=g.m):
-        tails = [e[b] for e, b in zip(g.edges, dirs)]
-        out = [0] * g.n
-        for t in tails:
-            out[t] += 1
-        scored.append((max(out, default=0), tails))
-    scored.sort(key=lambda item: item[0])
-    for maxout, tails in scored:
-        if eulerian_tally_enumerate(orient(g, tails)).diff != 0:
-            return maxout
-    raise AssertionError("the acyclic orientations have diff 1")
+def brute_at_within(g, caps):
+    """Whether some orientation with outdeg(v) <= caps[v] for every v has
+    diff != 0: every such orientation, built edge by edge and tallied on its
+    own (no outdegree-class argument) until one is nonzero."""
+    out, tails = [0] * g.n, []
+
+    def extend(i):
+        if i == g.m:
+            return eulerian_tally_enumerate(orient(g, tails)).diff != 0
+        for t in g.edges[i]:
+            if out[t] < caps[t]:
+                out[t] += 1
+                tails.append(t)
+                if extend(i + 1):
+                    return True
+                out[t] -= 1
+                tails.pop()
+        return False
+
+    return extend(0)
+
+
+def check_level_search(g, caps):
+    found = find_at_orientation(g, caps)
+    assert (found is not None) == brute_at_within(g, caps), (g.edges, caps)
+    if found is not None:
+        assert all(o <= c for o, c in zip(found.outdegrees, caps)), (g.edges, caps)
+        even, odd = naive_tally(found)
+        assert even != odd, (g.edges, caps, found.tails)
+    return found
 
 
 def test_level_search_matches_brute_force():
     rng = random.Random(2505)
     graphs = 0
+    seen = {"found": 0, "none": 0}
     while graphs < 200:
         g = random_graph(rng, rng.randint(3, 7), rng.choice([0.4, 0.6, 0.8]))
         if g.m > 12:
             continue
         graphs += 1
-        least = brute_min_maxout(g)
         for cap in range(5):
-            found = find_at_orientation(g, cap)
-            assert (found is not None) == (cap >= least), (g.edges, cap)
-            if found is not None:
-                assert found.max_outdegree() <= cap
-                even, odd = naive_tally(found)
-                assert even != odd, (g.edges, cap, found.tails)
+            found = check_level_search(g, [cap] * g.n)
+            assert find_at_orientation(g, cap) == found, (g.edges, cap)
+        # one cap per vertex, up to its degree
+        caps = [rng.randint(0, d) for d in g.degrees()]
+        seen["none" if check_level_search(g, caps) is None else "found"] += 1
+    assert min(seen.values()) >= 50, seen
+
+
+def test_level_search_meets_the_degree_caps_off_gallai_trees():
+    # Hladky, Kral' and Schauz: a connected graph has an AT-orientation with
+    # outdeg(v) <= deg(v) - 1 for every v iff it is not a Gallai tree
+    rng = random.Random(2010)
+    seen = {"gallai tree": 0, "not": 0}
+    while sum(seen.values()) < 1000:
+        g = random_graph(rng, rng.randint(2, 9), rng.choice([0.3, 0.5, 0.7]))
+        if not is_connected(g):
+            continue
+        caps = [d - 1 for d in g.degrees()]
+        found = find_at_orientation(g, caps, SolverOptions(search_edge_cap=g.m))
+        assert (found is None) == is_gallai_tree(g), g.edges
+        seen["gallai tree" if found is None else "not"] += 1
+    assert min(seen.values()) >= 300, seen
+
+
+def test_both_cap_primitives_refuse_a_vector_of_the_wrong_length():
+    g = random_graph(random.Random(5), 4, 0.8)
+    for caps in ([1] * 3, [1] * 5, []):
+        for primitive in (find_at_orientation, bounded_outdegree_orientation):
+            with pytest.raises(ValueError, match="one cap per vertex"):
+                primitive(g, caps)
 
 
 def cycle_with_chords(rng, vertices, chords):

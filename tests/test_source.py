@@ -258,12 +258,18 @@ def test_only_the_gated_engines_read_their_budgets():
     # each diff engine checks its own gate and raises CapacityError past it;
     # a caller that read enum_cap or poly_budget ahead of the engine would
     # have to follow every change to the gate. one_way_cut_check tallies
-    # each side's components itself, so it reads enum_cap too.
-    owners = {"enum_cap": ("eulerian_tally_enumerate", "one_way_cut_check"),
-              "poly_budget": ("eulerian_diff_poly",)}
+    # each side's components itself, so it reads enum_cap too. The level
+    # search checks search_edge_cap alone too; theorems reads it only to pick
+    # the rows it cross-checks by search and to widen it for the toroidal rows.
+    owners = {"enum_cap": {("eulerian.py", "eulerian_tally_enumerate"),
+                           ("eulerian.py", "one_way_cut_check")},
+              "poly_budget": {("eulerian.py", "eulerian_diff_poly")},
+              "search_edge_cap": {("atsolver.py", "find_at_orientation"),
+                                  ("theorems.py", "_closed_form_row"),
+                                  ("theorems.py", "check_toroidal_regression")}}
     trees = _package_trees()
     for attr, allowed in owners.items():
         uses = _uses(trees, lambda n: isinstance(n, ast.Attribute) and n.attr == attr)
-        found = [f"{name}:{line}" for name, top, line in uses
-                 if name != "eulerian.py" or getattr(top, "name", None) not in allowed]
-        assert uses and not found, f"{attr} read outside {allowed}: {found}"
+        readers = {(name, getattr(top, "name", None)) for name, top, _ in uses}
+        assert readers == allowed, f"{attr} read by {sorted(readers - allowed)} too, " \
+                                   f"not by {sorted(allowed - readers)}"
