@@ -1,6 +1,14 @@
 """Alon-Tarsi numbers of graphs: exact solvers, certificate constructions for
 cartesian products and coronas, and a regression suite for the published
-closed-form values."""
+closed-form values.
+
+`import atlab` loads every module but `theorems`, the claim suite. Only
+`run_suite`, `corona_at`, `ClaimReport` and the `theorems` module itself need
+it, and loading it costs more than `atlab at` or `atlab verify` spend solving
+a small graph. The first read of any of those four names loads it (PEP 562).
+"""
+
+import importlib
 
 from .atsolver import (
     ATCertificate,
@@ -50,6 +58,14 @@ from .graphs import (
     tree_from_pruefer,
 )
 from .options import DEFAULT_OPTIONS, SolverOptions
-from .theorems import ClaimReport, corona_at, run_suite
 
 __version__ = "0.1.0"
+
+_FROM_THEOREMS = ("ClaimReport", "corona_at", "run_suite")
+
+
+def __getattr__(name):
+    if name == "theorems" or name in _FROM_THEOREMS:
+        theorems = importlib.import_module(".theorems", __name__)
+        return theorems if name == "theorems" else getattr(theorems, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

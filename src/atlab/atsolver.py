@@ -62,9 +62,8 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
 from operator import getitem, itemgetter
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .density import induced_edge_count, reverse_paths
 from .density import max_density  # noqa: F401  unused; bench/test_bench.py pins this name
@@ -83,8 +82,7 @@ from .options import DEFAULT_OPTIONS, SolverOptions
 Adjacency = Sequence[Sequence[int]]
 
 
-@dataclass(frozen=True)
-class ATCertificate:
+class ATCertificate(NamedTuple):
     """An orientation witnessing AT(G) <= level.
 
     diff_magnitude is |diff| of the orientation, re-checked when the solver
@@ -100,8 +98,7 @@ class ATCertificate:
     method: str
 
 
-@dataclass(frozen=True)
-class ATResult:
+class ATResult(NamedTuple):
     """Exact AT value when lo == hi, otherwise the proved bracket [lo, hi],
     read from the lower terms and the certificate that `bracket` joined."""
 
@@ -172,8 +169,7 @@ def _split_orientation(g: Graph, split: Sequence[int]) -> Orientation:
     return Orientation(g, map(getitem, g.edges, split[1::2]))
 
 
-@dataclass(frozen=True)
-class UniformCap:
+class UniformCap(NamedTuple):
     """The least k admitting an orientation with every outdegree <= k, and
     both witnesses: such an orientation, and a vertex set R spanning more
     than (k-1)|R| edges, so every orientation gives some vertex of R

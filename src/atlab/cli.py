@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .atsolver import at_exact
@@ -38,7 +37,6 @@ from .graphs import (
     tree_from_pruefer,
 )
 from .options import SolverOptions
-from .theorems import run_suite
 
 
 # budget flag -> the SolverOptions field it sets (also its dest), its type
@@ -211,6 +209,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_theorems(args) -> int:
+    # here, so the other commands never load the claim suite
+    from dataclasses import asdict
+
+    from .theorems import run_suite
+
     opts = _solver_options(args)
     if args.pairs < 0:
         raise ValueError(f"--pairs must be >= 0, got {args.pairs}")

@@ -25,8 +25,7 @@ largest component is within budget, and flagged unverified otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .atsolver import ATCertificate
 from .eulerian import Orientation, engine_diff
@@ -34,8 +33,7 @@ from .graphs import Graph, cartesian_product, corona
 from .options import DEFAULT_OPTIONS, SolverOptions
 
 
-@dataclass(frozen=True)
-class ConstructionRecipe:
+class ConstructionRecipe(NamedTuple):
     """Which rule set built a composite orientation: "product" (R1/R2) or
     "corona" (R1/R2/R3).
 
@@ -77,8 +75,7 @@ def corona_orientation(
     return Orientation(composite, tails), ConstructionRecipe("corona")
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Outcome of re-checking a claimed certificate."""
 
     verdict: str  # "accepted" | "rejected" | "outdegree-only"

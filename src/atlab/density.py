@@ -17,22 +17,21 @@ and denominator are infeasible, move to the density of the reached set R,
 which exceeds lambda. The densities of vertex sets are finitely many and
 each round strictly raises lambda, so the iteration ends, at the maximum.
 
-All arithmetic is integer or Fraction; no floats anywhere.
+All arithmetic is integer or Fraction; no floats anywhere. Only `max_density`
+loads `Fraction`, when it is called, so importing this module (as every
+`import atlab` does) leaves `fractions` unloaded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ProofObligationError
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class DensityWitness:
+class DensityWitness(NamedTuple):
     """Exact maximum density together with a subset achieving it."""
 
     density: Fraction
@@ -124,6 +123,8 @@ def induced_edge_count(g: Graph, subset: Sequence[int]) -> int:
 
 def max_density(g: Graph) -> DensityWitness:
     """Exact max over vertex subsets of induced-edges / subset-size."""
+    from fractions import Fraction
+
     if g.n == 0:
         raise ValueError("density of the empty graph is undefined")
     if g.m == 0:

@@ -27,8 +27,7 @@ them, so those documents stay readable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .atsolver import ATCertificate
 from .construct import ConstructionRecipe
@@ -196,8 +195,7 @@ def graph_sha256(g: Graph) -> str:
     return _sha256(serialize_graph(g))
 
 
-@dataclass(frozen=True)
-class CertificateDocument:
+class CertificateDocument(NamedTuple):
     """Parsed certificate: the claim, the orientation and the recipe kind.
 
     The parser checks the embedded graph's `provenance` line and any legacy

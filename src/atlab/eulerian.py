@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -207,8 +206,7 @@ def orientation_from_arcs(g: Graph, arcs: Iterable[tuple[int, int]]) -> Orientat
     return Orientation(g, tails)
 
 
-@dataclass(frozen=True)
-class EulerianTally:
+class EulerianTally(NamedTuple):
     """Counts of even and odd Eulerian subdigraphs (the empty one is even)."""
 
     even_count: int
@@ -563,8 +561,7 @@ def engine_diff(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OneWayCutReport:
+class OneWayCutReport(NamedTuple):
     """Result of checking a vertex split for one-way arcs and the product law.
 
     When the split is one-way (every crossing arc leaves `left`), no Eulerian

@@ -1,7 +1,6 @@
 import math
 import random
 import time
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -429,7 +428,7 @@ def test_density_terms_recount_the_vertex_set_witness(monkeypatch):
     # a cap of 2 on C4 with R = V claims 4 > 1 * 4 edges: false, so no
     # lower bound may rest on it
     g = cycle(4)
-    false_witness = replace(least_uniform_cap(g), cap=2, witness=(0, 1, 2, 3))
+    false_witness = least_uniform_cap(g)._replace(cap=2, witness=(0, 1, 2, 3))
     monkeypatch.setattr(atlab.atsolver, "least_uniform_cap", lambda _g: false_witness)
     with pytest.raises(ProofObligationError):
         at_lower_bound(g)
