@@ -508,7 +508,8 @@ def find_at_orientation(
         raise CapacityError(
             f"{g.m} edges exceeds search_edge_cap {options.search_edge_cap}"
         )
-    hit = monomial_search(g.n, g.edges, frontier_order(g), [0] * g.n, _caps(g, cap), deadline)
+    order = frontier_order(g.adjacency)
+    hit = monomial_search(g.n, g.edges, order, [0] * g.n, _caps(g, cap), deadline)
     if hit is None:
         return None
     d = bounded_outdegree_orientation(g, hit[0])
@@ -576,7 +577,7 @@ def _certify(g: Graph, d: Orientation, options: SolverOptions) -> ATCertificate:
     try:
         diff, method = eulerian_tally_enumerate(d, options).diff, "enumeration"
     except CapacityError:
-        diff, method = diff_coefficient(d, frontier_order(g)[::-1]), "polynomial"
+        diff, method = diff_coefficient(d, frontier_order(g.adjacency)[::-1]), "polynomial"
     if diff == 0:
         raise ProofObligationError(f"level search orientation has diff 0 ({method})")
     return ATCertificate(d.max_outdegree() + 1, d, abs(diff), method)

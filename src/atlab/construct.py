@@ -99,8 +99,9 @@ def verify_certificate(
     answer (both engines over budget, not bipartite) is "outdegree-only".
     The corona product law is not re-checked here: certificates do not
     carry their factor orientations, so callers run
-    eulerian.one_way_cut_check over corona_cut_sides afterwards, as `atlab
-    verify` does."""
+    eulerian.one_way_cut_check over the all-copies/hub split afterwards.
+    `atlab verify` reads that split off the (i, "hub") vertex labels;
+    corona_cut_sides computes it from the factor graphs."""
     orientation, level = cert.orientation, cert.level
     messages: list[str] = []
     maxout = orientation.max_outdegree()

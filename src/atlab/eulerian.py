@@ -47,6 +47,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from itertools import repeat
+from math import prod
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError, SearchTimeout
@@ -285,17 +286,17 @@ def tally_arcs(n_vertices: int, arcs: Sequence[tuple[int, int]]) -> tuple[int, i
     )
 
 
-def eulerian_tally_enumerate(
-    d: Orientation, options: SolverOptions = DEFAULT_OPTIONS
+def _tally_components(
+    parts: Sequence[StrongComponent], options: SolverOptions
 ) -> EulerianTally:
-    """Exact even/odd tally of the orientation, gated by enum_cap on the arc
-    count of its largest strongly connected component.
+    """Exact even/odd tally of the union of strongly connected components
+    `parts`, gated by enum_cap on the arc count of the largest.
 
     Each component is tallied over all of its arc subsets. An Eulerian
-    subdigraph of d picks one in every component, and its parity is the sum
-    of theirs, so (even, odd) combine as (e1 e2 + o1 o2, e1 o2 + o1 e2).
+    subdigraph of the union picks one in every component, and its parity is
+    the sum of theirs, so (even, odd) combine as (e1 e2 + o1 o2, e1 o2 + o1 e2).
     """
-    arcs = tally_arc_bound(d)
+    arcs = max((len(part.arcs) for part in parts), default=0)
     if arcs > options.enum_cap:
         raise CapacityError(
             f"{arcs} arcs in the largest strongly connected component "
@@ -303,10 +304,18 @@ def eulerian_tally_enumerate(
             "use the polynomial engine or raise enum_cap"
         )
     even, odd = 1, 0
-    for part in d.strong_components():
+    for part in parts:
         e, o = tally_arcs(len(part.vertices), part.arcs)
         even, odd = even * e + odd * o, even * o + odd * e
     return EulerianTally(even, odd)
+
+
+def eulerian_tally_enumerate(
+    d: Orientation, options: SolverOptions = DEFAULT_OPTIONS
+) -> EulerianTally:
+    """Exact even/odd tally of the orientation over its strongly connected
+    components, gated by enum_cap on the arc count of the largest."""
+    return _tally_components(d.strong_components(), options)
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +323,10 @@ def eulerian_tally_enumerate(
 # ---------------------------------------------------------------------------
 
 
-def frontier_order(g: Graph) -> list[int]:
+def frontier_order(adjacency: Sequence[Sequence[int]]) -> list[int]:
     """Vertex order for the coefficient DP: breadth-first from a vertex of
     minimum degree (ties: lowest index), restarting the same way in each
     further component."""
-    return _breadth_first_order(g.adjacency)
-
-
-def _breadth_first_order(adjacency: Sequence[Sequence[int]]) -> list[int]:
     n = len(adjacency)
     seen = [False] * n
     order: list[int] = []
@@ -469,24 +474,6 @@ def monomial_search(
     return None
 
 
-def tally_arc_bound(d: Orientation) -> int:
-    """Gate value of the tally: arc count of the largest strongly connected
-    component."""
-    return max((len(part.arcs) for part in d.strong_components()), default=0)
-
-
-def poly_state_bound(d: Orientation) -> int:
-    """Gate value of the coefficient engine: the largest, over the strongly
-    connected components, product of (outdegree + 1) inside the component."""
-    bound = 1
-    for part in d.strong_components():
-        states = 1
-        for c in part.outdegrees():
-            states *= c + 1
-        bound = max(bound, states)
-    return bound
-
-
 def diff_coefficient(d: Orientation, order: Optional[Sequence[int]] = None) -> int:
     """Coefficient of prod_v x_v^(outdeg v) in prod_{(t,h)} (x_t - x_h), with
     no budget gate: the product of the same coefficient over the strongly
@@ -507,7 +494,7 @@ def diff_coefficient(d: Orientation, order: Optional[Sequence[int]] = None) -> i
             for t, h in part.arcs:
                 adjacency[t].append(h)
                 adjacency[h].append(t)
-            sub_order = _breadth_first_order(adjacency)
+            sub_order = frontier_order(adjacency)
         else:
             local = {v: i for i, v in enumerate(part.vertices)}
             sub_order = [local[v] for v in order if v in local]
@@ -524,8 +511,11 @@ def eulerian_diff_poly(
 ) -> int:
     """Coefficient of prod_v x_v^(outdeg v) in prod_{(t,h)} (x_t - x_h), which
     equals diff(d) (see diff_coefficient), gated by poly_budget on the largest
-    strongly connected component."""
-    states = poly_state_bound(d)
+    product of (outdegree + 1) over one strongly connected component."""
+    states = max(
+        (prod(c + 1 for c in part.outdegrees()) for part in d.strong_components()),
+        default=1,
+    )
     if states > options.poly_budget:
         raise CapacityError(
             f"monomial state bound of {states.bit_length()} bits exceeds "
@@ -595,8 +585,8 @@ def one_way_cut_check(
 
     A one-way cut is the case of the strongly connected component product
     where the components fall on two sides: no component crosses the cut.
-    Each component is tallied once and its diff multiplied into the side
-    holding it; a side with a component over enum_cap has no diff.
+    Each side's components are tallied as the tally engine tallies a whole
+    orientation; a side with a component over enum_cap has no diff.
     """
     left = frozenset(left)
     right = frozenset(right)
@@ -605,17 +595,13 @@ def one_way_cut_check(
     if any(t in right and h in left for t, h in d.arcs):
         return OneWayCutReport(False)
 
-    # diff per side, keyed by `in left`; None once a component is over the cap
-    sides: dict[bool, Optional[int]] = {True: 1, False: 1}
-    for part in d.strong_components():
-        side = part.vertices[0] in left
-        if sides[side] is None:
-            continue
-        if len(part.arcs) > options.enum_cap:
-            sides[side] = None
-        else:
-            even, odd = tally_arcs(len(part.vertices), part.arcs)
-            sides[side] *= even - odd
-    d_left, d_right = sides[True], sides[False]
+    def side_diff(side: frozenset[int]) -> Optional[int]:
+        parts = [part for part in d.strong_components() if part.vertices[0] in side]
+        try:
+            return _tally_components(parts, options).diff
+        except CapacityError:
+            return None
+
+    d_left, d_right = side_diff(left), side_diff(right)
     d_whole = None if None in (d_left, d_right) else d_left * d_right
     return OneWayCutReport(True, d_whole, d_left, d_right)

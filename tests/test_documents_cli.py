@@ -669,11 +669,19 @@ def test_cli_gen_refuses_a_provenance_over_two_lines(tmp_path, capsys, flag, val
 
 
 def _verify_document(name):
-    """One of the three kinds of certificate `atlab verify` decides
-    differently: accepted by the bipartite closed form ("q4"), a corona
-    recipe over both budgets ("q4oc5"), and a level-search certificate
-    re-checked by the other engine ("c3c3")."""
-    from atlab import ATCertificate, acyclic_certificate, at_exact, cartesian_product
+    """One of the kinds of certificate `atlab verify` decides differently:
+    accepted by the bipartite closed form ("q4"), a corona recipe over both
+    budgets ("q4oc5"), a level-search certificate re-checked by the other
+    engine ("c3c3"), and an AT certificate that names a corona recipe but
+    points its one hub link out of the hub, so the recipe's cut is not
+    one-way ("k1ok1")."""
+    from atlab import (
+        ATCertificate,
+        ConstructionRecipe,
+        acyclic_certificate,
+        at_exact,
+        cartesian_product,
+    )
 
     q4 = hypercube(4)
     if name == "q4":
@@ -685,6 +693,9 @@ def _verify_document(name):
         )
         cert = ATCertificate(d.max_outdegree() + 1, d, None, "product-law")
         return serialize_certificate(cert, "Q4 o C5", recipe)
+    if name == "k1ok1":
+        cert = ATCertificate(2, orient(corona(path(1), path(1)), [0]), 1, "product-law")
+        return serialize_certificate(cert, "K1 o K1", ConstructionRecipe("corona"))
     found = at_exact(cartesian_product(cycle(3), cycle(3))).certificate
     assert found.method == "enumeration"
     return serialize_certificate(found, "C3 x C3")
@@ -698,6 +709,8 @@ def _verify_document(name):
                  "note: diff engines over budget; only the outdegree bound was checked\n"),
     ("c3c3", 0, "verdict: accepted\nmax outdegree 3 (level 4)\n"
                 "diff check: polynomial -> 2\n"),
+    ("k1ok1", 1, "verdict: accepted\nmax outdegree 1 (level 2)\n"
+                 "diff check: enumeration -> 1\nnote: recipe cut is not one-way\n"),
 ])
 def test_cli_verify_output_per_diff_route(tmp_path, capsys, name, code, out):
     cpath = tmp_path / f"{name}.cert"

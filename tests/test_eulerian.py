@@ -26,8 +26,6 @@ from atlab.eulerian import (
     diff_coefficient,
     engine_diff,
     frontier_order,
-    poly_state_bound,
-    tally_arc_bound,
     tally_arcs,
 )
 from helpers import (
@@ -160,7 +158,7 @@ def test_coefficient_is_the_signed_diff_in_any_vertex_order():
             continue
         d = random_orientation(rng, g)
         even, odd = naive_tally(d)
-        order = frontier_order(g)
+        order = frontier_order(g.adjacency)
         shuffled = list(order)
         rng.shuffle(shuffled)
         for o in (order, order[::-1], shuffled):
@@ -176,9 +174,13 @@ def test_coefficient_of_q3_corona_c3_certificate():
     d, _ = corona_orientation(q3, d1, c3, d2)
     assert abs(eulerian_tally_enumerate(d1).diff) == 4
     assert abs(eulerian_diff_poly(d, SolverOptions(poly_budget=10**15))) == 4
-    # its components are two directed 4-cycles, so the default budget admits it
-    assert poly_state_bound(d) == 2**4 and abs(eulerian_diff_poly(d)) == 4
-    assert abs(diff_coefficient(d, frontier_order(d.graph)[::-1])) == 4
+    # its components are two directed 4-cycles, so its state bound is 2^4 and
+    # the default budget admits it
+    with pytest.raises(CapacityError):
+        eulerian_diff_poly(d, SolverOptions(poly_budget=2**4 - 1))
+    assert abs(eulerian_diff_poly(d, SolverOptions(poly_budget=2**4))) == 4
+    assert abs(eulerian_diff_poly(d)) == 4
+    assert abs(diff_coefficient(d, frontier_order(d.graph.adjacency)[::-1])) == 4
 
 
 def test_the_coefficient_gate_refuses_a_bound_too_long_to_print():
@@ -186,8 +188,7 @@ def test_the_coefficient_gate_refuses_a_bound_too_long_to_print():
     # that str(int) converts; the gate must still raise CapacityError
     n = 14400
     d = orientation_from_arcs(cycle(n), [(i, (i + 1) % n) for i in range(n)])
-    assert poly_state_bound(d) == 2**n
-    with pytest.raises(CapacityError, match="14401 bits"):
+    with pytest.raises(CapacityError, match="14401 bits"):  # 2^n has n + 1 bits
         eulerian_diff_poly(d)
 
 
@@ -250,16 +251,17 @@ def test_engine_diff_runs_the_recorded_engine_last():
 def test_engine_diff_checks_each_gate_once(monkeypatch):
     import atlab.eulerian as eulerian
 
+    # each engine checks its own gate, so one call per engine tried
     calls = []
-    for name in ("tally_arc_bound", "poly_state_bound"):
-        gate = getattr(eulerian, name)
-        monkeypatch.setattr(eulerian, name,
-                            lambda d, gate=gate, name=name: calls.append(name) or gate(d))
+    for name in ("eulerian_tally_enumerate", "eulerian_diff_poly"):
+        engine = getattr(eulerian, name)
+        monkeypatch.setattr(eulerian, name, lambda d, options, engine=engine, name=name:
+                            calls.append(name) or engine(d, options))
     engine_diff(cyclic(4))
-    assert calls == ["tally_arc_bound"]
+    assert calls == ["eulerian_tally_enumerate"]
     calls.clear()
     assert engine_diff(cyclic(4), SolverOptions(enum_cap=1, poly_budget=1))[1] is None
-    assert calls == ["tally_arc_bound", "poly_state_bound"]
+    assert calls == ["eulerian_tally_enumerate", "eulerian_diff_poly"]
 
 
 def test_one_way_cut_two_disjoint_arcs():
@@ -324,9 +326,10 @@ def test_one_way_cut_matches_induced_reference():
         opts = SolverOptions(enum_cap=rng.choice([0, 2, 3, 4, 6, 9]))
 
         def reference(sub):
-            if tally_arc_bound(sub) > opts.enum_cap:
+            try:
+                return eulerian_tally_enumerate(sub, opts).diff
+            except CapacityError:
                 return None
-            return eulerian_tally_enumerate(sub, opts).diff
 
         rep = one_way_cut_check(d, left, right, opts)
         assert rep.one_way

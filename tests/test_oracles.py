@@ -126,6 +126,23 @@ def test_level_search_meets_the_degree_caps_off_gallai_trees():
     assert min(seen.values()) >= 300, seen
 
 
+def test_level_search_meets_the_degree_caps_off_gallai_trees_exhaustively():
+    # the same theorem on every labelled connected graph on 2 to 5 vertices
+    # (1 + 4 + 38 + 728 = 771 graphs); 6 vertices (26,704 labelled graphs)
+    # waits for an enumerator that works up to isomorphism
+    checked = 0
+    for n in range(2, 6):
+        pairs = list(combinations(range(n), 2))
+        for chosen in product((False, True), repeat=len(pairs)):
+            g = Graph([str(i) for i in range(n)], [e for e, c in zip(pairs, chosen) if c])
+            if not is_connected(g):
+                continue
+            found = find_at_orientation(g, [d - 1 for d in g.degrees()])
+            assert (found is None) == is_gallai_tree(g), g.edges
+            checked += 1
+    assert checked == 771
+
+
 def test_both_cap_primitives_refuse_a_vector_of_the_wrong_length():
     g = random_graph(random.Random(5), 4, 0.8)
     for caps in ([1] * 3, [1] * 5, []):
@@ -217,7 +234,7 @@ def test_component_factoring_matches_whole_orientation_oracle():
         tally = eulerian_tally_enumerate(d)
         assert (tally.even_count, tally.odd_count) == (even, odd), (shape, d.arcs)
         assert diff_coefficient(d) == even - odd, (shape, d.arcs)
-        assert diff_coefficient(d, frontier_order(d.graph)[::-1]) == even - odd
+        assert diff_coefficient(d, frontier_order(d.graph.adjacency)[::-1]) == even - odd
         assert engine_diff(d)[1] == even - odd
     # the shapes did what they say: no acyclic one has a component, every
     # other one has one, and blocks joined by cross arcs have several

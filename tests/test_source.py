@@ -257,12 +257,12 @@ def test_only_chromatic_reads_chi_in_theorems():
 def test_only_the_gated_engines_read_their_budgets():
     # each diff engine checks its own gate and raises CapacityError past it;
     # a caller that read enum_cap or poly_budget ahead of the engine would
-    # have to follow every change to the gate. one_way_cut_check tallies
-    # each side's components itself, so it reads enum_cap too. The level
-    # search checks search_edge_cap alone too; theorems reads it only to pick
-    # the rows it cross-checks by search and to widen it for the toroidal rows.
-    owners = {"enum_cap": {("eulerian.py", "eulerian_tally_enumerate"),
-                           ("eulerian.py", "one_way_cut_check")},
+    # have to follow every change to the gate. The tally's gate lives in the
+    # helper that eulerian_tally_enumerate and one_way_cut_check both tally
+    # through. The level search checks search_edge_cap alone too; theorems
+    # reads it only to pick the rows it cross-checks by search and to widen
+    # it for the toroidal rows.
+    owners = {"enum_cap": {("eulerian.py", "_tally_components")},
               "poly_budget": {("eulerian.py", "eulerian_diff_poly")},
               "search_edge_cap": {("atsolver.py", "find_at_orientation"),
                                   ("theorems.py", "_closed_form_row"),
