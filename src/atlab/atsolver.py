@@ -55,7 +55,10 @@ reported, never needed for an AT value.
 Exact chromatic numbers come from bounds first (the 2-coloring kept on the
 graph, an odd cycle's 3, DSATUR, a greedy clique). Only where they disagree
 does a saturation-guided, symmetry-broken backtracker search, block by block
-and within the at_exact deadline; `chromatic_number` gives the order.
+and within the at_exact deadline; `chromatic_number` gives the order. Chi
+depends on the graph alone, so the chi path (`chromatic_number`,
+`at_lower_bound`) takes no SolverOptions; its one cap is the module constant
+CHROMATIC_BLOCK_CAP, past which a non-bipartite block raises CapacityError.
 """
 
 from __future__ import annotations
@@ -360,31 +363,32 @@ def _k_colorable(adj: Adjacency, k: int, deadline: Optional[float] = None) -> bo
     return rec(0, 0)
 
 
-def chromatic_number(
-    g: Graph,
-    options: SolverOptions = DEFAULT_OPTIONS,
-    *,
-    deadline: Optional[float] = None,
-) -> int:
+# Max vertex count of a non-bipartite biconnected block that
+# `chromatic_number` will search.
+CHROMATIC_BLOCK_CAP = 64
+
+
+def chromatic_number(g: Graph, *, deadline: Optional[float] = None) -> int:
     """Exact chi(G), from bounds where they meet and a search where not.
 
     A bipartite graph needs 1 color, or 2 with an edge. Any other graph needs
     at least 3, so DSATUR runs first and the greedy clique only when DSATUR
-    colors with more than 3. When G fits chromatic_block_cap (so no block
+    colors with more than 3. When G fits CHROMATIC_BLOCK_CAP (so no block
     can exceed it), DSATUR == max(3, clique) on G is the answer. Else chi is
     the max over biconnected blocks; each distinct non-bipartite block (by
     local adjacency) whose DSATUR count is at most max(3, best so far) just
     raises the best to that count, and any other is searched from
     max(3, best, clique) upwards; a block that is all of G keeps G's bounds.
     Raises CapacityError when a non-bipartite block exceeds
-    chromatic_block_cap, and SearchTimeout past `deadline`.
+    CHROMATIC_BLOCK_CAP, even where the bounds would settle it, and
+    SearchTimeout past `deadline`.
     """
     if g.n == 0:
         raise ValueError("chromatic number of the empty graph is undefined")
     if bipartition(g) is not None:
         return 2 if g.m else 1
     adj = g.adjacency
-    cap = options.chromatic_block_cap
+    cap = CHROMATIC_BLOCK_CAP
     whole = None
     if g.n <= cap:
         upper = _dsatur(adj)
@@ -431,11 +435,11 @@ def chromatic_number(
 # ---------------------------------------------------------------------------
 
 
-def _chromatic_term(g: Graph, options: SolverOptions, deadline: Optional[float]) -> tuple[int, str]:
-    """(chi(G), "chromatic"), or (3, "odd-cycle") past chromatic_block_cap or
+def _chromatic_term(g: Graph, deadline: Optional[float]) -> tuple[int, str]:
+    """(chi(G), "chromatic"), or (3, "odd-cycle") past CHROMATIC_BLOCK_CAP or
     `deadline`, where the solver gives up only on a non-bipartite block."""
     try:
-        return chromatic_number(g, options, deadline=deadline), "chromatic"
+        return chromatic_number(g, deadline=deadline), "chromatic"
     except (CapacityError, SearchTimeout):
         return 3, "odd-cycle"
 
@@ -444,18 +448,16 @@ def _density_term(g: Graph) -> tuple[int, str]:
     return _checked_uniform_cap(g).cap + 1, "density-pigeonhole"
 
 
-def at_lower_bound(
-    g: Graph, options: SolverOptions = DEFAULT_OPTIONS
-) -> list[tuple[int, str]]:
+def at_lower_bound(g: Graph) -> list[tuple[int, str]]:
     """The lower-bound terms for AT(G) in tie order, chromatic first:
     [(chi(G), "chromatic"), (ceil(max_density)+1, "density-pigeonhole")].
 
-    chi <= AT; where chi is past chromatic_block_cap the first term is
+    chi <= AT; where chi is past CHROMATIC_BLOCK_CAP the first term is
     (3, "odd-cycle") instead. The density term (pigeonhole on outdegrees) is
     the least uniform cap plus one; its vertex-set witness is recounted, so
     the bound does not rest on path reversal alone.
     """
-    return [_chromatic_term(g, options, None), _density_term(g)]
+    return [_chromatic_term(g, None), _density_term(g)]
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +608,7 @@ def at_exact(
     deadline = (
         None if options.time_budget is None else time.monotonic() + options.time_budget
     )
-    chi = _chromatic_term(g, options, deadline)
+    chi = _chromatic_term(g, deadline)
     order, degeneracy = _peel(g)
     terms = [chi]
     if chi[0] < min(degeneracy + 1, (g.max_degree() + 1) // 2 + 1):

@@ -300,8 +300,7 @@ def _tally_components(
     if arcs > options.enum_cap:
         raise CapacityError(
             f"{arcs} arcs in the largest strongly connected component "
-            f"exceeds the enumeration cap {options.enum_cap}; "
-            "use the polynomial engine or raise enum_cap"
+            f"exceeds the enumeration cap {options.enum_cap}; raise enum_cap"
         )
     even, odd = 1, 0
     for part in parts:
@@ -519,7 +518,7 @@ def eulerian_diff_poly(
     if states > options.poly_budget:
         raise CapacityError(
             f"monomial state bound of {states.bit_length()} bits exceeds "
-            f"poly_budget {options.poly_budget}"
+            f"poly_budget of {options.poly_budget.bit_length()} bits"
         )
     return diff_coefficient(d)
 

@@ -1,8 +1,10 @@
 """Solver budgets and tuning knobs.
 
-Every solver entry point takes a SolverOptions; the defaults are sized for a
-desk-scale machine. The CLI starts from the defaults and applies its flags;
-no environment variable is read.
+Every solver entry point that searches takes a SolverOptions; the defaults
+are sized for a desk-scale machine. The chromatic number is a function of the
+graph alone, so its path takes none: its one cap is the constant
+`atsolver.CHROMATIC_BLOCK_CAP`. The CLI starts from the defaults and applies
+its flags; no environment variable is read.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ class SolverOptions:
     poly_budget: int = 2_000_000
     # Max edge count for the level search.
     search_edge_cap: int = 20
-    # Max biconnected-block size the exact chromatic solver will attempt.
-    chromatic_block_cap: int = 64
     # Ignored: every solver runs in one process. The field stays only because
     # the benchmark harness passes threads=1; drop it when that call does.
     threads: int = 1
@@ -34,7 +34,7 @@ class SolverOptions:
 
     def __post_init__(self) -> None:
         # a negative cap would silently switch its engine off; 0 is a cap
-        for name in ("enum_cap", "poly_budget", "search_edge_cap", "chromatic_block_cap"):
+        for name in ("enum_cap", "poly_budget", "search_edge_cap"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         # `not >= 0` also catches NaN, which compares false with every deadline

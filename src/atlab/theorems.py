@@ -15,8 +15,10 @@ Closed-form, corollary 3.7 and remark-gap rows keep their own text.
 Pinching is the proof mode for coronas G o H too large to search
 exhaustively: a lower bound (a known-subgraph AT value, then chi of the cone
 K1 + H, a hub with its copy of H, in tie order) must meet the upper bound
-from the constructed corona orientation; `atsolver.bracket` joins them. The
-cone term comes from H's own chromatic term, so the pinch colors nothing;
+from the constructed corona orientation; `atsolver.bracket` joins them.
+`_pinch` takes only the factors' results and reads each factor graph off its
+certificate orientation. The cone term comes from H's own chromatic term, so
+the pinch colors nothing;
 the rows that report chi of a corona (lemma 3.5, corollary 3.7, remark-gap)
 color it themselves, and corollary 3.7 falls back on the cone bound when
 that coloring is over budget.
@@ -24,13 +26,15 @@ that coloring is over budget.
 One `run_suite` call shares four things between its checks, each through
 `_shared(key, make)`: the factor results of `_exact_at`, keyed by
 (graph, options), the level-search cross-checks of `_closed_form_row`, keyed
-by ("search", graph, options), chromatic numbers, keyed by
-("chi", graph, options), and the hypercubes Q_n, keyed by n. `_chromatic` is
-the one reader of chi, and `_exact_at` gives it the chi a solved result
-holds. Coronas Q_n o H and products with Q_n recur across Lemma 3.2,
-Theorem 1, Corollary 3.4, Theorem 2, Corollary 3.8 and Lemma 3.9, and Q2 and
-Q4 are Lemma 3.1 instances too, so a default run solves, searches and colors
-each graph and builds each hypercube once. Nothing else is kept: reports,
+by ("search", graph, options), chromatic numbers, keyed by ("chi", graph),
+and the hypercubes Q_n, keyed by n. Chi is a function of the graph alone, so
+its key, `_chromatic` and the chi rows (`check_lemma_3_5`,
+`check_chi_product`) take no options. `_chromatic` is the one reader of chi,
+and `_exact_at` gives it the chi a solved result holds. Coronas Q_n o H and
+products with Q_n recur across Lemma 3.2, Theorem 1, Corollary 3.4,
+Theorem 2, Corollary 3.8 and Lemma 3.9, and Q2 and Q4 are Lemma 3.1
+instances too, so a default run solves, searches and colors each graph and
+builds each hypercube once. Nothing else is kept: reports,
 and the products and coronas that no row colors, are made afresh. Memory
 stays flat (peak RSS of `run_suite(n_range=range(1, 10))` is 23 MB, where
 keeping every solver result took 84 MB). The memo is cleared when the call
@@ -145,7 +149,7 @@ def _exact_at(g: Graph, options: SolverOptions) -> ATResult:
         result = at_exact(g, options)
         chi, why = _chi_term(result)
         if why == "chromatic":  # feeds `_chromatic`
-            _shared(("chi", g, options), lambda: chi)
+            _shared(("chi", g), lambda: chi)
         return result
 
     result = _shared((g, options), solve)
@@ -165,17 +169,18 @@ def _hypercube(n: int) -> Graph:
     return _shared(n, lambda: hypercube(n))
 
 
-def _chromatic(g: Graph, options: SolverOptions) -> int:
-    return _shared(("chi", g, options), lambda: chromatic_number(g, options))
+def _chromatic(g: Graph) -> int:
+    return _shared(("chi", g), lambda: chromatic_number(g))
 
 
 def corona_at(g1: Graph, g2: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult:
     """AT of corona(g1, g2) by pinching the factors' exact AT results."""
-    return _pinch(g1, _exact_at(g1, options), g2, _exact_at(g2, options))
+    return _pinch(_exact_at(g1, options), _exact_at(g2, options))
 
 
-def _pinch(g1: Graph, r1: ATResult, g2: Graph, r2: ATResult) -> ATResult:
-    """AT of corona(g1, g2) from the factors' exact results.
+def _pinch(r1: ATResult, r2: ATResult) -> ATResult:
+    """AT of corona(g1, g2) from the factors' exact results, each factor
+    graph read off its result's certificate orientation.
 
     Upper bound: the R1/R2/R3 orientation built from the factors' own AT
     certificates; its diff is diff(d1) * diff(d2)^m across the copies/hub
@@ -193,11 +198,11 @@ def _pinch(g1: Graph, r1: ATResult, g2: Graph, r2: ATResult) -> ATResult:
     """
     d1 = r1.certificate.orientation
     d2 = r2.certificate.orientation
-    oriented, _recipe = corona_orientation(g1, d1, g2, d2)
+    oriented, _recipe = corona_orientation(d1.graph, d1, d2.graph, d2)
     mag1 = r1.certificate.diff_magnitude
     mag2 = r2.certificate.diff_magnitude
     if mag1 is not None and mag2 is not None:
-        magnitude: Optional[int] = mag1 * mag2**g1.n
+        magnitude: Optional[int] = mag1 * mag2**d1.graph.n
         method = "product-law"
     else:
         magnitude = None
@@ -298,12 +303,11 @@ def check_corollary_3_4(
 def _chi_row(
     claim: str, compose: Callable[[Graph, Graph], Graph], sign: str,
     rule: Callable[[int, int], int], g1: Graph, g2: Graph, name1: str, name2: str,
-    options: SolverOptions,
 ) -> ClaimReport:
     """Row for chi(compose(g1, g2)) = rule(chi(g1), chi(g2))."""
-    chi1 = _chromatic(g1, options)
-    chi2 = _chromatic(g2, options)
-    chi = _chromatic(compose(g1, g2), options)
+    chi1 = _chromatic(g1)
+    chi2 = _chromatic(g2)
+    chi = _chromatic(compose(g1, g2))
     return _row(
         claim, f"{name1} {sign} {name2}", {rule(chi1, chi2)}, chi, chi,
         f"chi({name1})={chi1} chi({name2})={chi2}",
@@ -311,15 +315,11 @@ def _chi_row(
 
 
 def check_lemma_3_5(
-    g1: Graph,
-    g2: Graph,
-    name1: str = "G1",
-    name2: str = "G2",
-    options: SolverOptions = DEFAULT_OPTIONS,
+    g1: Graph, g2: Graph, name1: str = "G1", name2: str = "G2"
 ) -> ClaimReport:
     """chi(g1 o g2) = chi(g1) if chi(g2) < chi(g1), else chi(g2) + 1."""
     return _chi_row("lemma3.5", corona, "o", lambda a, b: a if b < a else b + 1,
-                    g1, g2, name1, name2, options)
+                    g1, g2, name1, name2)
 
 
 def check_lemma_3_6(
@@ -333,7 +333,7 @@ def check_lemma_3_6(
     r1, r2 = _exact_at(g1, options), _exact_at(g2, options)
     at1, at2 = r1.value, r2.value
     predicted = {at1} if at2 < at1 else {at2, at2 + 1}
-    result = _pinch(g1, r1, g2, r2)
+    result = _pinch(r1, r2)
     bound = max(at1 - 1, at2) + 1
     evidence = (
         f"AT({name1})={at1} AT({name2})={at2}; certificate level {result.hi} "
@@ -356,7 +356,7 @@ def check_corollary_3_7(
     """If AT(g2) >= AT(g1) and chi(g2) = AT(g2): chi = AT = AT(g2)+1 on the corona."""
     r1, r2 = _exact_at(g1, options), _exact_at(g2, options)
     at1, at2 = r1.value, r2.value
-    chi2 = _chromatic(g2, options)
+    chi2 = _chromatic(g2)
     if at2 < at1 or chi2 != at2:
         raise ValueError(
             f"hypothesis violated: AT({name2})={at2}, AT({name1})={at1}, chi({name2})={chi2}"
@@ -367,9 +367,9 @@ def check_corollary_3_7(
     # reports chi of the corona itself, so it colors the corona. Over budget,
     # chi >= the cone term and chi <= AT <= the certificate level, so chi is
     # proved where those meet, and None where they do not.
-    result = _pinch(g1, r1, g2, r2)
+    result = _pinch(r1, r2)
     try:
-        chi: Optional[int] = _chromatic(result.certificate.orientation.graph, options)
+        chi: Optional[int] = _chromatic(result.certificate.orientation.graph)
         how = ""
     except CapacityError:
         by_cone = result.is_exact and result.lower_bound_reason != "subgraph"
@@ -389,12 +389,11 @@ def check_corollary_3_7(
 
 
 def _hypercube_corona_row(
-    claim: str, n: int, g2: Graph, name2: str, r2: ATResult, predicted: int,
+    claim: str, n: int, name2: str, r2: ATResult, predicted: int,
     options: SolverOptions, show_method: bool = False,
 ) -> ClaimReport:
     """Bracket row for AT(Q_n o g2) pinched from the factors' exact results."""
-    q = _hypercube(n)
-    result = _pinch(q, _exact_at(q, options), g2, r2)
+    result = _pinch(_exact_at(_hypercube(n), options), r2)
     evidence = f"lower {result.lo} via {result.lower_bound_reason}; certificate level {result.hi}"
     if show_method:
         evidence += f" ({result.certificate.method})"
@@ -418,7 +417,7 @@ def check_theorem_2(
         raise ProofObligationError("AT = 2 is impossible for an edgeless graph")
     predicted = 3 if n <= 2 else ceil_half(n) + 1
     return _hypercube_corona_row(
-        "theorem2", n, g2, name2, r2, predicted, options, show_method=True
+        "theorem2", n, name2, r2, predicted, options, show_method=True
     )
 
 
@@ -438,10 +437,9 @@ def check_lemma_3_9(
     odd = 2 * k + 1
     if odd < 3:
         raise ValueError("odd cycle needs length >= 3")
-    c = cycle(odd)
     predicted = 4 if n <= 4 else ceil_half(n) + 1
     return _hypercube_corona_row(
-        "lemma3.9", n, c, f"C{odd}", _exact_at(c, options), predicted, options
+        "lemma3.9", n, f"C{odd}", _exact_at(cycle(odd), options), predicted, options
     )
 
 
@@ -465,14 +463,10 @@ def check_toroidal_regression(
 
 
 def check_chi_product(
-    g: Graph,
-    h: Graph,
-    name1: str = "G",
-    name2: str = "H",
-    options: SolverOptions = DEFAULT_OPTIONS,
+    g: Graph, h: Graph, name1: str = "G", name2: str = "H"
 ) -> ClaimReport:
     """chi(g x h) = max(chi(g), chi(h))."""
-    return _chi_row("chi-product", cartesian_product, "x", max, g, h, name1, name2, options)
+    return _chi_row("chi-product", cartesian_product, "x", max, g, h, name1, name2)
 
 
 def check_remark_gap(name: str, chi: int, at_result: ATResult) -> ClaimReport:
@@ -558,9 +552,9 @@ def remark_instances(options: SolverOptions = DEFAULT_OPTIONS) -> list[tuple[str
         results.append((name, g, at_bipartite(g, options)))
     r3 = _exact_at(cubes[3], options)
     for name, g2 in (("Q3 o P3", path(3)), ("Q3 o C3", cycle(3))):
-        result = _pinch(cubes[3], r3, g2, _exact_at(g2, options))
+        result = _pinch(r3, _exact_at(g2, options))
         results.append((name, result.certificate.orientation.graph, result))
-    return [(name, _chromatic(g, options), result) for name, g, result in results]
+    return [(name, _chromatic(g), result) for name, g, result in results]
 
 
 def run_suite(
@@ -618,11 +612,11 @@ def run_suite(
                     if k >= 2:  # C_2k needs at least 4 vertices
                         row(check_corollary_3_4, n, k, options)
         if want("lemma3.5"):
-            row(check_lemma_3_5, cycle(3), cycle(4), "C3", "C4", options)
-            row(check_lemma_3_5, cycle(4), cycle(3), "C4", "C3", options)
-            row(check_lemma_3_5, complete(2), Graph(["0"], []), "K2", "K1", options)
+            row(check_lemma_3_5, cycle(3), cycle(4), "C3", "C4")
+            row(check_lemma_3_5, cycle(4), cycle(3), "C4", "C3")
+            row(check_lemma_3_5, complete(2), Graph(["0"], []), "K2", "K1")
             for n1, g1, n2, g2 in random_corona_pairs(pair_count, seed=seed):
-                row(check_lemma_3_5, g1, g2, n1, n2, options)
+                row(check_lemma_3_5, g1, g2, n1, n2)
         if want("lemma3.6"):
             row(check_lemma_3_6, cycle(4), complete(2), "C4", "K2", options)
             row(check_lemma_3_6, cycle(5), Graph(["0"], []), "C5", "K1", options)
@@ -654,9 +648,9 @@ def run_suite(
                 for n in range(m, toroidal_max + 1):
                     row(check_toroidal_regression, m, n, options)
         if want("chi-product"):
-            row(check_chi_product, complete(2), cycle(5), "K2", "C5", options)
-            row(check_chi_product, cycle(3), cycle(3), "C3", "C3", options)
-            row(check_chi_product, _hypercube(2), _hypercube(2), "Q2", "Q2", options)
+            row(check_chi_product, complete(2), cycle(5), "K2", "C5")
+            row(check_chi_product, cycle(3), cycle(3), "C3", "C3")
+            row(check_chi_product, _hypercube(2), _hypercube(2), "Q2", "Q2")
         if want("remark-gap"):
             for name, chi, at_result in remark_instances(options):
                 row(check_remark_gap, name, chi, at_result)

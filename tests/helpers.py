@@ -244,7 +244,7 @@ def chromatic_at_choosable(
 ) -> tuple[int, int, bool]:
     """(chi, AT, chi == AT) from the generic solvers; both must give exact
     values."""
-    chi = chromatic_number(g, options)
+    chi = chromatic_number(g)
     result = at_exact(g, options)
     if not result.is_exact:
         raise CapacityError(

@@ -76,11 +76,12 @@ def test_chromatic_known_values():
     assert chromatic_number(corona(cycle(4), cycle(3))) == 4
 
 
-def test_chromatic_matches_naive_oracle():
+def test_chromatic_matches_naive_oracle(monkeypatch):
     # the second cap is the largest block's size: a graph of several blocks
     # then exceeds it, so its chi comes from the block search; at cap 3 a
     # graph with a larger non-bipartite block raises instead. Coronas add
     # many alike blocks that DSATUR settles beside a hub block.
+    default_cap = atlab.atsolver.CHROMATIC_BLOCK_CAP
     rng = random.Random(4242)
     graphs = [random_graph(rng, rng.randint(1, 9), rng.choice((0.25, 0.45, 0.7)))
               for _ in range(300)]
@@ -92,13 +93,13 @@ def test_chromatic_matches_naive_oracle():
         block_cap = max((len(b) for b in blocks), default=1)
         odd_block = max((len(b) for b in blocks
                          if bipartition(induced_subgraph(g, b)[0]) is None), default=0)
-        for cap in (DEFAULT_OPTIONS.chromatic_block_cap, block_cap, 3):
-            options = SolverOptions(chromatic_block_cap=cap)
+        for cap in (default_cap, block_cap, 3):
+            monkeypatch.setattr(atlab.atsolver, "CHROMATIC_BLOCK_CAP", cap)
             if odd_block > cap:
                 with pytest.raises(CapacityError):
-                    chromatic_number(g, options)
+                    chromatic_number(g)
             else:
-                assert chromatic_number(g, options) == chi
+                assert chromatic_number(g) == chi
         assert _greedy_clique(g.adjacency) <= chi <= _dsatur(g.adjacency)
         if chi <= 2:  # DSATUR is exact on bipartite graphs (Brelaz)
             assert _dsatur(g.adjacency) == chi
@@ -111,7 +112,7 @@ def _glue(g, h):
     return Graph([str(i) for i in range(g.n + h.n - 1)], edges)
 
 
-def test_chromatic_block_search_takes_the_max_over_distinct_blocks():
+def test_chromatic_block_search_takes_the_max_over_distinct_blocks(monkeypatch):
     # DSATUR uses 4 colors on h, whose chi is 3
     h = Graph(
         [str(i) for i in range(7)],
@@ -121,12 +122,12 @@ def test_chromatic_block_search_takes_the_max_over_distinct_blocks():
     # blocks of one size but different chi; a block DSATUR over-colors
     # beside a block that already needs as many colors as the first has
     for a, b, chi in [(cycle(5), complete(5), 5), (cycle(3), h, 3)]:
-        options = SolverOptions(chromatic_block_cap=max(a.n, b.n))
+        monkeypatch.setattr(atlab.atsolver, "CHROMATIC_BLOCK_CAP", max(a.n, b.n))
         for g in (_glue(a, b), _glue(b, a)):
-            assert chromatic_number(g, options) == chi
+            assert chromatic_number(g) == chi
 
 
-def test_chromatic_of_coronas_and_products_follows_the_formulas():
+def test_chromatic_of_coronas_and_products_follows_the_formulas(monkeypatch):
     # Lemma 3.5 for coronas, and chi(G x H) = max(chi(G), chi(H)); coronas
     # also run at the largest block's size, where the m alike hub-plus-copy
     # blocks are searched once
@@ -136,9 +137,10 @@ def test_chromatic_of_coronas_and_products_follows_the_formulas():
         g2 = random_graph(rng, rng.randint(1, 5), 0.6)
         chi1, chi2 = chromatic_number(g1), chromatic_number(g2)
         predicted = chi1 if chi2 < chi1 else chi2 + 1
-        block_cap = SolverOptions(chromatic_block_cap=max(g1.n, g2.n + 1))
-        for options in (DEFAULT_OPTIONS, block_cap):
-            assert chromatic_number(corona(g1, g2), options) == predicted
+        assert chromatic_number(corona(g1, g2)) == predicted
+        with monkeypatch.context() as block_cap:
+            block_cap.setattr(atlab.atsolver, "CHROMATIC_BLOCK_CAP", max(g1.n, g2.n + 1))
+            assert chromatic_number(corona(g1, g2)) == predicted
         assert chromatic_number(cartesian_product(g1, g2)) == max(chi1, chi2)
 
 
@@ -163,8 +165,8 @@ def test_chromatic_calls_the_clique_only_above_three_colors(monkeypatch):
     # over the cap the whole graph goes to the block loop: the triangle and
     # the alike hub-plus-C4 blocks each settle at DSATUR's 3
     calls.clear()
-    options = SolverOptions(chromatic_block_cap=5)
-    assert chromatic_number(corona(cycle(3), cycle(4)), options) == 3
+    monkeypatch.setattr(atlab.atsolver, "CHROMATIC_BLOCK_CAP", 5)
+    assert chromatic_number(corona(cycle(3), cycle(4))) == 3
     assert calls == []
 
 
@@ -184,14 +186,15 @@ def test_blocks_decomposition():
     assert len(biconnected_blocks(cycle(6))) == 1
 
 
-def test_chromatic_block_budget():
+def test_chromatic_block_budget(monkeypatch):
+    monkeypatch.setattr(atlab.atsolver, "CHROMATIC_BLOCK_CAP", 5)
     with pytest.raises(CapacityError):
-        chromatic_number(cycle(9), SolverOptions(chromatic_block_cap=5))
+        chromatic_number(cycle(9))
     # bipartite blocks skip the budget entirely
-    assert chromatic_number(hypercube(6), SolverOptions(chromatic_block_cap=5)) == 2
+    assert chromatic_number(hypercube(6)) == 2
 
 
-def test_chromatic_capacity_error_iff_a_non_bipartite_block_exceeds_the_cap():
+def test_chromatic_capacity_error_iff_a_non_bipartite_block_exceeds_the_cap(monkeypatch):
     rng = random.Random(6464)
     for _ in range(300):
         g = random_graph(rng, rng.randint(2, 14), rng.choice((0.15, 0.3, 0.5)))
@@ -200,15 +203,16 @@ def test_chromatic_capacity_error_iff_a_non_bipartite_block_exceeds_the_cap():
             len(b) > cap and bipartition(induced_subgraph(g, b)[0]) is None
             for b in biconnected_blocks(g)
         )
-        options = SolverOptions(chromatic_block_cap=cap)
+        monkeypatch.setattr(atlab.atsolver, "CHROMATIC_BLOCK_CAP", cap)
         if over:
             with pytest.raises(CapacityError):
-                chromatic_number(g, options)
+                chromatic_number(g)
         else:
-            assert chromatic_number(g, options) >= 1
+            assert chromatic_number(g) >= 1
     # a bipartite block over the cap raises nothing: Q3 has 8 vertices
     q3_corona_c3 = corona(hypercube(3), cycle(3))
-    assert chromatic_number(q3_corona_c3, SolverOptions(chromatic_block_cap=4)) == 4
+    monkeypatch.setattr(atlab.atsolver, "CHROMATIC_BLOCK_CAP", 4)
+    assert chromatic_number(q3_corona_c3) == 4
 
 
 def test_time_budget_bounds_the_chromatic_search():
@@ -297,10 +301,10 @@ def test_lower_bound_values_and_reasons():
         assert (res.lo, res.lower_bound_reason) == (max(v for v, _ in terms), reason)
 
 
-def test_results_carry_their_terms():
+def test_results_carry_their_terms(monkeypatch):
     # lo and its reason are the first greatest term, no term passes the
     # certificate level, and a bipartite result carries chi after its
-    # density. A "chromatic" term is chi, at any chromatic_block_cap or time
+    # density. A "chromatic" term is chi, at any CHROMATIC_BLOCK_CAP or time
     # budget; where chi is not computed the term is "odd-cycle", 3 on a
     # graph that is not bipartite
     rng = random.Random(2110)
@@ -310,17 +314,22 @@ def test_results_carry_their_terms():
     kinds = set()
     for g in graphs:
         chi = naive_chromatic(g, k_max=9)
-        assert chromatic_number(g, SolverOptions(chromatic_block_cap=g.n)) == chi
+        with monkeypatch.context() as block_cap:
+            block_cap.setattr(atlab.atsolver, "CHROMATIC_BLOCK_CAP", g.n)
+            assert chromatic_number(g) == chi
         options = SolverOptions(search_edge_cap=g.m)
-        tight = options.with_(chromatic_block_cap=3)
         results = [at_exact(g, options), at_exact(g, options, bipartite_shortcut=False),
-                   at_exact(g, options.with_(time_budget=0)), at_exact(g, tight)]
+                   at_exact(g, options.with_(time_budget=0))]
+        firsts = [at_lower_bound(g)[0]]
+        with monkeypatch.context() as tight:
+            tight.setattr(atlab.atsolver, "CHROMATIC_BLOCK_CAP", 3)
+            results.append(at_exact(g, options))
+            firsts.append(at_lower_bound(g)[0])
         for res in results:
             top = max(value for value, _ in res.terms)
             assert (res.lo, res.lower_bound_reason) == next(
                 t for t in res.terms if t[0] == top), g.edges
             assert res.hi == res.certificate.level and top <= res.hi
-        firsts = [at_lower_bound(g, options)[0], at_lower_bound(g, tight)[0]]
         for term in firsts + [t for res in results for t in res.terms]:
             if term[1] == "chromatic":
                 assert term[0] == chi, g.edges
@@ -687,7 +696,7 @@ def test_zero_time_budget_gives_the_bounds_bracket():
          [(3, "chromatic"), (3, "density-pigeonhole")], (3, 5)),
     ]:
         res = at_exact(g, options)
-        assert at_lower_bound(g, options) == terms
+        assert at_lower_bound(g) == terms
         acyclic = acyclic_certificate(g)
         assert (res.lo, res.hi) == (max(v for v, _ in terms), acyclic.level) == expected
         assert res.lower_bound_reason == "chromatic"
@@ -752,7 +761,7 @@ def test_chromatic_at_choosable():
 
 
 def test_chi_over_the_chromatic_budget_still_counts_as_3():
-    # C65 is one block past chromatic_block_cap = 64, so chi is never
+    # C65 is one block past CHROMATIC_BLOCK_CAP = 64, so chi is never
     # computed; the block is not bipartite, so its odd cycle gives chi >= 3,
     # which meets the degeneracy certificate and the answer is exact. The
     # term is named for the odd cycle, not for chi

@@ -160,6 +160,25 @@ def test_cli_gen_bad_params(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["gen", "path", "3"], 0, serialize_graph(path(3), "path n=3"),
+         "vertices=3 edges=2\n"),
+        (["gen", "tree"], 2, "", "error: gen tree needs --pruefer or --edges\n"),
+        (["diff"], 2, "", "error: diff needs --cert, or a graph document plus an arc file\n"),
+        (["at", "{empty}"], 2, "", "error: empty graph document\n"),
+    ],
+    ids=["gen-to-stdout", "gen-tree-without-input", "diff-without-input", "empty-graph"],
+)
+def test_cli_output_and_usage_branches(tmp_path, capsys, argv, code, out, err):
+    # without -o, gen writes the document to stdout and its summary to stderr
+    empty = tmp_path / "empty.graph"
+    empty.write_text("")
+    assert main([a.format(empty=empty) for a in argv]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize(
     "argv, tag",
     [
         (["at"], "e"),
@@ -220,6 +239,23 @@ def test_cli_cert_verify_cycle(tmp_path, capsys):
     assert "verdict: accepted" in capsys.readouterr().out
 
 
+def test_cli_verify_rejects_a_recorded_magnitude_the_engines_do_not_recompute(
+    tmp_path, capsys
+):
+    gpath = tmp_path / "q3.graph"
+    cpath = tmp_path / "q3.cert"
+    main(["gen", "hypercube", "3", "-o", str(gpath)])
+    assert main(["at", str(gpath), "--cert", str(cpath)]) == 0
+    capsys.readouterr()
+    doc = cpath.read_text()
+    assert "\ndiff 4\n" in doc
+    cpath.write_text(doc.replace("\ndiff 4\n", "\ndiff 5\n"))
+    assert main(["verify", str(cpath)]) == 1
+    out = capsys.readouterr().out
+    assert "verdict: rejected" in out
+    assert "note: recorded magnitude 5 != recomputed 4" in out
+
+
 def test_cli_diff_modes(tmp_path, capsys):
     gpath = tmp_path / "c4.graph"
     main(["gen", "cycle", "4", "-o", str(gpath)])
@@ -254,6 +290,20 @@ def test_cli_diff_past_enum_cap(tmp_path, capsys):
     assert main(["diff", "--cert", str(cpath)]) == 0
     out = capsys.readouterr().out
     assert "even 4" in out and "odd 0" in out and "diff 4" in out
+
+
+def test_cli_diff_over_the_tally_gate_names_only_enum_cap(tmp_path, capsys):
+    # Q5's closed-form certificate has a strongly connected component of 32
+    # arcs, past enum_cap 24; `atlab diff` runs the tally alone, so the hint
+    # names the one budget it reads
+    gpath = tmp_path / "q5.graph"
+    cpath = tmp_path / "q5.cert"
+    main(["gen", "hypercube", "5", "-o", str(gpath)])
+    assert main(["at", str(gpath), "--cert", str(cpath)]) == 0
+    capsys.readouterr()
+    assert main(["diff", "--cert", str(cpath)]) == 3
+    err = capsys.readouterr().err
+    assert "enum_cap" in err and "polynomial" not in err
 
 
 def test_cli_diff_rejects_zero_certificate(tmp_path, capsys):

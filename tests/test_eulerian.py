@@ -190,6 +190,12 @@ def test_the_coefficient_gate_refuses_a_bound_too_long_to_print():
     d = orientation_from_arcs(cycle(n), [(i, (i + 1) % n) for i in range(n)])
     with pytest.raises(CapacityError, match="14401 bits"):  # 2^n has n + 1 bits
         eulerian_diff_poly(d)
+    # so must a budget too long to print, one short of the bound; with the
+    # tally over its cap too, the even cycle falls back on the closed form
+    huge = SolverOptions(poly_budget=2**n - 1)
+    with pytest.raises(CapacityError, match=f"poly_budget of {n} bits"):
+        eulerian_diff_poly(d, huge)
+    assert engine_diff(d, huge.with_(enum_cap=1)) == ("bipartite-closed-form", None)
 
 
 def test_reversal_preserves_magnitude():

@@ -37,8 +37,7 @@ def test_cli_rejects_a_bad_time_budget(tmp_path, capsys, budget):
     assert "time_budget" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["enum_cap", "poly_budget", "search_edge_cap",
-                                   "chromatic_block_cap"])
+@pytest.mark.parametrize("field", ["enum_cap", "poly_budget", "search_edge_cap"])
 def test_caps_must_not_be_negative(field):
     # a negative cap switched its engine off without a word: at
     # search_edge_cap=-5, C3 x C3 came out as the bracket [3, 5]

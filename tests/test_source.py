@@ -172,6 +172,19 @@ def test_every_field_is_read():
     assert not found, f"fields no package code reads: {found}"
 
 
+def test_every_option_is_set_by_a_flag_or_the_benchmark():
+    # a SolverOptions field that no `atlab` flag sets and the benchmark never
+    # names is set only by tests: one value is in use, so it is a constant of
+    # the module that reads it. `threads` is left only for the benchmark.
+    from dataclasses import fields
+
+    from atlab.cli import _BUDGET_FLAGS
+
+    set_by = {field for field, _, _ in _BUDGET_FLAGS.values()} | _bench_names()
+    found = [f.name for f in fields(atlab.SolverOptions) if f.name not in set_by]
+    assert not found, f"options no flag sets and the benchmark never names: {found}"
+
+
 def _uses(trees, match):
     # (file, enclosing module-level statement, line) of every node that matches
     return [(name, top, node.lineno) for name, tree in trees.items()
@@ -273,6 +286,11 @@ def test_only_the_gated_engines_read_their_budgets():
         readers = {(name, getattr(top, "name", None)) for name, top, _ in uses}
         assert readers == allowed, f"{attr} read by {sorted(readers - allowed)} too, " \
                                    f"not by {sorted(allowed - readers)}"
+    # the chromatic solver's cap is a module constant, read by it alone
+    uses = _uses(trees, lambda n: isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                 and n.id == "CHROMATIC_BLOCK_CAP")
+    readers = {(name, getattr(top, "name", None)) for name, top, _ in uses}
+    assert readers == {("atsolver.py", "chromatic_number")}, readers
 
 
 def _imports_of(module):

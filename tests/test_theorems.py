@@ -276,14 +276,15 @@ def test_suite_solves_each_factor_and_builds_each_hypercube_once_per_call(monkey
     assert check_theorem_2(2, complete(2), "K2").verdict == "pass"
     assert [g for g, _ in factor_solves] == [complete(2), real_hypercube(2)] and built == [2]
     # the memo is gone after a run that raises as well
+    monkeypatch.setattr(atlab.atsolver, "CHROMATIC_BLOCK_CAP", 3)
     with pytest.raises(CapacityError):
-        run_suite(["remark-gap"], SolverOptions(chromatic_block_cap=3))
+        run_suite(["remark-gap"])
     assert theorems._memo is None
 
 
 def test_suite_colors_each_graph_once_per_call(monkeypatch):
     # the rows that report chi share it through the run_suite memo, keyed by
-    # ("chi", graph, options), which their factors' exact results feed: one
+    # ("chi", graph), which their factors' exact results feed: one
     # coloring per distinct graph, and none of a graph already solved
     colored, solved, after_solve = [], set(), []
     exact_at = theorems._exact_at
@@ -337,7 +338,7 @@ def test_pinch_colors_nothing(monkeypatch):
                 patch.setattr(module, "chromatic_number", forbidden)
             patch.setattr(atlab.graphs, "two_coloring", forbidden)
             for g1, r1, g2, r2, expected in solved:
-                res = theorems._pinch(g1, r1, g2, r2)
+                res = theorems._pinch(r1, r2)
                 assert (res.lo, res.hi, res.lower_bound_reason) == expected, (g1, g2)
     # nor does a claim row that pinches color anything beyond its factors
     monkeypatch.setattr(theorems, "chromatic_number", forbidden)
@@ -385,25 +386,25 @@ def test_cone_term_matches_coloring_the_whole_corona(monkeypatch):
     assert (res.lo, res.hi, res.lower_bound_reason) == (3, 3, "subgraph")
 
 
-def test_tight_chromatic_cap_colors_h_where_the_corona_is_over_budget():
+def test_tight_chromatic_cap_colors_h_where_the_corona_is_over_budget(monkeypatch):
     # H's blocks are smaller than the corona's hub-plus-copy blocks, so at a
-    # tight chromatic_block_cap the cone term still closes these brackets
-    tight = SolverOptions(chromatic_block_cap=3)
+    # tight CHROMATIC_BLOCK_CAP the cone term still closes these brackets
+    monkeypatch.setattr(atlab.atsolver, "CHROMATIC_BLOCK_CAP", 3)
     for rep, value, why in [
-        (check_lemma_3_9(3, 1, tight), "4", "chromatic"),
-        (check_theorem_2(1, path(3), "P3", tight), "3", "chromatic"),
+        (check_lemma_3_9(3, 1), "4", "chromatic"),
+        (check_theorem_2(1, path(3), "P3"), "3", "chromatic"),
         # C5 is over the budget too: its chromatic term is the odd-cycle 3,
         # and an apex over an odd cycle is an odd wheel, which needs 4
-        (check_lemma_3_9(4, 2, tight), "4", "odd-wheel"),
+        (check_lemma_3_9(4, 2), "4", "odd-wheel"),
     ]:
         assert (rep.verdict, rep.computed) == ("pass", value), rep
         assert f"lower {value} via {why}" in rep.evidence
-    res = corona_at(hypercube(4), cycle(5), tight)
+    res = corona_at(hypercube(4), cycle(5))
     assert res.terms == ((3, "subgraph"), (4, "odd-wheel")) and res.value == 4
     # the row claims chi = AT of the corona, whose coloring is over budget:
     # chi >= the cone term and chi <= AT <= the certificate level, and the
     # two meet, so the cone bound proves chi
-    reports = run_suite(["corollary3.7"], tight)
+    reports = run_suite(["corollary3.7"])
     assert [(r.instance, r.verdict, r.computed) for r in reports] == [
         ("K2 o C3", "pass", "chi=4, AT=4"),
         ("P3 o K3", "pass", "chi=4, AT=4"),
@@ -412,7 +413,7 @@ def test_tight_chromatic_cap_colors_h_where_the_corona_is_over_budget():
     assert all("by the cone bound" in r.evidence for r in reports)
     # the remark rows report chi of the corona itself
     with pytest.raises(CapacityError):
-        run_suite(["remark-gap"], tight)
+        run_suite(["remark-gap"])
 
 
 def test_closed_form_rows_with_a_cut_short_search_are_inconclusive():
@@ -501,5 +502,6 @@ def test_remark_gap_colors_each_corona_once(monkeypatch):
         assert colored.count(corona(hypercube(3), g2)) == 1
     # a corona block (hub plus copy, 4 vertices) over the chromatic budget
     # raises when the row colors the corona
+    monkeypatch.setattr(atlab.atsolver, "CHROMATIC_BLOCK_CAP", 3)
     with pytest.raises(CapacityError):
-        run_suite(["remark-gap"], SolverOptions(chromatic_block_cap=3))
+        run_suite(["remark-gap"])
