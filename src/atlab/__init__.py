@@ -24,7 +24,6 @@ from .atsolver import (
     least_uniform_cap,
 )
 from .construct import (
-    ConstructionRecipe,
     VerifyReport,
     corona_cut_sides,
     corona_orientation,

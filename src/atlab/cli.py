@@ -190,15 +190,17 @@ def cmd_verify(args) -> int:
         for i, lab in enumerate(doc.orientation.graph.vertices):
             is_hub = isinstance(lab, tuple) and len(lab) == 2 and lab[1] == "hub"
             (hubs if is_hub else leaves).append(i)
+        if not hubs:
+            print("note: recipe corona but no vertex is labelled as a hub")
+            return 1
         cut = one_way_cut_check(doc.orientation, leaves, hubs, opts)
         if not cut.one_way:
             print("note: recipe cut is not one-way")
             return 1
-        if cut.diff_whole is not None:
-            print(
-                f"recipe cut law: diff {cut.diff_whole} = "
-                f"{cut.diff_left} * {cut.diff_right}: ok"
-            )
+        sides = ""
+        if None not in (cut.diff_left, cut.diff_right):
+            sides = f", copies diff {cut.diff_left}, hubs diff {cut.diff_right}"
+        print(f"recipe cut: one-way{sides}")
     if report.verdict == "accepted":
         return 0
     if report.verdict == "rejected":

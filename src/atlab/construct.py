@@ -12,7 +12,9 @@ follows d2 (R2), and every hub link points from the copy vertex to its hub
 outdeg_d2(j) + 1. The all-copies/hub split (corona_cut_sides) is a one-way
 cut, so no strongly connected component crosses it and the diff of the
 composite factors exactly as diff(d1) * diff(d2)^m. eulerian.one_way_cut_check
-checks the arc directions and reads both sides' diffs off the component pass.
+confirms that every hub link points into its hub; the product law itself is
+checked through the magnitude a certificate records, which
+verify_certificate compares with the diff it computes.
 
 Product orientations carry no such global one-way cut, but their strongly
 connected components factor them the same way: every Eulerian subdigraph
@@ -21,6 +23,11 @@ diffs. With an acyclic d2, for instance, the components are the copies of
 d1's. Both diff engines run per component and their budgets measure the
 largest one, so the diff of a composite is computed directly whenever its
 largest component is within budget, and flagged unverified otherwise.
+
+The rules orient each composite edge by its place in the edge order that
+cartesian_product and corona fix, so a rule set's name is the whole recipe:
+each builder returns its orientation with the kind "product" or "corona",
+the word a certificate document records on its `recipe` line.
 """
 
 from __future__ import annotations
@@ -33,35 +40,23 @@ from .graphs import Graph, cartesian_product, corona
 from .options import DEFAULT_OPTIONS, SolverOptions
 
 
-class ConstructionRecipe(NamedTuple):
-    """Which rule set built a composite orientation: "product" (R1/R2) or
-    "corona" (R1/R2/R3).
-
-    The rules orient each composite edge by its place in the composite's
-    edge order, which cartesian_product and corona fix, so the kind is the
-    whole recipe. The recipe does not keep d1 and d2: the caller holds them.
-    """
-
-    kind: str
-
-
 def product_orientation(
     g1: Graph, d1: Orientation, g2: Graph, d2: Orientation
-) -> tuple[Orientation, ConstructionRecipe]:
-    """Orientation of g1 [] g2 from factor orientations (rules R1/R2)."""
+) -> tuple[Orientation, str]:
+    """Orientation of g1 [] g2 from factor orientations (rules R1/R2), and its kind."""
     if d1.graph != g1 or d2.graph != g2:
         raise ValueError("orientations do not match the given factor graphs")
     composite = cartesian_product(g1, g2)
     n1 = g1.n
     tails = [i * n1 + t for i in range(g2.n) for t in d1.tails]
     tails += [t * n1 + a for t in d2.tails for a in range(n1)]
-    return Orientation(composite, tails), ConstructionRecipe("product")
+    return Orientation(composite, tails), "product"
 
 
 def corona_orientation(
     g1: Graph, d1: Orientation, g2: Graph, d2: Orientation
-) -> tuple[Orientation, ConstructionRecipe]:
-    """Orientation of g1 o g2 from factor orientations (rules R1/R2/R3)."""
+) -> tuple[Orientation, str]:
+    """Orientation of g1 o g2 from factor orientations (rules R1/R2/R3), and its kind."""
     if d1.graph != g1 or d2.graph != g2:
         raise ValueError("orientations do not match the given factor graphs")
     composite = corona(g1, g2)
@@ -72,7 +67,7 @@ def corona_orientation(
     for i in range(m):
         base = m + i * g2.n
         tails += [base + t for t in copy_tails]
-    return Orientation(composite, tails), ConstructionRecipe("corona")
+    return Orientation(composite, tails), "corona"
 
 
 class VerifyReport(NamedTuple):
@@ -97,9 +92,9 @@ def verify_certificate(
     engine_diff with the recorded engine last, so the other one re-checks
     when it fits. The bipartite closed form accepts without a magnitude; no
     answer (both engines over budget, not bipartite) is "outdegree-only".
-    The corona product law is not re-checked here: certificates do not
-    carry their factor orientations, so callers run
-    eulerian.one_way_cut_check over the all-copies/hub split afterwards.
+    The corona product law is checked only through the recorded magnitude:
+    certificates do not carry their factor orientations. Callers confirm a
+    corona recipe's one-way cut with eulerian.one_way_cut_check afterwards.
     `atlab verify` reads that split off the (i, "hub") vertex labels;
     corona_cut_sides computes it from the factor graphs."""
     orientation, level = cert.orientation, cert.level

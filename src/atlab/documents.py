@@ -18,10 +18,11 @@ parser would refuse (a float, a bool, None, ...), on a provenance that
 str.splitlines breaks and on a recipe kind that is not one word, so every
 document they write reads back.
 
-A certificate built by a construction recipe ends with a `recipe <kind>`
-line. Documents written before the recipe was reduced to its kind also list
-one `rule` line per edge after it; the parser still checks and then ignores
-them, so those documents stay readable.
+A certificate of a composite orientation ends with a `recipe <kind>` line,
+the word its builder returned ("product" or "corona"). Documents written
+before the recipe was reduced to its kind also list one `rule` line per
+edge after it; the parser still checks and then ignores them, so those
+documents stay readable.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import json
 from typing import Iterable, NamedTuple, Optional
 
 from .atsolver import ATCertificate
-from .construct import ConstructionRecipe
 from .eulerian import Orientation, orientation_from_arcs
 from .graphs import Graph
 
@@ -216,7 +216,7 @@ class CertificateDocument(NamedTuple):
 def serialize_certificate(
     cert: ATCertificate,
     provenance: Optional[str] = None,
-    recipe: Optional[ConstructionRecipe] = None,
+    recipe: Optional[str] = None,
 ) -> str:
     g = cert.orientation.graph
     graph_text = serialize_graph(g)
@@ -238,9 +238,9 @@ def serialize_certificate(
     ]
     lines.extend([f"a {t} {h}" for t, h in cert.orientation.arcs])
     if recipe is not None:
-        if recipe.kind.split() != [recipe.kind]:
-            raise ValueError(f"recipe kind {recipe.kind!r} is not one word")
-        lines.append(f"recipe {recipe.kind}")
+        if recipe.split() != [recipe]:
+            raise ValueError(f"recipe kind {recipe!r} is not one word")
+        lines.append(f"recipe {recipe}")
     return "\n".join(lines) + "\n"
 
 

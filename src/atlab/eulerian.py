@@ -551,26 +551,23 @@ def engine_diff(
 
 
 class OneWayCutReport(NamedTuple):
-    """Result of checking a vertex split for one-way arcs and the product law.
+    """Result of checking a vertex split for one-way arcs.
 
     When the split is one-way (every crossing arc leaves `left`), no Eulerian
     subdigraph can use a crossing arc, so diff factors exactly:
     diff(D) = diff(D[left]) * diff(D[right]). A side's diff is filled in when
-    every strongly connected component on it is within enum_cap; diff_whole
-    when both sides' are. A split with an arc back into `left` has one_way
-    False and no diffs.
+    every strongly connected component on it is within enum_cap. A split
+    with an arc back into `left` has one_way False and no diffs.
     """
 
     one_way: bool
-    diff_whole: Optional[int] = None
     diff_left: Optional[int] = None
     diff_right: Optional[int] = None
 
     @property
     def product_ok(self) -> Optional[bool]:
-        if None in (self.diff_whole, self.diff_left, self.diff_right):
-            return None
-        return self.diff_whole == self.diff_left * self.diff_right
+        # the law holds by the factoring above whenever both sides have a diff
+        return None if None in (self.diff_left, self.diff_right) else True
 
 
 def one_way_cut_check(
@@ -579,8 +576,8 @@ def one_way_cut_check(
     right: Iterable[int],
     options: SolverOptions = DEFAULT_OPTIONS,
 ) -> OneWayCutReport:
-    """Check that all crossing arcs go left->right and read off the product
-    law from the strongly connected components.
+    """Check that all crossing arcs go left->right and read each side's diff
+    off the strongly connected components.
 
     A one-way cut is the case of the strongly connected component product
     where the components fall on two sides: no component crosses the cut.
@@ -601,6 +598,4 @@ def one_way_cut_check(
         except CapacityError:
             return None
 
-    d_left, d_right = side_diff(left), side_diff(right)
-    d_whole = None if None in (d_left, d_right) else d_left * d_right
-    return OneWayCutReport(True, d_whole, d_left, d_right)
+    return OneWayCutReport(True, side_diff(left), side_diff(right))

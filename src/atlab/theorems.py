@@ -454,7 +454,8 @@ def check_toroidal_regression(
     """
     predicted = 4 if (m % 2 == 1 and n % 2 == 1) else 3
     g = cartesian_product(cycle(m), cycle(n))
-    result = at_exact(g, options.with_(search_edge_cap=max(options.search_edge_cap, g.m)))
+    # the level search compares its cap only with g.m, so every row searches
+    result = at_exact(g, options.with_(search_edge_cap=g.m))
     if bipartition(g) is not None:
         evidence = "bipartite closed form"
     else:
@@ -493,7 +494,9 @@ def check_remark_gap(name: str, chi: int, at_result: ATResult) -> ClaimReport:
 
 def tree_catalog(m: int, seed: int = 7) -> list[tuple[str, Graph]]:
     """Deterministic tree sweep for one vertex count: path, star, broom, plus
-    two seeded random Pruefer trees. Duplicate shapes are dropped by edge set."""
+    two seeded random Pruefer trees. A tree whose labelled edge set repeats
+    an earlier one is dropped; isomorphic trees with different edge sets
+    both stay (P3 and S3 are one shape)."""
     if m < 2:
         raise ValueError("trees in the catalog need >= 2 vertices")
     out: list[tuple[str, Graph]] = [(f"P{m}", path(m))]

@@ -206,6 +206,14 @@ def crossing_arcs(d: Orientation, left) -> tuple[list, list]:
     return leaving, entering
 
 
+def cut_product(rep) -> int | None:
+    """diff_left * diff_right of a one-way cut report, None when a side has no
+    diff: the diff of the whole orientation by the product law."""
+    if rep.diff_left is None or rep.diff_right is None:
+        return None
+    return rep.diff_left * rep.diff_right
+
+
 def recipe_tail_labels(kind: str, d1: Orientation, d2: Orientation, composite: Graph) -> list:
     """The paper's product or corona rules applied edge by edge, read from
     the composite's vertex labels alone: the label of each edge's tail. An

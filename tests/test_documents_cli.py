@@ -110,7 +110,7 @@ def test_certificate_with_recipe_tags():
 
 
 def test_recipe_certificate_roundtrip_bit_exact():
-    from atlab import ATCertificate, ConstructionRecipe, acyclic_certificate
+    from atlab import ATCertificate, acyclic_certificate
 
     q3, c3 = hypercube(3), cycle(3)
     d, recipe = corona_orientation(
@@ -118,8 +118,7 @@ def test_recipe_certificate_roundtrip_bit_exact():
     )
     doc = serialize_certificate(ATCertificate(4, d, 4, "product-law"), "Q3 o C3", recipe)
     parsed = parse_certificate(doc)
-    again = ConstructionRecipe(parsed.recipe_kind)
-    assert serialize_certificate(parsed.as_certificate(), "Q3 o C3", again) == doc
+    assert serialize_certificate(parsed.as_certificate(), "Q3 o C3", parsed.recipe_kind) == doc
 
 
 def test_unverified_diff_roundtrip():
@@ -672,17 +671,17 @@ def test_writer_refuses_a_method_the_reader_would_split(brk):
 
 @pytest.mark.parametrize("kind", ["", "my kind", "corona\n", "a\tb", "\u2028", " corona"])
 def test_writer_refuses_a_recipe_kind_that_is_not_one_word(kind):
-    from atlab import ATCertificate, ConstructionRecipe
+    from atlab import ATCertificate
 
     cert = ATCertificate(2, orient(path(2), [0]), 1, "acyclic")
     with pytest.raises(ValueError, match="recipe kind"):
-        serialize_certificate(cert, recipe=ConstructionRecipe(kind))
+        serialize_certificate(cert, recipe=kind)
 
 
 def test_every_document_a_writer_returns_reads_back():
     import random
 
-    from atlab import ATCertificate, ConstructionRecipe
+    from atlab import ATCertificate
 
     rng = random.Random(2505)
     alphabet = ["a", " ", "\t", "\x1f", "\u00e9", "#", "provenance", "graph-end",
@@ -693,7 +692,7 @@ def test_every_document_a_writer_returns_reads_back():
     written = refused = 0
     for _ in range(400):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
-        recipe = ConstructionRecipe(text) if rng.random() < 0.5 else None
+        recipe = text if rng.random() < 0.5 else None
         try:
             graph_doc = serialize_graph(g, text)
             cert_doc = serialize_certificate(cert, text, recipe)
@@ -724,14 +723,9 @@ def _verify_document(name):
     budgets ("q4oc5"), a level-search certificate re-checked by the other
     engine ("c3c3"), and an AT certificate that names a corona recipe but
     points its one hub link out of the hub, so the recipe's cut is not
-    one-way ("k1ok1")."""
-    from atlab import (
-        ATCertificate,
-        ConstructionRecipe,
-        acyclic_certificate,
-        at_exact,
-        cartesian_product,
-    )
+    one-way ("k1ok1"), and a C4 certificate that names a corona recipe though
+    no vertex is a hub, so there is no cut to check ("c4")."""
+    from atlab import ATCertificate, acyclic_certificate, at_exact, cartesian_product
 
     q4 = hypercube(4)
     if name == "q4":
@@ -745,7 +739,9 @@ def _verify_document(name):
         return serialize_certificate(cert, "Q4 o C5", recipe)
     if name == "k1ok1":
         cert = ATCertificate(2, orient(corona(path(1), path(1)), [0]), 1, "product-law")
-        return serialize_certificate(cert, "K1 o K1", ConstructionRecipe("corona"))
+        return serialize_certificate(cert, "K1 o K1", "corona")
+    if name == "c4":
+        return serialize_certificate(at_exact(cycle(4)).certificate, "C4", "corona")
     found = at_exact(cartesian_product(cycle(3), cycle(3))).certificate
     assert found.method == "enumeration"
     return serialize_certificate(found, "C3 x C3")
@@ -761,6 +757,9 @@ def _verify_document(name):
                 "diff check: polynomial -> 2\n"),
     ("k1ok1", 1, "verdict: accepted\nmax outdegree 1 (level 2)\n"
                  "diff check: enumeration -> 1\nnote: recipe cut is not one-way\n"),
+    ("c4", 1, "verdict: accepted\nmax outdegree 1 (level 2)\n"
+              "diff check: polynomial -> 2\n"
+              "note: recipe corona but no vertex is labelled as a hub\n"),
 ])
 def test_cli_verify_output_per_diff_route(tmp_path, capsys, name, code, out):
     cpath = tmp_path / f"{name}.cert"
@@ -798,7 +797,12 @@ def test_cli_verify_corona_recipe_prints_cut_law(tmp_path, capsys):
     assert main(["verify", str(cpath)]) == 0
     out = capsys.readouterr().out
     assert "verdict: accepted" in out
-    assert "recipe cut law: diff 4 = 1 * 4: ok" in out
+    assert out.endswith("recipe cut: one-way, copies diff 1, hubs diff 4\n")
+    # past enum_cap the sides have no diff, and the cut is still reported
+    assert main(["verify", str(cpath), "--enum-cap", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "verdict: accepted\nmax outdegree 3 (level 4)\n"
+        "diff check: polynomial -> 4\nrecipe cut: one-way\n")
 
 
 def _mutation_corpus():

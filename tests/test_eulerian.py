@@ -30,6 +30,7 @@ from atlab.eulerian import (
 )
 from helpers import (
     crossing_arcs,
+    cut_product,
     euler_circuit_orientation,
     induced_orientation,
     naive_tally,
@@ -275,7 +276,7 @@ def test_one_way_cut_two_disjoint_arcs():
     d = orient(g, [0, 2])
     rep = one_way_cut_check(d, [0, 1], [2, 3])
     assert rep.one_way and crossing_arcs(d, [0, 1]) == ([], [])
-    assert rep.diff_whole == 1 and rep.diff_left == 1 and rep.diff_right == 1
+    assert cut_product(rep) == 1 and rep.diff_left == 1 and rep.diff_right == 1
     assert rep.product_ok
 
 
@@ -283,7 +284,7 @@ def test_one_way_cut_c4_plus_arc():
     g = Graph([str(i) for i in range(5)], [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)])
     d = orientation_from_arcs(g, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
     rep = one_way_cut_check(d, [0, 1, 2, 3], [4])
-    assert rep.one_way and rep.diff_whole == 2 == rep.diff_left * rep.diff_right
+    assert rep.one_way and cut_product(rep) == 2
     assert rep.product_ok
     # the reversed cross arc breaks one-wayness
     d2 = orientation_from_arcs(g, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0)])
@@ -314,7 +315,7 @@ def test_one_way_cut_matches_induced_reference():
         g = Graph([str(v) for v in range(n + 1)], [tuple(sorted(a)) for a in arcs])
         rep = one_way_cut_check(orientation_from_arcs(g, arcs), range(n), [n],
                                 SolverOptions(enum_cap=3))
-        assert (rep.diff_left, rep.diff_right, rep.diff_whole) == (None, 1, None)
+        assert (rep.diff_left, rep.diff_right, cut_product(rep)) == (None, 1, None)
     # Then seeded splits whose crossing arcs all leave the left side, at caps
     # small enough that a side often holds a component over enum_cap.
     rng = random.Random(808)
@@ -344,7 +345,7 @@ def test_one_way_cut_matches_induced_reference():
             reference(induced_orientation(d, right)),
             reference(d),
         )
-        assert (rep.diff_left, rep.diff_right, rep.diff_whole) == expected
+        assert (rep.diff_left, rep.diff_right, cut_product(rep)) == expected
         mixed += (rep.diff_left is None) != (rep.diff_right is None)
     assert mixed >= 10
 

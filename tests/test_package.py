@@ -10,7 +10,6 @@ import pytest
 
 import atlab
 from atlab import (
-    ConstructionRecipe,
     at_exact,
     corona_cut_sides,
     corona_orientation,
@@ -82,7 +81,6 @@ def _records():
         cert,
         result,
         least_uniform_cap(g),
-        ConstructionRecipe("corona"),
         verify_certificate(cert),
         max_density(g),
         parse_certificate(serialize_certificate(cert)),
@@ -92,7 +90,7 @@ def _records():
 
 
 @pytest.mark.parametrize("name", [
-    "ATCertificate", "ATResult", "UniformCap", "ConstructionRecipe", "VerifyReport",
+    "ATCertificate", "ATResult", "UniformCap", "VerifyReport",
     "DensityWitness", "CertificateDocument", "EulerianTally", "OneWayCutReport"])
 def test_records_are_immutable_and_keep_their_repr(name):
     record = {type(r).__name__: r for r in _records()}[name]

@@ -84,11 +84,15 @@ def _package_trees():
 
 def _bench_names():
     # bench/spans.py names the functions it wraps as strings, so the
-    # benchmark's string constants count as names too
+    # benchmark's string constants count as names too, and so do the keyword
+    # names it passes (`search_edge_cap=...`). A keyword name in package code
+    # is not a read, so _names leaves them out.
     bench = sorted((Path(__file__).parents[1] / "bench").glob("*.py"))
     assert bench, "bench/*.py not found next to tests/"
-    return set().union(*(_names(ast.parse(p.read_text(), filename=str(p)), strings=True)
-                         for p in bench))
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in bench]
+    keywords = {node.arg for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.keyword) and node.arg}
+    return keywords.union(*(_names(tree, strings=True) for tree in trees))
 
 
 def test_every_module_level_definition_is_referenced():
@@ -273,13 +277,12 @@ def test_only_the_gated_engines_read_their_budgets():
     # have to follow every change to the gate. The tally's gate lives in the
     # helper that eulerian_tally_enumerate and one_way_cut_check both tally
     # through. The level search checks search_edge_cap alone too; theorems
-    # reads it only to pick the rows it cross-checks by search and to widen
-    # it for the toroidal rows.
+    # reads it only to pick the rows it cross-checks by search (the toroidal
+    # rows set it to their own edge count without reading it).
     owners = {"enum_cap": {("eulerian.py", "_tally_components")},
               "poly_budget": {("eulerian.py", "eulerian_diff_poly")},
               "search_edge_cap": {("atsolver.py", "find_at_orientation"),
-                                  ("theorems.py", "_closed_form_row"),
-                                  ("theorems.py", "check_toroidal_regression")}}
+                                  ("theorems.py", "_closed_form_row")}}
     trees = _package_trees()
     for attr, allowed in owners.items():
         uses = _uses(trees, lambda n: isinstance(n, ast.Attribute) and n.attr == attr)
@@ -326,3 +329,11 @@ def test_only_max_density_imports_fractions():
     uses = _uses(_package_trees(), _imports_of("fractions"))
     found = {(name, getattr(top, "name", None)) for name, top, _ in uses}
     assert found == {("density.py", "max_density")}, f"fractions imported by {found}"
+
+
+def test_documents_import_nothing_from_construct():
+    # a recipe is the word its builder returns, so the document layer needs
+    # only the certificate, the orientation and the graph
+    trees = {"documents.py": _package_trees()["documents.py"]}
+    found = [line for _, _, line in _uses(trees, _imports_of("construct"))]
+    assert not found, f"documents.py imports from construct on lines {found}"
