@@ -59,6 +59,9 @@ and within the at_exact deadline; `chromatic_number` gives the order. Chi
 depends on the graph alone, so the chi path (`chromatic_number`,
 `at_lower_bound`) takes no SolverOptions; its one cap is the module constant
 CHROMATIC_BLOCK_CAP, past which a non-bipartite block raises CapacityError.
+A diff depends on the orientation alone, so `at_bipartite` and `_certify`
+take none either: the diff engines' gates are constants of `eulerian`. Only
+the level search and `at_exact` read SolverOptions.
 """
 
 from __future__ import annotations
@@ -465,7 +468,7 @@ def at_lower_bound(g: Graph) -> list[tuple[int, str]]:
 # ---------------------------------------------------------------------------
 
 
-def at_bipartite(g: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult:
+def at_bipartite(g: Graph) -> ATResult:
     """AT of a bipartite graph: ceil(max_density)+1, certificate included.
 
     Every orientation of a bipartite graph is an AT-orientation, so the
@@ -479,7 +482,7 @@ def at_bipartite(g: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult
         raise ValueError("at_bipartite requires a bipartite graph")
     least = _checked_uniform_cap(g)
     level, d = least.cap + 1, least.orientation
-    method, diff = engine_diff(d, options)
+    method, diff = engine_diff(d)
     if diff == 0:
         raise ProofObligationError("bipartite orientation computed diff 0")
     magnitude = None if diff is None else abs(diff)
@@ -572,12 +575,13 @@ def acyclic_certificate(g: Graph) -> ATCertificate:
     return _acyclic_along(g, _peel(g)[0])
 
 
-def _certify(g: Graph, d: Orientation, options: SolverOptions) -> ATCertificate:
+def _certify(g: Graph, d: Orientation) -> ATCertificate:
     """Re-check a found orientation with an independent computation: the
-    tally when its largest strongly connected component is within enum_cap,
-    else the coefficient along the reverse of the search's vertex order."""
+    tally when its largest strongly connected component is within
+    eulerian.ENUM_CAP, else the coefficient along the reverse of the
+    search's vertex order, which no budget gates."""
     try:
-        diff, method = eulerian_tally_enumerate(d, options).diff, "enumeration"
+        diff, method = eulerian_tally_enumerate(d).diff, "enumeration"
     except CapacityError:
         diff, method = diff_coefficient(d, frontier_order(g.adjacency)[::-1]), "polynomial"
     if diff == 0:
@@ -604,7 +608,7 @@ def at_exact(
     only when no search level returns.
     """
     if bipartite_shortcut and bipartition(g) is not None:
-        return at_bipartite(g, options)
+        return at_bipartite(g)
     deadline = (
         None if options.time_budget is None else time.monotonic() + options.time_budget
     )
@@ -619,6 +623,6 @@ def at_exact(
         except (CapacityError, SearchTimeout):
             break
         if found is not None:
-            return bracket(terms, _certify(g, found, options))
+            return bracket(terms, _certify(g, found))
         terms.append((k + 1, "exhaustive-refutation"))
     return bracket(terms, _acyclic_along(g, order))

@@ -42,9 +42,7 @@ from .options import SolverOptions
 # budget flag -> the SolverOptions field it sets (also its dest), its type
 # and the commands that read it
 _BUDGET_FLAGS = {
-    "--enum-cap": ("enum_cap", int, ("at", "diff", "verify", "theorems")),
     "--edge-cap": ("search_edge_cap", int, ("at", "theorems")),
-    "--poly-budget": ("poly_budget", int, ("at", "verify", "theorems")),
     "--time-budget": ("time_budget", float, ("at", "theorems")),
 }
 
@@ -154,7 +152,6 @@ def cmd_at(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    opts = _solver_options(args)
     if args.cert:
         with open(args.cert) as fh:
             doc = parse_certificate(fh.read())
@@ -166,7 +163,7 @@ def cmd_diff(args) -> int:
         with open(args.arcs) as fh:
             arcs = parse_pairs(fh, "arc")
         orientation = orientation_from_arcs(g, arcs)
-    tally = eulerian_tally_enumerate(orientation, opts)
+    tally = eulerian_tally_enumerate(orientation)
     print(f"even {tally.even_count}")
     print(f"odd {tally.odd_count}")
     print(f"diff {tally.diff}")
@@ -176,8 +173,7 @@ def cmd_diff(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.cert) as fh:
         doc = parse_certificate(fh.read())
-    opts = _solver_options(args)
-    report = verify_certificate(doc.as_certificate(), options=opts)
+    report = verify_certificate(doc.as_certificate())
     print(f"verdict: {report.verdict}")
     print(f"max outdegree {report.max_outdegree} (level {report.level})")
     if report.diff_method is not None:
@@ -185,7 +181,11 @@ def cmd_verify(args) -> int:
         print(f"diff check: {report.diff_method} -> {mag}")
     for msg in report.messages:
         print(f"note: {msg}")
-    if report.verdict == "accepted" and doc.recipe_kind == "corona":
+    if report.verdict != "accepted":
+        return 1 if report.verdict == "rejected" else 3
+    if doc.recipe_kind == "product":
+        print("note: recipe product is not checked")
+    elif doc.recipe_kind == "corona":
         hubs, leaves = [], []
         for i, lab in enumerate(doc.orientation.graph.vertices):
             is_hub = isinstance(lab, tuple) and len(lab) == 2 and lab[1] == "hub"
@@ -193,7 +193,7 @@ def cmd_verify(args) -> int:
         if not hubs:
             print("note: recipe corona but no vertex is labelled as a hub")
             return 1
-        cut = one_way_cut_check(doc.orientation, leaves, hubs, opts)
+        cut = one_way_cut_check(doc.orientation, leaves, hubs)
         if not cut.one_way:
             print("note: recipe cut is not one-way")
             return 1
@@ -201,11 +201,7 @@ def cmd_verify(args) -> int:
         if None not in (cut.diff_left, cut.diff_right):
             sides = f", copies diff {cut.diff_left}, hubs diff {cut.diff_right}"
         print(f"recipe cut: one-way{sides}")
-    if report.verdict == "accepted":
-        return 0
-    if report.verdict == "rejected":
-        return 1
-    return 3
+    return 0
 
 
 def cmd_theorems(args) -> int:

@@ -37,7 +37,6 @@ from typing import NamedTuple, Optional
 from .atsolver import ATCertificate
 from .eulerian import Orientation, engine_diff
 from .graphs import Graph, cartesian_product, corona
-from .options import DEFAULT_OPTIONS, SolverOptions
 
 
 def product_orientation(
@@ -85,13 +84,13 @@ class VerifyReport(NamedTuple):
         return self.verdict == "accepted"
 
 
-def verify_certificate(
-    cert: ATCertificate, options: SolverOptions = DEFAULT_OPTIONS
-) -> VerifyReport:
+def verify_certificate(cert: ATCertificate) -> VerifyReport:
     """Re-check a claimed AT certificate: outdegree bound, then diff != 0 by
     engine_diff with the recorded engine last, so the other one re-checks
-    when it fits. The bipartite closed form accepts without a magnitude; no
-    answer (both engines over budget, not bipartite) is "outdegree-only".
+    when it fits. The certificate alone decides the report: each engine's
+    gate is its module constant. The bipartite closed form accepts without a
+    magnitude; no answer (both engines over budget, not bipartite) is
+    "outdegree-only".
     The corona product law is checked only through the recorded magnitude:
     certificates do not carry their factor orientations. Callers confirm a
     corona recipe's one-way cut with eulerian.one_way_cut_check afterwards.
@@ -104,7 +103,7 @@ def verify_certificate(
         messages.append(f"outdegree violation: max outdegree {maxout} > {level - 1}")
         return VerifyReport("rejected", level, maxout, None, None, tuple(messages))
 
-    method, diff = engine_diff(orientation, options, cert.method)
+    method, diff = engine_diff(orientation, cert.method)
     if method is None:
         messages.append("diff engines over budget; only the outdegree bound was checked")
         return VerifyReport("outdegree-only", level, maxout, None, None, tuple(messages))

@@ -15,14 +15,14 @@ lines have exactly their fields, counts are non-negative, labels have the
 types above and only blank lines may follow a document's last section;
 anything else raises ValueError. The writers raise ValueError on a label the
 parser would refuse (a float, a bool, None, ...), on a provenance that
-str.splitlines breaks and on a recipe kind that is not one word, so every
+str.splitlines breaks and on a recipe kind the parser would refuse, so every
 document they write reads back.
 
 A certificate of a composite orientation ends with a `recipe <kind>` line,
-the word its builder returned ("product" or "corona"). Documents written
-before the recipe was reduced to its kind also list one `rule` line per
-edge after it; the parser still checks and then ignores them, so those
-documents stay readable.
+the word its builder returned: "product" or "corona", the only words written
+or read. Documents written before the recipe was reduced to its kind also
+list one `rule` line per edge after it; the parser still checks and then
+ignores them, so those documents stay readable.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .graphs import Graph
 
 GRAPH_MAGIC = "atlab-graph 1"
 CERT_MAGIC = "atlab-cert 1"
+# the kinds the composite builders of `construct` return
+_RECIPE_KINDS = ("product", "corona")
 
 # Built once: json.dumps with non-default separators builds an encoder per call.
 _encode_label = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True).encode
@@ -109,6 +111,12 @@ def _pair(line: str, tag: str) -> tuple[int, int]:
 def _check_one_line(key: str, value: str) -> None:
     if value.splitlines() != [value]:
         raise ValueError(f"{key} {value!r} does not fit on one line")
+
+
+def _check_recipe(kind: str) -> str:
+    if kind not in _RECIPE_KINDS:
+        raise ValueError(f"recipe kind {kind!r} is not one of {', '.join(_RECIPE_KINDS)}")
+    return kind
 
 
 def _expect_end(lines: list[str], i: int, what: str) -> None:
@@ -200,7 +208,8 @@ class CertificateDocument(NamedTuple):
 
     The parser checks the embedded graph's `provenance` line and any legacy
     `rule` lines but keeps neither: `atlab verify` needs only the recipe
-    kind, to run the corona cut check.
+    kind, to run the corona cut check or to note that it checks no product
+    recipe.
     """
 
     level: int
@@ -238,9 +247,7 @@ def serialize_certificate(
     ]
     lines.extend([f"a {t} {h}" for t, h in cert.orientation.arcs])
     if recipe is not None:
-        if recipe.split() != [recipe]:
-            raise ValueError(f"recipe kind {recipe!r} is not one word")
-        lines.append(f"recipe {recipe}")
+        lines.append(f"recipe {_check_recipe(recipe)}")
     return "\n".join(lines) + "\n"
 
 
@@ -287,7 +294,7 @@ def _parse_certificate_lines(lines: list[str]) -> CertificateDocument:
     i += m
     recipe_kind = None
     if i < len(lines) and lines[i].startswith("recipe "):
-        recipe_kind = _fields(lines[i], "recipe", 2)[1]
+        recipe_kind = _check_recipe(_fields(lines[i], "recipe", 2)[1])
         i += 1
         # legacy `rule <edge> <R1|R2|R3> <factor edge, or - for a hub link>`
         while i < len(lines) and lines[i].startswith("rule "):

@@ -34,10 +34,12 @@ on the orientation, and both engines run per component and multiply:
     the level search of the AT solver.
 
 Each engine raises CapacityError past its own gate, which measures
-components, not the whole orientation: enum_cap bounds the arc count of the
-largest component and poly_budget the largest product of (outdegree + 1)
-over one component. engine_diff alone picks an engine, or the bipartite
-closed form when both are over budget.
+components, not the whole orientation: ENUM_CAP bounds the arc count of the
+largest component and POLY_BUDGET the largest product of (outdegree + 1)
+over one component. diff(D) is a function of D alone, so the gates are
+module constants, each read by its own engine, and no function here takes
+SolverOptions. engine_diff alone picks an engine, or the bipartite closed
+form when both are over budget.
 
 Everything is a pure function of immutable inputs.
 """
@@ -52,7 +54,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError, SearchTimeout
 from .graphs import Graph, bipartition
-from .options import DEFAULT_OPTIONS, SolverOptions
 
 
 class Orientation:
@@ -286,21 +287,26 @@ def tally_arcs(n_vertices: int, arcs: Sequence[tuple[int, int]]) -> tuple[int, i
     )
 
 
-def _tally_components(
-    parts: Sequence[StrongComponent], options: SolverOptions
-) -> EulerianTally:
+# Max arc count of the largest strongly connected component that the tally
+# enumerates: meet-in-the-middle, at most 2^ceil(arcs/2) keys per half of a
+# component's arcs, fewer where a vertex's arcs all lie in one half; a
+# component that is one directed cycle costs none.
+ENUM_CAP = 24
+
+
+def _tally_components(parts: Sequence[StrongComponent]) -> EulerianTally:
     """Exact even/odd tally of the union of strongly connected components
-    `parts`, gated by enum_cap on the arc count of the largest.
+    `parts`, gated by ENUM_CAP on the arc count of the largest.
 
     Each component is tallied over all of its arc subsets. An Eulerian
     subdigraph of the union picks one in every component, and its parity is
     the sum of theirs, so (even, odd) combine as (e1 e2 + o1 o2, e1 o2 + o1 e2).
     """
     arcs = max((len(part.arcs) for part in parts), default=0)
-    if arcs > options.enum_cap:
+    if arcs > ENUM_CAP:
         raise CapacityError(
             f"{arcs} arcs in the largest strongly connected component "
-            f"exceeds the enumeration cap {options.enum_cap}; raise enum_cap"
+            f"exceeds the enumeration cap {ENUM_CAP}"
         )
     even, odd = 1, 0
     for part in parts:
@@ -309,12 +315,10 @@ def _tally_components(
     return EulerianTally(even, odd)
 
 
-def eulerian_tally_enumerate(
-    d: Orientation, options: SolverOptions = DEFAULT_OPTIONS
-) -> EulerianTally:
+def eulerian_tally_enumerate(d: Orientation) -> EulerianTally:
     """Exact even/odd tally of the orientation over its strongly connected
-    components, gated by enum_cap on the arc count of the largest."""
-    return _tally_components(d.strong_components(), options)
+    components, gated by ENUM_CAP on the arc count of the largest."""
+    return _tally_components(d.strong_components())
 
 
 # ---------------------------------------------------------------------------
@@ -505,36 +509,37 @@ def diff_coefficient(d: Orientation, order: Optional[Sequence[int]] = None) -> i
     return coef
 
 
-def eulerian_diff_poly(
-    d: Orientation, options: SolverOptions = DEFAULT_OPTIONS
-) -> int:
+# Gate for eulerian_diff_poly: no strongly connected component's product of
+# (outdegree+1) over its vertices may exceed this many monomials.
+POLY_BUDGET = 2_000_000
+
+
+def eulerian_diff_poly(d: Orientation) -> int:
     """Coefficient of prod_v x_v^(outdeg v) in prod_{(t,h)} (x_t - x_h), which
-    equals diff(d) (see diff_coefficient), gated by poly_budget on the largest
+    equals diff(d) (see diff_coefficient), gated by POLY_BUDGET on the largest
     product of (outdegree + 1) over one strongly connected component."""
     states = max(
         (prod(c + 1 for c in part.outdegrees()) for part in d.strong_components()),
         default=1,
     )
-    if states > options.poly_budget:
+    if states > POLY_BUDGET:
         raise CapacityError(
             f"monomial state bound of {states.bit_length()} bits exceeds "
-            f"poly_budget of {options.poly_budget.bit_length()} bits"
+            f"the polynomial budget of {POLY_BUDGET.bit_length()} bits"
         )
     return diff_coefficient(d)
 
 
 def engine_diff(
-    d: Orientation,
-    options: SolverOptions = DEFAULT_OPTIONS,
-    recorded: Optional[str] = None,
+    d: Orientation, recorded: Optional[str] = None
 ) -> tuple[Optional[str], Optional[int]]:
     """(method, signed diff(d)) from the first engine within budget: the tally
     ("enumeration"), then the coefficient ("polynomial"), the `recorded` one
     last so that the other re-checks it. With both over budget,
     ("bipartite-closed-form", None) when d's graph is bipartite (every
     orientation of it has diff != 0), else (None, None)."""
-    tally = ("enumeration", lambda: eulerian_tally_enumerate(d, options).diff)
-    poly = ("polynomial", lambda: eulerian_diff_poly(d, options))
+    tally = ("enumeration", lambda: eulerian_tally_enumerate(d).diff)
+    poly = ("polynomial", lambda: eulerian_diff_poly(d))
     for method, run in (poly, tally) if recorded == "enumeration" else (tally, poly):
         try:
             return method, run()
@@ -556,7 +561,7 @@ class OneWayCutReport(NamedTuple):
     When the split is one-way (every crossing arc leaves `left`), no Eulerian
     subdigraph can use a crossing arc, so diff factors exactly:
     diff(D) = diff(D[left]) * diff(D[right]). A side's diff is filled in when
-    every strongly connected component on it is within enum_cap. A split
+    every strongly connected component on it is within ENUM_CAP. A split
     with an arc back into `left` has one_way False and no diffs.
     """
 
@@ -571,10 +576,7 @@ class OneWayCutReport(NamedTuple):
 
 
 def one_way_cut_check(
-    d: Orientation,
-    left: Iterable[int],
-    right: Iterable[int],
-    options: SolverOptions = DEFAULT_OPTIONS,
+    d: Orientation, left: Iterable[int], right: Iterable[int]
 ) -> OneWayCutReport:
     """Check that all crossing arcs go left->right and read each side's diff
     off the strongly connected components.
@@ -582,7 +584,7 @@ def one_way_cut_check(
     A one-way cut is the case of the strongly connected component product
     where the components fall on two sides: no component crosses the cut.
     Each side's components are tallied as the tally engine tallies a whole
-    orientation; a side with a component over enum_cap has no diff.
+    orientation; a side with a component over ENUM_CAP has no diff.
     """
     left = frozenset(left)
     right = frozenset(right)
@@ -594,7 +596,7 @@ def one_way_cut_check(
     def side_diff(side: frozenset[int]) -> Optional[int]:
         parts = [part for part in d.strong_components() if part.vertices[0] in side]
         try:
-            return _tally_components(parts, options).diff
+            return _tally_components(parts).diff
         except CapacityError:
             return None
 

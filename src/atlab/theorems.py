@@ -29,7 +29,9 @@ One `run_suite` call shares four things between its checks, each through
 by ("search", graph, options), chromatic numbers, keyed by ("chi", graph),
 and the hypercubes Q_n, keyed by n. Chi is a function of the graph alone, so
 its key, `_chromatic` and the chi rows (`check_lemma_3_5`,
-`check_chi_product`) take no options. `_chromatic` is the one reader of chi,
+`check_chi_product`) take no options; nor do the rows that solve by
+`at_bipartite` alone (`check_theorem_1`, `check_corollary_3_4`), since the
+closed form searches nothing. `_chromatic` is the one reader of chi,
 and `_exact_at` gives it the chi a solved result holds. Coronas Q_n o H and
 products with Q_n recur across Lemma 3.2, Theorem 1, Corollary 3.4,
 Theorem 2, Corollary 3.8 and Lemma 3.9, and Q2 and Q4 are Lemma 3.1
@@ -269,31 +271,24 @@ def check_lemma_3_2(n: int, options: SolverOptions = DEFAULT_OPTIONS) -> ClaimRe
     return _closed_form_row("lemma3.2", f"Q{n}", ceil_half(n) + 1, q, result, evidence, options)
 
 
-def check_theorem_1(
-    n: int,
-    tree: Graph,
-    tree_name: str = "T",
-    options: SolverOptions = DEFAULT_OPTIONS,
-) -> ClaimReport:
+def check_theorem_1(n: int, tree: Graph, tree_name: str = "T") -> ClaimReport:
     """AT(Q_n x T_m): ceil(n/2)+1 when n odd and m = 2, else ceil(n/2)+2."""
     if not is_tree(tree) or tree.n < 2:
         raise ValueError(f"{tree_name} is not a tree on >= 2 vertices")
     m = tree.n
     predicted = ceil_half(n) + 1 if (n % 2 == 1 and m == 2) else ceil_half(n) + 2
     g = cartesian_product(_hypercube(n), tree)
-    result = at_bipartite(g, options)
+    result = at_bipartite(g)
     least_out = result.certificate.orientation.max_outdegree()
     evidence = f"|V|={g.n} |E|={g.m} least max outdegree {least_out}"
     return _row("theorem1", f"Q{n} x {tree_name}", {predicted}, result.lo, result.hi, evidence)
 
 
-def check_corollary_3_4(
-    n: int, k: int, options: SolverOptions = DEFAULT_OPTIONS
-) -> ClaimReport:
+def check_corollary_3_4(n: int, k: int) -> ClaimReport:
     """AT(Q_n x C_2k) = ceil(n/2) + 2."""
     predicted = ceil_half(n) + 2
     g = cartesian_product(_hypercube(n), cycle(2 * k))
-    result = at_bipartite(g, options)
+    result = at_bipartite(g)
     return _row(
         "corollary3.4", f"Q{n} x C{2 * k}", {predicted}, result.lo, result.hi,
         f"|V|={g.n} |E|={g.m}",
@@ -552,7 +547,7 @@ def remark_instances(options: SolverOptions = DEFAULT_OPTIONS) -> list[tuple[str
         ("Q2 x P4", cartesian_product(cubes[2], path(4))),
         ("Q2 x C4", cartesian_product(cubes[2], cycle(4))),
     ):
-        results.append((name, g, at_bipartite(g, options)))
+        results.append((name, g, at_bipartite(g)))
     r3 = _exact_at(cubes[3], options)
     for name, g2 in (("Q3 o P3", path(3)), ("Q3 o C3", cycle(3))):
         result = _pinch(r3, _exact_at(g2, options))
@@ -608,12 +603,12 @@ def run_suite(
             for n in sweep(n_range, range(1, 4)):
                 for m in range(2, 6):
                     for tname, tree in tree_catalog(m, seed):
-                        row(check_theorem_1, n, tree, tname, options)
+                        row(check_theorem_1, n, tree, tname)
         if want("corollary3.4"):
             for n in sweep(n_range, range(1, 4)):
                 for k in sweep(k_range, range(2, 4)):
                     if k >= 2:  # C_2k needs at least 4 vertices
-                        row(check_corollary_3_4, n, k, options)
+                        row(check_corollary_3_4, n, k)
         if want("lemma3.5"):
             row(check_lemma_3_5, cycle(3), cycle(4), "C3", "C4")
             row(check_lemma_3_5, cycle(4), cycle(3), "C4", "C3")

@@ -47,6 +47,7 @@ from atlab import (
     orient,
     path,
 )
+from atlab import eulerian
 from atlab.density import induced_edge_count
 from atlab.eulerian import diff_coefficient
 from atlab.theorems import (
@@ -249,11 +250,11 @@ def test_criterion_08_engine_cross_validation():
     _finish(8, "enumeration vs polynomial on 200 orientations", failures, t0, 60)
 
 
-def test_criterion_09_one_way_cut_product_law():
+def test_criterion_09_one_way_cut_product_law(monkeypatch):
     t0 = time.monotonic()
     failures = []
     rng = random.Random(909)
-    opts = SolverOptions(enum_cap=28)
+    monkeypatch.setattr(eulerian, "ENUM_CAP", 28)
     done = 0
     while done < 100:
         g1 = random_graph(rng, rng.randint(2, 6), 0.55)
@@ -274,14 +275,14 @@ def test_criterion_09_one_way_cut_product_law():
         tails += [n1 + e[rng.randint(0, 1)] for e in g2.edges]
         tails += [a for a, _ in cross]  # every cross arc leaves side 1
         d = orient(whole, tails)
-        rep = one_way_cut_check(d, range(n1), range(n1, whole.n), opts)
+        rep = one_way_cut_check(d, range(n1), range(n1, whole.n))
         if not (rep.one_way and rep.product_ok):
             failures.append(f"instance {done}: {rep}")
         # the reference route: tally each side's induced orientation, and d whole
         reference = (
-            eulerian_tally_enumerate(induced_orientation(d, range(n1)), opts).diff,
-            eulerian_tally_enumerate(induced_orientation(d, range(n1, whole.n)), opts).diff,
-            eulerian_tally_enumerate(d, opts).diff,
+            eulerian_tally_enumerate(induced_orientation(d, range(n1))).diff,
+            eulerian_tally_enumerate(induced_orientation(d, range(n1, whole.n))).diff,
+            eulerian_tally_enumerate(d).diff,
         )
         if (rep.diff_left, rep.diff_right, cut_product(rep)) != reference:
             failures.append(f"instance {done}: {rep} vs reference {reference}")
@@ -289,7 +290,7 @@ def test_criterion_09_one_way_cut_product_law():
     _finish(9, "one-way cut diff product law on 100 digraphs", failures, t0, 60)
 
 
-def test_criterion_10_bipartite_consistency():
+def test_criterion_10_bipartite_consistency(monkeypatch):
     t0 = time.monotonic()
     failures = []
     for name, g in corpus():
@@ -300,12 +301,12 @@ def test_criterion_10_bipartite_consistency():
         if closed != searched:
             failures.append(f"{name}: search {searched} vs closed form {closed}")
     rng = random.Random(1010)
-    opts = SolverOptions(enum_cap=24)
+    monkeypatch.setattr(eulerian, "ENUM_CAP", 24)
     done = 0
     while done < 50:
         g = random_bipartite_graph(rng, max_side=5, max_edges=24)
         d = random_orientation(rng, g)
-        if eulerian_tally_enumerate(d, opts).diff == 0:
+        if eulerian_tally_enumerate(d).diff == 0:
             failures.append(f"bipartite orientation {done} has diff 0: {d.arcs}")
         done += 1
     _finish(10, "bipartite closed-form consistency", failures, t0, 300)

@@ -7,7 +7,6 @@ import pytest
 
 import atlab
 from atlab import (
-    DEFAULT_OPTIONS,
     CapacityError,
     Graph,
     ProofObligationError,
@@ -398,7 +397,7 @@ def density_certificate(g):
     dens = max_density_bruteforce(g) if g.n <= 20 else max_density(g)
     level = math.ceil(dens.density) + 1
     d = bounded_outdegree_orientation(g, level - 1)
-    method, diff = engine_diff(d, DEFAULT_OPTIONS)
+    method, diff = engine_diff(d)
     return ATCertificate(level, d, None if diff is None else abs(diff), method)
 
 
@@ -712,7 +711,7 @@ def test_a_certificate_below_a_refuted_level_breaks_the_proof(monkeypatch):
     # level 2 contradicts both lower terms and the refutation
     g = cartesian_product(cycle(3), cycle(3))
     monkeypatch.setattr(atlab.atsolver, "_certify",
-                        lambda _g, d, _o: ATCertificate(2, d, 1, "enumeration"))
+                        lambda _g, d: ATCertificate(2, d, 1, "enumeration"))
     with pytest.raises(ProofObligationError, match="exhaustive-refutation lower bound 4"):
         at_exact(g, SolverOptions(search_edge_cap=24))
 
@@ -737,7 +736,7 @@ def test_at_exact_k3xk3xk2_certified_by_coefficient():
     res = at_exact(g, SolverOptions(search_edge_cap=g.m))
     assert res.value == 4
     cert = res.certificate
-    assert g.m > SolverOptions().enum_cap and cert.method == "polynomial"
+    assert g.m > atlab.eulerian.ENUM_CAP and cert.method == "polynomial"
     assert cert.orientation.max_outdegree() <= cert.level - 1 and cert.diff_magnitude > 0
 
 

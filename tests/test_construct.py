@@ -6,7 +6,6 @@ from atlab import (
     ATCertificate,
     Graph,
     Orientation,
-    SolverOptions,
     acyclic_certificate,
     at_bipartite,
     bipartition,
@@ -26,6 +25,7 @@ from atlab import (
     tree_from_pruefer,
     verify_certificate,
 )
+from atlab import eulerian
 from atlab.eulerian import diff_coefficient
 from helpers import (
     crossing_arcs,
@@ -36,7 +36,11 @@ from helpers import (
     recipe_tail_labels,
 )
 
-WIDE = SolverOptions(enum_cap=32)
+
+@pytest.fixture
+def wide(monkeypatch):
+    # the tally's cap at 32 arcs, past every composite component below
+    monkeypatch.setattr(eulerian, "ENUM_CAP", 32)
 
 
 def cyclic(n):
@@ -57,7 +61,7 @@ def test_product_k2_k2():
     assert tail_labels(d) == recipe_tail_labels("product", arc, arc, d.graph)
 
 
-def test_product_outdegree_profile_exact():
+def test_product_outdegree_profile_exact(wide):
     c4 = cycle(4)
     t4 = tree_from_pruefer((1, 1))
     d1 = cyclic(4)
@@ -69,18 +73,18 @@ def test_product_outdegree_profile_exact():
         v = t4.vertices.index(v_lab)
         assert d.outdegrees[idx] == d1.outdegrees[u] + d2.outdegrees[v]
     assert d.max_outdegree() == 2
-    tally = eulerian_tally_enumerate(d, WIDE)
+    tally = eulerian_tally_enumerate(d)
     assert tally.diff == 16  # frozen; level-3 certificate for the product
     assert recipe == "product"
 
 
-def test_product_fig2_path_variant():
+def test_product_fig2_path_variant(wide):
     c4, p4 = cycle(4), path(4)
     d1 = cyclic(4)
     d2 = Orientation(p4, [1, 2, 3])
     d, _ = product_orientation(c4, d1, p4, d2)
     assert d.max_outdegree() == 2
-    assert eulerian_tally_enumerate(d, WIDE).diff != 0
+    assert eulerian_tally_enumerate(d).diff != 0
 
 
 def test_product_validates_inputs():
@@ -120,28 +124,28 @@ def test_builders_follow_the_rules_on_random_factors(kind):
     assert edgeless
 
 
-def test_corona_cut_product_law():
+def test_corona_cut_product_law(wide):
     q2, t4 = hypercube(2), tree_from_pruefer((1, 1))
     d1 = bounded_outdegree_orientation(q2, 1)
     d2 = Orientation(t4, [0, 2, 3])
     d, _ = corona_orientation(q2, d1, t4, d2)
     leaves, hub = corona_cut_sides(q2, t4)
-    rep = one_way_cut_check(d, leaves, hub, WIDE)
+    rep = one_way_cut_check(d, leaves, hub)
     assert rep.one_way and rep.product_ok
     assert rep.diff_left * rep.diff_right != 0
     # the reference route: tally each side's induced orientation, and d whole
-    assert rep.diff_left == eulerian_tally_enumerate(induced_orientation(d, leaves), WIDE).diff
-    assert rep.diff_right == eulerian_tally_enumerate(induced_orientation(d, hub), WIDE).diff
-    assert cut_product(rep) == eulerian_tally_enumerate(d, WIDE).diff
+    assert rep.diff_left == eulerian_tally_enumerate(induced_orientation(d, leaves)).diff
+    assert rep.diff_right == eulerian_tally_enumerate(induced_orientation(d, hub)).diff
+    assert cut_product(rep) == eulerian_tally_enumerate(d).diff
 
 
-def test_corona_requires_at_factor():
+def test_corona_requires_at_factor(wide):
     c4, c3 = cycle(4), cycle(3)
     d_whole, _ = corona_orientation(c4, cyclic(4), c3, cyclic(3))
-    assert eulerian_tally_enumerate(d_whole, WIDE).diff == 0
+    assert eulerian_tally_enumerate(d_whole).diff == 0
     acyc3 = Orientation(c3, [0, 1, 0])
     d_good, _ = corona_orientation(c4, cyclic(4), c3, acyc3)
-    assert abs(eulerian_tally_enumerate(d_good, WIDE).diff) == 2
+    assert abs(eulerian_tally_enumerate(d_good).diff) == 2
 
 
 def test_corona_bipartite_composites_are_at():
@@ -156,13 +160,14 @@ def test_corona_bipartite_composites_are_at():
     assert d.max_outdegree() <= 1
 
 
-def test_product_bipartite_composites_are_at():
+def test_product_bipartite_composites_are_at(monkeypatch):
     q2, p3 = hypercube(2), path(3)
     d1 = bounded_outdegree_orientation(q2, 1)
     d2 = orient(p3, [0, 1])
     d, _ = product_orientation(q2, d1, p3, d2)
     assert bipartition(d.graph) is not None
-    assert eulerian_tally_enumerate(d, SolverOptions(enum_cap=d.graph.m)).diff != 0
+    monkeypatch.setattr(eulerian, "ENUM_CAP", d.graph.m)
+    assert eulerian_tally_enumerate(d).diff != 0
 
 
 def test_verify_accepts_valid_certificates():
@@ -185,29 +190,30 @@ def test_verify_rejects_outdegree_violation():
     assert rep.messages == ("outdegree violation: max outdegree 1 > 0",)
 
 
-def assert_corona_law(d, d1, d2, options=WIDE):
+def assert_corona_law(d, d1, d2):
     """diff(D) = diff(d1) * diff(d2)^m for D built from the factor
     orientations d1 and d2, sign included, by the coefficient engine on D
     against the tally on the factors, and by the one-way cut."""
     m = d1.graph.n
     factor_law = (
-        eulerian_tally_enumerate(d1, options).diff
-        * eulerian_tally_enumerate(d2, options).diff ** m
+        eulerian_tally_enumerate(d1).diff * eulerian_tally_enumerate(d2).diff ** m
     )
     assert diff_coefficient(d) == factor_law
-    cut = one_way_cut_check(d, *corona_cut_sides(d1.graph, d2.graph), options)
+    cut = one_way_cut_check(d, *corona_cut_sides(d1.graph, d2.graph))
     assert cut.one_way and cut.product_ok and cut_product(cut) == factor_law
 
 
-def test_verify_corona_recipe_law():
+def test_verify_corona_recipe_law(monkeypatch):
     c4, c3 = cycle(4), cycle(3)
     acyc3 = Orientation(c3, [0, 1, 0])
     d4 = cyclic(4)
     d, _ = corona_orientation(c4, d4, c3, acyc3)
     cert = ATCertificate(d.max_outdegree() + 1, d, 2, "enumeration")
-    rep = verify_certificate(cert, options=WIDE)
-    assert rep.accepted
-    assert_corona_law(d, d4, acyc3)
+    with monkeypatch.context() as wide:
+        wide.setattr(eulerian, "ENUM_CAP", 32)
+        rep = verify_certificate(cert)
+        assert rep.accepted
+        assert_corona_law(d, d4, acyc3)
     # through the coefficient engine, with a factor of diff -1: the law
     # holds sign included
     prism = cartesian_product(c3, path(2))
@@ -216,10 +222,10 @@ def test_verify_corona_recipe_law():
     d2 = orient(path(2), [0])
     d, _ = corona_orientation(prism, d1, path(2), d2)
     cert = ATCertificate(d.max_outdegree() + 1, d, 1, "enumeration")
-    options = SolverOptions(poly_budget=10**9)
-    rep = verify_certificate(cert, options=options)
+    monkeypatch.setattr(eulerian, "POLY_BUDGET", 10**9)
+    rep = verify_certificate(cert)
     assert rep.accepted and rep.diff_method == "polynomial"
-    assert_corona_law(d, d1, d2, options)
+    assert_corona_law(d, d1, d2)
     assert diff_coefficient(d) == -1
 
 
@@ -230,13 +236,14 @@ def test_verify_closed_form_fallback_for_big_bipartite():
     assert rep.accepted and rep.diff_method == "bipartite-closed-form"
 
 
-def test_verify_outdegree_only_downgrade():
+def test_verify_outdegree_only_downgrade(monkeypatch):
     # non-bipartite, all engines priced out: the directed C5 is one strongly
     # connected component of 5 arcs and state bound 2^5
     g = cycle(5)
     d = Orientation(g, [0, 1, 2, 3, 4])
-    tiny = SolverOptions(enum_cap=1, poly_budget=1)
-    rep = verify_certificate(ATCertificate(3, d, None, "claimed"), options=tiny)
+    monkeypatch.setattr(eulerian, "ENUM_CAP", 1)
+    monkeypatch.setattr(eulerian, "POLY_BUDGET", 1)
+    rep = verify_certificate(ATCertificate(3, d, None, "claimed"))
     assert rep.verdict == "outdegree-only"
 
 
@@ -259,7 +266,7 @@ def recipe_certificate(kind, g1, g2):
 
 
 def test_verify_recipe_certificates_past_enum_cap():
-    # the composites are over enum_cap, but their strongly connected
+    # the composites are over ENUM_CAP, but their strongly connected
     # components are copies of the Q_n factor's (the other factor's
     # orientation is acyclic), so the tally decides them
     cases = [
@@ -270,13 +277,13 @@ def test_verify_recipe_certificates_past_enum_cap():
     ]
     for kind, g1, g2, magnitude in cases:
         cert, factors = recipe_certificate(kind, g1, g2)
-        assert cert.orientation.graph.m > SolverOptions().enum_cap
+        assert cert.orientation.graph.m > eulerian.ENUM_CAP
         rep = verify_certificate(cert)
         assert rep.accepted and rep.diff_method == "enumeration", (kind, g1.n, g2.n)
         assert rep.diff_magnitude == magnitude
         if kind == "corona":
             assert cert.diff_magnitude == magnitude
-            assert_corona_law(cert.orientation, *factors, SolverOptions())
+            assert_corona_law(cert.orientation, *factors)
     # Q4's closed-form orientation is one strongly connected component of 32
     # arcs and 3^16 states: both engines stay gated
     cert, _ = recipe_certificate("corona", hypercube(4), cycle(5))
@@ -285,7 +292,7 @@ def test_verify_recipe_certificates_past_enum_cap():
 
 def test_corona_cut_reports_on_recipe_certificates():
     # (crossing arc count, diff_left, diff_right, their product) of the
-    # copies/hub cut; Q4 o C5, whose hub is over enum_cap, is the next test's
+    # copies/hub cut; Q4 o C5, whose hub is over ENUM_CAP, is the next test's
     cases = [
         (hypercube(3), cycle(3), (24, 1, 4, 4)),
         (hypercube(3), path(3), (24, 1, 4, 4)),
@@ -303,7 +310,7 @@ def test_corona_cut_reports_on_recipe_certificates():
 
 def test_corona_cut_side_over_enum_cap_has_no_diff():
     # Q4 o C5 from the Q4 closed form and the C5 degeneracy order: the copies
-    # are acyclic (diff 1), the hub is one 32-arc component over enum_cap
+    # are acyclic (diff 1), the hub is one 32-arc component over ENUM_CAP
     cert, _ = recipe_certificate("corona", hypercube(4), cycle(5))
     leaves, hub = corona_cut_sides(hypercube(4), cycle(5))
     rep = one_way_cut_check(cert.orientation, leaves, hub)

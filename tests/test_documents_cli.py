@@ -5,6 +5,7 @@ from atlab import (
     corona,
     corona_orientation,
     cycle,
+    eulerian,
     hypercube,
     orient,
     path,
@@ -275,7 +276,7 @@ def test_cli_diff_modes(tmp_path, capsys):
 
 
 def test_cli_diff_past_enum_cap(tmp_path, capsys):
-    # Q3 o C3 from its factors' certificates: 60 arcs, over enum_cap 24, but
+    # Q3 o C3 from its factors' certificates: 60 arcs, over ENUM_CAP 24, but
     # its strongly connected components are two directed 4-cycles
     from atlab import ATCertificate, acyclic_certificate
 
@@ -293,8 +294,8 @@ def test_cli_diff_past_enum_cap(tmp_path, capsys):
 
 def test_cli_diff_over_the_tally_gate_names_only_enum_cap(tmp_path, capsys):
     # Q5's closed-form certificate has a strongly connected component of 32
-    # arcs, past enum_cap 24; `atlab diff` runs the tally alone, so the hint
-    # names the one budget it reads
+    # arcs, past ENUM_CAP 24; `atlab diff` runs the tally alone, so the
+    # message names the one cap it reads, which no flag raises
     gpath = tmp_path / "q5.graph"
     cpath = tmp_path / "q5.cert"
     main(["gen", "hypercube", "5", "-o", str(gpath)])
@@ -302,7 +303,7 @@ def test_cli_diff_over_the_tally_gate_names_only_enum_cap(tmp_path, capsys):
     capsys.readouterr()
     assert main(["diff", "--cert", str(cpath)]) == 3
     err = capsys.readouterr().err
-    assert "enum_cap" in err and "polynomial" not in err
+    assert "enumeration cap 24" in err and "polynomial" not in err and "raise" not in err
 
 
 def test_cli_diff_rejects_zero_certificate(tmp_path, capsys):
@@ -678,6 +679,26 @@ def test_writer_refuses_a_recipe_kind_that_is_not_one_word(kind):
         serialize_certificate(cert, recipe=kind)
 
 
+@pytest.mark.parametrize("kind", ["banana", "rule", "products", "Corona"])
+def test_recipe_kinds_are_the_words_the_builders_return(tmp_path, capsys, kind):
+    # a recipe names the construction that built the orientation, so the
+    # writer and the parser take only "product" and "corona"; `atlab verify`
+    # refuses any other word as a usage error before it checks anything
+    from atlab import at_exact
+
+    cert = at_exact(cycle(4)).certificate
+    with pytest.raises(ValueError, match=f"recipe kind {kind!r} is not one of product, corona"):
+        serialize_certificate(cert, "C4", kind)
+    doc = serialize_certificate(cert, "C4", "corona").replace("recipe corona", f"recipe {kind}")
+    with pytest.raises(ValueError, match="recipe kind"):
+        parse_certificate(doc)
+    cpath = tmp_path / "c4.cert"
+    cpath.write_text(doc)
+    assert main(["verify", str(cpath)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: recipe kind {kind!r} is not one of product, corona\n")
+
+
 def test_every_document_a_writer_returns_reads_back():
     import random
 
@@ -692,7 +713,7 @@ def test_every_document_a_writer_returns_reads_back():
     written = refused = 0
     for _ in range(400):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
-        recipe = text if rng.random() < 0.5 else None
+        recipe = rng.choice([None, text, "product", "corona"])
         try:
             graph_doc = serialize_graph(g, text)
             cert_doc = serialize_certificate(cert, text, recipe)
@@ -703,7 +724,7 @@ def test_every_document_a_writer_returns_reads_back():
         assert parse_graph(graph_doc) == (g, text or None)
         parsed = parse_certificate(cert_doc)
         assert parsed.orientation == d
-        assert parsed.recipe_kind == (None if recipe is None else text)
+        assert parsed.recipe_kind == recipe
         assert serialize_certificate(parsed.as_certificate(), text, recipe) == cert_doc
     assert written and refused
 
@@ -723,9 +744,18 @@ def _verify_document(name):
     budgets ("q4oc5"), a level-search certificate re-checked by the other
     engine ("c3c3"), and an AT certificate that names a corona recipe but
     points its one hub link out of the hub, so the recipe's cut is not
-    one-way ("k1ok1"), and a C4 certificate that names a corona recipe though
-    no vertex is a hub, so there is no cut to check ("c4")."""
-    from atlab import ATCertificate, acyclic_certificate, at_exact, cartesian_product
+    one-way ("k1ok1"), a C4 certificate that names a corona recipe though
+    no vertex is a hub, so there is no cut to check ("c4"), and product
+    recipes, of which verify checks nothing: on C4, which is no product
+    ("c4product"), and on a Q2 x K3 product orientation ("q2xk3")."""
+    from atlab import (
+        ATCertificate,
+        acyclic_certificate,
+        at_exact,
+        cartesian_product,
+        complete,
+        product_orientation,
+    )
 
     q4 = hypercube(4)
     if name == "q4":
@@ -740,8 +770,16 @@ def _verify_document(name):
     if name == "k1ok1":
         cert = ATCertificate(2, orient(corona(path(1), path(1)), [0]), 1, "product-law")
         return serialize_certificate(cert, "K1 o K1", "corona")
-    if name == "c4":
-        return serialize_certificate(at_exact(cycle(4)).certificate, "C4", "corona")
+    if name in ("c4", "c4product"):
+        kind = "corona" if name == "c4" else "product"
+        return serialize_certificate(at_exact(cycle(4)).certificate, "C4", kind)
+    if name == "q2xk3":
+        q2, k3 = hypercube(2), complete(3)
+        d, recipe = product_orientation(
+            q2, at_bipartite(q2).certificate.orientation, k3, acyclic_certificate(k3).orientation
+        )
+        cert = ATCertificate(d.max_outdegree() + 1, d, 8, "product-law")
+        return serialize_certificate(cert, "Q2 x K3", recipe)
     found = at_exact(cartesian_product(cycle(3), cycle(3))).certificate
     assert found.method == "enumeration"
     return serialize_certificate(found, "C3 x C3")
@@ -760,6 +798,10 @@ def _verify_document(name):
     ("c4", 1, "verdict: accepted\nmax outdegree 1 (level 2)\n"
               "diff check: polynomial -> 2\n"
               "note: recipe corona but no vertex is labelled as a hub\n"),
+    ("c4product", 0, "verdict: accepted\nmax outdegree 1 (level 2)\n"
+                     "diff check: polynomial -> 2\nnote: recipe product is not checked\n"),
+    ("q2xk3", 0, "verdict: accepted\nmax outdegree 3 (level 4)\n"
+                 "diff check: enumeration -> 8\nnote: recipe product is not checked\n"),
 ])
 def test_cli_verify_output_per_diff_route(tmp_path, capsys, name, code, out):
     cpath = tmp_path / f"{name}.cert"
@@ -784,7 +826,7 @@ def test_negative_vertex_count_is_rejected():
         parse_graph("atlab-graph 1\nvertices -1\nedges 0\n")
 
 
-def test_cli_verify_corona_recipe_prints_cut_law(tmp_path, capsys):
+def test_cli_verify_corona_recipe_prints_cut_law(tmp_path, capsys, monkeypatch):
     from atlab import ATCertificate, acyclic_certificate
 
     q3, c3 = hypercube(3), cycle(3)
@@ -798,8 +840,9 @@ def test_cli_verify_corona_recipe_prints_cut_law(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "verdict: accepted" in out
     assert out.endswith("recipe cut: one-way, copies diff 1, hubs diff 4\n")
-    # past enum_cap the sides have no diff, and the cut is still reported
-    assert main(["verify", str(cpath), "--enum-cap", "3"]) == 0
+    # past ENUM_CAP the sides have no diff, and the cut is still reported
+    monkeypatch.setattr(eulerian, "ENUM_CAP", 3)
+    assert main(["verify", str(cpath)]) == 0
     assert capsys.readouterr().out == (
         "verdict: accepted\nmax outdegree 3 (level 4)\n"
         "diff check: polynomial -> 4\nrecipe cut: one-way\n")

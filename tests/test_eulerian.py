@@ -22,6 +22,7 @@ from atlab import (
     orientation_from_arcs,
     path,
 )
+from atlab import eulerian
 from atlab.eulerian import (
     diff_coefficient,
     engine_diff,
@@ -119,11 +120,12 @@ def strongly_connected_q4():
     return d
 
 
-def test_tally_cap():
+def test_tally_cap(monkeypatch):
     d = strongly_connected_q4()  # one component of 32 arcs
     with pytest.raises(CapacityError):
         eulerian_tally_enumerate(d)
-    t = eulerian_tally_enumerate(d, SolverOptions(enum_cap=32))
+    monkeypatch.setattr(eulerian, "ENUM_CAP", 32)
+    t = eulerian_tally_enumerate(d)
     assert t.diff != 0  # bipartite base
 
 
@@ -133,10 +135,11 @@ def test_poly_engine_values():
     assert abs(eulerian_diff_poly(cyclic(4))) == 2
 
 
-def test_poly_budget_gate():
+def test_poly_budget_gate(monkeypatch):
     d = strongly_connected_q4()
+    monkeypatch.setattr(eulerian, "POLY_BUDGET", 10)
     with pytest.raises(CapacityError):
-        eulerian_diff_poly(d, SolverOptions(poly_budget=10))
+        eulerian_diff_poly(d)
 
 
 def test_engines_agree_on_magnitude():
@@ -166,7 +169,7 @@ def test_coefficient_is_the_signed_diff_in_any_vertex_order():
             assert diff_coefficient(d, o) == even - odd
 
 
-def test_coefficient_of_q3_corona_c3_certificate():
+def test_coefficient_of_q3_corona_c3_certificate(monkeypatch):
     # the recipe orientation factors across its one-way cut:
     # |diff| = |diff(Q3 part)| * |diff(C3 part)|^8 = 4 * 1
     q3, c3 = hypercube(3), cycle(3)
@@ -174,17 +177,21 @@ def test_coefficient_of_q3_corona_c3_certificate():
     d2 = acyclic_certificate(c3).orientation
     d, _ = corona_orientation(q3, d1, c3, d2)
     assert abs(eulerian_tally_enumerate(d1).diff) == 4
-    assert abs(eulerian_diff_poly(d, SolverOptions(poly_budget=10**15))) == 4
-    # its components are two directed 4-cycles, so its state bound is 2^4 and
-    # the default budget admits it
-    with pytest.raises(CapacityError):
-        eulerian_diff_poly(d, SolverOptions(poly_budget=2**4 - 1))
-    assert abs(eulerian_diff_poly(d, SolverOptions(poly_budget=2**4))) == 4
+    with monkeypatch.context() as patch:
+        patch.setattr(eulerian, "POLY_BUDGET", 10**15)
+        assert abs(eulerian_diff_poly(d)) == 4
+        # its components are two directed 4-cycles, so its state bound is 2^4
+        # and the default budget admits it
+        patch.setattr(eulerian, "POLY_BUDGET", 2**4 - 1)
+        with pytest.raises(CapacityError):
+            eulerian_diff_poly(d)
+        patch.setattr(eulerian, "POLY_BUDGET", 2**4)
+        assert abs(eulerian_diff_poly(d)) == 4
     assert abs(eulerian_diff_poly(d)) == 4
     assert abs(diff_coefficient(d, frontier_order(d.graph.adjacency)[::-1])) == 4
 
 
-def test_the_coefficient_gate_refuses_a_bound_too_long_to_print():
+def test_the_coefficient_gate_refuses_a_bound_too_long_to_print(monkeypatch):
     # the directed 14400-cycle's state bound is 2^14400, past the 4300 digits
     # that str(int) converts; the gate must still raise CapacityError
     n = 14400
@@ -193,10 +200,11 @@ def test_the_coefficient_gate_refuses_a_bound_too_long_to_print():
         eulerian_diff_poly(d)
     # so must a budget too long to print, one short of the bound; with the
     # tally over its cap too, the even cycle falls back on the closed form
-    huge = SolverOptions(poly_budget=2**n - 1)
-    with pytest.raises(CapacityError, match=f"poly_budget of {n} bits"):
-        eulerian_diff_poly(d, huge)
-    assert engine_diff(d, huge.with_(enum_cap=1)) == ("bipartite-closed-form", None)
+    monkeypatch.setattr(eulerian, "POLY_BUDGET", 2**n - 1)
+    with pytest.raises(CapacityError, match=f"polynomial budget of {n} bits"):
+        eulerian_diff_poly(d)
+    monkeypatch.setattr(eulerian, "ENUM_CAP", 1)
+    assert engine_diff(d) == ("bipartite-closed-form", None)
 
 
 def test_reversal_preserves_magnitude():
@@ -220,7 +228,7 @@ def test_empty_subdigraph_always_counted():
         assert eulerian_tally_enumerate(d).even_count >= 1
 
 
-def test_is_at_orientation():
+def test_is_at_orientation(monkeypatch):
     assert engine_diff(cyclic(3)) == ("enumeration", 0)
     assert engine_diff(cyclic(4)) == ("enumeration", 2)
     # any orientation of a bipartite graph is AT
@@ -230,44 +238,51 @@ def test_is_at_orientation():
         assert engine_diff(random_orientation(rng, q3))[1] != 0
     # over the enumeration cap the polynomial engine takes over
     d = strongly_connected_q4()
-    method, diff = engine_diff(d, SolverOptions(enum_cap=16, poly_budget=50_000_000))
+    monkeypatch.setattr(eulerian, "ENUM_CAP", 16)
+    monkeypatch.setattr(eulerian, "POLY_BUDGET", 50_000_000)
+    method, diff = engine_diff(d)
     assert method == "polynomial" and diff != 0
 
 
-def test_engine_diff_falls_back_on_the_bipartite_closed_form_only():
+def test_engine_diff_falls_back_on_the_bipartite_closed_form_only(monkeypatch):
     # with both engines over budget the closed form answers for a bipartite
     # graph, where every orientation has diff != 0, and nothing else does
-    tiny = SolverOptions(enum_cap=1, poly_budget=1)
-    assert engine_diff(cyclic(4), tiny) == ("bipartite-closed-form", None)
-    assert engine_diff(cyclic(3), tiny) == (None, None)
-    assert engine_diff(cyclic(5), tiny, "enumeration") == (None, None)
+    with monkeypatch.context() as tiny:
+        tiny.setattr(eulerian, "ENUM_CAP", 1)
+        tiny.setattr(eulerian, "POLY_BUDGET", 1)
+        assert engine_diff(cyclic(4)) == ("bipartite-closed-form", None)
+        assert engine_diff(cyclic(3)) == (None, None)
+        assert engine_diff(cyclic(5), "enumeration") == (None, None)
     d = at_bipartite(hypercube(4)).certificate.orientation
     assert engine_diff(d) == ("bipartite-closed-form", None)
 
 
-def test_engine_diff_runs_the_recorded_engine_last():
-    no_tally, no_poly = SolverOptions(enum_cap=1), SolverOptions(poly_budget=1)
+def test_engine_diff_runs_the_recorded_engine_last(monkeypatch):
     c4 = cyclic(4)
     assert engine_diff(c4, recorded="enumeration") == ("polynomial", 2)
-    assert engine_diff(c4, no_poly, "enumeration") == ("enumeration", 2)
+    with monkeypatch.context() as no_poly:
+        no_poly.setattr(eulerian, "POLY_BUDGET", 1)
+        assert engine_diff(c4, "enumeration") == ("enumeration", 2)
     for recorded in ("polynomial", "acyclic", None):
         assert engine_diff(c4, recorded=recorded) == ("enumeration", 2)
-        assert engine_diff(c4, no_tally, recorded) == ("polynomial", 2)
+        with monkeypatch.context() as no_tally:
+            no_tally.setattr(eulerian, "ENUM_CAP", 1)
+            assert engine_diff(c4, recorded) == ("polynomial", 2)
 
 
 def test_engine_diff_checks_each_gate_once(monkeypatch):
-    import atlab.eulerian as eulerian
-
     # each engine checks its own gate, so one call per engine tried
     calls = []
     for name in ("eulerian_tally_enumerate", "eulerian_diff_poly"):
         engine = getattr(eulerian, name)
-        monkeypatch.setattr(eulerian, name, lambda d, options, engine=engine, name=name:
-                            calls.append(name) or engine(d, options))
+        monkeypatch.setattr(eulerian, name, lambda d, engine=engine, name=name:
+                            calls.append(name) or engine(d))
     engine_diff(cyclic(4))
     assert calls == ["eulerian_tally_enumerate"]
     calls.clear()
-    assert engine_diff(cyclic(4), SolverOptions(enum_cap=1, poly_budget=1))[1] is None
+    monkeypatch.setattr(eulerian, "ENUM_CAP", 1)
+    monkeypatch.setattr(eulerian, "POLY_BUDGET", 1)
+    assert engine_diff(cyclic(4))[1] is None
     assert calls == ["eulerian_tally_enumerate", "eulerian_diff_poly"]
 
 
@@ -301,9 +316,9 @@ def test_one_way_cut_rejects_bad_split():
         one_way_cut_check(d, [0, 1], [1, 2])
 
 
-def test_one_way_cut_matches_induced_reference():
+def test_one_way_cut_matches_induced_reference(monkeypatch):
     # The reference tallies each side's induced orientation, and d whole,
-    # when its largest component fits enum_cap, and reports None otherwise.
+    # when its largest component fits ENUM_CAP, and reports None otherwise.
     # First two directed cycles on the left at cap 3: the 4-cycle, over the
     # cap, is found before and after the 3-cycle that fits.
     for sizes in ((4, 3), (3, 4)):
@@ -313,11 +328,11 @@ def test_one_way_cut_matches_induced_reference():
             n += k
         arcs.append((0, n))
         g = Graph([str(v) for v in range(n + 1)], [tuple(sorted(a)) for a in arcs])
-        rep = one_way_cut_check(orientation_from_arcs(g, arcs), range(n), [n],
-                                SolverOptions(enum_cap=3))
+        monkeypatch.setattr(eulerian, "ENUM_CAP", 3)
+        rep = one_way_cut_check(orientation_from_arcs(g, arcs), range(n), [n])
         assert (rep.diff_left, rep.diff_right, cut_product(rep)) == (None, 1, None)
     # Then seeded splits whose crossing arcs all leave the left side, at caps
-    # small enough that a side often holds a component over enum_cap.
+    # small enough that a side often holds a component over ENUM_CAP.
     rng = random.Random(808)
     mixed = 0
     for _ in range(300):
@@ -330,15 +345,15 @@ def test_one_way_cut_matches_induced_reference():
             for u, v in g.edges
         ]
         d = orient(g, tails)
-        opts = SolverOptions(enum_cap=rng.choice([0, 2, 3, 4, 6, 9]))
+        monkeypatch.setattr(eulerian, "ENUM_CAP", rng.choice([0, 2, 3, 4, 6, 9]))
 
         def reference(sub):
             try:
-                return eulerian_tally_enumerate(sub, opts).diff
+                return eulerian_tally_enumerate(sub).diff
             except CapacityError:
                 return None
 
-        rep = one_way_cut_check(d, left, right, opts)
+        rep = one_way_cut_check(d, left, right)
         assert rep.one_way
         expected = (
             reference(induced_orientation(d, left)),

@@ -1,21 +1,34 @@
+from dataclasses import fields
+
 import pytest
 
-from atlab import SolverOptions
+from atlab import SolverOptions, eulerian
 from atlab.cli import main
 
 
 def test_defaults():
     opts = SolverOptions()
-    assert opts.enum_cap == 24
+    assert eulerian.ENUM_CAP == 24
+    assert eulerian.POLY_BUDGET == 2_000_000
     assert opts.search_edge_cap == 20
     assert opts.threads == 1
     assert opts.time_budget is None
 
 
+def test_solver_options_hold_only_what_a_solve_reads():
+    # a diff is a function of the orientation: the diff engines' gates are
+    # constants of `eulerian`, not options
+    assert {f.name for f in fields(SolverOptions)} == {"search_edge_cap", "threads",
+                                                       "time_budget"}
+    for field in ("enum_cap", "poly_budget"):
+        with pytest.raises(TypeError, match=field):
+            SolverOptions(**{field: 24})
+
+
 def test_with_returns_new_instance():
     base = SolverOptions()
-    tweaked = base.with_(enum_cap=30)
-    assert tweaked.enum_cap == 30 and base.enum_cap == 24
+    tweaked = base.with_(search_edge_cap=30)
+    assert tweaked.search_edge_cap == 30 and base.search_edge_cap == 20
 
 
 @pytest.mark.parametrize("budget", [float("nan"), -1.0, -0.5])
@@ -37,7 +50,7 @@ def test_cli_rejects_a_bad_time_budget(tmp_path, capsys, budget):
     assert "time_budget" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["enum_cap", "poly_budget", "search_edge_cap"])
+@pytest.mark.parametrize("field", ["search_edge_cap"])
 def test_caps_must_not_be_negative(field):
     # a negative cap switched its engine off without a word: at
     # search_edge_cap=-5, C3 x C3 came out as the bracket [3, 5]
@@ -49,11 +62,7 @@ def test_caps_must_not_be_negative(field):
     assert getattr(SolverOptions(**{field: 0}), field) == 0
 
 
-@pytest.mark.parametrize(
-    "flag, field",
-    [("--edge-cap", "search_edge_cap"), ("--enum-cap", "enum_cap"),
-     ("--poly-budget", "poly_budget")],
-)
+@pytest.mark.parametrize("flag, field", [("--edge-cap", "search_edge_cap")])
 def test_cli_rejects_a_negative_cap(tmp_path, capsys, flag, field):
     gpath = tmp_path / "c5.graph"
     main(["gen", "cycle", "5", "-o", str(gpath)])
@@ -62,16 +71,37 @@ def test_cli_rejects_a_negative_cap(tmp_path, capsys, flag, field):
     assert field in capsys.readouterr().err
 
 
-def test_env_feeds_cli(tmp_path, capsys):
-    # the budgets reach the CLI through flags alone
+@pytest.mark.parametrize("command, flag", [
+    ("at", "--enum-cap"), ("diff", "--enum-cap"), ("verify", "--enum-cap"),
+    ("theorems", "--enum-cap"), ("at", "--poly-budget"), ("verify", "--poly-budget"),
+    ("theorems", "--poly-budget"),
+])
+def test_engine_cap_flags_are_gone(tmp_path, capsys, command, flag):
+    # every command that took a diff engine's cap now rejects the flag as an
+    # unknown argument: the caps are constants of `eulerian`
+    gpath = tmp_path / "c5.graph"
+    main(["gen", "cycle", "5", "-o", str(gpath)])
+    capsys.readouterr()
+    given = [] if command == "theorems" else [str(gpath)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *given, flag, "30"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_env_feeds_cli(tmp_path, capsys, monkeypatch):
+    # no flag reaches the tally's cap: `atlab diff` reads the constant
+    # eulerian.ENUM_CAP alone
     gpath = tmp_path / "c6.graph"
     main(["gen", "cycle", "6", "-o", str(gpath)])
     arcs = tmp_path / "arcs.txt"
     arcs.write_text("\n".join(f"{i} {(i + 1) % 6}" for i in range(6)) + "\n")
     capsys.readouterr()
     # 6 arcs > cap 4: capacity exit
-    assert main(["diff", str(gpath), str(arcs), "--enum-cap", "4"]) == 3
-    assert main(["diff", str(gpath), str(arcs), "--enum-cap", "6"]) == 0
+    monkeypatch.setattr(eulerian, "ENUM_CAP", 4)
+    assert main(["diff", str(gpath), str(arcs)]) == 3
+    monkeypatch.setattr(eulerian, "ENUM_CAP", 6)
+    assert main(["diff", str(gpath), str(arcs)]) == 0
 
 
 def test_at_runs_the_level_search_by_default(tmp_path, capsys):

@@ -273,27 +273,30 @@ def test_only_chromatic_reads_chi_in_theorems():
 
 def test_only_the_gated_engines_read_their_budgets():
     # each diff engine checks its own gate and raises CapacityError past it;
-    # a caller that read enum_cap or poly_budget ahead of the engine would
+    # a caller that read ENUM_CAP or POLY_BUDGET ahead of the engine would
     # have to follow every change to the gate. The tally's gate lives in the
     # helper that eulerian_tally_enumerate and one_way_cut_check both tally
     # through. The level search checks search_edge_cap alone too; theorems
     # reads it only to pick the rows it cross-checks by search (the toroidal
-    # rows set it to their own edge count without reading it).
-    owners = {"enum_cap": {("eulerian.py", "_tally_components")},
-              "poly_budget": {("eulerian.py", "eulerian_diff_poly")},
-              "search_edge_cap": {("atsolver.py", "find_at_orientation"),
-                                  ("theorems.py", "_closed_form_row")}}
+    # rows set it to their own edge count without reading it), and
+    # SolverOptions only to refuse a negative cap.
     trees = _package_trees()
-    for attr, allowed in owners.items():
-        uses = _uses(trees, lambda n: isinstance(n, ast.Attribute) and n.attr == attr)
-        readers = {(name, getattr(top, "name", None)) for name, top, _ in uses}
-        assert readers == allowed, f"{attr} read by {sorted(readers - allowed)} too, " \
-                                   f"not by {sorted(allowed - readers)}"
-    # the chromatic solver's cap is a module constant, read by it alone
-    uses = _uses(trees, lambda n: isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-                 and n.id == "CHROMATIC_BLOCK_CAP")
+    uses = _uses(trees, lambda n: isinstance(n, ast.Attribute) and n.attr == "search_edge_cap")
     readers = {(name, getattr(top, "name", None)) for name, top, _ in uses}
-    assert readers == {("atsolver.py", "chromatic_number")}, readers
+    allowed = {("atsolver.py", "find_at_orientation"), ("theorems.py", "_closed_form_row"),
+               ("options.py", "SolverOptions")}
+    assert readers == allowed, f"search_edge_cap read by {sorted(readers - allowed)} too, " \
+                               f"not by {sorted(allowed - readers)}"
+    # the engines' caps are module constants, each read by its engine alone
+    # and named nowhere else, not even as an attribute of its module
+    owners = {"ENUM_CAP": ("eulerian.py", "_tally_components"),
+              "POLY_BUDGET": ("eulerian.py", "eulerian_diff_poly"),
+              "CHROMATIC_BLOCK_CAP": ("atsolver.py", "chromatic_number")}
+    for cap, owner in owners.items():
+        uses = _uses(trees, lambda n: cap in (getattr(n, "id", None), getattr(n, "attr", None))
+                     and not isinstance(n.ctx, ast.Store))
+        readers = {(name, getattr(top, "name", None)) for name, top, _ in uses}
+        assert readers == {owner}, f"{cap} read by {sorted(readers)}"
 
 
 def _imports_of(module):
@@ -329,6 +332,16 @@ def test_only_max_density_imports_fractions():
     uses = _uses(_package_trees(), _imports_of("fractions"))
     found = {(name, getattr(top, "name", None)) for name, top, _ in uses}
     assert found == {("density.py", "max_density")}, f"fractions imported by {found}"
+
+
+def test_the_diff_and_document_layers_import_nothing_from_options():
+    # a diff is a function of the orientation and a document of its
+    # certificate, so neither layer takes SolverOptions; the engines' gates
+    # are constants of eulerian
+    trees = _package_trees()
+    found = [f"{name}:{line}" for name, _, line in _uses(trees, _imports_of("options"))
+             if name in ("eulerian.py", "construct.py", "documents.py")]
+    assert not found, f"options imported by {found}"
 
 
 def test_documents_import_nothing_from_construct():

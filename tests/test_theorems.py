@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import atlab
-from atlab import theorems
+from atlab import eulerian, theorems
 from atlab import (
     CapacityError,
     Graph,
@@ -196,19 +196,21 @@ def test_corona_at_pinches_exactly():
     assert res.value == 3
 
 
-def test_corona_at_multiplies_the_recorded_factor_magnitudes():
+def test_corona_at_multiplies_the_recorded_factor_magnitudes(monkeypatch):
     # K2 o C4: the C4 closed-form orientation is a directed 4-cycle (|diff|
     # 2), so the law gives 1 * 2^2
     res = corona_at(complete(2), cycle(4))
     assert res.certificate.diff_magnitude == 4
     assert verify_certificate(res.certificate).diff_magnitude == 4
-    # with enum_cap 3 the C3 x C3 certificate is re-checked by the
+    # with ENUM_CAP 3 the C3 x C3 certificate is re-checked by the
     # coefficient engine alone; its recorded |diff| still feeds the law
-    tight = SolverOptions(search_edge_cap=18, enum_cap=3)
+    tight = SolverOptions(search_edge_cap=18)
     c3c3 = cartesian_product(cycle(3), cycle(3))
-    factor = at_exact(c3c3, tight).certificate
-    assert factor.method == "polynomial" and factor.diff_magnitude == 2
-    res = corona_at(c3c3, complete(2), tight)
+    with monkeypatch.context() as patch:
+        patch.setattr(eulerian, "ENUM_CAP", 3)
+        factor = at_exact(c3c3, tight).certificate
+        assert factor.method == "polynomial" and factor.diff_magnitude == 2
+        res = corona_at(c3c3, complete(2), tight)
     assert (res.lo, res.hi) == (4, 4)
     assert res.certificate.diff_magnitude == 2 and res.certificate.method == "product-law"
     rep = verify_certificate(res.certificate)
