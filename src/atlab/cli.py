@@ -206,8 +206,6 @@ def cmd_verify(args) -> int:
 
 def cmd_theorems(args) -> int:
     # here, so the other commands never load the claim suite
-    from dataclasses import asdict
-
     from .theorems import run_suite
 
     opts = _solver_options(args)
@@ -227,7 +225,12 @@ def cmd_theorems(args) -> int:
                  if getattr(args, name)]
         raise ValueError(f"no check selected by {' '.join(given)} --max {args.max}")
     if args.json:
-        payload = [{**asdict(r), "millis": round(r.millis, 3)} for r in reports]
+        payload = [
+            {"claim": r.claim, "instance": r.instance, "predicted": r.predicted,
+             "computed": r.computed, "verdict": r.verdict, "evidence": r.evidence,
+             "millis": round(r.millis, 3)}
+            for r in reports
+        ]
         print(json.dumps(payload, indent=2))
     elif args.table:
         columns = ("claim", "instance", "predicted", "computed")

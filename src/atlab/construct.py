@@ -9,9 +9,12 @@ vertex (u, v_i) then has outdegree exactly outdeg_d1(u) + outdeg_d2(v_i).
 Corona rule: the hub copy of g1 follows d1 (R1), each attached copy of g2
 follows d2 (R2), and every hub link points from the copy vertex to its hub
 (R3). Hub i keeps outdegree outdeg_d1(i); copy vertex (i, j) gets
-outdeg_d2(j) + 1. The all-copies/hub split (corona_cut_sides) is a one-way
-cut, so no strongly connected component crosses it and the diff of the
-composite factors exactly as diff(d1) * diff(d2)^m. eulerian.one_way_cut_check
+outdeg_d2(j) + 1. These outdegrees are what the corona rows of `theorems`
+read: their certificate level, max(maxout(d1), maxout(d2) + 1) + 1, comes
+from the factors, and the orientation is built only where a certificate is
+returned. The all-copies/hub split (corona_cut_sides) is a one-way cut, so
+no strongly connected component crosses it and the diff of the composite
+factors exactly as diff(d1) * diff(d2)^m. eulerian.one_way_cut_check
 confirms that every hub link points into its hub; the product law itself is
 checked through the magnitude a certificate records, which
 verify_certificate compares with the diff it computes.

@@ -14,11 +14,17 @@ Closed-form, corollary 3.7 and remark-gap rows keep their own text.
 
 Pinching is the proof mode for coronas G o H too large to search
 exhaustively: a lower bound (a known-subgraph AT value, then chi of the cone
-K1 + H, a hub with its copy of H, in tie order) must meet the upper bound
-from the constructed corona orientation; `atsolver.bracket` joins them.
-`_pinch` takes only the factors' results and reads each factor graph off its
-certificate orientation. The cone term comes from H's own chromatic term, so
-the pinch colors nothing;
+K1 + H, a hub with its copy of H, in tie order) must meet the upper bound,
+the level of the corona orientation that rules R1-R3 build from the
+factors' certificates. That level depends on the factors alone, so
+`_corona_rule` reads it off them, and takes only the factors' results,
+reading each factor graph off its certificate orientation. The bracket rows
+(lemma 3.6, theorem 2, corollary 3.8, lemma 3.9) take lo, hi and the lower
+bound's reason from the rule and build nothing. `_pinch` builds the corona
+orientation, checks its level against the rule and joins the bracket with
+`atsolver.bracket`, only where a certificate is returned: `corona_at`,
+corollary 3.7 and the remark instances, which color the corona. The cone
+term comes from H's own chromatic term, so the pinch colors nothing;
 the rows that report chi of a corona (lemma 3.5, corollary 3.7, remark-gap)
 color it themselves, and corollary 3.7 falls back on the cone bound when
 that coloring is over budget.
@@ -52,7 +58,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, TypeVar
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
 from .atsolver import (
     ATCertificate,
@@ -176,19 +183,35 @@ def _chromatic(g: Graph) -> int:
 
 
 def corona_at(g1: Graph, g2: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult:
-    """AT of corona(g1, g2) by pinching the factors' exact AT results."""
+    """AT of corona(g1, g2) by pinching the factors' exact AT results, with
+    the corona orientation built and checked against the rule as its
+    certificate."""
     return _pinch(_exact_at(g1, options), _exact_at(g2, options))
 
 
-def _pinch(r1: ATResult, r2: ATResult) -> ATResult:
-    """AT of corona(g1, g2) from the factors' exact results, each factor
-    graph read off its result's certificate orientation.
+class _CoronaRule(NamedTuple):
+    """The pinch's numbers for corona(g1, g2), read off the factor results."""
 
-    Upper bound: the R1/R2/R3 orientation built from the factors' own AT
-    certificates; its diff is diff(d1) * diff(d2)^m across the copies/hub
-    one-way cut, nonzero because both factor diffs are. The factor
-    certificates carry |diff| as already re-checked by at_exact or
-    at_bipartite; a magnitude is None only under the bipartite closed form.
+    terms: tuple[tuple[int, str], ...]
+    lo: int
+    reason: str
+    level: int
+    magnitude: Optional[int]
+    method: str
+
+
+def _corona_rule(r1: ATResult, r2: ATResult) -> _CoronaRule:
+    """The bracket that pinches AT of corona(g1, g2) from the factors' exact
+    results, each factor graph read off its result's certificate orientation.
+
+    Upper bound: the level of the R1/R2/R3 orientation built from the
+    factors' own AT certificates d1 and d2. Hub i keeps outdeg_d1(i) and copy
+    vertex (i, j) gets outdeg_d2(j) + 1, so the level is
+    max(maxout(d1), maxout(d2) + 1) + 1, or maxout(d1) + 1 when g2 has no
+    vertex. Its diff is diff(d1) * diff(d2)^m across the copies/hub one-way
+    cut, nonzero because both factor diffs are. The factor certificates
+    carry |diff| as already re-checked by at_exact or at_bipartite; a
+    magnitude is None only under the bipartite closed form.
     Lower bound: the factors are subgraphs, and, while they leave the
     bracket open, the cone K1 + g2 (a hub with its copy of g2): its apex
     sees all of g2, so it needs chi(g2) + 1 colors. chi of the whole corona
@@ -196,27 +219,56 @@ def _pinch(r1: ATResult, r2: ATResult) -> ATResult:
     corona would prove no more. The cone term is chi(g2) + 1 from r2's
     chromatic term, or (4, "odd-wheel") where r2 holds only g2's odd cycle.
     An empty g2 leaves the corona g1 at level AT(g1), so the bracket is
-    closed and takes no cone term.
+    closed and takes no cone term. Raises ProofObligationError, as
+    `atsolver.bracket` does, when a lower term exceeds the level.
     """
     d1 = r1.certificate.orientation
     d2 = r2.certificate.orientation
-    oriented, _recipe = corona_orientation(d1.graph, d1, d2.graph, d2)
+    m = d1.graph.n
+    if m == 0:
+        raise ValueError("corona base graph must be nonempty")
+    level = d1.max_outdegree() + 1
+    if d2.graph.n:
+        level = max(level, d2.max_outdegree() + 2)
     mag1 = r1.certificate.diff_magnitude
     mag2 = r2.certificate.diff_magnitude
     if mag1 is not None and mag2 is not None:
-        magnitude: Optional[int] = mag1 * mag2**d1.graph.n
+        magnitude: Optional[int] = mag1 * mag2**m
         method = "product-law"
     else:
         magnitude = None
         method = "product-law+closed-form"
-    cert = ATCertificate(oriented.max_outdegree() + 1, oriented, magnitude, method)
 
     lower = max(r1.value, r2.value)
     terms = [(lower, "subgraph")]
-    if lower < cert.level:
+    if lower < level:
         chi2, why = _chi_term(r2)
         terms.append((chi2 + 1, why) if why == "chromatic" else (4, "odd-wheel"))
-    return bracket(terms, cert)
+    lo, reason = max(terms, key=itemgetter(0))
+    if lo > level:
+        raise ProofObligationError(
+            f"{reason} lower bound {lo} exceeds corona rule level {level} ({method})"
+        )
+    return _CoronaRule(tuple(terms), lo, reason, level, magnitude, method)
+
+
+def _pinch(r1: ATResult, r2: ATResult) -> ATResult:
+    """The `_corona_rule` bracket as an ATResult whose certificate is the
+    corona orientation that rules R1-R3 build from the factors' certificate
+    orientations. Raises ProofObligationError unless that orientation's max
+    outdegree + 1 is the rule's level. Only the callers that read the
+    certificate (`corona_at`, corollary 3.7, the remark instances) pinch;
+    the bracket rows read the rule alone."""
+    rule = _corona_rule(r1, r2)
+    d1 = r1.certificate.orientation
+    d2 = r2.certificate.orientation
+    oriented, _kind = corona_orientation(d1.graph, d1, d2.graph, d2)
+    built = oriented.max_outdegree() + 1
+    if built != rule.level:
+        raise ProofObligationError(
+            f"corona orientation has level {built}, the corona rule gives {rule.level}"
+        )
+    return bracket(rule.terms, ATCertificate(rule.level, oriented, rule.magnitude, rule.method))
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +380,13 @@ def check_lemma_3_6(
     r1, r2 = _exact_at(g1, options), _exact_at(g2, options)
     at1, at2 = r1.value, r2.value
     predicted = {at1} if at2 < at1 else {at2, at2 + 1}
-    result = _pinch(r1, r2)
+    rule = _corona_rule(r1, r2)
     bound = max(at1 - 1, at2) + 1
     evidence = (
-        f"AT({name1})={at1} AT({name2})={at2}; certificate level {result.hi} "
-        f"within rule bound {bound}; lower via {result.lower_bound_reason}"
+        f"AT({name1})={at1} AT({name2})={at2}; certificate level {rule.level} "
+        f"within rule bound {bound}; lower via {rule.reason}"
     )
-    row = _row("lemma3.6", f"{name1} o {name2}", predicted, result.lo, result.hi, evidence)
-    if result.hi > bound:
-        row.verdict = "fail"
-        row.evidence += "; construction exceeded the outdegree bound"
-    return row
+    return _row("lemma3.6", f"{name1} o {name2}", predicted, rule.lo, rule.level, evidence)
 
 
 def check_corollary_3_7(
@@ -388,11 +436,11 @@ def _hypercube_corona_row(
     options: SolverOptions, show_method: bool = False,
 ) -> ClaimReport:
     """Bracket row for AT(Q_n o g2) pinched from the factors' exact results."""
-    result = _pinch(_exact_at(_hypercube(n), options), r2)
-    evidence = f"lower {result.lo} via {result.lower_bound_reason}; certificate level {result.hi}"
+    rule = _corona_rule(_exact_at(_hypercube(n), options), r2)
+    evidence = f"lower {rule.lo} via {rule.reason}; certificate level {rule.level}"
     if show_method:
-        evidence += f" ({result.certificate.method})"
-    return _row(claim, f"Q{n} o {name2}", {predicted}, result.lo, result.hi, evidence)
+        evidence += f" ({rule.method})"
+    return _row(claim, f"Q{n} o {name2}", {predicted}, rule.lo, rule.level, evidence)
 
 
 def check_theorem_2(

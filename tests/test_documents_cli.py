@@ -409,13 +409,20 @@ def test_cli_at_on_a_graph_past_every_diff_engine(tmp_path, capsys):
 
 
 def test_cli_theorems_json(capsys):
+    import dataclasses
     import json
+
+    from atlab.theorems import ClaimReport
 
     assert main(["theorems", "--claim", "toroidal", "--max", "4", "--json"]) == 0
     captured = capsys.readouterr()
     rows = json.loads(captured.out)
     assert {r["instance"] for r in rows} == {"C3 x C3", "C3 x C4", "C4 x C4"}
     assert all(r["verdict"] == "pass" for r in rows)
+    # the writer names the fields: each row carries every ClaimReport field,
+    # in declaration order
+    fields = [f.name for f in dataclasses.fields(ClaimReport)]
+    assert all(list(r) == fields for r in rows)
     assert captured.err == "3 checks: 3 pass, 0 fail, 0 inconclusive\n"
 
 

@@ -314,12 +314,13 @@ def test_records_are_named_tuples_but_two_dataclasses():
     # SolverOptions stays a dataclass because it checks its fields when built
     # and in with_, which a NamedTuple's _replace would skip; ClaimReport
     # because run_suite sets millis on the report a check returned.
-    # cmd_theorems reads a ClaimReport through asdict.
+    # cmd_theorems names the ClaimReport fields it writes.
     trees = _package_trees()
     importers = {(name, getattr(top, "name", None))
                  for name, top, _ in _uses(trees, _imports_of("dataclasses"))}
-    assert importers == {("options.py", None), ("theorems.py", None),
-                         ("cli.py", "cmd_theorems")}, f"dataclasses imported by {importers}"
+    assert importers == {("options.py", None), ("theorems.py", None)}, (
+        f"dataclasses imported by {importers}"
+    )
     records = {(name, cls.name, any("dataclass" in _names(d) for d in cls.decorator_list))
                for name, tree in trees.items() for cls in ast.walk(tree)
                if isinstance(cls, ast.ClassDef) and _is_record(cls)}

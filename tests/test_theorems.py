@@ -10,6 +10,7 @@ from atlab import eulerian, theorems
 from atlab import (
     CapacityError,
     Graph,
+    ProofObligationError,
     SolverOptions,
     at_exact,
     cartesian_product,
@@ -342,11 +343,75 @@ def test_pinch_colors_nothing(monkeypatch):
             for g1, r1, g2, r2, expected in solved:
                 res = theorems._pinch(r1, r2)
                 assert (res.lo, res.hi, res.lower_bound_reason) == expected, (g1, g2)
-    # nor does a claim row that pinches color anything beyond its factors
+    # nor does a bracket row color anything beyond its factors, or build the
+    # corona or its orientation: it reads its bracket off the corona rule
+    def built(*args, **kwargs):
+        raise AssertionError("a bracket row built the corona")
+
     monkeypatch.setattr(theorems, "chromatic_number", forbidden)
+    for module in (theorems, atlab.construct):
+        monkeypatch.setattr(module, "corona", built)
+        monkeypatch.setattr(module, "corona_orientation", built)
     for check in (lambda: check_lemma_3_9(4, 1), lambda: check_theorem_2(2, path(3), "P3"),
-                  lambda: check_lemma_3_6(cycle(4), complete(2), "C4", "K2")):
+                  lambda: check_lemma_3_6(cycle(4), complete(2), "C4", "K2"),
+                  lambda: check_corollary_3_8(3, 2)):
         assert check().verdict == "pass"
+
+
+def test_suite_builds_the_corona_orientation_only_for_certificates(monkeypatch):
+    # corollary 3.7 colors its three coronas and the remark rows color
+    # Q3 o P3 and Q3 o C3; the other 35 corona rows read the rule alone
+    built = []
+
+    def counted(g1, d1, g2, d2):
+        built.append((g1, g2))
+        return atlab.construct.corona_orientation(g1, d1, g2, d2)
+
+    monkeypatch.setattr(theorems, "corona_orientation", counted)
+    run_suite(seed=11)
+    assert built == [
+        (complete(2), cycle(3)), (path(3), complete(3)), (complete(2), cycle(4)),
+        (hypercube(3), path(3)), (hypercube(3), cycle(3)),
+    ]
+
+
+def test_corona_rule_matches_the_built_certificate():
+    # the rule's numbers are the pinch's, whose certificate is the corona
+    # orientation built from the factors' certificates
+    hs = [Graph(["0"], []), complete(2), path(3), path(4), cycle(3), cycle(4), cycle(5),
+          cycle(6), complete(3)]
+    pairs = [(hypercube(n), h) for n in range(1, 6) for h in hs]
+    pairs.append((cycle(5), Graph([], [])))  # an empty H: AT(C5) with no cone term
+    for g1, g2 in pairs:
+        r1, r2 = at_exact(g1), at_exact(g2)
+        rule = theorems._corona_rule(r1, r2)
+        res = theorems._pinch(r1, r2)
+        cert = res.certificate
+        assert (rule.terms, rule.level, rule.magnitude, rule.method) == (
+            res.terms, cert.level, cert.diff_magnitude, cert.method
+        ), (g1, g2)
+        assert (rule.lo, rule.reason) == (res.lo, res.lower_bound_reason)
+        assert cert.orientation.graph == corona(g1, g2)
+        assert cert.orientation.max_outdegree() + 1 == rule.level
+        assert res == corona_at(g1, g2)
+    res = corona_at(cycle(5), Graph([], []))
+    assert (res.terms, res.hi, res.certificate.method) == (((3, "subgraph"),), 3, "product-law")
+
+
+def test_corona_rule_refuses_an_empty_base_graph():
+    with pytest.raises(ValueError, match="corona base graph must be nonempty"):
+        check_lemma_3_6(Graph([], []), complete(2))
+
+
+def test_pinch_checks_the_built_orientation_against_the_rule(monkeypatch):
+    # every hub link leaving its hub puts |V(H)| more arcs on each hub
+    def hub_links_out(g1, d1, g2, d2):
+        c = corona(g1, g2)
+        return atlab.Orientation(c, [u for u, _ in c.edges]), "corona"
+
+    monkeypatch.setattr(theorems, "corona_orientation", hub_links_out)
+    with pytest.raises(ProofObligationError, match="the corona rule gives 3"):
+        corona_at(hypercube(3), path(3))
 
 
 def _labelled_graphs(max_n):
