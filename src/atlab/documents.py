@@ -8,9 +8,14 @@ edge-list format ("u v" per line, 0-indexed) is accepted for graph input
 interoperability; it synthesizes labels "0".."n-1".
 
 A certificate's `graph-sha256` is the hash of `serialize_graph(g)`, the
-canonical graph text without the provenance line. The parser re-encodes the
-graph it reads to check it, so an equivalent non-canonical embedding (spaces
-inside a label, an edge written `e 3 1`) is accepted. The parser is strict:
+canonical graph text without the provenance line. A canonical embedding is
+read in bulk, with one JSON decode for its labels and one split for its
+edges, and kept only when it equals the canonical text of the graph read,
+the text the hash covers. Any other embedding is read line by line and
+re-encoded to check the hash, so an equivalent non-canonical one (spaces
+inside a label, an edge written `e 3 1`) is accepted; arcs follow the same
+rule, read in edge order when written as the writer writes them. The
+per-line reader gives every error message. The parser is strict:
 lines have exactly their fields, counts are non-negative, labels have the
 types above and only blank lines may follow a document's last section;
 anything else raises ValueError. The writers raise ValueError on a label the
@@ -28,6 +33,7 @@ ignores them, so those documents stay readable.
 from __future__ import annotations
 
 import json
+import re
 from typing import Iterable, NamedTuple, Optional
 
 from .atsolver import ATCertificate
@@ -42,6 +48,8 @@ _RECIPE_KINDS = ("product", "corona")
 # Built once: json.dumps with non-default separators builds an encoder per call.
 _encode_label = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True).encode
 _decode_json = json.JSONDecoder().decode
+# an arcs block as the writer spells it: `a <tail> <head>` lines, one space apart
+_ARC_LINES = re.compile(r"a [0-9]+ [0-9]+(?:\na [0-9]+ [0-9]+)*")
 
 
 _BAD_LABEL = "vertex label part {!r} is not a string, an integer or an array"
@@ -245,10 +253,45 @@ def serialize_certificate(
         graph_text + "graph-end",
         f"arcs {g.m}",
     ]
-    lines.extend([f"a {t} {h}" for t, h in cert.orientation.arcs])
+    arcs = zip(g.edges, cert.orientation.tails)
+    lines.extend([f"a {t} {v if t == u else u}" for (u, v), t in arcs])
     if recipe is not None:
         lines.append(f"recipe {_check_recipe(recipe)}")
     return "\n".join(lines) + "\n"
+
+
+def _canonical_graph(lines: list[str], text: str) -> Optional[Graph]:
+    """The graph whose canonical text is `text`, the joined `lines` of a graph
+    document without provenance, or None when `text` is not canonical.
+
+    Reads all labels with one JSON decode and all edges with one split. The
+    decode alone would take lines such as `v 1,2` / `v [3` / `v 4]` as three
+    labels, so the graph is kept only if it serializes back to `text`: then
+    the per-line reader, which gives every error message, reads the same
+    graph from it."""
+    try:
+        n = int(lines[1][len("vertices "):])
+        labels = _decode_json("[" + ",".join([line[2:] for line in lines[2 : 2 + n]]) + "]")
+        fields = " ".join(lines[3 + n :]).split()  # e u v e u v ...
+        edges = zip(map(int, fields[1::3]), map(int, fields[2::3]))
+        graph = Graph(list(map(_label, labels)), edges)
+    except (ValueError, IndexError, RecursionError):
+        return None
+    return graph if serialize_graph(graph) == text else None
+
+
+def _orientation(graph: Graph, lines: list[str]) -> Orientation:
+    """The orientation an arcs block gives `graph`. When every line is
+    `a <tail> <head>` and arc k is edge k, as the writer spells them, the
+    tails are read in edge order; any other block is matched arc by arc."""
+    block = "\n".join(lines)
+    if _ARC_LINES.fullmatch(block):
+        fields = block.split()  # a t h a t h ...
+        tails = list(map(int, fields[1::3]))
+        arcs = zip(tails, map(int, fields[2::3]))
+        if [(t, h) if t < h else (h, t) for t, h in arcs] == list(graph.edges):
+            return Orientation(graph, tails)
+    return orientation_from_arcs(graph, [_pair(line, "a") for line in lines])
 
 
 def parse_certificate(text: str) -> CertificateDocument:
@@ -280,8 +323,17 @@ def _parse_certificate_lines(lines: list[str]) -> CertificateDocument:
         raise ValueError("missing graph-end") from None
     if lines[6].strip() != GRAPH_MAGIC:
         raise ValueError(f"embedded graph must start with {GRAPH_MAGIC!r}")
-    graph, _ = _parse_graph_lines(lines[6:end])
-    if graph_sha256(graph) != claimed_hash:
+    body = lines[6:end]
+    if len(body) > 1 and body[1].startswith("provenance "):
+        del body[1]  # the hash covers the graph text without it
+    text = "\n".join(body) + "\n"
+    graph = _canonical_graph(body, text)
+    if graph is not None:
+        digest = _sha256(text)
+    else:  # with its provenance line, so that a second one is refused
+        graph, _ = _parse_graph_lines(lines[6:end])
+        digest = graph_sha256(graph)
+    if digest != claimed_hash:
         raise ValueError("embedded graph does not match its recorded hash")
     i = end + 1
     m = _count(lines[i], "arcs")
@@ -290,7 +342,7 @@ def _parse_certificate_lines(lines: list[str]) -> CertificateDocument:
     i += 1
     if len(lines) < i + m:
         raise ValueError("truncated certificate document")
-    orientation = orientation_from_arcs(graph, [_pair(line, "a") for line in lines[i : i + m]])
+    orientation = _orientation(graph, lines[i : i + m])
     i += m
     recipe_kind = None
     if i < len(lines) and lines[i].startswith("recipe "):

@@ -381,10 +381,9 @@ def check_lemma_3_6(
     at1, at2 = r1.value, r2.value
     predicted = {at1} if at2 < at1 else {at2, at2 + 1}
     rule = _corona_rule(r1, r2)
-    bound = max(at1 - 1, at2) + 1
     evidence = (
-        f"AT({name1})={at1} AT({name2})={at2}; certificate level {rule.level} "
-        f"within rule bound {bound}; lower via {rule.reason}"
+        f"AT({name1})={at1} AT({name2})={at2}; certificate level {rule.level}; "
+        f"lower via {rule.reason}"
     )
     return _row("lemma3.6", f"{name1} o {name2}", predicted, rule.lo, rule.level, evidence)
 

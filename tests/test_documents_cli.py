@@ -5,6 +5,7 @@ from atlab import (
     corona,
     corona_orientation,
     cycle,
+    documents,
     eulerian,
     hypercube,
     orient,
@@ -14,6 +15,7 @@ from atlab import (
 from atlab.atsolver import bounded_outdegree_orientation
 from atlab.cli import main
 from atlab.documents import (
+    CertificateDocument,
     graph_sha256,
     parse_certificate,
     parse_graph,
@@ -706,11 +708,25 @@ def test_recipe_kinds_are_the_words_the_builders_return(tmp_path, capsys, kind):
         "", f"error: recipe kind {kind!r} is not one of product, corona\n")
 
 
-def test_every_document_a_writer_returns_reads_back():
+def _count_label_decodes(monkeypatch) -> list:
+    """Record each line the per-line reader decodes a label from."""
+    decoded = []
+    decode = documents._decode_label
+
+    def counted(text):
+        decoded.append(text)
+        return decode(text)
+
+    monkeypatch.setattr(documents, "_decode_label", counted)
+    return decoded
+
+
+def test_every_document_a_writer_returns_reads_back(monkeypatch):
     import random
 
     from atlab import ATCertificate
 
+    decoded = _count_label_decodes(monkeypatch)
     rng = random.Random(2505)
     alphabet = ["a", " ", "\t", "\x1f", "\u00e9", "#", "provenance", "graph-end",
                 *LINE_BREAKS]
@@ -729,11 +745,129 @@ def test_every_document_a_writer_returns_reads_back():
             continue
         written += 1
         assert parse_graph(graph_doc) == (g, text or None)
+        del decoded[:]
         parsed = parse_certificate(cert_doc)
+        assert not decoded  # a certificate as written is read in bulk
         assert parsed.orientation == d
         assert parsed.recipe_kind == recipe
         assert serialize_certificate(parsed.as_certificate(), text, recipe) == cert_doc
     assert written and refused
+
+
+def _random_label(rng, depth: int = 0):
+    """A string of awkward characters, a possibly negative integer, or a
+    tuple of labels nested at most 3 deep."""
+    kind = rng.choice(["str", "int", "tuple"] if depth < 3 else ["str", "int"])
+    if kind == "str":
+        alphabet = ["a", "A", " ", '"', "\\", "/", ",", "[", "]", "é", "€", "\U0001d11e"]
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
+    if kind == "int":
+        return rng.randint(-10**6, 10**6)
+    return tuple(_random_label(rng, depth + 1) for _ in range(rng.randint(1, 3)))
+
+
+def _respell_label(label) -> str:
+    """`label` as JSON that is not the writer's: every string character a
+    \\uXXXX escape and a space after every comma."""
+    if isinstance(label, str):
+        units = label.encode("utf-16-be")
+        codes = [int.from_bytes(units[k : k + 2], "big") for k in range(0, len(units), 2)]
+        return '"' + "".join(f"\\u{c:04x}" for c in codes) + '"'
+    if isinstance(label, int):
+        return str(label)
+    return "[" + ", ".join(map(_respell_label, label)) + "]"
+
+
+def _random_certificates():
+    import random
+
+    from atlab import ATCertificate, Graph
+
+    rng = random.Random(3303)
+    for _ in range(60):
+        n, labels = rng.randint(2, 9), set()
+        while len(labels) < n:
+            labels.add(_random_label(rng))
+        labels = sorted(labels, key=repr)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(labels, rng.sample(pairs, rng.randint(1, len(pairs))))
+        d = orient(g, [rng.choice(e) for e in g.edges])
+        magnitude = rng.choice([None, rng.randint(-5, 5)])
+        cert = ATCertificate(d.max_outdegree() + 1, d, magnitude, "random")
+        yield rng, cert, rng.choice([None, "random labels"]), rng.choice([None, "product"])
+
+
+def _respell_graph(doc: str, g) -> str:
+    """`doc` with its labels re-spelled and every edge written `e v u`."""
+    lines = doc.splitlines()
+    first = lines.index(f"vertices {g.n}") + 1
+    lines[first : first + g.n] = [f"v {_respell_label(label)}" for label in g.vertices]
+    lines[first + g.n + 1 : lines.index("graph-end")] = [f"e {v} {u}" for u, v in g.edges]
+    return "\n".join(lines) + "\n"
+
+
+def _shuffle_arcs(rng, doc: str) -> str:
+    """`doc` with its arc lines out of edge order, if it has two or more."""
+    lines = doc.splitlines()
+    first = lines.index("graph-end") + 2
+    arcs = lines[first : first + int(lines[first - 1].split()[1])]
+    shuffled = rng.sample(arcs, len(arcs))
+    if shuffled == arcs:
+        shuffled.reverse()
+    lines[first : first + len(arcs)] = shuffled
+    return "\n".join(lines) + "\n"
+
+
+def test_certificates_with_awkward_labels_round_trip_and_read_the_same_respelled(monkeypatch):
+    decoded = _count_label_decodes(monkeypatch)
+    for rng, cert, provenance, recipe in _random_certificates():
+        d = cert.orientation
+        expected = CertificateDocument(cert.level, cert.method, cert.diff_magnitude, d, recipe)
+        doc = serialize_certificate(cert, provenance, recipe)
+        assert parse_certificate(doc) == expected
+        assert not decoded
+        # arcs out of edge order are matched arc by arc; the graph is still read in bulk
+        assert parse_certificate(_shuffle_arcs(rng, doc)) == expected
+        assert not decoded
+        respelled = _shuffle_arcs(rng, _respell_graph(doc, d.graph))
+        assert respelled != doc
+        assert parse_certificate(respelled) == expected
+        assert len(decoded) == d.graph.n  # read line by line
+        del decoded[:]
+        raw_digest = _raw_graph_sha256(respelled)
+        assert raw_digest != graph_sha256(d.graph)
+        with pytest.raises(ValueError, match="recorded hash"):
+            parse_certificate(_replace_hash(respelled, raw_digest))
+        del decoded[:]
+
+
+@pytest.mark.parametrize(
+    "label_lines",
+    [["1,2", "[3", "4]"], ["[1,[2]", "[3]],[4]", "5"]],
+    ids=["scalar-split", "array-split"],
+)
+def test_label_lines_that_decode_only_together_are_rejected(label_lines):
+    # joined by commas these lines read as 3 labels; each alone is no label
+    graph_text = "".join(
+        ["atlab-graph 1\nvertices 3\n", *(f"v {line}\n" for line in label_lines), "edges 0\n"])
+    with pytest.raises(ValueError) as per_line:
+        parse_graph(graph_text)
+    cert = at_bipartite(path(1)).certificate
+    lines = serialize_certificate(cert).splitlines()
+    begin, end = lines.index("graph-begin"), lines.index("graph-end")
+    lines[begin + 1 : end] = graph_text.splitlines()
+    doc = _replace_hash("\n".join(lines) + "\n", _raw_graph_sha256("\n".join(lines)))
+    with pytest.raises(ValueError) as bulk:
+        parse_certificate(doc)
+    assert str(bulk.value) == str(per_line.value)
+
+
+def test_a_second_provenance_line_is_rejected():
+    # the hash leaves the provenance line out, so only the vertices header refuses this
+    doc = serialize_certificate(at_bipartite(cycle(4)).certificate, "C4")
+    twice = doc.replace("provenance C4\n", "provenance C4\nprovenance C4\n")
+    with pytest.raises(ValueError, match="expected a 'vertices' line"):
+        parse_certificate(twice)
 
 
 @pytest.mark.parametrize("flag, value", [("--edges", "0-1\n"), ("--pruefer", "1,\n1")])
