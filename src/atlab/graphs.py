@@ -39,9 +39,6 @@ from .errors import SizeCapError
 # anything with more vertices than this.
 VERTEX_CAP = 1 << 16
 
-# Default cap on the hypercube dimension (2^16 vertices).
-HYPERCUBE_MAX_N = 16
-
 Label = object  # str, int, or nested tuples thereof
 
 # `Graph._sides` until `bipartition` runs (its None means "not bipartite")
@@ -139,8 +136,9 @@ def _refuse_over_cap(count: int, what: str) -> None:
 
 def hypercube(n: int) -> Graph:
     """n-cube on binary strings of length n; edges flip exactly one bit."""
-    if n < 1 or n > HYPERCUBE_MAX_N:
-        raise SizeCapError(f"hypercube dimension must be in 1..{HYPERCUBE_MAX_N}, got {n}")
+    top = VERTEX_CAP.bit_length() - 1  # the largest n with 2^n <= VERTEX_CAP
+    if n < 1 or n > top:
+        raise SizeCapError(f"hypercube dimension must be in 1..{top}, got {n}")
     size = 1 << n
     vertices = [format(i, f"0{n}b") for i in range(size)]
     edges = []

@@ -19,15 +19,15 @@ the level of the corona orientation that rules R1-R3 build from the
 factors' certificates. That level depends on the factors alone, so
 `_corona_rule` reads it off them, and takes only the factors' results,
 reading each factor graph off its certificate orientation. The bracket rows
-(lemma 3.6, theorem 2, corollary 3.8, lemma 3.9) take lo, hi and the lower
-bound's reason from the rule and build nothing. `_pinch` builds the corona
-orientation, checks its level against the rule and joins the bracket with
-`atsolver.bracket`, only where a certificate is returned: `corona_at`,
-corollary 3.7 and the remark instances, which color the corona. The cone
-term comes from H's own chromatic term, so the pinch colors nothing;
-the rows that report chi of a corona (lemma 3.5, corollary 3.7, remark-gap)
-color it themselves, and corollary 3.7 falls back on the cone bound when
-that coloring is over budget.
+(lemma 3.6, theorem 2, corollary 3.7, corollary 3.8, lemma 3.9, and the
+remark-gap coronas) take lo, hi and the lower bound's reason from the rule
+and build no orientation. Only `corona_at`, which returns a certificate,
+builds the corona orientation, checks its level against the rule and joins
+the bracket with `atsolver.bracket`. The cone term comes from H's own
+chromatic term, so the rule colors nothing; the rows that report chi of a
+corona (lemma 3.5, corollary 3.7, remark-gap) build the corona with
+`corona` and color it themselves, and corollary 3.7 falls back on the cone
+bound when that coloring is over budget.
 
 One `run_suite` call shares four things between its checks, each through
 `_shared(key, make)`: the factor results of `_exact_at`, keyed by
@@ -183,10 +183,21 @@ def _chromatic(g: Graph) -> int:
 
 
 def corona_at(g1: Graph, g2: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult:
-    """AT of corona(g1, g2) by pinching the factors' exact AT results, with
-    the corona orientation built and checked against the rule as its
-    certificate."""
-    return _pinch(_exact_at(g1, options), _exact_at(g2, options))
+    """AT of corona(g1, g2) by pinching the factors' exact AT results: the
+    `_corona_rule` bracket, certified by the corona orientation that rules
+    R1-R3 build from the factors' certificates, the one such build here.
+    Raises ProofObligationError unless its max outdegree + 1 is the rule's
+    level."""
+    r1, r2 = _exact_at(g1, options), _exact_at(g2, options)
+    rule = _corona_rule(r1, r2)
+    d1, d2 = r1.certificate.orientation, r2.certificate.orientation
+    oriented, _kind = corona_orientation(g1, d1, g2, d2)
+    built = oriented.max_outdegree() + 1
+    if built != rule.level:
+        raise ProofObligationError(
+            f"corona orientation has level {built}, the corona rule gives {rule.level}"
+        )
+    return bracket(rule.terms, ATCertificate(rule.level, oriented, rule.magnitude, rule.method))
 
 
 class _CoronaRule(NamedTuple):
@@ -250,25 +261,6 @@ def _corona_rule(r1: ATResult, r2: ATResult) -> _CoronaRule:
             f"{reason} lower bound {lo} exceeds corona rule level {level} ({method})"
         )
     return _CoronaRule(tuple(terms), lo, reason, level, magnitude, method)
-
-
-def _pinch(r1: ATResult, r2: ATResult) -> ATResult:
-    """The `_corona_rule` bracket as an ATResult whose certificate is the
-    corona orientation that rules R1-R3 build from the factors' certificate
-    orientations. Raises ProofObligationError unless that orientation's max
-    outdegree + 1 is the rule's level. Only the callers that read the
-    certificate (`corona_at`, corollary 3.7, the remark instances) pinch;
-    the bracket rows read the rule alone."""
-    rule = _corona_rule(r1, r2)
-    d1 = r1.certificate.orientation
-    d2 = r2.certificate.orientation
-    oriented, _kind = corona_orientation(d1.graph, d1, d2.graph, d2)
-    built = oriented.max_outdegree() + 1
-    if built != rule.level:
-        raise ProofObligationError(
-            f"corona orientation has level {built}, the corona rule gives {rule.level}"
-        )
-    return bracket(rule.terms, ATCertificate(rule.level, oriented, rule.magnitude, rule.method))
 
 
 # ---------------------------------------------------------------------------
@@ -404,29 +396,30 @@ def check_corollary_3_7(
             f"hypothesis violated: AT({name2})={at2}, AT({name1})={at1}, chi({name2})={chi2}"
         )
     predicted = at2 + 1
-    # AT(g2) >= AT(g1) puts the corona certificate at level AT(g2) + 1, above
-    # both factors, so the pinch bounds AT by the cone K1 + g2. The row
-    # reports chi of the corona itself, so it colors the corona. Over budget,
-    # chi >= the cone term and chi <= AT <= the certificate level, so chi is
-    # proved where those meet, and None where they do not.
-    result = _pinch(r1, r2)
+    # AT(g2) >= AT(g1) puts the corona rule's level at AT(g2) + 1, above both
+    # factors, so the rule bounds AT by the cone K1 + g2. The row reports chi
+    # of the corona itself, so it builds the corona and colors it. Over
+    # budget, chi >= the cone term and chi <= AT <= the rule's level, so chi
+    # is proved where those meet, and None where they do not.
+    rule = _corona_rule(r1, r2)
+    lo, hi = rule.lo, rule.level
     try:
-        chi: Optional[int] = _chromatic(result.certificate.orientation.graph)
+        chi: Optional[int] = _chromatic(corona(g1, g2))
         how = ""
     except CapacityError:
-        by_cone = result.is_exact and result.lower_bound_reason != "subgraph"
-        chi = result.hi if by_cone else None
+        by_cone = lo == hi and rule.reason != "subgraph"
+        chi = hi if by_cone else None
         how = " by the cone bound" if chi is not None else ""
-    evidence = f"chi(corona)={chi}{how}; AT bracket {_fmt_bracket(result.lo, result.hi)}"
+    evidence = f"chi(corona)={chi}{how}; AT bracket {_fmt_bracket(lo, hi)}"
     # the row claims chi = AT, so it passes only on a chi it computed or proved
-    verdict = _bracket_verdict({predicted}, result.lo, result.hi)
+    verdict = _bracket_verdict({predicted}, lo, hi)
     if chi is None and verdict == "pass":
         verdict = "inconclusive"
     elif chi not in (None, predicted):
         verdict = "fail"
     return ClaimReport(
         "corollary3.7", f"{name1} o {name2}", f"chi = AT = {predicted}",
-        f"chi={chi}, AT={_fmt_bracket(result.lo, result.hi)}", verdict, evidence,
+        f"chi={chi}, AT={_fmt_bracket(lo, hi)}", verdict, evidence,
     )
 
 
@@ -512,16 +505,15 @@ def check_chi_product(
     return _chi_row("chi-product", cartesian_product, "x", max, g, h, name1, name2)
 
 
-def check_remark_gap(name: str, chi: int, at_result: ATResult) -> ClaimReport:
+def check_remark_gap(name: str, chi: int, lo: int, hi: int) -> ClaimReport:
     """The 'not chromatic-AT choosable' remarks: chi(G) strictly below AT(G),
-    from G's chi and AT result.
+    from G's chi and the bracket [lo, hi] on its AT.
 
     Checks the remark as printed. On Q2, Q3 o P3 and Q3 o C3 the paper's own
     lemmas prove chi = AT (2, 3, 4), so those rows report `fail` on purpose.
     Acceptance criterion 12 asserts the proven equality on Q3 o P3 and
     Q3 o C3, and the remark as printed on Q2, where that sub-case fails.
     """
-    lo, hi = at_result.lo, at_result.hi
     # chi <= AT always, so a fail means equality: choosable after all
     verdict = _bracket_verdict(set(range(chi + 1, hi + 1)), lo, hi)
     return ClaimReport(
@@ -585,9 +577,10 @@ def random_corona_pairs(
     return pairs
 
 
-def remark_instances(options: SolverOptions = DEFAULT_OPTIONS) -> list[tuple[str, int, ATResult]]:
+def remark_instances(options: SolverOptions = DEFAULT_OPTIONS) -> list[tuple[str, int, int, int]]:
     """The instances quoted by the non-choosability remarks, each with its chi
-    and its AT computed by the route appropriate to its family."""
+    and the bracket [lo, hi] on its AT, computed by the route appropriate to
+    its family; the coronas' brackets are the corona rule's."""
     cubes = {n: _hypercube(n) for n in range(2, 7)}
     results = [(f"Q{n}", q, _exact_at(q, options)) for n, q in cubes.items()]
     for name, g in (
@@ -595,11 +588,12 @@ def remark_instances(options: SolverOptions = DEFAULT_OPTIONS) -> list[tuple[str
         ("Q2 x C4", cartesian_product(cubes[2], cycle(4))),
     ):
         results.append((name, g, at_bipartite(g)))
+    brackets = [(name, g, r.lo, r.hi) for name, g, r in results]
     r3 = _exact_at(cubes[3], options)
     for name, g2 in (("Q3 o P3", path(3)), ("Q3 o C3", cycle(3))):
-        result = _pinch(r3, _exact_at(g2, options))
-        results.append((name, result.certificate.orientation.graph, result))
-    return [(name, _chromatic(g), result) for name, g, result in results]
+        rule = _corona_rule(r3, _exact_at(g2, options))
+        brackets.append((name, corona(cubes[3], g2), rule.lo, rule.level))
+    return [(name, _chromatic(g), lo, hi) for name, g, lo, hi in brackets]
 
 
 def run_suite(
@@ -697,8 +691,8 @@ def run_suite(
             row(check_chi_product, cycle(3), cycle(3), "C3", "C3")
             row(check_chi_product, _hypercube(2), _hypercube(2), "Q2", "Q2")
         if want("remark-gap"):
-            for name, chi, at_result in remark_instances(options):
-                row(check_remark_gap, name, chi, at_result)
+            for name, chi, lo, hi in remark_instances(options):
+                row(check_remark_gap, name, chi, lo, hi)
     finally:
         _memo = None
     return reports

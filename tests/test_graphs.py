@@ -65,6 +65,16 @@ def test_hypercube_caps():
         hypercube(17)
 
 
+def test_hypercube_reads_its_bound_off_the_vertex_cap(monkeypatch):
+    # "each refuses sizes over VERTEX_CAP": the dimension bound follows the cap
+    with pytest.raises(SizeCapError, match=r"^hypercube dimension must be in 1\.\.16, got 17$"):
+        hypercube(17)
+    monkeypatch.setattr(atlab.graphs, "VERTEX_CAP", 30)
+    assert hypercube(4).n == 16
+    with pytest.raises(SizeCapError, match=r"^hypercube dimension must be in 1\.\.4, got 5$"):
+        hypercube(5)
+
+
 def test_generator_families():
     assert cycle(4).m == 4
     with pytest.raises(ValueError):

@@ -271,6 +271,17 @@ def test_only_chromatic_reads_chi_in_theorems():
     assert uses and not found, f"chromatic_number named outside theorems._chromatic: {found}"
 
 
+def test_only_corona_at_builds_a_corona_orientation_in_theorems():
+    # the corona rows read their bracket off theorems._corona_rule; only
+    # corona_at returns a certificate, so only it builds the orientation
+    trees = {"theorems.py": _package_trees()["theorems.py"]}
+    uses = _uses(trees, lambda n: "corona_orientation" in (getattr(n, "id", None),
+                                                          getattr(n, "attr", None)))
+    found = [f"{name}:{line}" for name, top, line in uses
+             if getattr(top, "name", None) != "corona_at"]
+    assert uses and not found, f"corona_orientation named outside theorems.corona_at: {found}"
+
+
 def test_only_the_gated_engines_read_their_budgets():
     # each diff engine checks its own gate and raises CapacityError past it;
     # a caller that read ENUM_CAP or POLY_BUDGET ahead of the engine would

@@ -319,7 +319,7 @@ def test_suite_colors_each_graph_once_per_call(monkeypatch):
 
 def test_pinch_colors_nothing(monkeypatch):
     # the cone K1 + H bounds chi by H's own chromatic term plus one, so the
-    # pinch reads chi(H) from H's result and colors neither H nor the
+    # corona rule reads chi(H) from H's result and colors neither H nor the
     # corona, with time to spare or none; and chi <= AT, so once
     # max(AT(G), AT(H)) meets the certificate level it adds no cone term
     def forbidden(*args, **kwargs):
@@ -341,8 +341,8 @@ def test_pinch_colors_nothing(monkeypatch):
                 patch.setattr(module, "chromatic_number", forbidden)
             patch.setattr(atlab.graphs, "two_coloring", forbidden)
             for g1, r1, g2, r2, expected in solved:
-                res = theorems._pinch(r1, r2)
-                assert (res.lo, res.hi, res.lower_bound_reason) == expected, (g1, g2)
+                rule = theorems._corona_rule(r1, r2)
+                assert (rule.lo, rule.level, rule.reason) == expected, (g1, g2)
     # nor does a bracket row color anything beyond its factors, or build the
     # corona or its orientation: it reads its bracket off the corona rule
     def built(*args, **kwargs):
@@ -359,8 +359,9 @@ def test_pinch_colors_nothing(monkeypatch):
 
 
 def test_suite_builds_the_corona_orientation_only_for_certificates(monkeypatch):
-    # corollary 3.7 colors its three coronas and the remark rows color
-    # Q3 o P3 and Q3 o C3; the other 35 corona rows read the rule alone
+    # every corona row reads its bracket off the corona rule; corollary 3.7
+    # and the remark rows build the corona to color it, but no orientation.
+    # Only corona_at, which returns the certificate, builds one
     built = []
 
     def counted(g1, d1, g2, d2):
@@ -369,23 +370,23 @@ def test_suite_builds_the_corona_orientation_only_for_certificates(monkeypatch):
 
     monkeypatch.setattr(theorems, "corona_orientation", counted)
     run_suite(seed=11)
-    assert built == [
-        (complete(2), cycle(3)), (path(3), complete(3)), (complete(2), cycle(4)),
-        (hypercube(3), path(3)), (hypercube(3), cycle(3)),
-    ]
+    assert built == []
+    corona_at(path(3), complete(3))
+    assert built == [(path(3), complete(3))]
 
 
 def test_corona_rule_matches_the_built_certificate():
-    # the rule's numbers are the pinch's, whose certificate is the corona
-    # orientation built from the factors' certificates
+    # the rule's numbers are corona_at's, whose certificate is the corona
+    # orientation built from the factors' certificates. The pairs hold every
+    # corona that corollary 3.7 and the remark rows color: P3 o K3 and Q_n o H
     hs = [Graph(["0"], []), complete(2), path(3), path(4), cycle(3), cycle(4), cycle(5),
           cycle(6), complete(3)]
     pairs = [(hypercube(n), h) for n in range(1, 6) for h in hs]
+    pairs.append((path(3), complete(3)))
     pairs.append((cycle(5), Graph([], [])))  # an empty H: AT(C5) with no cone term
     for g1, g2 in pairs:
-        r1, r2 = at_exact(g1), at_exact(g2)
-        rule = theorems._corona_rule(r1, r2)
-        res = theorems._pinch(r1, r2)
+        rule = theorems._corona_rule(at_exact(g1), at_exact(g2))
+        res = corona_at(g1, g2)
         cert = res.certificate
         assert (rule.terms, rule.level, rule.magnitude, rule.method) == (
             res.terms, cert.level, cert.diff_magnitude, cert.method
@@ -393,7 +394,6 @@ def test_corona_rule_matches_the_built_certificate():
         assert (rule.lo, rule.reason) == (res.lo, res.lower_bound_reason)
         assert cert.orientation.graph == corona(g1, g2)
         assert cert.orientation.max_outdegree() + 1 == rule.level
-        assert res == corona_at(g1, g2)
     res = corona_at(cycle(5), Graph([], []))
     assert (res.terms, res.hi, res.certificate.method) == (((3, "subgraph"),), 3, "product-law")
 
@@ -499,16 +499,26 @@ def test_remark_gap_checker():
     q4 = hypercube(4)
     from atlab import at_bipartite
 
-    rep = check_remark_gap("Q4", chromatic_number(q4), at_bipartite(q4))
+    r = at_bipartite(q4)
+    rep = check_remark_gap("Q4", chromatic_number(q4), r.lo, r.hi)
     assert rep.verdict == "pass"
     q2 = hypercube(2)
-    rep = check_remark_gap("Q2", chromatic_number(q2), at_bipartite(q2))
+    r = at_bipartite(q2)
+    rep = check_remark_gap("Q2", chromatic_number(q2), r.lo, r.hi)
     assert rep.verdict == "fail"  # AT(Q2) = 2 = chi(Q2)
+    # on an open bracket, chi = lo leaves AT = chi open; chi below lo proves the gap
+    rep = check_remark_gap("X", 3, 3, 4)
+    assert (rep.verdict, rep.computed) == ("inconclusive", "chi=3, AT=[3, 4]")
+    rep = check_remark_gap("X", 2, 3, 4)
+    assert (rep.verdict, rep.computed) == ("pass", "chi=2, AT=[3, 4]")
 
 
 def test_remark_instances_catalog():
-    names = [name for name, _, _ in remark_instances()]
+    found = remark_instances()
+    names = [name for name, _, _, _ in found]
     assert names == ["Q2", "Q3", "Q4", "Q5", "Q6", "Q2 x P4", "Q2 x C4", "Q3 o P3", "Q3 o C3"]
+    # the coronas' brackets are the corona rule's, closed at the proven chi = AT
+    assert found[-2:] == [("Q3 o P3", 3, 3, 3), ("Q3 o C3", 4, 4, 4)]
 
 
 def test_tree_catalog_dedup_and_determinism():
