@@ -507,14 +507,24 @@ def find_at_orientation(
     All orientations with one outdegree sequence share |diff|, the
     coefficient of that monomial in prod_{uv} (x_u - x_v), so monomial_search
     over exponents <= cap(v) decides, and path reversal realizes its hit.
+
+    Every exponent vector of the product sums to |E|, so with slack
+    s = sum(cap) - |E| each exponent is at least cap(v) - s: the others
+    cannot make up more than their caps. The search gets that floor, which
+    prunes only states with no completion, so it returns what it would
+    return from a floor of 0, sooner; at s = 0 the floors equal the caps and
+    a level is one coefficient.
     Raises CapacityError past search_edge_cap and SearchTimeout past `deadline`.
     """
     if g.m > options.search_edge_cap:
         raise CapacityError(
             f"{g.m} edges exceeds search_edge_cap {options.search_edge_cap}"
         )
+    caps = _caps(g, cap)
+    slack = sum(caps) - g.m
+    floors = [max(0, c - slack) for c in caps]
     order = frontier_order(g.adjacency)
-    hit = monomial_search(g.n, g.edges, order, [0] * g.n, _caps(g, cap), deadline)
+    hit = monomial_search(g.n, g.edges, order, floors, caps, deadline)
     if hit is None:
         return None
     d = bounded_outdegree_orientation(g, hit[0])

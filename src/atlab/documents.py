@@ -3,7 +3,9 @@
 Both formats are versioned, line-oriented and human-diffable, with fixed
 field order so canonical documents round-trip byte-exactly. Vertex labels are
 JSON-encoded one per line: a string, an integer or an array of labels (tuples
-become arrays and are restored as tuples on parse). A secondary bare
+become arrays and are restored as tuples on parse). The writer encodes each
+label in one walk, `_label_text`, that checks its type and writes the text
+json.dumps gives with compact separators and ASCII escapes. A secondary bare
 edge-list format ("u v" per line, 0-indexed) is accepted for graph input
 interoperability; it synthesizes labels "0".."n-1".
 
@@ -19,9 +21,9 @@ per-line reader gives every error message. The parser is strict:
 lines have exactly their fields, counts are non-negative, labels have the
 types above and only blank lines may follow a document's last section;
 anything else raises ValueError. The writers raise ValueError on a label the
-parser would refuse (a float, a bool, None, ...), on a provenance that
-str.splitlines breaks and on a recipe kind the parser would refuse, so every
-document they write reads back.
+parser would refuse (a float, a bool, None, ...; the first in vertex order is
+named), on a provenance that str.splitlines breaks and on a recipe kind the
+parser would refuse, so every document they write reads back.
 
 A certificate of a composite orientation ends with a `recipe <kind>` line,
 the word its builder returned: "product" or "corona", the only words written
@@ -45,8 +47,10 @@ CERT_MAGIC = "atlab-cert 1"
 # the kinds the composite builders of `construct` return
 _RECIPE_KINDS = ("product", "corona")
 
-# Built once: json.dumps with non-default separators builds an encoder per call.
-_encode_label = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True).encode
+# The string step of json.dumps(..., ensure_ascii=True), in C where CPython has
+# it: a JSONEncoder would check each label's type again and build its own
+# iterator per call, and the writer encodes one label per vertex.
+_encode_str = json.encoder.encode_basestring_ascii
 _decode_json = json.JSONDecoder().decode
 # an arcs block as the writer spells it: `a <tail> <head>` lines, one space apart
 _ARC_LINES = re.compile(r"a [0-9]+ [0-9]+(?:\na [0-9]+ [0-9]+)*")
@@ -64,18 +68,29 @@ def _label(value):
     raise ValueError(_BAD_LABEL.format(value))
 
 
-def _check_labels(labels) -> None:
-    """Raise ValueError unless every label is one `_label` reads back: a
-    string, an integer (not a bool) or a tuple of labels. Without this a
-    float, bool or None would be written and then refused on read."""
-    parts = list(labels)
-    while parts:
-        part = parts.pop()
+def _label_text(label) -> str:
+    """The text json.dumps(label, separators=(",", ":"), ensure_ascii=True)
+    writes, for a label `_label` reads back: a string, an integer (not a
+    bool) or a tuple of labels. Anything else, which json.dumps would write
+    and the parser then refuse (a float, a bool, None, ...), raises
+    ValueError naming the first such part, depth first."""
+    kind = type(label)
+    if kind is str:
+        return _encode_str(label)
+    if kind is int:
+        return int.__repr__(label)
+    if kind is not tuple:
+        raise ValueError(_BAD_LABEL.format(label))
+    parts = []
+    for part in label:
         kind = type(part)
-        if kind is tuple:
-            parts.extend(part)
-        elif kind is not str and kind is not int:
-            raise ValueError(_BAD_LABEL.format(part))
+        if kind is str:
+            parts.append(_encode_str(part))
+        elif kind is int:
+            parts.append(int.__repr__(part))
+        else:
+            parts.append(_label_text(part))
+    return "[" + ",".join(parts) + "]"
 
 
 def _decode_label(text: str):
@@ -139,8 +154,7 @@ def serialize_graph(g: Graph, provenance: Optional[str] = None) -> str:
         _check_one_line("provenance", provenance)
         lines.append(f"provenance {provenance}")
     lines.append(f"vertices {g.n}")
-    _check_labels(g.vertices)
-    lines.extend(["v " + _encode_label(label) for label in g.vertices])
+    lines.extend(["v " + text for text in map(_label_text, g.vertices)])
     lines.append(f"edges {g.m}")
     lines.extend([f"e {u} {v}" for u, v in g.edges])
     return "\n".join(lines) + "\n"

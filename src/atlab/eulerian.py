@@ -368,6 +368,11 @@ def monomial_search(
     whose final exponents leave the others unable to sum to len(arcs) is not
     taken. Raises SearchTimeout past `deadline`, checked at every arc and
     every branch.
+
+    Every monomial of the product has degree len(arcs), so a hit has
+    e_v >= hi_v - (sum(hi) - len(arcs)) for every v. `find_at_orientation`
+    passes that floor as `lo`: it prunes only states with no completion,
+    and therefore changes no result, only how much is searched.
     """
     m = len(arcs)
     pos = [0] * n

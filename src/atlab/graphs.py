@@ -17,8 +17,9 @@ Label conventions:
 
 Checked and unchecked construction:
   * `Graph(vertices, edges)` checks its input: the vertex cap, distinct
-    labels, and every edge for range, self-loop and duplicate. Documents, the
-    CLI, callers and `tree_from_edges` (the caller's edge list) build this way.
+    labels, and every edge for int endpoints (not bools), range, self-loop
+    and duplicate. Documents, the CLI, callers and `tree_from_edges` (the
+    caller's edge list) build this way.
   * hypercube, cycle, path, star, complete, complete_bipartite,
     tree_from_pruefer, cartesian_product and corona build through the private
     `_built`, which skips those checks. Each refuses sizes over VERTEX_CAP
@@ -59,6 +60,10 @@ class Graph:
         norm = []
         seen = set()
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                # a bool or float would compare equal to an index, and a
+                # document could not spell it
+                raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
             if u == v:

@@ -652,6 +652,52 @@ def test_writers_refuse_labels_the_reader_refuses(label):
         2, orient(ok, [0]), 1, "acyclic"))).orientation.graph == ok
 
 
+# characters JSON must escape or that a careless encoder gets wrong: the C0
+# controls, DEL, quotes and backslashes, lone and paired surrogates, non-BMP
+_AWKWARD = [chr(c) for c in range(0x20)] + [
+    "\x7f", '"', "\\", "/", "a", " ", "\u00e9", "\u20ac", "\ud800", "\udfff",
+    "\ud834\udd1e", "\U0001d11e", "\U0010ffff", "\ufeff"]
+
+
+def _json_label(rng, depth: int = 0):
+    """A label the reader takes: a string of awkward characters (maybe
+    empty), an integer (maybe negative or past 64 bits) or a tuple of
+    labels (maybe empty), nested at most 3 deep."""
+    kind = rng.choice(["str", "int", "tuple"] if depth < 3 else ["str", "int"])
+    if kind == "str":
+        return "".join(rng.choice(_AWKWARD) for _ in range(rng.randint(0, 5)))
+    if kind == "int":
+        return rng.choice([1, -1]) * rng.randint(0, 2 ** rng.choice([3, 31, 64, 65, 200]))
+    return tuple(_json_label(rng, depth + 1) for _ in range(rng.randint(0, 3)))
+
+
+def test_label_text_writes_what_json_dumps_writes():
+    import json
+    import random
+
+    rng = random.Random(3535)
+    labels = ["", (), ((),), (("", ()),), -(2**64), 2**64, 0, "\x7f\x00\ud800"]
+    labels += [_json_label(rng) for _ in range(3000)]
+
+    def depth(label):
+        return 1 + max(map(depth, label), default=0) if type(label) is tuple else 0
+
+    assert max(map(depth, labels)) == 3
+    for label in labels:
+        expect = json.dumps(label, separators=(",", ":"), ensure_ascii=True)
+        assert documents._label_text(label) == expect, label
+
+
+def test_writers_name_the_first_bad_label_in_vertex_order():
+    from atlab import ATCertificate, Graph
+
+    g = Graph(["0", ("a", 1.5), None], [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="vertex label part 1.5 is"):
+        serialize_graph(g)
+    with pytest.raises(ValueError, match="vertex label part 1.5 is"):
+        serialize_certificate(ATCertificate(2, orient(g, [0, 1]), 1, "acyclic"))
+
+
 # every break that str.splitlines, and so the parser, splits a line on
 LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                "\u2028", "\u2029"]

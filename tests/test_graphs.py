@@ -1,4 +1,5 @@
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -35,6 +36,11 @@ def test_graph_rejects_bad_edges():
         Graph(["a", "b"], [(0, 2)])
     with pytest.raises(ValueError):
         Graph(["a", "a"], [])
+    # False == 0 and 1.0 == 1, so these would build the (0, 1) graph, which a
+    # document then spells with the bad endpoints or cannot spell at all
+    for edge in [(False, True), (0, True), (0.0, 1), (0, 1.0), ("0", 1), (0, "1")]:
+        with pytest.raises(ValueError, match=re.escape(f"edge ({edge[0]!r}, {edge[1]!r})")):
+            Graph(["a", "b"], [edge])
 
 
 def test_hypercube_counts():

@@ -11,7 +11,10 @@ from atlab import (
     Graph,
     SolverOptions,
     at_exact,
+    atsolver,
     bounded_outdegree_orientation,
+    cartesian_product,
+    cycle,
     eulerian_tally_enumerate,
     find_at_orientation,
     least_uniform_cap,
@@ -19,7 +22,7 @@ from atlab import (
     orientation_from_arcs,
 )
 from atlab.density import induced_edge_count, max_density, reverse_paths
-from atlab.eulerian import diff_coefficient, engine_diff, frontier_order
+from atlab.eulerian import diff_coefficient, engine_diff, frontier_order, monomial_search
 from atlab.graphs import is_connected
 from helpers import (
     is_gallai_tree,
@@ -108,6 +111,50 @@ def test_level_search_matches_brute_force():
         caps = [rng.randint(0, d) for d in g.degrees()]
         seen["none" if check_level_search(g, caps) is None else "found"] += 1
     assert min(seen.values()) >= 50, seen
+
+
+def test_degree_floors_never_change_the_level_search():
+    # a floor prunes only states with no completion, so the search returns
+    # the same hit, coefficient included, or the same None as from floor 0
+    rng = random.Random(3535)
+    seen = {"found": 0, "none": 0, "uniform": 0, "slack 0": 0, "floors": 0}
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 9), rng.choice([0.3, 0.5, 0.7]))
+        if g.m > 20:
+            continue
+        order = frontier_order(g.adjacency)
+        uniform = [[c] * g.n for c in range(g.max_degree() + 1) if -1 <= g.n * c - g.m <= 3]
+        spread = []
+        for slack in range(-1, 4):
+            caps = [0] * g.n
+            for _ in range(g.m + slack):
+                caps[rng.randrange(g.n)] += 1
+            spread.append(caps)
+        for caps in uniform + spread:
+            # the floors find_at_orientation passes
+            floors = [max(0, c - (sum(caps) - g.m)) for c in caps]
+            hit = monomial_search(g.n, g.edges, order, floors, caps)
+            assert hit == monomial_search(g.n, g.edges, order, [0] * g.n, caps), (g.edges, caps)
+            seen["none" if hit is None else "found"] += 1
+            seen["uniform"] += caps in uniform
+            seen["slack 0"] += sum(caps) == g.m
+            seen["floors"] += any(floors)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_at_slack_zero_the_floors_are_the_caps(monkeypatch):
+    # C3 x C3 is 4-regular, so cap 2 leaves no slack: level 3 is the one
+    # coefficient of prod x_v^2, which is 0
+    searched = []
+
+    def spy(n, arcs, order, lo, hi, deadline=None):
+        searched.append((list(lo), list(hi)))
+        return monomial_search(n, arcs, order, lo, hi, deadline)
+
+    monkeypatch.setattr(atsolver, "monomial_search", spy)
+    g = cartesian_product(cycle(3), cycle(3))
+    assert find_at_orientation(g, 2, SolverOptions(search_edge_cap=g.m)) is None
+    assert searched == [([2] * 9, [2] * 9)]
 
 
 def test_level_search_meets_the_degree_caps_off_gallai_trees():

@@ -362,3 +362,26 @@ def test_documents_import_nothing_from_construct():
     trees = {"documents.py": _package_trees()["documents.py"]}
     found = [line for _, _, line in _uses(trees, _imports_of("construct"))]
     assert not found, f"documents.py imports from construct on lines {found}"
+
+
+def test_documents_encode_labels_only_through_label_text():
+    # the writer, graph_sha256 and the parser's canonical check all encode a
+    # label in one typed walk; a JSONEncoder or json.dumps per label would be
+    # a second encoder that checks types again, as the old writer did
+    trees = {"documents.py": _package_trees()["documents.py"]}
+
+    def named(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+
+    found = [line for _, _, line in _uses(trees, lambda n: named(n) in ("JSONEncoder", "dumps"))]
+    assert not found, f"documents.py names JSONEncoder or json.dumps on lines {found}"
+
+    # the JSON string step is named once, where it is bound, and called only
+    # by _label_text, which serialize_graph calls
+    def user(name):
+        uses = _uses(trees, lambda n: named(n) == name)
+        return {(getattr(top, "name", None), isinstance(top, ast.Assign)) for _, top, _ in uses}
+
+    assert user("encode_basestring_ascii") == {(None, True)}
+    assert user("_encode_str") == {(None, True), ("_label_text", False)}
+    assert user("_label_text") == {("_label_text", False), ("serialize_graph", False)}
