@@ -158,7 +158,7 @@ def bounded_outdegree_orientation(
     is one bound for all vertices or one per vertex. When the caps sum to
     |E|, a result has exactly the given outdegrees.
     """
-    split = reverse_paths(g.n, g.edges, _caps(g, cap), 1)[0]
+    split = reverse_paths(g.edges, _caps(g, cap), 1)[0]
     return None if split is None else _split_orientation(g, split)
 
 
@@ -203,7 +203,7 @@ def least_uniform_cap(g: Graph) -> UniformCap:
     k = -(-g.m // g.n) if g.n else 0
     witness = tuple(range(g.n))
     while True:
-        split, reached = reverse_paths(g.n, g.edges, [k] * g.n, 1)
+        split, reached = reverse_paths(g.edges, [k] * g.n, 1)
         if split is not None:
             return UniformCap(k, g, tuple(split), witness)
         witness = reached
@@ -507,24 +507,16 @@ def find_at_orientation(
     All orientations with one outdegree sequence share |diff|, the
     coefficient of that monomial in prod_{uv} (x_u - x_v), so monomial_search
     over exponents <= cap(v) decides, and path reversal realizes its hit.
-
-    Every exponent vector of the product sums to |E|, so with slack
-    s = sum(cap) - |E| each exponent is at least cap(v) - s: the others
-    cannot make up more than their caps. The search gets that floor, which
-    prunes only states with no completion, so it returns what it would
-    return from a floor of 0, sooner; at s = 0 the floors equal the caps and
-    a level is one coefficient.
+    The search clips the caps to the degrees and works out its own exponent
+    floors (see monomial_search).
     Raises CapacityError past search_edge_cap and SearchTimeout past `deadline`.
     """
     if g.m > options.search_edge_cap:
         raise CapacityError(
             f"{g.m} edges exceeds search_edge_cap {options.search_edge_cap}"
         )
-    caps = _caps(g, cap)
-    slack = sum(caps) - g.m
-    floors = [max(0, c - slack) for c in caps]
     order = frontier_order(g.adjacency)
-    hit = monomial_search(g.n, g.edges, order, floors, caps, deadline)
+    hit = monomial_search(g.edges, order, _caps(g, cap), deadline)
     if hit is None:
         return None
     d = bounded_outdegree_orientation(g, hit[0])

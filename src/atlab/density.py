@@ -39,13 +39,14 @@ class DensityWitness(NamedTuple):
 
 
 def reverse_paths(
-    n: int, edges: Sequence[tuple[int, int]], caps: Sequence[int], q: int
+    edges: Sequence[tuple[int, int]], caps: Sequence[int], q: int
 ) -> tuple[Optional[list[int]], tuple[int, ...]]:
     """Split q units of every edge (u, v), u < v as in `Graph.edges`, between
-    its endpoints with at most caps[v] units on each vertex v. Returns
-    (split, ()) with split[2k] and split[2k + 1] the units of edge k on its
-    first and second endpoint, or (None, R) when no split exists, with R the
-    vertex set the last search reached: q*e(R) > sum_R caps[v].
+    its endpoints with at most caps[v] units on each of the len(caps)
+    vertices v. Returns (split, ()) with split[2k] and split[2k + 1] the
+    units of edge k on its first and second endpoint, or (None, R) when no
+    split exists, with R the vertex set the last search reached:
+    q*e(R) > sum_R caps[v].
 
     Each edge starts with all q units on the endpoint with more spare
     capacity (ties: the lower index). Then, while some vertex is overloaded,
@@ -53,6 +54,7 @@ def reverse_paths(
     units sit on the current vertex to a vertex with spare capacity, and the
     bottleneck amount moves along that path.
     """
+    n = len(caps)
     load = [0] * n
     # share is the split; share[a] is on vertex ends[a]
     share = [0] * (2 * len(edges))
@@ -136,7 +138,7 @@ def max_density(g: Graph) -> DensityWitness:
         return DensityWitness(density, witness)
     while True:
         p, q = density.numerator, density.denominator
-        split, reached = reverse_paths(g.n, g.edges, [p] * g.n, q)
+        split, reached = reverse_paths(g.edges, [p] * g.n, q)
         if split is not None:
             return DensityWitness(density, witness)
         denser = Fraction(induced_edge_count(g, reached), len(reached))

@@ -349,32 +349,36 @@ def frontier_order(adjacency: Sequence[Sequence[int]]) -> list[int]:
 
 
 def monomial_search(
-    n: int,
     arcs: Sequence[tuple[int, int]],
     order: Sequence[int],
-    lo: Sequence[int],
-    hi: Sequence[int],
+    caps: Sequence[int],
     deadline: Optional[float] = None,
 ) -> Optional[tuple[tuple[int, ...], int]]:
-    """First exponent vector e with lo <= e <= hi (depth first) whose monomial
-    prod_v x_v^(e_v) has a nonzero coefficient in prod_{(t, h) in arcs}
-    (x_t - x_h). Returns (e, coefficient), or None when there is none.
+    """First exponent vector e with e_v <= caps[v] (depth first) whose
+    monomial prod_v x_v^(e_v) has a nonzero coefficient in
+    prod_{(t, h) in arcs} (x_t - x_h), over the len(caps) vertices. Returns
+    (e, coefficient), or None when there is none.
+
+    The search works out its own exponent bounds (Alon and Tarsi 1992).
+    No e_v exceeds the number of arcs at v, so each cap is first clipped to
+    that count, and every monomial has degree len(arcs), so with slack
+    s = sum(clipped caps) - len(arcs) each e_v is at least its clipped cap
+    minus s: the others cannot make up more than their caps. Neither bound
+    removes a monomial of the product, so they change no result, only how
+    much is searched; at s = 0 the floors equal the caps and the search is
+    one coefficient, and at s < 0 or with a cap below 0 there is nothing to
+    search.
 
     Factors are multiplied in along `order`: an arc when its later endpoint
     comes up. Once a vertex's last arc is in, its exponent is final: the
     search branches on that value, lowest first, and drops the vertex's
     field, so a state holds the exponents of the frontier only. A state that
-    can no longer end inside [lo, hi] is pruned when it arises, and a branch
-    whose final exponents leave the others unable to sum to len(arcs) is not
-    taken. Raises SearchTimeout past `deadline`, checked at every arc and
-    every branch.
-
-    Every monomial of the product has degree len(arcs), so a hit has
-    e_v >= hi_v - (sum(hi) - len(arcs)) for every v. `find_at_orientation`
-    passes that floor as `lo`: it prunes only states with no completion,
-    and therefore changes no result, only how much is searched.
+    can no longer end inside the bounds is pruned when it arises, and a
+    branch whose final exponents leave the others unable to sum to
+    len(arcs) is not taken. Raises SearchTimeout past `deadline`, checked at
+    every arc and every branch.
     """
-    m = len(arcs)
+    n, m = len(caps), len(arcs)
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
@@ -385,13 +389,13 @@ def monomial_search(
         left[h] += 1
         pt, ph = pos[t], pos[h]
         when.append((pt, ph) if pt > ph else (ph, pt))
-    rest_lo = rest_hi = 0  # bounds on the exponents still to be fixed
-    for v in range(n):
-        if left[v]:
-            rest_lo += lo[v]
-            rest_hi += hi[v]
-        elif not lo[v] <= 0 <= hi[v]:
-            return None
+    hi = list(map(min, caps, left))
+    rest_hi = sum(hi)  # bounds on the exponents still to be fixed
+    slack = rest_hi - m
+    if slack < 0 or min(hi, default=0) < 0:
+        return None
+    lo = [max(0, c - slack) for c in hi]
+    rest_lo = sum(lo)
     width = max(max(hi, default=0), 1).bit_length()
     mask = (1 << width) - 1
     shift = [-1] * n
@@ -496,9 +500,8 @@ def diff_coefficient(d: Orientation, order: Optional[Sequence[int]] = None) -> i
     """
     coef = 1
     for part in d.strong_components():
-        k = len(part.vertices)
         if order is None:
-            adjacency: list[list[int]] = [[] for _ in range(k)]
+            adjacency: list[list[int]] = [[] for _ in part.vertices]
             for t, h in part.arcs:
                 adjacency[t].append(h)
                 adjacency[h].append(t)
@@ -506,8 +509,7 @@ def diff_coefficient(d: Orientation, order: Optional[Sequence[int]] = None) -> i
         else:
             local = {v: i for i, v in enumerate(part.vertices)}
             sub_order = [local[v] for v in order if v in local]
-        out = part.outdegrees()
-        hit = monomial_search(k, part.arcs, sub_order, out, out)
+        hit = monomial_search(part.arcs, sub_order, part.outdegrees())
         if hit is None:
             return 0
         coef *= hit[1]

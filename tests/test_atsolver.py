@@ -619,6 +619,15 @@ def test_level_exhaustion_is_real():
     assert found is not None and eulerian_tally_enumerate(found).diff != 0
 
 
+def test_a_negative_cap_admits_no_orientation():
+    # no outdegree is below 0, even where the other caps leave slack
+    g = path(3)
+    for caps in ([-1, 2, 2], [2, -1, 2], [-1, 1, 1]):
+        assert find_at_orientation(g, caps) is None, caps
+        assert bounded_outdegree_orientation(g, caps) is None, caps
+    assert find_at_orientation(Graph(["v"], []), -1) is None
+
+
 def test_at_exact_c3xc3():
     res = at_exact(cartesian_product(cycle(3), cycle(3)), SolverOptions(search_edge_cap=24))
     assert res.value == 4
@@ -653,6 +662,16 @@ def test_at_exact_time_budget_brackets():
         res = at_exact(g, SolverOptions(search_edge_cap=24, time_budget=budget))
         assert not res.is_exact, budget
         assert res.lo <= 4 <= res.hi
+
+
+def test_pendant_coronas_are_decided_within_a_short_budget():
+    # Lemma 3.6: AT(G o K1) = max(AT(G), AT(K1) + 1) = AT(G) = 4 here. Each
+    # pendant copy has degree 1 but the level's cap 2 at level 3, and only
+    # clipping the caps to the degrees leaves the search no slack there
+    for g1 in (cartesian_product(cycle(5), cycle(5)), cartesian_product(cycle(3), cycle(7))):
+        g = corona(g1, complete(1))
+        res = at_exact(g, SolverOptions(search_edge_cap=g.m, time_budget=2))
+        assert (res.lo, res.hi) == (4, 4), g1.n
 
 
 def test_lower_bound_never_exceeds_exact_and_certs_reverify():

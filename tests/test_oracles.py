@@ -98,7 +98,7 @@ def check_level_search(g, caps):
 def test_level_search_matches_brute_force():
     rng = random.Random(2505)
     graphs = 0
-    seen = {"found": 0, "none": 0}
+    seen = {"found": 0, "none": 0, "pendant": 0, "cap over degree": 0}
     while graphs < 200:
         g = random_graph(rng, rng.randint(3, 7), rng.choice([0.4, 0.6, 0.8]))
         if g.m > 12:
@@ -107,22 +107,44 @@ def test_level_search_matches_brute_force():
         for cap in range(5):
             found = check_level_search(g, [cap] * g.n)
             assert find_at_orientation(g, cap) == found, (g.edges, cap)
-        # one cap per vertex, up to its degree
+        # one cap per vertex, up to its degree, and up to 2 above it
         caps = [rng.randint(0, d) for d in g.degrees()]
         seen["none" if check_level_search(g, caps) is None else "found"] += 1
+        over = [rng.randint(0, d + 2) for d in g.degrees()]
+        check_level_search(g, over)
+        seen["pendant"] += 1 in g.degrees()
+        seen["cap over degree"] += any(map(int.__gt__, over, g.degrees()))
     assert min(seen.values()) >= 50, seen
 
 
+def naive_coefficients(g):
+    """prod_{(u, v) in g.edges} (x_u - x_v) multiplied out factor by factor,
+    as {exponent vector: nonzero coefficient}."""
+    poly = {(0,) * g.n: 1}
+    for u, v in g.edges:
+        nxt = {}
+        for e, c in poly.items():
+            for w, sign in ((u, c), (v, -c)):
+                k = e[:w] + (e[w] + 1,) + e[w + 1:]
+                nxt[k] = nxt.get(k, 0) + sign
+        poly = {e: c for e, c in nxt.items() if c}
+    return poly
+
+
 def test_degree_floors_never_change_the_level_search():
-    # a floor prunes only states with no completion, so the search returns
-    # the same hit, coefficient included, or the same None as from floor 0
+    # the search clips caps above a vertex's degree and floors each exponent
+    # at its clipped cap minus the slack; neither removes a monomial, so caps
+    # above the degree give the same hit, coefficient included, or the same
+    # None as the clipped caps, and both match the multiplied-out product
     rng = random.Random(3535)
-    seen = {"found": 0, "none": 0, "uniform": 0, "slack 0": 0, "floors": 0}
+    seen = {"found": 0, "none": 0, "uniform": 0, "slack 0": 0, "floors": 0, "clipped": 0}
     for _ in range(300):
         g = random_graph(rng, rng.randint(1, 9), rng.choice([0.3, 0.5, 0.7]))
-        if g.m > 20:
+        if g.m > 12:
             continue
         order = frontier_order(g.adjacency)
+        poly = naive_coefficients(g)
+        degrees = g.degrees()
         uniform = [[c] * g.n for c in range(g.max_degree() + 1) if -1 <= g.n * c - g.m <= 3]
         spread = []
         for slack in range(-1, 4):
@@ -131,14 +153,25 @@ def test_degree_floors_never_change_the_level_search():
                 caps[rng.randrange(g.n)] += 1
             spread.append(caps)
         for caps in uniform + spread:
-            # the floors find_at_orientation passes
-            floors = [max(0, c - (sum(caps) - g.m)) for c in caps]
-            hit = monomial_search(g.n, g.edges, order, floors, caps)
-            assert hit == monomial_search(g.n, g.edges, order, [0] * g.n, caps), (g.edges, caps)
+            clipped = list(map(min, caps, degrees))
+            over = [c + rng.randint(0, 2) if c == d else c for c, d in zip(clipped, degrees)]
+            hit = monomial_search(g.edges, order, clipped)
+            assert hit == monomial_search(g.edges, order, caps), (g.edges, caps)
+            assert hit == monomial_search(g.edges, order, over), (g.edges, over)
+            within = [e for e in poly if all(map(int.__le__, e, clipped))]
+            if hit is None:
+                assert not within, (g.edges, caps)
+            else:
+                e, coef = hit
+                assert e in within and poly[e] == coef, (g.edges, caps, hit)
+                even, odd = naive_tally(bounded_outdegree_orientation(g, e))
+                assert abs(even - odd) == abs(coef), (g.edges, caps, hit)
+            slack = sum(clipped) - g.m
             seen["none" if hit is None else "found"] += 1
             seen["uniform"] += caps in uniform
-            seen["slack 0"] += sum(caps) == g.m
-            seen["floors"] += any(floors)
+            seen["slack 0"] += slack == 0
+            seen["floors"] += slack >= 0 and any(c > slack for c in clipped)
+            seen["clipped"] += over != clipped
     assert min(seen.values()) >= 100, seen
 
 
@@ -147,14 +180,14 @@ def test_at_slack_zero_the_floors_are_the_caps(monkeypatch):
     # coefficient of prod x_v^2, which is 0
     searched = []
 
-    def spy(n, arcs, order, lo, hi, deadline=None):
-        searched.append((list(lo), list(hi)))
-        return monomial_search(n, arcs, order, lo, hi, deadline)
+    def spy(arcs, order, caps, deadline=None):
+        searched.append(list(caps))
+        return monomial_search(arcs, order, caps, deadline)
 
     monkeypatch.setattr(atsolver, "monomial_search", spy)
     g = cartesian_product(cycle(3), cycle(3))
     assert find_at_orientation(g, 2, SolverOptions(search_edge_cap=g.m)) is None
-    assert searched == [([2] * 9, [2] * 9)]
+    assert searched == [[2] * 9]
 
 
 def test_level_search_meets_the_degree_caps_off_gallai_trees():
@@ -340,7 +373,7 @@ def test_reverse_paths_at_multiplicity_q_is_hakimi():
                 for r in range(1, g.n + 1)
                 for s in combinations(range(g.n), r)
             )
-            split, reached = reverse_paths(g.n, g.edges, caps, q)
+            split, reached = reverse_paths(g.edges, caps, q)
             assert (split is not None) == hakimi, (g.edges, caps, q)
             if split is not None:
                 assert reached == ()
