@@ -23,7 +23,7 @@ from .documents import (
     serialize_graph,
 )
 from .errors import CapacityError
-from .eulerian import eulerian_tally_enumerate, one_way_cut_check, orientation_from_arcs
+from .eulerian import eulerian_tally_enumerate, orientation_from_arcs
 from .graphs import (
     Graph,
     cartesian_product,
@@ -181,27 +181,7 @@ def cmd_verify(args) -> int:
         print(f"diff check: {report.diff_method} -> {mag}")
     for msg in report.messages:
         print(f"note: {msg}")
-    if report.verdict != "accepted":
-        return 1 if report.verdict == "rejected" else 3
-    if doc.recipe_kind == "product":
-        print("note: recipe product is not checked")
-    elif doc.recipe_kind == "corona":
-        hubs, leaves = [], []
-        for i, lab in enumerate(doc.orientation.graph.vertices):
-            is_hub = isinstance(lab, tuple) and len(lab) == 2 and lab[1] == "hub"
-            (hubs if is_hub else leaves).append(i)
-        if not hubs:
-            print("note: recipe corona but no vertex is labelled as a hub")
-            return 1
-        cut = one_way_cut_check(doc.orientation, leaves, hubs)
-        if not cut.one_way:
-            print("note: recipe cut is not one-way")
-            return 1
-        sides = ""
-        if None not in (cut.diff_left, cut.diff_right):
-            sides = f", copies diff {cut.diff_left}, hubs diff {cut.diff_right}"
-        print(f"recipe cut: one-way{sides}")
-    return 0
+    return {"accepted": 0, "rejected": 1, "outdegree-only": 3}[report.verdict]
 
 
 def cmd_theorems(args) -> int:

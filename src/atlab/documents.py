@@ -18,18 +18,21 @@ re-encoded to check the hash, so an equivalent non-canonical one (spaces
 inside a label, an edge written `e 3 1`) is accepted; arcs follow the same
 rule, read in edge order when written as the writer writes them. The
 per-line reader gives every error message. The parser is strict:
-lines have exactly their fields, counts are non-negative, labels have the
-types above and only blank lines may follow a document's last section;
-anything else raises ValueError. The writers raise ValueError on a label the
-parser would refuse (a float, a bool, None, ...; the first in vertex order is
-named), on a provenance that str.splitlines breaks and on a recipe kind the
-parser would refuse, so every document they write reads back.
+lines have exactly their fields, integers are ASCII digits with an optional
+leading `-`, counts are non-negative, labels have the types above and only
+blank lines may follow a document's last section; anything else raises
+ValueError. The writers raise ValueError on a label the parser would refuse
+(a float, a bool, None, ...; the first in vertex order is named), on a
+provenance that str.splitlines breaks and on a recipe kind the parser would
+refuse, so every document they write reads back.
 
 A certificate of a composite orientation ends with a `recipe <kind>` line,
 the word its builder returned: "product" or "corona", the only words written
 or read. Documents written before the recipe was reduced to its kind also
-list one `rule` line per edge after it; the parser still checks and then
-ignores them, so those documents stay readable.
+list one `rule` line per edge after it. The parser checks the recipe line,
+any rule lines and the embedded graph's `provenance` line for form, then
+drops them all, so those documents stay readable and a certificate is judged
+by its claim alone: level, method, magnitude and orientation.
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ _RECIPE_KINDS = ("product", "corona")
 # iterator per call, and the writer encodes one label per vertex.
 _encode_str = json.encoder.encode_basestring_ascii
 _decode_json = json.JSONDecoder().decode
+# an integer field as the writer spells it; int() would also take `+4`, `0_2`
+# and non-ASCII digits
+_INT = re.compile(r"-?[0-9]+")
 # an arcs block as the writer spells it: `a <tail> <head>` lines, one space apart
 _ARC_LINES = re.compile(r"a [0-9]+ [0-9]+(?:\na [0-9]+ [0-9]+)*")
 
@@ -108,10 +114,9 @@ def _fields(line: str, tag: str, count: int) -> list[str]:
 
 
 def _int(field: str, line: str) -> int:
-    try:
-        return int(field)
-    except ValueError:
-        raise ValueError(f"expected an integer, got {field!r} in {line!r}") from None
+    if _INT.fullmatch(field) is None:
+        raise ValueError(f"expected an integer, got {field!r} in {line!r}")
+    return int(field)
 
 
 def _count(line: str, key: str) -> int:
@@ -125,10 +130,9 @@ def _pair(line: str, tag: str) -> tuple[int, int]:
     parts = line.split()  # not through _fields: this runs once per edge and arc
     if len(parts) != 3 or parts[0] != tag:
         raise ValueError(f"expected a {tag!r} line of 3 fields, got {line!r}")
-    try:
-        return int(parts[1]), int(parts[2])
-    except ValueError:
-        raise ValueError(f"expected two integers in {line!r}") from None
+    if _INT.fullmatch(parts[1]) is None or _INT.fullmatch(parts[2]) is None:
+        raise ValueError(f"expected two integers in {line!r}")
+    return int(parts[1]), int(parts[2])
 
 
 def _check_one_line(key: str, value: str) -> None:
@@ -207,11 +211,10 @@ def parse_pairs(lines: Iterable[str], what: str) -> list[tuple[int, int]]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            u, v = map(int, line.split())
-        except ValueError:
-            raise ValueError(f"bad {what} line: {line!r}") from None
-        pairs.append((u, v))
+        fields = line.split()
+        if len(fields) != 2 or not all(map(_INT.fullmatch, fields)):
+            raise ValueError(f"bad {what} line: {line!r}")
+        pairs.append((int(fields[0]), int(fields[1])))
     return pairs
 
 
@@ -226,19 +229,18 @@ def graph_sha256(g: Graph) -> str:
 
 
 class CertificateDocument(NamedTuple):
-    """Parsed certificate: the claim, the orientation and the recipe kind.
+    """Parsed certificate: the claim and its orientation.
 
-    The parser checks the embedded graph's `provenance` line and any legacy
-    `rule` lines but keeps neither: `atlab verify` needs only the recipe
-    kind, to run the corona cut check or to note that it checks no product
-    recipe.
+    The parser checks the embedded graph's `provenance` line, the `recipe`
+    line and any legacy `rule` lines for form but keeps none of them:
+    verify_certificate judges the claim alone, and its diff engines already
+    prove a composite's product law (see construct).
     """
 
     level: int
     method: str
     diff_magnitude: Optional[int]
     orientation: Orientation
-    recipe_kind: Optional[str]
 
     def as_certificate(self) -> ATCertificate:
         return ATCertificate(self.level, self.orientation, self.diff_magnitude, self.method)
@@ -358,9 +360,8 @@ def _parse_certificate_lines(lines: list[str]) -> CertificateDocument:
         raise ValueError("truncated certificate document")
     orientation = _orientation(graph, lines[i : i + m])
     i += m
-    recipe_kind = None
     if i < len(lines) and lines[i].startswith("recipe "):
-        recipe_kind = _check_recipe(_fields(lines[i], "recipe", 2)[1])
+        _check_recipe(_fields(lines[i], "recipe", 2)[1])
         i += 1
         # legacy `rule <edge> <R1|R2|R3> <factor edge, or - for a hub link>`
         while i < len(lines) and lines[i].startswith("rule "):
@@ -370,4 +371,4 @@ def _parse_certificate_lines(lines: list[str]) -> CertificateDocument:
                 _int(src, lines[i])
             i += 1
     _expect_end(lines, i, "certificate")
-    return CertificateDocument(level, method, diff_magnitude, orientation, recipe_kind)
+    return CertificateDocument(level, method, diff_magnitude, orientation)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from atlab import (
@@ -99,14 +101,16 @@ def test_certificate_with_recipe_tags():
     assert lines.count("recipe corona") == 1 and lines[-1] == "recipe corona"
     assert not [line for line in lines if line.startswith("rule ")]
     parsed = parse_certificate(doc)
-    assert parsed.recipe_kind == "corona"
+    # the recipe line is checked for form and dropped: the claim alone is read
+    assert parsed == parse_certificate(serialize_certificate(cert))
+    assert parsed.as_certificate() == cert
     legacy = _with_legacy_rules(doc, q2, p2)
     rules = [line for line in legacy.splitlines() if line.startswith("rule ")]
     assert len(rules) == d.graph.m
     assert rules[0] == "rule 0 R1 0" and rules[-1] == f"rule {d.graph.m - 1} R3 -"
     old = parse_certificate(legacy)
-    assert old.orientation == parsed.orientation and old.recipe_kind == "corona"
-    # the parser keeps only the recipe kind, but still checks each rule line
+    assert old == parsed
+    # the parser keeps no rule line, but still checks each one
     for bad in ("rule 0 R1", "rule 0 R1 x", "rule x R1 0", "rule 0 R1 0 0"):
         with pytest.raises(ValueError):
             parse_certificate(legacy.replace(rules[0], bad))
@@ -121,7 +125,8 @@ def test_recipe_certificate_roundtrip_bit_exact():
     )
     doc = serialize_certificate(ATCertificate(4, d, 4, "product-law"), "Q3 o C3", recipe)
     parsed = parse_certificate(doc)
-    assert serialize_certificate(parsed.as_certificate(), "Q3 o C3", parsed.recipe_kind) == doc
+    # the recipe is passed back in, as the provenance is
+    assert serialize_certificate(parsed.as_certificate(), "Q3 o C3", recipe) == doc
 
 
 def test_unverified_diff_roundtrip():
@@ -794,8 +799,7 @@ def test_every_document_a_writer_returns_reads_back(monkeypatch):
         del decoded[:]
         parsed = parse_certificate(cert_doc)
         assert not decoded  # a certificate as written is read in bulk
-        assert parsed.orientation == d
-        assert parsed.recipe_kind == recipe
+        assert parsed.as_certificate() == cert
         assert serialize_certificate(parsed.as_certificate(), text, recipe) == cert_doc
     assert written and refused
 
@@ -868,7 +872,7 @@ def test_certificates_with_awkward_labels_round_trip_and_read_the_same_respelled
     decoded = _count_label_decodes(monkeypatch)
     for rng, cert, provenance, recipe in _random_certificates():
         d = cert.orientation
-        expected = CertificateDocument(cert.level, cert.method, cert.diff_magnitude, d, recipe)
+        expected = CertificateDocument(cert.level, cert.method, cert.diff_magnitude, d)
         doc = serialize_certificate(cert, provenance, recipe)
         assert parse_certificate(doc) == expected
         assert not decoded
@@ -929,12 +933,12 @@ def _verify_document(name):
     """One of the kinds of certificate `atlab verify` decides differently:
     accepted by the bipartite closed form ("q4"), a corona recipe over both
     budgets ("q4oc5"), a level-search certificate re-checked by the other
-    engine ("c3c3"), and an AT certificate that names a corona recipe but
-    points its one hub link out of the hub, so the recipe's cut is not
-    one-way ("k1ok1"), a C4 certificate that names a corona recipe though
-    no vertex is a hub, so there is no cut to check ("c4"), and product
-    recipes, of which verify checks nothing: on C4, which is no product
-    ("c4product"), and on a Q2 x K3 product orientation ("q2xk3")."""
+    engine ("c3c3"), and AT certificates whose recipe line does not fit the
+    orientation, which verify drops as it drops the provenance: a corona
+    recipe whose one hub link points out of the hub ("k1ok1"), a corona
+    recipe on C4, where no vertex is a hub ("c4"), a product recipe on C4,
+    which is no product ("c4product"), and a Q2 x K3 product orientation
+    ("q2xk3")."""
     from atlab import (
         ATCertificate,
         acyclic_certificate,
@@ -980,15 +984,14 @@ def _verify_document(name):
                  "note: diff engines over budget; only the outdegree bound was checked\n"),
     ("c3c3", 0, "verdict: accepted\nmax outdegree 3 (level 4)\n"
                 "diff check: polynomial -> 2\n"),
-    ("k1ok1", 1, "verdict: accepted\nmax outdegree 1 (level 2)\n"
-                 "diff check: enumeration -> 1\nnote: recipe cut is not one-way\n"),
-    ("c4", 1, "verdict: accepted\nmax outdegree 1 (level 2)\n"
-              "diff check: polynomial -> 2\n"
-              "note: recipe corona but no vertex is labelled as a hub\n"),
+    ("k1ok1", 0, "verdict: accepted\nmax outdegree 1 (level 2)\n"
+                 "diff check: enumeration -> 1\n"),
+    ("c4", 0, "verdict: accepted\nmax outdegree 1 (level 2)\n"
+              "diff check: polynomial -> 2\n"),
     ("c4product", 0, "verdict: accepted\nmax outdegree 1 (level 2)\n"
-                     "diff check: polynomial -> 2\nnote: recipe product is not checked\n"),
+                     "diff check: polynomial -> 2\n"),
     ("q2xk3", 0, "verdict: accepted\nmax outdegree 3 (level 4)\n"
-                 "diff check: enumeration -> 8\nnote: recipe product is not checked\n"),
+                 "diff check: enumeration -> 8\n"),
 ])
 def test_cli_verify_output_per_diff_route(tmp_path, capsys, name, code, out):
     cpath = tmp_path / f"{name}.cert"
@@ -1013,7 +1016,63 @@ def test_negative_vertex_count_is_rejected():
         parse_graph("atlab-graph 1\nvertices -1\nedges 0\n")
 
 
-def test_cli_verify_corona_recipe_prints_cut_law(tmp_path, capsys, monkeypatch):
+# a spelling int() reads but the writer never writes, for each integer field
+@pytest.mark.parametrize("written, respelled", [
+    ("level 2", "level 0_2"), ("level 2", "level \u0662"), ("diff 2", "diff \uff12"),
+    ("arcs 4", "arcs +4"), ("vertices 4", "vertices +4"), ("e 0 1", "e 0 0_1"),
+    ("a 0 1", "a +0 1"),
+])
+def test_integer_fields_are_ascii_digits(written, respelled):
+    from atlab import ATCertificate
+
+    cert = ATCertificate(2, orient(cycle(4), [0, 1, 2, 3]), 2, "enumeration")
+    doc = serialize_certificate(cert)
+    assert written + "\n" in doc
+    with pytest.raises(ValueError, match=re.escape(repr(respelled))):
+        parse_certificate(doc.replace(written + "\n", respelled + "\n", 1))
+    if respelled.startswith(("vertices", "e ")):
+        graph_doc = serialize_graph(cycle(4))
+        with pytest.raises(ValueError, match=re.escape(repr(respelled))):
+            parse_graph(graph_doc.replace(written + "\n", respelled + "\n", 1))
+    if respelled.startswith("e "):  # and in the bare edge-list format
+        with pytest.raises(ValueError, match=re.escape(repr(respelled[2:]))):
+            parse_graph(f"{respelled[2:]}\n1 2\n")
+    # leading zeros stay accepted, as a reversed edge `e 1 0` is
+    field, _, value = written.rpartition(" ")
+    padded = parse_certificate(doc.replace(written + "\n", f"{field} 0{value}\n", 1))
+    assert padded.as_certificate() == cert
+
+
+def test_cli_verify_exit_code_is_the_verdict(tmp_path, capsys):
+    # the exit code is a function of verify_certificate's verdict alone, on
+    # recipe-bearing and legacy rule-line documents too, and no recipe is
+    # reported
+    from atlab import verify_certificate
+
+    codes = {"accepted": 0, "rejected": 1, "outdegree-only": 3}
+    rng, docs = _mutation_corpus()
+    docs += [_mutate(rng, doc) for doc in docs for _ in range(3)]
+    docs += [serialize_certificate(cert, provenance, recipe)
+             for _, cert, provenance, recipe in _random_certificates()]
+    cpath = tmp_path / "doc.cert"
+    verdicts = []
+    for doc in docs:
+        try:
+            parsed = parse_certificate(doc)
+        except ValueError:
+            continue
+        verdicts.append(verify_certificate(parsed.as_certificate()).verdict)
+        cpath.write_text(doc)
+        assert main(["verify", str(cpath)]) == codes[verdicts[-1]]
+        assert "recipe" not in capsys.readouterr().out
+    assert {"accepted", "rejected"} <= set(verdicts)
+    assert sum("recipe " in doc for doc in docs) >= 10
+
+
+def test_cli_verify_corona_recipe_prints_the_verdict_alone(tmp_path, capsys, monkeypatch):
+    # the recorded magnitude 4 is diff(d1) * diff(d2)^8 = 4 * 1^8, which both
+    # engines recompute per strongly connected component; the cut sides'
+    # diffs are test_construct's test_corona_cut_reports_on_recipe_certificates
     from atlab import ATCertificate, acyclic_certificate
 
     q3, c3 = hypercube(3), cycle(3)
@@ -1024,15 +1083,13 @@ def test_cli_verify_corona_recipe_prints_cut_law(tmp_path, capsys, monkeypatch):
     cert = ATCertificate(d.max_outdegree() + 1, d, 4, "product-law")
     cpath.write_text(serialize_certificate(cert, "Q3 o C3", recipe))
     assert main(["verify", str(cpath)]) == 0
-    out = capsys.readouterr().out
-    assert "verdict: accepted" in out
-    assert out.endswith("recipe cut: one-way, copies diff 1, hubs diff 4\n")
-    # past ENUM_CAP the sides have no diff, and the cut is still reported
+    assert capsys.readouterr().out == (
+        "verdict: accepted\nmax outdegree 3 (level 4)\ndiff check: enumeration -> 4\n")
+    # past ENUM_CAP the coefficient engine recomputes the same magnitude
     monkeypatch.setattr(eulerian, "ENUM_CAP", 3)
     assert main(["verify", str(cpath)]) == 0
     assert capsys.readouterr().out == (
-        "verdict: accepted\nmax outdegree 3 (level 4)\n"
-        "diff check: polynomial -> 4\nrecipe cut: one-way\n")
+        "verdict: accepted\nmax outdegree 3 (level 4)\ndiff check: polynomial -> 4\n")
 
 
 def _mutation_corpus():

@@ -151,6 +151,14 @@ def _is_record(cls):
     return bool(names & {"dataclass", "NamedTuple"})
 
 
+# OneWayCutReport's per-side diffs: the benchmark reaches them through
+# product_ok, and no package code reads them since `atlab verify` stopped
+# running the cut. They go with the cut once the benchmark stops calling
+# one_way_cut_check. Only these two are let off, and only while the rule
+# below would flag them: one that is deleted or gains a reader fails the test.
+UNREAD_FIELDS_THE_BENCHMARK_REACHES = {"OneWayCutReport.diff_left", "OneWayCutReport.diff_right"}
+
+
 def test_every_field_is_read():
     # the same rule for the fields of dataclasses and NamedTuples: each is
     # reached as an attribute somewhere in the package outside its own class
@@ -159,7 +167,7 @@ def test_every_field_is_read():
     trees = _package_trees()
     bench_names = _bench_names()
     package = sum((_attributes(tree) for tree in trees.values()), Counter())
-    found = []
+    found, let_off = [], set()
     for name, tree in trees.items():
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef) or not _is_record(cls):
@@ -172,8 +180,13 @@ def test_every_field_is_read():
                 if field in bench_names:
                     continue
                 if package[field] <= own[field]:
-                    found.append(f"{name}:{node.lineno} {cls.name}.{field}")
+                    if f"{cls.name}.{field}" in UNREAD_FIELDS_THE_BENCHMARK_REACHES:
+                        let_off.add(f"{cls.name}.{field}")
+                    else:
+                        found.append(f"{name}:{node.lineno} {cls.name}.{field}")
     assert not found, f"fields no package code reads: {found}"
+    stale = UNREAD_FIELDS_THE_BENCHMARK_REACHES - let_off
+    assert not stale, f"let off but deleted or now read, so drop them from the set: {stale}"
 
 
 def test_every_option_is_set_by_a_flag_or_the_benchmark():
@@ -362,6 +375,24 @@ def test_documents_import_nothing_from_construct():
     trees = {"documents.py": _package_trees()["documents.py"]}
     found = [line for _, _, line in _uses(trees, _imports_of("construct"))]
     assert not found, f"documents.py imports from construct on lines {found}"
+
+
+def test_verify_has_one_verdict_channel():
+    # the diff engines multiply per strongly connected component, so they
+    # already prove the product law across a recipe's cut on every
+    # certificate they accept; a cut check after them could only turn an
+    # accepted certificate's exit code into a failure. So `atlab verify`
+    # reads no vertex labels and runs no cut, and outside the modules that
+    # define them (and the __init__ re-export) no module names the cut
+    # check or the corona split.
+    trees = _package_trees()
+    cli = trees["cli.py"]
+    assert "vertices" not in _attributes(cli), "cli.py reads .vertices"
+    assert "one_way_cut_check" not in _names(cli, strings=True), "cli.py names one_way_cut_check"
+    cut = {"one_way_cut_check", "corona_cut_sides"}
+    found = {name: sorted(cut & _names(tree, strings=True)) for name, tree in trees.items()
+             if name not in ("eulerian.py", "construct.py")}
+    assert not any(found.values()), f"the cut named outside eulerian and construct: {found}"
 
 
 def test_documents_encode_labels_only_through_label_text():
