@@ -473,8 +473,10 @@ def at_bipartite(g: Graph) -> ATResult:
 
     Every orientation of a bipartite graph is an AT-orientation, so the
     orientation at the least uniform cap level-1 is a certificate; engine_diff
-    recomputes its diff, or falls back on this closed form. The cap's
-    vertex-set witness is recounted, proving AT >= level. The terms
+    recomputes its diff, or falls back on this closed form. Both witnesses
+    are rechecked: the orientation's max outdegree against the cap, proving
+    AT <= level, and the cap's vertex-set witness recounted, proving
+    AT >= level. The terms
     are [density-pigeonhole, chromatic], chi being 2 (1 without edges);
     density comes first, so it gives the reason on a tie.
     """
@@ -482,6 +484,10 @@ def at_bipartite(g: Graph) -> ATResult:
         raise ValueError("at_bipartite requires a bipartite graph")
     least = _checked_uniform_cap(g)
     level, d = least.cap + 1, least.orientation
+    if d.max_outdegree() > least.cap:
+        raise ProofObligationError(
+            f"cap {least.cap} orientation has max outdegree {d.max_outdegree()}"
+        )
     method, diff = engine_diff(d)
     if diff == 0:
         raise ProofObligationError("bipartite orientation computed diff 0")

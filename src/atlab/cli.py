@@ -153,6 +153,8 @@ def cmd_at(args) -> int:
 
 def cmd_diff(args) -> int:
     if args.cert:
+        if args.graph or args.arcs:
+            raise ValueError("diff takes --cert or a graph document plus an arc file, not both")
         with open(args.cert) as fh:
             doc = parse_certificate(fh.read())
         orientation = doc.orientation

@@ -17,8 +17,9 @@ no strongly connected component crosses it and the diff of the composite
 factors exactly as diff(d1) * diff(d2)^m. Both diff engines run per
 component, so that law holds in every diff they compute, and
 verify_certificate judges a certificate by its claim alone.
-eulerian.one_way_cut_check, which confirms that every hub link points into
-its hub, is for library callers; no verdict reads it.
+eulerian.one_way_cut_check, which confirms from arc directions alone that
+every hub link points into its hub, is for library callers; no verdict
+reads it, and it tallies no side.
 
 Product orientations carry no such global one-way cut, but their strongly
 connected components factor them the same way: every Eulerian subdigraph

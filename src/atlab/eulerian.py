@@ -9,7 +9,9 @@ Every arc of an Eulerian subdigraph lies on a directed cycle, so it stays
 inside one strongly connected component of D. An Eulerian subdigraph is
 therefore one Eulerian subdigraph of each component, chosen independently,
 and diff(D) is the product of diff(D[C]) over the components C that have
-arcs (an acyclic D has diff 1). The corona one-way cut is a special case.
+arcs (an acyclic D has diff 1). A one-way cut, whose crossing arcs all
+leave one side, is a special case: no component crosses it, so diff factors
+over its sides, and one_way_cut_check reads only the arc directions.
 Orientation.strong_components finds the components in one linear pass, kept
 on the orientation, and both engines run per component and multiply:
 
@@ -69,6 +71,10 @@ class Orientation:
             )
         out = [0] * graph.n
         for (u, v), t in zip(graph.edges, tails):
+            if type(t) is not int:
+                # a bool or float would compare equal to an endpoint, and a
+                # document could not spell it
+                raise ValueError(f"tail {t!r} of edge ({u}, {v}) is not an int")
             if t != u and t != v:
                 raise ValueError(f"tail {t} is not an endpoint of edge ({u}, {v})")
             out[t] += 1
@@ -198,10 +204,11 @@ def orientation_from_arcs(g: Graph, arcs: Iterable[tuple[int, int]]) -> Orientat
         remaining[(u, v)] = k
     tails = [None] * g.m
     for t, h in arcs:
-        key = (t, h) if t < h else (h, t)
-        k = remaining.pop(key, None)
+        k = remaining.pop((t, h), None)
         if k is None:
-            raise ValueError(f"arc ({t}, {h}) does not match an unused edge")
+            k = remaining.pop((h, t), None)
+        if k is None:
+            raise ValueError(f"arc ({t!r}, {h!r}) does not match an unused edge")
         tails[k] = t
     if remaining:
         raise ValueError(f"{len(remaining)} edges left unoriented")
@@ -294,14 +301,15 @@ def tally_arcs(n_vertices: int, arcs: Sequence[tuple[int, int]]) -> tuple[int, i
 ENUM_CAP = 24
 
 
-def _tally_components(parts: Sequence[StrongComponent]) -> EulerianTally:
-    """Exact even/odd tally of the union of strongly connected components
-    `parts`, gated by ENUM_CAP on the arc count of the largest.
+def eulerian_tally_enumerate(d: Orientation) -> EulerianTally:
+    """Exact even/odd tally of the orientation, gated by ENUM_CAP on the arc
+    count of its largest strongly connected component.
 
     Each component is tallied over all of its arc subsets. An Eulerian
-    subdigraph of the union picks one in every component, and its parity is
-    the sum of theirs, so (even, odd) combine as (e1 e2 + o1 o2, e1 o2 + o1 e2).
+    subdigraph of D picks one in every component, and its parity is the sum
+    of theirs, so (even, odd) combine as (e1 e2 + o1 o2, e1 o2 + o1 e2).
     """
+    parts = d.strong_components()
     arcs = max((len(part.arcs) for part in parts), default=0)
     if arcs > ENUM_CAP:
         raise CapacityError(
@@ -313,12 +321,6 @@ def _tally_components(parts: Sequence[StrongComponent]) -> EulerianTally:
         e, o = tally_arcs(len(part.vertices), part.arcs)
         even, odd = even * e + odd * o, even * o + odd * e
     return EulerianTally(even, odd)
-
-
-def eulerian_tally_enumerate(d: Orientation) -> EulerianTally:
-    """Exact even/odd tally of the orientation over its strongly connected
-    components, gated by ENUM_CAP on the arc count of the largest."""
-    return _tally_components(d.strong_components())
 
 
 # ---------------------------------------------------------------------------
@@ -565,46 +567,27 @@ def engine_diff(
 class OneWayCutReport(NamedTuple):
     """Result of checking a vertex split for one-way arcs.
 
-    When the split is one-way (every crossing arc leaves `left`), no Eulerian
-    subdigraph can use a crossing arc, so diff factors exactly:
-    diff(D) = diff(D[left]) * diff(D[right]). A side's diff is filled in when
-    every strongly connected component on it is within ENUM_CAP. A split
-    with an arc back into `left` has one_way False and no diffs.
+    When the split is one-way (every crossing arc leaves `left`), no directed
+    cycle crosses it, so every strongly connected component lies on one side
+    and the component product that both diff engines compute already gives
+    diff(D) = diff(D[left]) * diff(D[right]). No side is tallied here.
     """
 
     one_way: bool
-    diff_left: Optional[int] = None
-    diff_right: Optional[int] = None
 
     @property
     def product_ok(self) -> Optional[bool]:
-        # the law holds by the factoring above whenever both sides have a diff
-        return None if None in (self.diff_left, self.diff_right) else True
+        # the component product proves the law on every one-way split
+        return True if self.one_way else None
 
 
 def one_way_cut_check(
     d: Orientation, left: Iterable[int], right: Iterable[int]
 ) -> OneWayCutReport:
-    """Check that all crossing arcs go left->right and read each side's diff
-    off the strongly connected components.
-
-    A one-way cut is the case of the strongly connected component product
-    where the components fall on two sides: no component crosses the cut.
-    Each side's components are tallied as the tally engine tallies a whole
-    orientation; a side with a component over ENUM_CAP has no diff.
-    """
+    """Check that `left` and `right` partition d's vertices and that every
+    crossing arc goes left -> right."""
     left = frozenset(left)
     right = frozenset(right)
     if left & right or (left | right) != frozenset(range(d.graph.n)):
         raise ValueError("left/right do not partition the vertex set")
-    if any(t in right and h in left for t, h in d.arcs):
-        return OneWayCutReport(False)
-
-    def side_diff(side: frozenset[int]) -> Optional[int]:
-        parts = [part for part in d.strong_components() if part.vertices[0] in side]
-        try:
-            return _tally_components(parts).diff
-        except CapacityError:
-            return None
-
-    return OneWayCutReport(True, side_diff(left), side_diff(right))
+    return OneWayCutReport(not any(t in right and h in left for t, h in d.arcs))

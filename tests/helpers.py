@@ -25,6 +25,7 @@ from atlab import (
     complete_bipartite,
     corona,
     cycle,
+    eulerian_tally_enumerate,
     hypercube,
     orient,
     orientation_from_arcs,
@@ -206,12 +207,20 @@ def crossing_arcs(d: Orientation, left) -> tuple[list, list]:
     return leaving, entering
 
 
-def cut_product(rep) -> int | None:
-    """diff_left * diff_right of a one-way cut report, None when a side has no
-    diff: the diff of the whole orientation by the product law."""
-    if rep.diff_left is None or rep.diff_right is None:
-        return None
-    return rep.diff_left * rep.diff_right
+def cut_reference(d: Orientation, left) -> tuple:
+    """The tally's diff of d's induced orientation on `left`, on the other
+    vertices, and of d whole, each None past ENUM_CAP: the reference route
+    for the one-way cut law diff(D) = diff(D[left]) * diff(D[right])."""
+    left = set(left)
+
+    def tally(sub: Orientation):
+        try:
+            return eulerian_tally_enumerate(sub).diff
+        except CapacityError:
+            return None
+
+    right = [v for v in range(d.graph.n) if v not in left]
+    return tally(induced_orientation(d, left)), tally(induced_orientation(d, right)), tally(d)
 
 
 def recipe_tail_labels(kind: str, d1: Orientation, d2: Orientation, composite: Graph) -> list:

@@ -30,6 +30,7 @@ import pytest
 
 from atlab import (
     Graph,
+    OneWayCutReport,
     SolverOptions,
     at_bipartite,
     at_exact,
@@ -65,8 +66,8 @@ from atlab.theorems import (
 from helpers import (
     chromatic_at_choosable,
     corpus,
-    cut_product,
-    induced_orientation,
+    crossing_arcs,
+    cut_reference,
     max_density_bruteforce,
     random_bipartite_graph,
     random_graph,
@@ -276,16 +277,24 @@ def test_criterion_09_one_way_cut_product_law(monkeypatch):
         tails += [a for a, _ in cross]  # every cross arc leaves side 1
         d = orient(whole, tails)
         rep = one_way_cut_check(d, range(n1), range(n1, whole.n))
-        if not (rep.one_way and rep.product_ok):
+        if not (rep == OneWayCutReport(True) and rep.product_ok):
             failures.append(f"instance {done}: {rep}")
+        if crossing_arcs(d, range(n1))[1]:
+            failures.append(f"instance {done}: an arc enters side 1")
         # the reference route: tally each side's induced orientation, and d whole
-        reference = (
-            eulerian_tally_enumerate(induced_orientation(d, range(n1))).diff,
-            eulerian_tally_enumerate(induced_orientation(d, range(n1, whole.n))).diff,
-            eulerian_tally_enumerate(d).diff,
-        )
-        if (rep.diff_left, rep.diff_right, cut_product(rep)) != reference:
-            failures.append(f"instance {done}: {rep} vs reference {reference}")
+        diff_left, diff_right, diff_whole = cut_reference(d, range(n1))
+        if diff_left * diff_right != diff_whole:
+            failures.append(
+                f"instance {done}: {diff_left} * {diff_right} != {diff_whole}"
+            )
+        # one cross arc turned back makes the split two-way
+        if cross:
+            k = len(tails) - len(cross)
+            back = orient(whole, tails[:k] + [cross[0][1]] + tails[k + 1:])
+            if one_way_cut_check(back, range(n1), range(n1, whole.n)) != OneWayCutReport(False):
+                failures.append(f"instance {done}: a turned-back cross arc kept one_way")
+            if crossing_arcs(back, range(n1))[1] != [cross[0][::-1]]:
+                failures.append(f"instance {done}: crossing arcs of the turned-back split")
         done += 1
     _finish(9, "one-way cut diff product law on 100 digraphs", failures, t0, 60)
 

@@ -444,6 +444,39 @@ def test_density_terms_recount_the_vertex_set_witness(monkeypatch):
         at_bipartite(g)
 
 
+def test_at_bipartite_checks_its_orientation_meets_the_cap(monkeypatch):
+    # C4's cap 1 with a split that gives outdegrees 2, 0, 2, 0: the witness
+    # is true, but the level-2 certificate would claim an orientation of max
+    # outdegree 1 that it does not hold
+    g = cycle(4)
+    wrong_split = least_uniform_cap(g)._replace(split=(1, 0, 0, 1, 1, 0, 1, 0))
+    assert wrong_split.cap == 1 and wrong_split.orientation.outdegrees == (2, 0, 2, 0)
+    monkeypatch.setattr(atlab.atsolver, "least_uniform_cap", lambda _g: wrong_split)
+    with pytest.raises(ProofObligationError, match="cap 1 orientation has max outdegree 2"):
+        at_bipartite(g)
+
+
+def test_every_returned_certificate_sits_one_above_its_max_outdegree():
+    # an orientation proves AT <= its max outdegree + 1 and no less, so a
+    # level set from elsewhere (a cap, a rule) and never checked against the
+    # orientation would claim more than the certificate holds
+    from atlab.theorems import corona_at
+
+    certs = []
+    for name, g in corpus():
+        certs += [(name, "at_exact", at_exact(g).certificate),
+                  (name, "budget 0", at_exact(g, SolverOptions(time_budget=0)).certificate),
+                  (name, "acyclic", acyclic_certificate(g))]
+        if bipartition(g) is not None:
+            certs.append((name, "at_bipartite", at_bipartite(g).certificate))
+    for name, g1, g2 in [("Q3oC3", hypercube(3), cycle(3)), ("Q2oP4", hypercube(2), path(4)),
+                         ("C5oK1", cycle(5), complete(1)), ("C4oK2", cycle(4), complete(2))]:
+        certs.append((name, "corona_at", corona_at(g1, g2).certificate))
+    found = [(name, route, cert.level, cert.orientation.max_outdegree())
+             for name, route, cert in certs if cert.level != cert.orientation.max_outdegree() + 1]
+    assert len(certs) == 122 and not found, found
+
+
 def test_at_exact_runs_path_reversal_only_where_the_density_term_can_win(monkeypatch):
     # the density term is at most the degeneracy level and ceil(max deg/2)+1,
     # and chi wins ties, so at_exact skips it when chi reaches either bound

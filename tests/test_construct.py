@@ -5,6 +5,7 @@ import pytest
 from atlab import (
     ATCertificate,
     Graph,
+    OneWayCutReport,
     Orientation,
     acyclic_certificate,
     at_bipartite,
@@ -29,8 +30,7 @@ from atlab import eulerian
 from atlab.eulerian import diff_coefficient
 from helpers import (
     crossing_arcs,
-    cut_product,
-    induced_orientation,
+    cut_reference,
     random_graph,
     random_orientation,
     recipe_tail_labels,
@@ -131,12 +131,11 @@ def test_corona_cut_product_law(wide):
     d, _ = corona_orientation(q2, d1, t4, d2)
     leaves, hub = corona_cut_sides(q2, t4)
     rep = one_way_cut_check(d, leaves, hub)
-    assert rep.one_way and rep.product_ok
-    assert rep.diff_left * rep.diff_right != 0
+    assert rep == OneWayCutReport(True) and rep.product_ok
+    assert crossing_arcs(d, leaves)[1] == []
     # the reference route: tally each side's induced orientation, and d whole
-    assert rep.diff_left == eulerian_tally_enumerate(induced_orientation(d, leaves)).diff
-    assert rep.diff_right == eulerian_tally_enumerate(induced_orientation(d, hub)).diff
-    assert cut_product(rep) == eulerian_tally_enumerate(d).diff
+    diff_left, diff_right, whole = cut_reference(d, leaves)
+    assert diff_left * diff_right == whole != 0
 
 
 def test_corona_requires_at_factor(wide):
@@ -193,14 +192,18 @@ def test_verify_rejects_outdegree_violation():
 def assert_corona_law(d, d1, d2):
     """diff(D) = diff(d1) * diff(d2)^m for D built from the factor
     orientations d1 and d2, sign included, by the coefficient engine on D
-    against the tally on the factors, and by the one-way cut."""
+    against the tally on the factors, and across the one-way copies/hub cut
+    by the tally of each side's induced orientation."""
     m = d1.graph.n
     factor_law = (
         eulerian_tally_enumerate(d1).diff * eulerian_tally_enumerate(d2).diff ** m
     )
     assert diff_coefficient(d) == factor_law
-    cut = one_way_cut_check(d, *corona_cut_sides(d1.graph, d2.graph))
-    assert cut.one_way and cut.product_ok and cut_product(cut) == factor_law
+    leaves, hub = corona_cut_sides(d1.graph, d2.graph)
+    cut = one_way_cut_check(d, leaves, hub)
+    assert cut.one_way and cut.product_ok and crossing_arcs(d, leaves)[1] == []
+    diff_left, diff_right, whole = cut_reference(d, leaves)
+    assert diff_left * diff_right == whole == factor_law
 
 
 def test_verify_corona_recipe_law(monkeypatch):
@@ -291,8 +294,9 @@ def test_verify_recipe_certificates_past_enum_cap():
 
 
 def test_corona_cut_reports_on_recipe_certificates():
-    # (crossing arc count, diff_left, diff_right, their product) of the
-    # copies/hub cut; Q4 o C5, whose hub is over ENUM_CAP, is the next test's
+    # (crossing arc count, and the tallies of the copies side, the hub side
+    # and the whole) of the copies/hub cut; Q4 o C5, whose hub is over
+    # ENUM_CAP, is the next test's
     cases = [
         (hypercube(3), cycle(3), (24, 1, 4, 4)),
         (hypercube(3), path(3), (24, 1, 4, 4)),
@@ -304,17 +308,24 @@ def test_corona_cut_reports_on_recipe_certificates():
         leaves, hub = corona_cut_sides(g1, g2)
         rep = one_way_cut_check(cert.orientation, leaves, hub)
         leaving, entering = crossing_arcs(cert.orientation, leaves)
-        assert rep.one_way and entering == []
-        assert (len(leaving), rep.diff_left, rep.diff_right, cut_product(rep)) == expected
+        assert rep == OneWayCutReport(True) and entering == []
+        assert (len(leaving), *cut_reference(cert.orientation, leaves)) == expected
+        assert expected[1] * expected[2] == expected[3]
 
 
-def test_corona_cut_side_over_enum_cap_has_no_diff():
+def test_corona_cut_side_over_enum_cap_has_no_diff(monkeypatch):
     # Q4 o C5 from the Q4 closed form and the C5 degeneracy order: the copies
-    # are acyclic (diff 1), the hub is one 32-arc component over ENUM_CAP
+    # are acyclic (diff 1), the hub is one 32-arc component over ENUM_CAP.
+    # The cut reads directions alone, so the hub's size does not touch it;
+    # the reference route has no tally for the hub or the whole until the
+    # cap is raised to 32.
     cert, _ = recipe_certificate("corona", hypercube(4), cycle(5))
     leaves, hub = corona_cut_sides(hypercube(4), cycle(5))
     rep = one_way_cut_check(cert.orientation, leaves, hub)
-    leaving, _ = crossing_arcs(cert.orientation, leaves)
-    assert rep.one_way and len(leaving) == 16 * 5  # one hub link per copy vertex
-    assert rep.diff_left == 1
-    assert rep.diff_right is None and cut_product(rep) is None and rep.product_ok is None
+    leaving, entering = crossing_arcs(cert.orientation, leaves)
+    assert rep == OneWayCutReport(True) and rep.product_ok
+    assert len(leaving) == 16 * 5 and entering == []  # one hub link per copy vertex
+    assert cut_reference(cert.orientation, leaves) == (1, None, None)
+    monkeypatch.setattr(eulerian, "ENUM_CAP", 32)
+    diff_left, diff_right, whole = cut_reference(cert.orientation, leaves)
+    assert diff_left == 1 and diff_right == whole != 0

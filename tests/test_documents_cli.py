@@ -282,6 +282,28 @@ def test_cli_diff_modes(tmp_path, capsys):
         assert f"error: bad edge-list line: {bad!r}" in capsys.readouterr().err
 
 
+def test_cli_diff_refuses_a_certificate_beside_graph_or_arcs(tmp_path, capsys):
+    # C4's certificate with C3's graph and arcs: the tally would be C4's,
+    # silently ignoring both files, so diff reads one input or the other
+    c4, c3 = tmp_path / "c4.graph", tmp_path / "c3.graph"
+    cert = tmp_path / "c4.cert"
+    main(["gen", "cycle", "4", "-o", str(c4)])
+    main(["gen", "cycle", "3", "-o", str(c3)])
+    main(["at", str(c4), "--cert", str(cert)])
+    arcs = tmp_path / "arcs3.txt"
+    arcs.write_text("0 1\n1 2\n2 0\n")
+    capsys.readouterr()
+    for extra in ([str(c3), str(arcs)], [str(c3)]):
+        assert main(["diff", "--cert", str(cert), *extra]) == 2
+        assert capsys.readouterr() == (
+            "", "error: diff takes --cert or a graph document plus an arc file, not both\n"
+        )
+    assert main(["diff", "--cert", str(cert)]) == 0
+    assert "diff 2" in capsys.readouterr().out
+    assert main(["diff", str(c3), str(arcs)]) == 0
+    assert "diff 0" in capsys.readouterr().out
+
+
 def test_cli_diff_past_enum_cap(tmp_path, capsys):
     # Q3 o C3 from its factors' certificates: 60 arcs, over ENUM_CAP 24, but
     # its strongly connected components are two directed 4-cycles

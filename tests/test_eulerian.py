@@ -31,7 +31,7 @@ from atlab.eulerian import (
 )
 from helpers import (
     crossing_arcs,
-    cut_product,
+    cut_reference,
     euler_circuit_orientation,
     induced_orientation,
     naive_tally,
@@ -59,6 +59,17 @@ def test_orient_validation():
         orientation_from_arcs(c4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 1)])
     with pytest.raises(ValueError):
         orientation_from_arcs(c4, [(0, 1), (1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("tail", [True, 1.0, "0"], ids=["bool", "float", "str"])
+def test_orientation_tails_are_ints(tail):
+    # True and 1.0 compare equal to vertex 1, but a document cannot spell
+    # them: `a True 0` would not read back
+    k2 = path(2)
+    with pytest.raises(ValueError, match=f"tail {tail!r} of edge \\(0, 1\\) is not an int"):
+        orient(k2, [tail])
+    with pytest.raises(ValueError, match=f"{tail!r}"):
+        orientation_from_arcs(k2, [(tail, 0)])
 
 
 def test_orientation_profiles():
@@ -290,22 +301,23 @@ def test_one_way_cut_two_disjoint_arcs():
     g = Graph(["a", "b", "c", "d"], [(0, 1), (2, 3)])
     d = orient(g, [0, 2])
     rep = one_way_cut_check(d, [0, 1], [2, 3])
-    assert rep.one_way and crossing_arcs(d, [0, 1]) == ([], [])
-    assert cut_product(rep) == 1 and rep.diff_left == 1 and rep.diff_right == 1
-    assert rep.product_ok
+    assert rep == OneWayCutReport(True) and rep.product_ok
+    assert crossing_arcs(d, [0, 1]) == ([], [])
+    assert cut_reference(d, [0, 1]) == (1, 1, 1)
 
 
 def test_one_way_cut_c4_plus_arc():
     g = Graph([str(i) for i in range(5)], [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)])
     d = orientation_from_arcs(g, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
     rep = one_way_cut_check(d, [0, 1, 2, 3], [4])
-    assert rep.one_way and cut_product(rep) == 2
-    assert rep.product_ok
+    assert rep == OneWayCutReport(True) and rep.product_ok
+    assert crossing_arcs(d, [0, 1, 2, 3]) == ([(0, 4)], [])
+    assert cut_reference(d, [0, 1, 2, 3]) == (2, 1, 2)
     # the reversed cross arc breaks one-wayness
     d2 = orientation_from_arcs(g, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0)])
     rep2 = one_way_cut_check(d2, [0, 1, 2, 3], [4])
     assert crossing_arcs(d2, [0, 1, 2, 3]) == ([], [(4, 0)])
-    assert rep2 == OneWayCutReport(False)  # not one-way, so no diffs
+    assert rep2 == OneWayCutReport(False) and rep2.product_ok is None
 
 
 def test_one_way_cut_rejects_bad_split():
@@ -317,52 +329,41 @@ def test_one_way_cut_rejects_bad_split():
 
 
 def test_one_way_cut_matches_induced_reference(monkeypatch):
-    # The reference tallies each side's induced orientation, and d whole,
-    # when its largest component fits ENUM_CAP, and reports None otherwise.
-    # First two directed cycles on the left at cap 3: the 4-cycle, over the
-    # cap, is found before and after the 3-cycle that fits.
-    for sizes in ((4, 3), (3, 4)):
-        arcs, n = [], 0
-        for k in sizes:
-            arcs += [(n + i, n + (i + 1) % k) for i in range(k)]
-            n += k
-        arcs.append((0, n))
-        g = Graph([str(v) for v in range(n + 1)], [tuple(sorted(a)) for a in arcs])
-        monkeypatch.setattr(eulerian, "ENUM_CAP", 3)
-        rep = one_way_cut_check(orientation_from_arcs(g, arcs), range(n), [n])
-        assert (rep.diff_left, rep.diff_right, cut_product(rep)) == (None, 1, None)
-    # Then seeded splits whose crossing arcs all leave the left side, at caps
-    # small enough that a side often holds a component over ENUM_CAP.
+    # Seeded splits whose crossing arcs take either direction, or all leave
+    # the left side. The cut is one-way exactly when no crossing arc enters
+    # the left side, and it answers without a strongly connected component,
+    # so without a diff engine. On a one-way split the reference route, the
+    # tally of each side's induced orientation, multiplies to the tally of d.
+    def no_components(self):
+        raise AssertionError("the cut check looked for strongly connected components")
+
     rng = random.Random(808)
-    mixed = 0
+    one_way = checked = 0
     for _ in range(300):
         n = rng.randint(2, 10)
         g = random_graph(rng, n, rng.choice([0.4, 0.7]))
         left = [v for v in range(n) if rng.random() < 0.5]
         right = [v for v in range(n) if v not in left]
+        leaving_only = rng.random() < 0.5
         tails = [
-            (u if u in left else v) if (u in left) != (v in left) else (u, v)[rng.randint(0, 1)]
+            (u if u in left else v) if leaving_only and (u in left) != (v in left)
+            else (u, v)[rng.randint(0, 1)]
             for u, v in g.edges
         ]
         d = orient(g, tails)
-        monkeypatch.setattr(eulerian, "ENUM_CAP", rng.choice([0, 2, 3, 4, 6, 9]))
-
-        def reference(sub):
-            try:
-                return eulerian_tally_enumerate(sub).diff
-            except CapacityError:
-                return None
-
-        rep = one_way_cut_check(d, left, right)
-        assert rep.one_way
-        expected = (
-            reference(induced_orientation(d, left)),
-            reference(induced_orientation(d, right)),
-            reference(d),
-        )
-        assert (rep.diff_left, rep.diff_right, cut_product(rep)) == expected
-        mixed += (rep.diff_left is None) != (rep.diff_right is None)
-    assert mixed >= 10
+        with monkeypatch.context() as patched:
+            patched.setattr(Orientation, "strong_components", no_components)
+            rep = one_way_cut_check(d, left, right)
+        assert rep == OneWayCutReport(crossing_arcs(d, left)[1] == [])
+        assert rep.product_ok is (True if rep.one_way else None)
+        if not rep.one_way:
+            continue
+        one_way += 1
+        diff_left, diff_right, whole = cut_reference(d, left)
+        if whole is not None:
+            assert diff_left * diff_right == whole
+            checked += 1
+    assert one_way < 300 and checked >= 150
 
 
 def test_induced_orientation():

@@ -151,14 +151,6 @@ def _is_record(cls):
     return bool(names & {"dataclass", "NamedTuple"})
 
 
-# OneWayCutReport's per-side diffs: the benchmark reaches them through
-# product_ok, and no package code reads them since `atlab verify` stopped
-# running the cut. They go with the cut once the benchmark stops calling
-# one_way_cut_check. Only these two are let off, and only while the rule
-# below would flag them: one that is deleted or gains a reader fails the test.
-UNREAD_FIELDS_THE_BENCHMARK_REACHES = {"OneWayCutReport.diff_left", "OneWayCutReport.diff_right"}
-
-
 def test_every_field_is_read():
     # the same rule for the fields of dataclasses and NamedTuples: each is
     # reached as an attribute somewhere in the package outside its own class
@@ -167,7 +159,7 @@ def test_every_field_is_read():
     trees = _package_trees()
     bench_names = _bench_names()
     package = sum((_attributes(tree) for tree in trees.values()), Counter())
-    found, let_off = [], set()
+    found = []
     for name, tree in trees.items():
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef) or not _is_record(cls):
@@ -180,13 +172,8 @@ def test_every_field_is_read():
                 if field in bench_names:
                     continue
                 if package[field] <= own[field]:
-                    if f"{cls.name}.{field}" in UNREAD_FIELDS_THE_BENCHMARK_REACHES:
-                        let_off.add(f"{cls.name}.{field}")
-                    else:
-                        found.append(f"{name}:{node.lineno} {cls.name}.{field}")
+                    found.append(f"{name}:{node.lineno} {cls.name}.{field}")
     assert not found, f"fields no package code reads: {found}"
-    stale = UNREAD_FIELDS_THE_BENCHMARK_REACHES - let_off
-    assert not stale, f"let off but deleted or now read, so drop them from the set: {stale}"
 
 
 def test_every_option_is_set_by_a_flag_or_the_benchmark():
@@ -298,12 +285,12 @@ def test_only_corona_at_builds_a_corona_orientation_in_theorems():
 def test_only_the_gated_engines_read_their_budgets():
     # each diff engine checks its own gate and raises CapacityError past it;
     # a caller that read ENUM_CAP or POLY_BUDGET ahead of the engine would
-    # have to follow every change to the gate. The tally's gate lives in the
-    # helper that eulerian_tally_enumerate and one_way_cut_check both tally
-    # through. The level search checks search_edge_cap alone too; theorems
-    # reads it only to pick the rows it cross-checks by search (the toroidal
-    # rows set it to their own edge count without reading it), and
-    # SolverOptions only to refuse a negative cap.
+    # have to follow every change to the gate. The tally's gate is read by
+    # eulerian_tally_enumerate, the tally's one entry point. The level search
+    # checks search_edge_cap alone too; theorems reads it only to pick the
+    # rows it cross-checks by search (the toroidal rows set it to their own
+    # edge count without reading it), and SolverOptions only to refuse a
+    # negative cap.
     trees = _package_trees()
     uses = _uses(trees, lambda n: isinstance(n, ast.Attribute) and n.attr == "search_edge_cap")
     readers = {(name, getattr(top, "name", None)) for name, top, _ in uses}
@@ -313,7 +300,7 @@ def test_only_the_gated_engines_read_their_budgets():
                                f"not by {sorted(allowed - readers)}"
     # the engines' caps are module constants, each read by its engine alone
     # and named nowhere else, not even as an attribute of its module
-    owners = {"ENUM_CAP": ("eulerian.py", "_tally_components"),
+    owners = {"ENUM_CAP": ("eulerian.py", "eulerian_tally_enumerate"),
               "POLY_BUDGET": ("eulerian.py", "eulerian_diff_poly"),
               "CHROMATIC_BLOCK_CAP": ("atsolver.py", "chromatic_number")}
     for cap, owner in owners.items():
@@ -393,6 +380,18 @@ def test_verify_has_one_verdict_channel():
     found = {name: sorted(cut & _names(tree, strings=True)) for name, tree in trees.items()
              if name not in ("eulerian.py", "construct.py")}
     assert not any(found.values()), f"the cut named outside eulerian and construct: {found}"
+
+
+def test_the_cut_check_reads_directions_alone():
+    # no strongly connected component crosses a one-way cut, so the engines'
+    # component product already is the cut law; one_way_cut_check looks at
+    # arc directions only and tallies no side again
+    tree = _package_trees()["eulerian.py"]
+    (check,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "one_way_cut_check"]
+    engines = {"strong_components", "tally_arcs", "eulerian_tally_enumerate", "diff_coefficient"}
+    found = sorted(engines & _names(check, strings=True))
+    assert not found, f"one_way_cut_check names {found}"
 
 
 def test_documents_encode_labels_only_through_label_text():
