@@ -23,7 +23,8 @@ Checked and unchecked construction:
   * hypercube, cycle, path, star, complete, complete_bipartite,
     tree_from_pruefer, cartesian_product and corona build through the private
     `_built`, which skips those checks. Each refuses sizes over VERTEX_CAP
-    before it builds a list, validates its own arguments, and emits distinct
+    before it builds a list, validates its own arguments (every size and
+    Pruefer entry an int, not a bool or float), and emits distinct
     labels and only distinct in-range edges (i, j) with i < j, so the checks
     could not fire; the products take Graphs, which are valid already. Both
     ways fill the graph through the same `Graph._fill`.
@@ -142,8 +143,8 @@ def _refuse_over_cap(count: int, what: str) -> None:
 def hypercube(n: int) -> Graph:
     """n-cube on binary strings of length n; edges flip exactly one bit."""
     top = VERTEX_CAP.bit_length() - 1  # the largest n with 2^n <= VERTEX_CAP
-    if n < 1 or n > top:
-        raise SizeCapError(f"hypercube dimension must be in 1..{top}, got {n}")
+    if type(n) is not int or not 1 <= n <= top:
+        raise SizeCapError(f"hypercube dimension must be in 1..{top}, got {n!r}")
     size = 1 << n
     vertices = [format(i, f"0{n}b") for i in range(size)]
     edges = []
@@ -156,31 +157,31 @@ def hypercube(n: int) -> Graph:
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+    if type(n) is not int or n < 3:
+        raise ValueError(f"cycle needs an int n >= 3, got {n!r}")
     _refuse_over_cap(n, "cycle")
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     return _built([str(i) for i in range(n)], edges)
 
 
 def path(n: int) -> Graph:
-    if n < 1:
-        raise ValueError(f"path needs at least 1 vertex, got {n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"path needs an int n >= 1, got {n!r}")
     _refuse_over_cap(n, "path")
     return _built([str(i) for i in range(n)], [(i, i + 1) for i in range(n - 1)])
 
 
 def star(n: int) -> Graph:
     """Star on n vertices total: center "0" joined to n-1 leaves."""
-    if n < 1:
-        raise ValueError(f"star needs at least 1 vertex, got {n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"star needs an int n >= 1, got {n!r}")
     _refuse_over_cap(n, "star")
     return _built([str(i) for i in range(n)], [(0, i) for i in range(1, n)])
 
 
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise ValueError(f"complete graph needs at least 1 vertex, got {n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"complete graph needs an int n >= 1, got {n!r}")
     _refuse_over_cap(n, "complete graph")
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return _built([str(i) for i in range(n)], edges)
@@ -188,8 +189,8 @@ def complete(n: int) -> Graph:
 
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b}: left side "0".."a-1", right side "a".."a+b-1"."""
-    if a < 1 or b < 1:
-        raise ValueError("both sides of a complete bipartite graph must be nonempty")
+    if not (type(a) is type(b) is int and a >= 1 and b >= 1):
+        raise ValueError(f"complete bipartite sides must be ints >= 1, got {a!r} and {b!r}")
     _refuse_over_cap(a + b, "complete bipartite graph")
     edges = [(i, a + j) for i in range(a) for j in range(b)]
     return _built([str(i) for i in range(a + b)], edges)
@@ -204,8 +205,8 @@ def tree_from_pruefer(sequence: Sequence[int]) -> Graph:
     _refuse_over_cap(n, "Pruefer tree")
     seq = list(sequence)
     for entry in seq:
-        if not (0 <= entry < n):
-            raise ValueError(f"Pruefer entry {entry} outside 0..{n - 1}")
+        if type(entry) is not int or not 0 <= entry < n:
+            raise ValueError(f"Pruefer entry {entry!r} is not an int in 0..{n - 1}")
     remaining_degree = [1] * n
     for entry in seq:
         remaining_degree[entry] += 1

@@ -27,12 +27,17 @@ class SolverOptions:
     time_budget: float | None = None
 
     def __post_init__(self) -> None:
-        # a negative cap would silently switch the search off; 0 is a cap
-        if self.search_edge_cap < 0:
-            raise ValueError(f"search_edge_cap must be >= 0, got {self.search_edge_cap}")
-        # `not >= 0` also catches NaN, which compares false with every deadline
-        if self.time_budget is not None and not self.time_budget >= 0:
-            raise ValueError(f"time_budget must be None or >= 0, got {self.time_budget}")
+        # a negative cap would silently switch the search off; 0 is a cap. A
+        # bool or a float would compare with an edge count all the same
+        cap = self.search_edge_cap
+        if type(cap) is not int or cap < 0:
+            raise ValueError(f"search_edge_cap must be an int >= 0, got {cap!r}")
+        # seconds as an int or float, not a bool; `not >= 0` also catches NaN,
+        # which compares false with every deadline
+        budget = self.time_budget
+        real = isinstance(budget, (int, float)) and not isinstance(budget, bool)
+        if budget is not None and not (real and budget >= 0):
+            raise ValueError(f"time_budget must be None or a number >= 0, got {budget!r}")
 
     def with_(self, **kw) -> "SolverOptions":
         return replace(self, **kw)

@@ -29,24 +29,23 @@ corona (lemma 3.5, corollary 3.7, remark-gap) build the corona with
 `corona` and color it themselves, and corollary 3.7 falls back on the cone
 bound when that coloring is over budget.
 
-One `run_suite` call shares four things between its checks, each through
-`_shared(key, make)`: the factor results of `_exact_at`, keyed by
-(graph, options), the level-search cross-checks of `_closed_form_row`, keyed
-by ("search", graph, options), chromatic numbers, keyed by ("chi", graph),
-and the hypercubes Q_n, keyed by n. Chi is a function of the graph alone, so
-its key, `_chromatic` and the chi rows (`check_lemma_3_5`,
-`check_chi_product`) take no options; nor do the rows that solve by
-`at_bipartite` alone (`check_theorem_1`, `check_corollary_3_4`), since the
-closed form searches nothing. `_chromatic` is the one reader of chi,
-and `_exact_at` gives it the chi a solved result holds. Coronas Q_n o H and
+One `run_suite` call shares two things between its checks, each through
+`_shared(key, make)`: the exact factor results of `_exact_at`, keyed by
+(graph, options), and the hypercubes Q_n, keyed by n. Coronas Q_n o H and
 products with Q_n recur across Lemma 3.2, Theorem 1, Corollary 3.4,
 Theorem 2, Corollary 3.8 and Lemma 3.9, and Q2 and Q4 are Lemma 3.1
-instances too, so a default run solves, searches and colors each graph and
-builds each hypercube once. Nothing else is kept: reports,
-and the products and coronas that no row colors, are made afresh. Memory
-stays flat (peak RSS of `run_suite(n_range=range(1, 10))` is 23 MB, where
-keeping every solver result took 84 MB). The memo is cleared when the call
-returns or raises; a check called on its own solves afresh.
+instances too, so a default run solves each factor and builds each
+hypercube once. Nothing else is kept, since nothing else repeats enough to
+pay for its key: the rows that report chi call `chromatic_number` where
+they read it, on small graphs (mostly products and coronas no other row
+reads), and each closed-form row runs its own cross-check search. Chi is
+a function of the graph alone, so the chi rows (`check_lemma_3_5`,
+`check_chi_product`) take no options; nor do the rows that solve by
+`at_bipartite` alone (`check_theorem_1`, `check_corollary_3_4`), since the
+closed form searches nothing. Memory stays flat (peak RSS of
+`run_suite(n_range=range(1, 10))` is 22 MB, where keeping every solver
+result took 84 MB). The memo is cleared when the call returns or raises;
+a check called on its own solves afresh.
 
 `run_suite` times each check and sets its `ClaimReport.millis`; a check
 called on its own leaves it 0.0. The checks are not re-exported from
@@ -154,14 +153,7 @@ def _shared(key: object, make: Callable[[], T]) -> T:
 
 
 def _exact_at(g: Graph, options: SolverOptions) -> ATResult:
-    def solve() -> ATResult:
-        result = at_exact(g, options)
-        chi, why = _chi_term(result)
-        if why == "chromatic":  # feeds `_chromatic`
-            _shared(("chi", g), lambda: chi)
-        return result
-
-    result = _shared((g, options), solve)
+    result = _shared((g, options), lambda: at_exact(g, options))
     if not result.is_exact:
         raise CapacityError(
             f"need exact AT of a factor but got bracket [{result.lo}, {result.hi}]"
@@ -176,10 +168,6 @@ def _chi_term(result: ATResult) -> tuple[int, str]:
 
 def _hypercube(n: int) -> Graph:
     return _shared(n, lambda: hypercube(n))
-
-
-def _chromatic(g: Graph) -> int:
-    return _shared(("chi", g), lambda: chromatic_number(g))
 
 
 def corona_at(g1: Graph, g2: Graph, options: SolverOptions = DEFAULT_OPTIONS) -> ATResult:
@@ -276,12 +264,10 @@ def _closed_form_row(
     level search exactly when g is within search_edge_cap; the evidence shows
     what the search computed. A search cut short by the time budget gives a
     bracket, which fails the row only when it excludes the closed-form
-    value. Within a `run_suite` call each (graph, options) is searched once."""
+    value."""
     computed, verdict = str(result.value), _bracket_verdict({predicted}, result.lo, result.hi)
     if g.m <= options.search_edge_cap:
-        cross = _shared(
-            ("search", g, options), lambda: at_exact(g, options, bipartite_shortcut=False)
-        )
+        cross = at_exact(g, options, bipartite_shortcut=False)
         searched = _fmt_bracket(cross.lo, cross.hi)
         evidence += f"; exhaustive search: {searched}"
         if cross.value != result.value:
@@ -344,9 +330,9 @@ def _chi_row(
     rule: Callable[[int, int], int], g1: Graph, g2: Graph, name1: str, name2: str,
 ) -> ClaimReport:
     """Row for chi(compose(g1, g2)) = rule(chi(g1), chi(g2))."""
-    chi1 = _chromatic(g1)
-    chi2 = _chromatic(g2)
-    chi = _chromatic(compose(g1, g2))
+    chi1 = chromatic_number(g1)
+    chi2 = chromatic_number(g2)
+    chi = chromatic_number(compose(g1, g2))
     return _row(
         claim, f"{name1} {sign} {name2}", {rule(chi1, chi2)}, chi, chi,
         f"chi({name1})={chi1} chi({name2})={chi2}",
@@ -390,7 +376,7 @@ def check_corollary_3_7(
     """If AT(g2) >= AT(g1) and chi(g2) = AT(g2): chi = AT = AT(g2)+1 on the corona."""
     r1, r2 = _exact_at(g1, options), _exact_at(g2, options)
     at1, at2 = r1.value, r2.value
-    chi2 = _chromatic(g2)
+    chi2 = chromatic_number(g2)
     if at2 < at1 or chi2 != at2:
         raise ValueError(
             f"hypothesis violated: AT({name2})={at2}, AT({name1})={at1}, chi({name2})={chi2}"
@@ -404,7 +390,7 @@ def check_corollary_3_7(
     rule = _corona_rule(r1, r2)
     lo, hi = rule.lo, rule.level
     try:
-        chi: Optional[int] = _chromatic(corona(g1, g2))
+        chi: Optional[int] = chromatic_number(corona(g1, g2))
         how = ""
     except CapacityError:
         by_cone = lo == hi and rule.reason != "subgraph"
@@ -593,7 +579,7 @@ def remark_instances(options: SolverOptions = DEFAULT_OPTIONS) -> list[tuple[str
     for name, g2 in (("Q3 o P3", path(3)), ("Q3 o C3", cycle(3))):
         rule = _corona_rule(r3, _exact_at(g2, options))
         brackets.append((name, corona(cubes[3], g2), rule.lo, rule.level))
-    return [(name, _chromatic(g), lo, hi) for name, g, lo, hi in brackets]
+    return [(name, chromatic_number(g), lo, hi) for name, g, lo, hi in brackets]
 
 
 def run_suite(
@@ -608,8 +594,8 @@ def run_suite(
 ) -> list[ClaimReport]:
     """Run the selected claims (all by default) over their default instance
     sweeps; reports come back in deterministic order, each timed in millis.
-    The checks share the factor results, cross-check searches and hypercubes
-    of this call (see the module docstring)."""
+    The checks share the factor results and hypercubes of this call (see
+    the module docstring)."""
     wanted = None if claims is None else {c.lower() for c in claims}
 
     def want(name: str) -> bool:

@@ -8,6 +8,7 @@ import pytest
 import atlab
 from atlab import (
     CapacityError,
+    EulerianTally,
     Graph,
     ProofObligationError,
     SolverOptions,
@@ -45,6 +46,7 @@ from atlab.documents import serialize_certificate
 from atlab.errors import SearchTimeout
 from atlab.eulerian import engine_diff
 from atlab.graphs import two_coloring
+from atlab import theorems
 from atlab.theorems import check_theorem_1
 from helpers import (
     chromatic_at_choosable,
@@ -358,7 +360,8 @@ def test_bracket_keeps_the_first_of_tied_terms():
 
 def test_bracket_error_names_the_term_above_the_level():
     cert = acyclic_certificate(cycle(5))  # level 3
-    with pytest.raises(ProofObligationError, match="exhaustive-refutation lower bound 4"):
+    with pytest.raises(ProofObligationError,
+                       match="exhaustive-refutation lower bound 4 exceeds certificate level 3"):
         bracket([(3, "chromatic"), (2, "density-pigeonhole"),
                  (4, "exhaustive-refutation")], cert)
     with pytest.raises(ProofObligationError, match="subgraph lower bound 5"):
@@ -438,10 +441,59 @@ def test_density_terms_recount_the_vertex_set_witness(monkeypatch):
     g = cycle(4)
     false_witness = least_uniform_cap(g)._replace(cap=2, witness=(0, 1, 2, 3))
     monkeypatch.setattr(atlab.atsolver, "least_uniform_cap", lambda _g: false_witness)
-    with pytest.raises(ProofObligationError):
+    with pytest.raises(ProofObligationError, match=r"cap 2 witness spans 4 <= 1\*4 edges"):
         at_lower_bound(g)
-    with pytest.raises(ProofObligationError):
+    with pytest.raises(ProofObligationError, match="witness spans"):
         at_bipartite(g)
+
+
+# Each check below stands between a solver result and a theorem it relies
+# on, and no correct run reaches it; a patched engine breaks the theorem.
+
+
+def test_at_bipartite_refuses_a_zero_diff(monkeypatch):
+    # every orientation of a bipartite graph has a nonzero diff
+    monkeypatch.setattr(atlab.atsolver, "engine_diff", lambda d: ("enumeration", 0))
+    with pytest.raises(ProofObligationError, match="bipartite orientation computed diff 0"):
+        at_bipartite(cycle(4))
+
+
+def test_level_search_refuses_a_hit_with_no_orientation(monkeypatch):
+    # a nonzero coefficient of prod (x_u - x_v) is the diff of some orientation
+    monkeypatch.setattr(atlab.atsolver, "bounded_outdegree_orientation", lambda g, caps: None)
+    with pytest.raises(ProofObligationError, match="a nonzero coefficient has no orientation"):
+        find_at_orientation(cycle(4), 1)
+
+
+def test_certify_refuses_a_zero_recount(monkeypatch):
+    # the tally re-checks the orientation the level search found
+    monkeypatch.setattr(atlab.atsolver, "eulerian_tally_enumerate", lambda d: EulerianTally(1, 1))
+    with pytest.raises(ProofObligationError,
+                       match=r"level search orientation has diff 0 \(enumeration\)"):
+        at_exact(cartesian_product(cycle(3), cycle(3)))
+
+
+def test_max_density_refuses_a_reached_set_no_denser(monkeypatch):
+    # a failed cap leaves a set denser than the cap
+    monkeypatch.setattr(atlab.density, "reverse_paths", lambda edges, caps, q: (None, (0,)))
+    with pytest.raises(ProofObligationError, match="path reversal reached density 0 <= 2/3"):
+        max_density(path(3))
+
+
+def test_corona_rule_refuses_a_lower_term_above_its_level(monkeypatch):
+    # the cone K1 + H needs chi(H) + 1 colors, never more than the rule's level
+    monkeypatch.setattr(theorems, "_chi_term", lambda result: (5, "chromatic"))
+    with pytest.raises(ProofObligationError,
+                       match="chromatic lower bound 6 exceeds corona rule level 3"):
+        theorems.check_lemma_3_6(cycle(4), complete(2))
+
+
+def test_theorem_2_refuses_an_edgeless_graph_with_at_2(monkeypatch):
+    # an edgeless graph has AT = 1, so AT = 2 forces an edge
+    k2 = at_exact(complete(2))
+    monkeypatch.setattr(theorems, "_exact_at", lambda g, options: k2)
+    with pytest.raises(ProofObligationError, match="AT = 2 is impossible for an edgeless graph"):
+        theorems.check_theorem_2(2, Graph(["0", "1"], []))
 
 
 def test_at_bipartite_checks_its_orientation_meets_the_cap(monkeypatch):

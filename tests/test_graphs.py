@@ -108,6 +108,21 @@ def test_pruefer_decoding():
         tree_from_edges(4, [(0, 1), (2, 3)])
 
 
+@pytest.mark.parametrize("size", [True, 3.0, "3"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("build", [
+    hypercube, cycle, path, star, complete,
+    lambda size: complete_bipartite(size, 2),
+    lambda size: complete_bipartite(2, size),
+    lambda size: tree_from_pruefer([size]),
+], ids=["hypercube", "cycle", "path", "star", "complete", "bipartite-left",
+        "bipartite-right", "pruefer"])
+def test_generators_take_int_sizes_only(build, size):
+    # True passes a range check as 1 and 3.0 as 3, so every size and Pruefer
+    # entry that is not an int is refused by its type, naming the value
+    with pytest.raises(ValueError, match=re.escape(repr(size))):
+        build(size)
+
+
 def test_cycle4_matches_q2_shape():
     c4, q2 = cycle(4), hypercube(2)
     assert c4.n == q2.n and c4.m == q2.m

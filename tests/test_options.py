@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import pytest
@@ -31,14 +32,16 @@ def test_with_returns_new_instance():
     assert tweaked.search_edge_cap == 30 and base.search_edge_cap == 20
 
 
-@pytest.mark.parametrize("budget", [float("nan"), -1.0, -0.5])
+@pytest.mark.parametrize("budget", [float("nan"), -1.0, -0.5, True, "1"])
 def test_time_budget_must_be_a_number_of_seconds(budget):
-    # NaN compares false with every deadline, so that deadline never passes
-    with pytest.raises(ValueError):
+    # NaN compares false with every deadline, so that deadline never passes;
+    # True would pass as one second
+    with pytest.raises(ValueError, match=f"got {re.escape(repr(budget))}$"):
         SolverOptions(time_budget=budget)
     with pytest.raises(ValueError):
         SolverOptions().with_(time_budget=budget)
     assert SolverOptions(time_budget=0).time_budget == 0
+    assert SolverOptions(time_budget=2.5).time_budget == 2.5
 
 
 @pytest.mark.parametrize("budget", ["nan", "-1"])
@@ -60,6 +63,16 @@ def test_caps_must_not_be_negative(field):
         with pytest.raises(ValueError, match=field):
             SolverOptions().with_(**{field: value})
     assert getattr(SolverOptions(**{field: 0}), field) == 0
+
+
+@pytest.mark.parametrize("cap", [True, 2.5, "20", None])
+def test_search_edge_cap_must_be_an_int(cap):
+    # True would pass as a cap of 1 and 2.5 compares with an edge count, so
+    # only an int is a cap
+    with pytest.raises(ValueError, match=rf"search_edge_cap .*got {re.escape(repr(cap))}$"):
+        SolverOptions(search_edge_cap=cap)
+    with pytest.raises(ValueError, match="search_edge_cap"):
+        SolverOptions().with_(search_edge_cap=cap)
 
 
 @pytest.mark.parametrize("flag, field", [("--edge-cap", "search_edge_cap")])

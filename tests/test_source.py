@@ -259,16 +259,50 @@ def test_only_fill_and_bipartition_touch_the_kept_coloring():
     assert len(allowed) == 2 and not found, f"Graph._sides touched elsewhere: {found}"
 
 
-def test_only_chromatic_reads_chi_in_theorems():
-    # theorems reads every chi through _chromatic, whose memo the factors'
-    # exact results feed; a second caller of chromatic_number could color a
-    # graph that the running call has already solved
+def test_only_exact_at_and_hypercube_share_in_theorems():
+    # the run_suite memo keeps two key kinds, factor results and hypercubes,
+    # because only they repeat enough to pay for a key: chi of a row's small
+    # graphs and a closed-form row's search cost less afresh than kept
     trees = {"theorems.py": _package_trees()["theorems.py"]}
-    uses = _uses(trees, lambda n: "chromatic_number" in (getattr(n, "id", None),
-                                                        getattr(n, "attr", None)))
-    found = [f"{name}:{line}" for name, top, line in uses
-             if getattr(top, "name", None) != "_chromatic"]
-    assert uses and not found, f"chromatic_number named outside theorems._chromatic: {found}"
+    calls = _uses(trees, lambda n: isinstance(n, ast.Call) and "_shared" in _names(n.func))
+    callers = {getattr(top, "name", None) for _, top, _ in calls}
+    assert callers == {"_exact_at", "_hypercube"}, f"_shared called by {sorted(callers)}"
+
+
+def _message_parts(node):
+    # the worded literal text of a message: a plain string, or the constants
+    # of an f-string
+    if isinstance(node, ast.JoinedStr):
+        chunks = [v.value for v in node.values if isinstance(v, ast.Constant)]
+    else:
+        chunks = [node.value] if isinstance(node, ast.Constant) else []
+    return {c.strip(" ,;:()") for c in chunks if any(ch.isalpha() for ch in c)}
+
+
+def test_every_proof_obligation_is_tripped_by_a_test():
+    # no correct run reaches a ProofObligationError, so only a test that
+    # breaks an engine shows the check still fires; it names its site by a
+    # literal part of the message that no other site's message has
+    sites = []
+    for name, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call) and "ProofObligationError" in _names(exc.func):
+                sites.append((f"{name}:{node.lineno}", _message_parts(exc.args[0])))
+    matches = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and "raises" in _names(node.func)
+                    and node.args and "ProofObligationError" in _names(node.args[0])):
+                matches += [k.value.value for k in node.keywords
+                            if k.arg == "match" and isinstance(k.value, ast.Constant)]
+    found = []
+    for where, parts in sites:
+        others = [q for other, qs in sites if other != where for q in qs]
+        own = {p for p in parts if not any(p in q for q in others)}
+        if not any(p in m for p in own for m in matches):
+            found.append(where)
+    assert sites and not found, f"ProofObligationError raised untested at {found}"
 
 
 def test_only_corona_at_builds_a_corona_orientation_in_theorems():

@@ -89,7 +89,7 @@ def test_run_suite_times_every_row_and_a_lone_check_is_untimed():
     assert check_lemma_3_2(1).millis == 0.0
 
 
-def test_suite_searches_each_closed_form_graph_once(monkeypatch):
+def test_suite_cross_checks_each_closed_form_row_by_its_own_search(monkeypatch):
     searched = []
     real_at_exact = theorems.at_exact
 
@@ -100,9 +100,11 @@ def test_suite_searches_each_closed_form_graph_once(monkeypatch):
 
     monkeypatch.setattr(theorems, "at_exact", at_exact)
     run_suite()
-    # K3,3, C6 and Q2 from Lemma 3.1; Q1 and Q3 from Lemma 3.2, whose Q2
-    # is Lemma 3.1's
-    assert len(searched) == len(set(searched)) == 5, searched
+    # K3,3, C6 and Q2 from Lemma 3.1; Q1, Q2 and Q3 from Lemma 3.2: the
+    # memo keeps no search, so the Q2 both lemmas list is searched twice
+    assert set(searched) == {complete_bipartite(3, 3), cycle(6), hypercube(1),
+                             hypercube(2), hypercube(3)}
+    assert len(searched) == 6 and searched.count(hypercube(2)) == 2, searched
 
 
 def test_theorem_1_cases():
@@ -285,36 +287,59 @@ def test_suite_solves_each_factor_and_builds_each_hypercube_once_per_call(monkey
     assert theorems._memo is None
 
 
-def test_suite_colors_each_graph_once_per_call(monkeypatch):
-    # the rows that report chi share it through the run_suite memo, keyed by
-    # ("chi", graph), which their factors' exact results feed: one
-    # coloring per distinct graph, and none of a graph already solved
-    colored, solved, after_solve = [], set(), []
-    exact_at = theorems._exact_at
+def test_suite_colors_where_a_row_reads_chi(monkeypatch):
+    # the run_suite memo keeps exact factor results, keyed by (graph,
+    # options), and hypercubes, keyed by n; chi is computed by the rows that
+    # report it, each call from the row itself, and the same in every run
+    colored, keys = [], []
+    readers = {"_chi_row", "check_corollary_3_7", "remark_instances"}
+    real_shared = theorems._shared
 
     def counted(g, *args, **kwargs):
-        colored.append(g)
-        if g in solved:
-            after_solve.append(g)
+        caller = sys._getframe(1)
+        while caller.f_code.co_name.startswith("<"):  # a comprehension's frame
+            caller = caller.f_back
+        colored.append((caller.f_code.co_name, g))
         return chromatic_number(g, *args, **kwargs)
 
-    def solving(g, options):
-        solved.add(g)
-        return exact_at(g, options)
+    def shared(key, make):
+        keys.append(key)
+        return real_shared(key, make)
 
     monkeypatch.setattr(theorems, "chromatic_number", counted)
-    monkeypatch.setattr(theorems, "_exact_at", solving)
+    monkeypatch.setattr(theorems, "_shared", shared)
+    runs = []
     for _ in range(2):
         colored.clear()
-        solved.clear()
+        keys.clear()
         run_suite(seed=11)
-        assert colored and len(colored) == len(set(colored))
-        assert solved and not after_solve
+        runs.append(list(colored))
+        assert colored and {reader for reader, _ in colored} == readers
+        assert keys and all(
+            type(key) is int
+            or type(key) is tuple and [type(k) for k in key] == [Graph, SolverOptions]
+            for key in keys
+        ), keys
+    assert runs[0] == runs[1]
     # a check called on its own colors afresh
     colored.clear()
     check_lemma_3_5(cycle(3), cycle(4), "C3", "C4")
     check_lemma_3_5(cycle(3), cycle(4), "C3", "C4")
     assert len(colored) == 6
+
+
+def test_corollary_3_7_fails_on_a_wrong_chi_of_the_corona(monkeypatch):
+    # the row claims chi = AT, so a computed chi off the prediction fails it
+    # even where the AT bracket passes
+    wrong = corona(complete(2), cycle(3))
+
+    def chi(g):
+        return 3 if g == wrong else chromatic_number(g)
+
+    monkeypatch.setattr(theorems, "chromatic_number", chi)
+    rep = check_corollary_3_7(complete(2), cycle(3), "K2", "C3")
+    assert (rep.verdict, rep.computed) == ("fail", "chi=3, AT=4"), rep
+    assert rep.evidence.startswith("chi(corona)=3;")
 
 
 def test_pinch_colors_nothing(monkeypatch):
