@@ -18,7 +18,8 @@ diff != 0. The solver combines:
     realizes a found sequence for an independent re-check. An acyclic
     orientation along a degeneracy order (diff = 1, the empty subdigraph
     alone) caps the search from above at the degeneracy plus one, where the
-    level loop also ends on CapacityError or SearchTimeout.
+    level loop also ends when a level runs out of budget: the deadline if
+    there is one, else the search's own work count (`eulerian.MAX_WORK`).
 
 Every result keeps the (value, reason) lower terms and the one certificate
 that `bracket` joined: lo is the first greatest term, so the term order is
@@ -60,8 +61,8 @@ depends on the graph alone, so the chi path (`chromatic_number`,
 `at_lower_bound`) takes no SolverOptions; its one cap is the module constant
 CHROMATIC_BLOCK_CAP, past which a non-bipartite block raises CapacityError.
 A diff depends on the orientation alone, so `at_bipartite` and `_certify`
-take none either: the diff engines' gates are constants of `eulerian`. Only
-the level search and `at_exact` read SolverOptions.
+take none either: the diff engines' gates and the search's work budget are
+constants of `eulerian`. Only `at_exact` reads SolverOptions.
 """
 
 from __future__ import annotations
@@ -502,10 +503,7 @@ def at_bipartite(g: Graph) -> ATResult:
 
 
 def find_at_orientation(
-    g: Graph,
-    cap: Union[int, Sequence[int]],
-    options: SolverOptions = DEFAULT_OPTIONS,
-    deadline: Optional[float] = None,
+    g: Graph, cap: Union[int, Sequence[int]], deadline: Optional[float] = None
 ) -> Optional[Orientation]:
     """An AT-orientation with outdeg(v) <= cap(v) for every v, or None if
     there is none; `cap` is one bound for all vertices or one per vertex.
@@ -514,13 +512,9 @@ def find_at_orientation(
     coefficient of that monomial in prod_{uv} (x_u - x_v), so monomial_search
     over exponents <= cap(v) decides, and path reversal realizes its hit.
     The search clips the caps to the degrees and works out its own exponent
-    floors (see monomial_search).
-    Raises CapacityError past search_edge_cap and SearchTimeout past `deadline`.
+    floors (see monomial_search). Raises SearchTimeout past `deadline`, or
+    with none, CapacityError past `eulerian.MAX_WORK`.
     """
-    if g.m > options.search_edge_cap:
-        raise CapacityError(
-            f"{g.m} edges exceeds search_edge_cap {options.search_edge_cap}"
-        )
     order = frontier_order(g.adjacency)
     hit = monomial_search(g.edges, order, _caps(g, cap), deadline)
     if hit is None:
@@ -587,7 +581,7 @@ def _certify(g: Graph, d: Orientation) -> ATCertificate:
     """Re-check a found orientation with an independent computation: the
     tally when its largest strongly connected component is within
     eulerian.ENUM_CAP, else the coefficient along the reverse of the
-    search's vertex order, which no budget gates."""
+    search's vertex order, which raises CapacityError past MAX_WORK."""
     try:
         diff, method = eulerian_tally_enumerate(d).diff, "enumeration"
     except CapacityError:
@@ -611,9 +605,10 @@ def at_exact(
     terms are those of `at_lower_bound`, the density term only where it can
     beat chi (see the module docstring). The search starts at the best lower
     term; each refuted level k proves AT > k, and the degeneracy level (the
-    degeneracy plus one) bounds the search from above, and CapacityError or
-    SearchTimeout ends it. The acyclic certificate at that level is built
-    only when no search level returns.
+    degeneracy plus one) bounds the search from above. A level whose search
+    (past the deadline, else past MAX_WORK) or re-check (past MAX_WORK) runs
+    out of budget is undecided and ends the search. The acyclic certificate
+    at the degeneracy level is built only when no search level returns.
     """
     if bipartite_shortcut and bipartition(g) is not None:
         return at_bipartite(g)
@@ -627,10 +622,10 @@ def at_exact(
         terms.append(_density_term(g))
     for k in range(max(terms)[0], degeneracy + 1):
         try:
-            found = find_at_orientation(g, k - 1, options, deadline)
+            found = find_at_orientation(g, k - 1, deadline)
+            if found is not None:
+                return bracket(terms, _certify(g, found))
         except (CapacityError, SearchTimeout):
             break
-        if found is not None:
-            return bracket(terms, _certify(g, found))
         terms.append((k + 1, "exhaustive-refutation"))
     return bracket(terms, _acyclic_along(g, order))

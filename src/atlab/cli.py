@@ -39,19 +39,6 @@ from .graphs import (
 from .options import SolverOptions
 
 
-# budget flag -> the SolverOptions field it sets (also its dest), its type
-# and the commands that read it
-_BUDGET_FLAGS = {
-    "--edge-cap": ("search_edge_cap", int, ("at", "theorems")),
-    "--time-budget": ("time_budget", float, ("at", "theorems")),
-}
-
-
-def _solver_options(args) -> SolverOptions:
-    given = {f: getattr(args, f, None) for f, _, _ in _BUDGET_FLAGS.values()}
-    return SolverOptions().with_(**{f: v for f, v in given.items() if v is not None})
-
-
 def _emit_graph(g: Graph, provenance: str, output: Optional[str]) -> None:
     doc = serialize_graph(g, provenance)
     summary = f"vertices={g.n} edges={g.m}"
@@ -88,9 +75,17 @@ _FAMILIES = {"hypercube": hypercube, "cycle": cycle, "path": path, "star": star,
 def cmd_gen(args) -> int:
     family = args.family
     if family in _FAMILIES:
-        g = _FAMILIES[family](args.n)
-        prov = f"{family} n={args.n}"
+        for flag in ("pruefer", "edges"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"gen {family} takes no --{flag}; only gen tree does")
+        n = 0 if args.n is None else args.n
+        g = _FAMILIES[family](n)
+        prov = f"{family} n={n}"
     else:  # "tree", the one family argparse allows beside _FAMILIES
+        if args.n is not None:
+            raise ValueError("gen tree takes no n: --pruefer or --edges gives its size")
+        if args.pruefer is not None and args.edges is not None:
+            raise ValueError("gen tree takes --pruefer or --edges, not both")
         if args.pruefer is not None:
             try:
                 seq = [int(x) for x in args.pruefer.split(",")] if args.pruefer else []
@@ -132,8 +127,7 @@ def cmd_composite(args) -> int:
 
 def cmd_at(args) -> int:
     g, prov = _load_graph(args.graph)
-    opts = _solver_options(args)
-    result = at_exact(g, opts)
+    result = at_exact(g, SolverOptions(time_budget=args.time_budget))
     if result.is_exact:
         print(f"AT = {result.value}")
     else:
@@ -190,12 +184,11 @@ def cmd_theorems(args) -> int:
     # here, so the other commands never load the claim suite
     from .theorems import run_suite
 
-    opts = _solver_options(args)
     if args.pairs < 0:
         raise ValueError(f"--pairs must be >= 0, got {args.pairs}")
     reports = run_suite(
         claims=[args.claim] if args.claim else None,
-        options=opts,
+        options=SolverOptions(time_budget=args.time_budget),
         n_range=_parse_range(args.n, "--n") if args.n else None,
         k_range=_parse_range(args.k, "--k") if args.k else None,
         toroidal_max=args.max,
@@ -252,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a graph family member")
     p.add_argument("family", choices=[*_FAMILIES, "tree"])
-    p.add_argument("n", type=int, nargs="?", default=0)
+    p.add_argument("n", type=int, nargs="?")
     p.add_argument("--pruefer", help="comma-separated Pruefer sequence (tree)")
     p.add_argument("--edges", help="comma-separated u-v pairs (tree)")
     p.add_argument("-o", "--output")
@@ -268,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("at", help="Alon-Tarsi number of a graph document")
     p.add_argument("graph")
     p.add_argument("--cert", help="write the certificate document here")
+    p.add_argument("--time-budget", type=float, help="seconds for the solve")
     p.set_defaults(func=cmd_at)
 
     p = sub.add_parser("diff", help="even/odd Eulerian tally of an orientation")
@@ -289,11 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--table", action="store_true")
     p.add_argument("--json", action="store_true")
+    p.add_argument("--time-budget", type=float, help="seconds for each solve")
     p.set_defaults(func=cmd_theorems)
 
-    for flag, (field, kind, commands) in _BUDGET_FLAGS.items():
-        for command in commands:
-            sub.choices[command].add_argument(flag, type=kind, dest=field)
     return parser
 
 

@@ -100,31 +100,25 @@ def verify_certificate(cert: ATCertificate) -> VerifyReport:
     multiply per strongly connected component, so the diff they compute
     already factors across the copies/hub cut. The verdict is the whole
     answer, and `atlab verify` exits with it."""
-    orientation, level = cert.orientation, cert.level
-    messages: list[str] = []
-    maxout = orientation.max_outdegree()
+    level, maxout = cert.level, cert.orientation.max_outdegree()
     if maxout > level - 1:
-        messages.append(f"outdegree violation: max outdegree {maxout} > {level - 1}")
-        return VerifyReport("rejected", level, maxout, None, None, tuple(messages))
-
-    method, diff = engine_diff(orientation, cert.method)
+        note = f"outdegree violation: max outdegree {maxout} > {level - 1}"
+        return VerifyReport("rejected", level, maxout, None, None, (note,))
+    method, diff = engine_diff(cert.orientation, cert.method)
+    magnitude = None if diff is None else abs(diff)
+    verdict, note = "accepted", None
     if method is None:
-        messages.append("diff engines over budget; only the outdegree bound was checked")
-        return VerifyReport("outdegree-only", level, maxout, None, None, tuple(messages))
-    if diff is None:
-        messages.append("diff engines over budget; accepted by bipartite closed form")
-        return VerifyReport("accepted", level, maxout, method, None, tuple(messages))
-    if diff == 0:
-        messages.append(f"diff is zero ({method})")
-        return VerifyReport("rejected", level, maxout, method, 0, tuple(messages))
-    if cert.diff_magnitude is not None:
+        verdict = "outdegree-only"
+        note = "diff engines over budget; only the outdegree bound was checked"
+    elif diff is None:
+        note = "diff engines over budget; accepted by bipartite closed form"
+    elif diff == 0:
+        verdict, note = "rejected", f"diff is zero ({method})"
+    elif cert.diff_magnitude not in (None, magnitude):
         # both engines agree on |diff|, so any recorded magnitude must match
-        if abs(diff) != cert.diff_magnitude:
-            messages.append(
-                f"recorded magnitude {cert.diff_magnitude} != recomputed {abs(diff)}"
-            )
-            return VerifyReport("rejected", level, maxout, method, abs(diff), tuple(messages))
-    return VerifyReport("accepted", level, maxout, method, abs(diff), tuple(messages))
+        verdict = "rejected"
+        note = f"recorded magnitude {cert.diff_magnitude} != recomputed {magnitude}"
+    return VerifyReport(verdict, level, maxout, method, magnitude, () if note is None else (note,))
 
 
 def corona_cut_sides(g1: Graph, g2: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:

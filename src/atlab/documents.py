@@ -19,12 +19,13 @@ inside a label, an edge written `e 3 1`) is accepted; arcs follow the same
 rule, read in edge order when written as the writer writes them. The
 per-line reader gives every error message. The parser is strict:
 lines have exactly their fields, integers are ASCII digits with an optional
-leading `-`, counts are non-negative, labels have the types above and only
-blank lines may follow a document's last section; anything else raises
-ValueError. The writers raise ValueError on a label the parser would refuse
-(a float, a bool, None, ...; the first in vertex order is named), on a
-provenance that str.splitlines breaks and on a recipe kind the parser would
-refuse, so every document they write reads back.
+leading `-`, counts are non-negative, a diff magnitude is at least 1, labels
+have the types above and only blank lines may follow a document's last
+section; anything else raises ValueError. The writers raise ValueError on a
+label the parser would refuse (a float, a bool, None, ...; the first in
+vertex order is named), on a provenance that str.splitlines breaks, on a
+recipe kind and on a diff magnitude the parser would refuse, so every
+document they write reads back.
 
 A certificate of a composite orientation ends with a `recipe <kind>` line,
 the word its builder returned: "product" or "corona", the only words written
@@ -146,6 +147,13 @@ def _check_recipe(kind: str) -> str:
     return kind
 
 
+def _magnitude(value: int) -> int:
+    # |diff| of a nonzero diff: an int >= 1
+    if type(value) is not int or value < 1:
+        raise ValueError(f"diff magnitude {value!r} is not an int >= 1")
+    return value
+
+
 def _expect_end(lines: list[str], i: int, what: str) -> None:
     for line in lines[i:]:
         if line.strip():
@@ -258,7 +266,7 @@ def serialize_certificate(
         _check_one_line("provenance", provenance)
         graph_text = graph_text.replace("\n", f"\nprovenance {provenance}\n", 1)
     _check_one_line("method", cert.method)
-    mag = "unverified" if cert.diff_magnitude is None else str(cert.diff_magnitude)
+    mag = "unverified" if cert.diff_magnitude is None else _magnitude(cert.diff_magnitude)
     lines = [
         CERT_MAGIC,
         f"level {cert.level}",
@@ -329,7 +337,7 @@ def _parse_certificate_lines(lines: list[str]) -> CertificateDocument:
     level = _int(expect(1, "level"), lines[1])
     method = expect(2, "method")
     diff_text = expect(3, "diff")
-    diff_magnitude = None if diff_text == "unverified" else _int(diff_text, lines[3])
+    diff_magnitude = None if diff_text == "unverified" else _magnitude(_int(diff_text, lines[3]))
     claimed_hash = expect(4, "graph-sha256")
     if lines[5] != "graph-begin":
         raise ValueError("missing graph-begin")

@@ -38,10 +38,11 @@ on the orientation, and both engines run per component and multiply:
 Each engine raises CapacityError past its own gate, which measures
 components, not the whole orientation: ENUM_CAP bounds the arc count of the
 largest component and POLY_BUDGET the largest product of (outdegree + 1)
-over one component. diff(D) is a function of D alone, so the gates are
-module constants, each read by its own engine, and no function here takes
-SolverOptions. engine_diff alone picks an engine, or the bipartite closed
-form when both are over budget.
+over one component; monomial_search, with no deadline, raises it past
+MAX_WORK processed states, which bounds time and live states alike. diff(D)
+is a function of D alone, so the gates are module constants, each read by
+its own engine, and no function here takes SolverOptions. engine_diff alone
+picks an engine, or the bipartite closed form when both are over budget.
 
 Everything is a pure function of immutable inputs.
 """
@@ -350,6 +351,11 @@ def frontier_order(adjacency: Sequence[Sequence[int]]) -> list[int]:
     return order
 
 
+# States that the arc events of one monomial_search call with no deadline may
+# process in all: up to about 20 s and 700 MB on a 2-CPU machine.
+MAX_WORK = 1 << 23
+
+
 def monomial_search(
     arcs: Sequence[tuple[int, int]],
     order: Sequence[int],
@@ -378,7 +384,8 @@ def monomial_search(
     can no longer end inside the bounds is pruned when it arises, and a
     branch whose final exponents leave the others unable to sum to
     len(arcs) is not taken. Raises SearchTimeout past `deadline`, checked at
-    every arc and every branch.
+    every arc and every branch, or with none, CapacityError once the arc
+    events have processed more than MAX_WORK states, a deterministic count.
     """
     n, m = len(caps), len(arcs)
     pos = [0] * n
@@ -431,6 +438,7 @@ def monomial_search(
 
     # Depth-first over (next event, states, sum of final exponents, finals).
     stack: list[tuple] = [(0, {0: 1}, 0, None)]
+    work = 0
     while stack:
         i, cur, fixed, finals = stack.pop()
         while i < len(events):
@@ -439,6 +447,12 @@ def monomial_search(
             event = events[i]
             i += 1
             if event[0] == "arc":
+                if deadline is None:
+                    work += len(cur)
+                    if work > MAX_WORK:
+                        raise CapacityError(
+                            f"{work} states processed exceeds the work budget {MAX_WORK}"
+                        )
                 _, st, sh, hit, hih, need_t, need_h = event
                 bt, bh = 1 << st, 1 << sh
                 nxt: dict[int, int] = {}
@@ -490,10 +504,10 @@ def monomial_search(
 
 def diff_coefficient(d: Orientation, order: Optional[Sequence[int]] = None) -> int:
     """Coefficient of prod_v x_v^(outdeg v) in prod_{(t,h)} (x_t - x_h), with
-    no budget gate: the product of the same coefficient over the strongly
-    connected components. An explicit `order` of d's vertices is restricted
-    to each component; by default each component takes its own
-    breadth-first order (frontier_order).
+    no gate but monomial_search's work budget: the product of the same
+    coefficient over the strongly connected components. An explicit `order`
+    of d's vertices is restricted to each component; by default each
+    component takes its own breadth-first order (frontier_order).
 
     Choosing x_t keeps arc (t, h) and -x_h reverses it, so the coefficient
     sums (-1)^|S| over the arc sets S whose reversal keeps every outdegree:

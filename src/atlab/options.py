@@ -1,22 +1,22 @@
 """Solver budgets.
 
-Every solver entry point that searches takes a SolverOptions; the defaults
-are sized for a desk-scale machine. A diff is a function of the orientation
-and chi of the graph, so neither path takes one: their caps are the module
-constants `eulerian.ENUM_CAP`, `eulerian.POLY_BUDGET` and
-`atsolver.CHROMATIC_BLOCK_CAP`, each read by its own engine alone. The CLI
-starts from the defaults and applies its flags; no environment variable is
-read.
+`at_exact` takes a SolverOptions, whose one live field is its time budget,
+set by `--time-budget`; no environment variable is read. The diff engines,
+chi and the level search's work count need none: their caps are the module
+constants `eulerian.ENUM_CAP`, `eulerian.POLY_BUDGET`, `eulerian.MAX_WORK`
+and `atsolver.CHROMATIC_BLOCK_CAP`, each read by its own engine alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    # Max edge count for the level search.
+    # Ignored: the level search counts its own work (eulerian.MAX_WORK). The
+    # field stays only because the benchmark harness passes it; drop it when
+    # that call does.
     search_edge_cap: int = 20
     # Ignored: every solver runs in one process. The field stays only because
     # the benchmark harness passes threads=1; drop it when that call does.
@@ -27,20 +27,12 @@ class SolverOptions:
     time_budget: float | None = None
 
     def __post_init__(self) -> None:
-        # a negative cap would silently switch the search off; 0 is a cap. A
-        # bool or a float would compare with an edge count all the same
-        cap = self.search_edge_cap
-        if type(cap) is not int or cap < 0:
-            raise ValueError(f"search_edge_cap must be an int >= 0, got {cap!r}")
         # seconds as an int or float, not a bool; `not >= 0` also catches NaN,
         # which compares false with every deadline
         budget = self.time_budget
         real = isinstance(budget, (int, float)) and not isinstance(budget, bool)
         if budget is not None and not (real and budget >= 0):
             raise ValueError(f"time_budget must be None or a number >= 0, got {budget!r}")
-
-    def with_(self, **kw) -> "SolverOptions":
-        return replace(self, **kw)
 
 
 DEFAULT_OPTIONS = SolverOptions()

@@ -96,29 +96,30 @@ def naive_tally(d: Orientation) -> tuple[int, int]:
     return even, odd
 
 
-def naive_chromatic(g: Graph, k_max: int = 6) -> int:
-    """Smallest k admitting a proper coloring, by raw backtracking."""
+def naive_colorable(g: Graph, k: int) -> bool:
+    """Whether g has a proper coloring with k colors, by raw backtracking."""
     n = g.n
     adj = g.adjacency
+    colors = [-1] * n
 
-    def colorable(k: int) -> bool:
-        colors = [-1] * n
+    def rec(v: int) -> bool:
+        if v == n:
+            return True
+        for c in range(k):
+            if all(colors[u] != c for u in adj[v]):
+                colors[v] = c
+                if rec(v + 1):
+                    return True
+                colors[v] = -1
+        return False
 
-        def rec(v: int) -> bool:
-            if v == n:
-                return True
-            for c in range(k):
-                if all(colors[u] != c for u in adj[v]):
-                    colors[v] = c
-                    if rec(v + 1):
-                        return True
-                    colors[v] = -1
-            return False
+    return rec(0)
 
-        return rec(0)
 
+def naive_chromatic(g: Graph, k_max: int = 6) -> int:
+    """Smallest k admitting a proper coloring, by raw backtracking."""
     for k in range(1, k_max + 1):
-        if colorable(k):
+        if naive_colorable(g, k):
             return k
     raise AssertionError(f"not {k_max}-colorable")
 

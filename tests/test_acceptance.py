@@ -31,7 +31,6 @@ import pytest
 from atlab import (
     Graph,
     OneWayCutReport,
-    SolverOptions,
     at_bipartite,
     at_exact,
     bipartition,
@@ -208,8 +207,7 @@ def test_criterion_06_corona_chromatic_formula():
 def test_criterion_07a_toroidal_c3c3_refutation():
     t0 = time.monotonic()
     failures = []
-    opts = SolverOptions(search_edge_cap=24)
-    res = at_exact(cartesian_product(cycle(3), cycle(3)), opts)
+    res = at_exact(cartesian_product(cycle(3), cycle(3)))
     if res.value != 4:
         failures.append(f"AT(C3 x C3) = {res.lo}..{res.hi}, expected 4")
     elif res.lower_bound_reason != "exhaustive-refutation":
@@ -222,7 +220,7 @@ def test_criterion_07a_toroidal_c3c3_refutation():
 def test_criterion_07b_toroidal_rest():
     t0 = time.monotonic()
     failures = []
-    res = at_exact(cartesian_product(cycle(3), cycle(4)), SolverOptions(search_edge_cap=24))
+    res = at_exact(cartesian_product(cycle(3), cycle(4)))
     if res.value != 3:
         failures.append(f"AT(C3 x C4) = {res.lo}..{res.hi}, expected 3")
     res = at_bipartite(cartesian_product(cycle(4), cycle(4)))
@@ -406,7 +404,7 @@ def test_criterion_12_chromatic_at_gap(
         # The program's own chi == AT verdict, through the generic solver
         # (chromatic lower bound, level search, degeneracy certificate)
         # instead of the corona rule.
-        verdict = chromatic_at_choosable(graph, SolverOptions(search_edge_cap=graph.m))
+        verdict = chromatic_at_choosable(graph)
         if verdict != (chi_expected, at_expected, True):
             failures.append(f"generic solver: {verdict}, expected chi = AT = {at_expected}")
     remark = "holds" if gap else "contradicted"

@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -318,13 +322,12 @@ def test_results_carry_their_terms(monkeypatch):
         with monkeypatch.context() as block_cap:
             block_cap.setattr(atlab.atsolver, "CHROMATIC_BLOCK_CAP", g.n)
             assert chromatic_number(g) == chi
-        options = SolverOptions(search_edge_cap=g.m)
-        results = [at_exact(g, options), at_exact(g, options, bipartite_shortcut=False),
-                   at_exact(g, options.with_(time_budget=0))]
+        results = [at_exact(g), at_exact(g, bipartite_shortcut=False),
+                   at_exact(g, SolverOptions(time_budget=0))]
         firsts = [at_lower_bound(g)[0]]
         with monkeypatch.context() as tight:
             tight.setattr(atlab.atsolver, "CHROMATIC_BLOCK_CAP", 3)
-            results.append(at_exact(g, options))
+            results.append(at_exact(g))
             firsts.append(at_lower_bound(g)[0])
         for res in results:
             top = max(value for value, _ in res.terms)
@@ -544,7 +547,7 @@ def test_at_exact_runs_path_reversal_only_where_the_density_term_can_win(monkeyp
         # chi 4 meets the degeneracy level 4
         (corona(cycle(3), cycle(3)), 4, "chromatic"),
     ]:
-        res = at_exact(g, SolverOptions(search_edge_cap=g.m))
+        res = at_exact(g)
         assert (res.value, res.lower_bound_reason) == (value, reason)
 
     # K3 x K3 x K2: the term 4 beats chi 3 under both bounds (level 6, ceiling 4)
@@ -552,7 +555,7 @@ def test_at_exact_runs_path_reversal_only_where_the_density_term_can_win(monkeyp
     monkeypatch.setattr(atlab.atsolver, "least_uniform_cap",
                         lambda g: calls.append(g) or least_uniform_cap(g))
     g = cartesian_product(cartesian_product(complete(3), complete(3)), complete(2))
-    res = at_exact(g, SolverOptions(search_edge_cap=g.m))
+    res = at_exact(g)
     assert calls == [g]
     assert (res.value, res.lower_bound_reason) == (4, "density-pigeonhole")
 
@@ -579,7 +582,7 @@ def test_at_exact_builds_only_the_certificate_it_returns(monkeypatch):
         (k3k3k2, 4, "polynomial"),  # the density term 4 runs path reversal
     ]:
         built.clear()
-        res = at_exact(g, SolverOptions(search_edge_cap=g.m))
+        res = at_exact(g)
         assert (res.value, res.certificate.method) == (value, method)
         assert built == [res.certificate.orientation]
         if method == "acyclic":
@@ -639,8 +642,7 @@ def test_at_exact_two_colors_each_graph_once(monkeypatch):
         (corona(cycle(3), cycle(3)), True, 4),
     ]:
         colored.clear()
-        options = SolverOptions(search_edge_cap=g.m)
-        assert at_exact(g, options, bipartite_shortcut=shortcut).value == value
+        assert at_exact(g, bipartite_shortcut=shortcut).value == value
         assert [a for a in colored if a is g.adjacency] == [g.adjacency], g
     for g, bipartite in [(hypercube(3), True), (corona(cycle(3), cycle(3)), False)]:
         colored.clear()
@@ -660,7 +662,7 @@ def test_a_witness_of_every_vertex_is_not_recounted(monkeypatch):
     k3k3k2 = cartesian_product(cartesian_product(complete(3), complete(3)), complete(2))
     assert at_lower_bound(hypercube(4)) == [(2, "chromatic"), (3, "density-pigeonhole")]
     assert at_bipartite(hypercube(4)).value == 3
-    assert at_exact(k3k3k2, SolverOptions(search_edge_cap=k3k3k2.m)).value == 4
+    assert at_exact(k3k3k2).value == 4
     assert recounted == []
     # K6 with a pendant path: the witness is the K6, and it is recounted
     g = Graph([str(i) for i in range(10)],
@@ -714,7 +716,7 @@ def test_a_negative_cap_admits_no_orientation():
 
 
 def test_at_exact_c3xc3():
-    res = at_exact(cartesian_product(cycle(3), cycle(3)), SolverOptions(search_edge_cap=24))
+    res = at_exact(cartesian_product(cycle(3), cycle(3)))
     assert res.value == 4
     assert res.lower_bound_reason == "exhaustive-refutation"
     assert res.certificate.orientation.max_outdegree() <= res.certificate.level - 1
@@ -733,18 +735,66 @@ def test_at_exact_matches_bipartite_closed_form():
         assert closed == searched, name
 
 
-def test_at_exact_bracket_over_budget():
-    g = cartesian_product(cycle(3), cycle(4))  # 24 edges
-    res = at_exact(g, SolverOptions(search_edge_cap=20))
-    assert not res.is_exact
-    assert res.lo == 3 and res.hi >= res.lo
-    assert res.certificate is not None  # the acyclic fallback
+def test_at_exact_bracket_over_budget(monkeypatch):
+    # C3 x C5 refutes level 3 after 457 processed states; under a smaller
+    # work budget that level is undecided, and the lower terms meet the
+    # acyclic certificate. The count is deterministic, so both runs agree
+    g = cartesian_product(cycle(3), cycle(5))
+    assert at_exact(g).value == 4
+    monkeypatch.setattr(atlab.eulerian, "MAX_WORK", 100)
+    first, second = at_exact(g), at_exact(g)
+    assert (first.lo, first.hi) == (3, 5)
+    assert first.certificate == acyclic_certificate(g)
+    assert first == second
+
+
+def test_a_deadline_alone_bounds_the_search(monkeypatch):
+    # with a time budget the work budget is not counted: C5 x C5 needs
+    # 16,257 states to refute level 3, far over a budget of 1
+    monkeypatch.setattr(atlab.eulerian, "MAX_WORK", 1)
+    g = cartesian_product(cycle(5), cycle(5))
+    assert at_exact(g, SolverOptions(time_budget=60)).value == 4
+    res = at_exact(g)
+    assert (res.lo, res.hi) == (3, 5)
+
+
+def test_a_recheck_over_budget_leaves_its_level_undecided(monkeypatch):
+    # C3 x C3 refutes level 3 and finds level 4; a re-check that runs out of
+    # budget proves nothing, so the bracket keeps the acyclic certificate
+    def over_budget(g, d):
+        raise CapacityError("over budget")
+
+    monkeypatch.setattr(atlab.atsolver, "_certify", over_budget)
+    g = cartesian_product(cycle(3), cycle(3))
+    res = at_exact(g)
+    assert (res.lo, res.hi, res.lower_bound_reason) == (4, 5, "exhaustive-refutation")
+    assert res.certificate == acyclic_certificate(g)
+
+
+def test_the_work_budget_bounds_memory():
+    # Q4 x C3's level 4 ran out of 3 GB before the work budget; in a child
+    # process under a 1 GB address-space limit, a small budget ends it in a
+    # bracket rather than a MemoryError, so a regression fails here and
+    # does not take the test run down
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from atlab import at_exact, cartesian_product, cycle, eulerian, hypercube\n"
+        "eulerian.MAX_WORK = 1 << 18\n"
+        "res = at_exact(cartesian_product(hypercube(4), cycle(3)))\n"
+        "print(res.lo, res.hi)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(atlab.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=120, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["4", "7"]
 
 
 def test_at_exact_time_budget_brackets():
     g = cartesian_product(cycle(3), cycle(3))
     for budget in (1e-9, 0):  # 0 leaves no time; it does not mean unlimited
-        res = at_exact(g, SolverOptions(search_edge_cap=24, time_budget=budget))
+        res = at_exact(g, SolverOptions(time_budget=budget))
         assert not res.is_exact, budget
         assert res.lo <= 4 <= res.hi
 
@@ -755,7 +805,7 @@ def test_pendant_coronas_are_decided_within_a_short_budget():
     # clipping the caps to the degrees leaves the search no slack there
     for g1 in (cartesian_product(cycle(5), cycle(5)), cartesian_product(cycle(3), cycle(7))):
         g = corona(g1, complete(1))
-        res = at_exact(g, SolverOptions(search_edge_cap=g.m, time_budget=2))
+        res = at_exact(g, SolverOptions(time_budget=2))
         assert (res.lo, res.hi) == (4, 4), g1.n
 
 
@@ -765,7 +815,7 @@ def test_lower_bound_never_exceeds_exact_and_certs_reverify():
     for name, g in corpus():
         if g.m > 18:
             continue
-        res = at_exact(g, SolverOptions(search_edge_cap=18))
+        res = at_exact(g)
         if not res.is_exact:
             continue
         terms = at_lower_bound(g)
@@ -778,11 +828,10 @@ def test_lower_bound_never_exceeds_exact_and_certs_reverify():
 def test_subgraph_monotonicity_spot_check():
     g = cartesian_product(cycle(3), cycle(3))
     sub, _ = induced_subgraph(g, range(6))
-    opts = SolverOptions(search_edge_cap=24)
-    assert at_exact(sub, opts).value <= at_exact(g, opts).value
+    assert at_exact(sub).value <= at_exact(g).value
     h = corona(cycle(3), path(2))
     sub2, _ = induced_subgraph(h, range(3))
-    assert at_exact(sub2, opts).value <= at_exact(h, opts).value
+    assert at_exact(sub2).value <= at_exact(h).value
 
 
 def test_zero_time_budget_gives_the_bounds_bracket():
@@ -795,7 +844,7 @@ def test_zero_time_budget_gives_the_bounds_bracket():
         (cycle(5), SolverOptions(time_budget=0),
          [(3, "chromatic"), (2, "density-pigeonhole")], (3, 3)),
         (cartesian_product(cycle(3), cycle(5)),
-         SolverOptions(search_edge_cap=30, time_budget=0),
+         SolverOptions(time_budget=0),
          [(3, "chromatic"), (3, "density-pigeonhole")], (3, 5)),
     ]:
         res = at_exact(g, options)
@@ -817,27 +866,27 @@ def test_a_certificate_below_a_refuted_level_breaks_the_proof(monkeypatch):
     monkeypatch.setattr(atlab.atsolver, "_certify",
                         lambda _g, d: ATCertificate(2, d, 1, "enumeration"))
     with pytest.raises(ProofObligationError, match="exhaustive-refutation lower bound 4"):
-        at_exact(g, SolverOptions(search_edge_cap=24))
+        at_exact(g)
 
 
 def test_search_is_deterministic():
     g = cartesian_product(cycle(3), cycle(3))
-    first = at_exact(g, SolverOptions(search_edge_cap=24))
-    second = at_exact(g, SolverOptions(search_edge_cap=24))
+    first = at_exact(g)
+    second = at_exact(g)
     assert first.value == second.value == 4
     assert first.certificate.orientation.tails == second.certificate.orientation.tails
 
 
 def test_at_exact_c3xc5_refutes_level_3():
     g = cartesian_product(cycle(3), cycle(5))
-    res = at_exact(g, SolverOptions(search_edge_cap=30))
+    res = at_exact(g)
     assert res.value == 4
     assert res.lower_bound_reason == "exhaustive-refutation"
 
 
 def test_at_exact_k3xk3xk2_certified_by_coefficient():
     g = cartesian_product(cartesian_product(complete(3), complete(3)), complete(2))
-    res = at_exact(g, SolverOptions(search_edge_cap=g.m))
+    res = at_exact(g)
     assert res.value == 4
     cert = res.certificate
     assert g.m > atlab.eulerian.ENUM_CAP and cert.method == "polynomial"
@@ -847,7 +896,7 @@ def test_at_exact_k3xk3xk2_certified_by_coefficient():
 def test_at_exact_time_budget_holds_on_c5xc7():
     g = cartesian_product(cycle(5), cycle(7))
     t0 = time.monotonic()
-    res = at_exact(g, SolverOptions(search_edge_cap=g.m, time_budget=0.2))
+    res = at_exact(g, SolverOptions(time_budget=0.2))
     assert time.monotonic() - t0 < 1.0
     assert res.lo <= 4 <= res.hi
 

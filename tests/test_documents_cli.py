@@ -167,6 +167,29 @@ def test_cli_gen_bad_params(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["gen", "cycle", "5", "--pruefer", "1,2"],
+         "gen cycle takes no --pruefer; only gen tree does"),
+        (["gen", "tree", "9", "--pruefer", "1"],
+         "gen tree takes no n: --pruefer or --edges gives its size"),
+        (["gen", "tree", "--pruefer", "1", "--edges", "0-1"],
+         "gen tree takes --pruefer or --edges, not both"),
+        (["gen", "path", "3", "--edges", "0-1,1-2,2-3"],
+         "gen path takes no --edges; only gen tree does"),
+    ],
+    ids=["cycle-pruefer", "tree-size", "tree-pruefer-and-edges", "path-edges"],
+)
+def test_cli_gen_refuses_an_input_its_family_does_not_read(tmp_path, capsys, argv, err):
+    # each of these was once dropped without a word: C5 written, a 3-vertex
+    # tree for `tree 9`, the Pruefer tree alone, P3 written
+    gpath = tmp_path / "g.graph"
+    assert main(argv + ["-o", str(gpath)]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert not gpath.exists()
+
+
+@pytest.mark.parametrize(
     "argv, code, out, err",
     [
         (["gen", "path", "3"], 0, serialize_graph(path(3), "path n=3"),
@@ -263,6 +286,32 @@ def test_cli_verify_rejects_a_recorded_magnitude_the_engines_do_not_recompute(
     assert "note: recorded magnitude 5 != recomputed 4" in out
 
 
+def test_a_diff_magnitude_below_1_is_refused(tmp_path, capsys):
+    # |diff| of an accepted certificate is at least 1: the parser refuses a
+    # smaller one as malformed (exit 2) instead of judging it, and the
+    # writer refuses to write one
+    from atlab import ATCertificate, at_exact
+
+    q5 = at_exact(hypercube(5)).certificate
+    c3 = at_exact(cycle(3)).certificate
+    assert q5.diff_magnitude is None and c3.diff_magnitude == 1
+    for cert, old in [(q5, "unverified"), (c3, "1")]:
+        doc = serialize_certificate(cert)
+        assert f"\ndiff {old}\n" in doc
+        for bad, named in [("-7", "-7"), ("-1", "-1"), ("0", "0"), ("-0", "0")]:
+            edited = doc.replace(f"\ndiff {old}\n", f"\ndiff {bad}\n")
+            with pytest.raises(ValueError, match=f"diff magnitude {named} is not an int >= 1"):
+                parse_certificate(edited)
+            cpath = tmp_path / "edited.cert"
+            cpath.write_text(edited)
+            assert main(["verify", str(cpath)]) == 2
+            assert "diff magnitude" in capsys.readouterr().err
+    d = c3.orientation
+    for magnitude in (0, -1, True, 1.0):
+        with pytest.raises(ValueError, match=f"diff magnitude {magnitude!r} is not"):
+            serialize_certificate(ATCertificate(c3.level, d, magnitude, c3.method))
+
+
 def test_cli_diff_modes(tmp_path, capsys):
     gpath = tmp_path / "c4.graph"
     main(["gen", "cycle", "4", "-o", str(gpath)])
@@ -349,7 +398,7 @@ def test_cli_diff_rejects_zero_certificate(tmp_path, capsys):
     assert "rejected" in capsys.readouterr().out
 
 
-def test_cli_bracket_exit_code(tmp_path, capsys):
+def test_cli_bracket_exit_code(tmp_path, capsys, monkeypatch):
     gpath = tmp_path / "c3c4.graph"
     main(["gen", "cycle", "3", "-o", str(gpath)])
     g34_path = tmp_path / "prod.graph"
@@ -357,13 +406,14 @@ def test_cli_bracket_exit_code(tmp_path, capsys):
     main(["gen", "cycle", "4", "-o", str(c4path)])
     main(["product", str(gpath), str(c4path), "-o", str(g34_path)])
     capsys.readouterr()
-    # default edge cap 20 < 24 edges: bracket only, exit 3
+    # the default work budget decides C3 x C4
+    assert main(["at", str(g34_path)]) == 0
+    assert "AT = 3" in capsys.readouterr().out
+    # a search over its work budget leaves a bracket: exit 3
+    monkeypatch.setattr(eulerian, "MAX_WORK", 10)
     assert main(["at", str(g34_path)]) == 3
     out = capsys.readouterr().out
-    assert "AT in [" in out
-    # raising the cap gives the exact answer
-    assert main(["at", str(g34_path), "--edge-cap", "24"]) == 0
-    assert "AT = 3" in capsys.readouterr().out
+    assert "AT in [3, 5]" in out
 
 
 def test_cli_theorems_table_and_exit(capsys):
@@ -864,7 +914,7 @@ def _random_certificates():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         g = Graph(labels, rng.sample(pairs, rng.randint(1, len(pairs))))
         d = orient(g, [rng.choice(e) for e in g.edges])
-        magnitude = rng.choice([None, rng.randint(-5, 5)])
+        magnitude = rng.choice([None, rng.randint(1, 5)])
         cert = ATCertificate(d.max_outdegree() + 1, d, magnitude, "random")
         yield rng, cert, rng.choice([None, "random labels"]), rng.choice([None, "product"])
 

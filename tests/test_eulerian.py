@@ -7,7 +7,6 @@ from atlab import (
     Graph,
     OneWayCutReport,
     Orientation,
-    SolverOptions,
     acyclic_certificate,
     at_bipartite,
     at_exact,
@@ -112,7 +111,7 @@ def test_tally_of_large_components():
     # level certificate, and Euler-circuit orientations of seeded random
     # 4-regular graphs on 6..12 vertices (2n arcs); the counts are pinned
     c3c4 = cartesian_product(cycle(3), cycle(4))
-    cases = [(at_exact(c3c4, SolverOptions(search_edge_cap=c3c4.m)).certificate.orientation,
+    cases = [(at_exact(c3c4).certificate.orientation,
               (292, 256))]
     rng = random.Random(404)
     for n, counts in [(6, (22, 16)), (7, (30, 30)), (8, (50, 44)), (9, (80, 80)),

@@ -4,7 +4,7 @@ Every bracket, lower-bound reason, list of lower terms and certificate that
 at_exact gives on a fixed corpus is compared field by field with
 `golden_at_exact.json`. The corpus is the `exact` benchmark ladder, C3 x C5,
 K3 x K3 x K2 and seeded random non-bipartite graphs on 3 to 9 vertices, each
-solved with search_edge_cap = |E| and no time budget. Work that only speeds
+solved with the default options: no time budget. Work that only speeds
 the solver up must leave every field as it was.
 
 Running this file as a script prints the JSON for the solver on the path:
@@ -19,7 +19,6 @@ from pathlib import Path
 
 from atlab import (
     Graph,
-    SolverOptions,
     at_exact,
     bipartition,
     cartesian_product,
@@ -69,7 +68,7 @@ def golden_graphs() -> list[tuple[str, Graph]]:
 
 
 def outputs(g: Graph) -> list:
-    res = at_exact(g, SolverOptions(search_edge_cap=g.m))
+    res = at_exact(g)
     cert = res.certificate
     return [res.lo, res.hi, res.lower_bound_reason, cert.level, cert.method,
             cert.diff_magnitude, list(cert.orientation.tails),

@@ -9,7 +9,6 @@ import pytest
 
 from atlab import (
     Graph,
-    SolverOptions,
     at_exact,
     atsolver,
     bounded_outdegree_orientation,
@@ -51,15 +50,14 @@ def naive_at(g, k_max=6):
 
 def test_at_exact_matches_naive_definition():
     rng = random.Random(616)
-    opts = SolverOptions(search_edge_cap=10)
     checked = 0
     while checked < 30:
         g = random_graph(rng, rng.randint(1, 5), 0.6)
         if g.m > 8:
             continue
         expected = naive_at(g)
-        assert at_exact(g, opts).value == expected, (g.edges, expected)
-        assert at_exact(g, opts, bipartite_shortcut=False).value == expected
+        assert at_exact(g).value == expected, (g.edges, expected)
+        assert at_exact(g, bipartite_shortcut=False).value == expected
         checked += 1
 
 
@@ -186,7 +184,7 @@ def test_at_slack_zero_the_floors_are_the_caps(monkeypatch):
 
     monkeypatch.setattr(atsolver, "monomial_search", spy)
     g = cartesian_product(cycle(3), cycle(3))
-    assert find_at_orientation(g, 2, SolverOptions(search_edge_cap=g.m)) is None
+    assert find_at_orientation(g, 2) is None
     assert searched == [[2] * 9]
 
 
@@ -200,7 +198,7 @@ def test_level_search_meets_the_degree_caps_off_gallai_trees():
         if not is_connected(g):
             continue
         caps = [d - 1 for d in g.degrees()]
-        found = find_at_orientation(g, caps, SolverOptions(search_edge_cap=g.m))
+        found = find_at_orientation(g, caps)
         assert (found is None) == is_gallai_tree(g), g.edges
         seen["gallai tree" if found is None else "not"] += 1
     assert min(seen.values()) >= 300, seen

@@ -179,12 +179,15 @@ def test_every_field_is_read():
 def test_every_option_is_set_by_a_flag_or_the_benchmark():
     # a SolverOptions field that no `atlab` flag sets and the benchmark never
     # names is set only by tests: one value is in use, so it is a constant of
-    # the module that reads it. `threads` is left only for the benchmark.
+    # the module that reads it. `threads` and `search_edge_cap` are left only
+    # for the benchmark.
     from dataclasses import fields
 
-    from atlab.cli import _BUDGET_FLAGS
+    from atlab.cli import build_parser
 
-    set_by = {field for field, _, _ in _BUDGET_FLAGS.values()} | _bench_names()
+    commands = build_parser()._subparsers._group_actions[0].choices.values()
+    set_by = {action.dest for command in commands for action in command._actions}
+    set_by |= _bench_names()
     found = [f.name for f in fields(atlab.SolverOptions) if f.name not in set_by]
     assert not found, f"options no flag sets and the benchmark never names: {found}"
 
@@ -321,21 +324,16 @@ def test_only_the_gated_engines_read_their_budgets():
     # a caller that read ENUM_CAP or POLY_BUDGET ahead of the engine would
     # have to follow every change to the gate. The tally's gate is read by
     # eulerian_tally_enumerate, the tally's one entry point. The level search
-    # checks search_edge_cap alone too; theorems reads it only to pick the
-    # rows it cross-checks by search (the toroidal rows set it to their own
-    # edge count without reading it), and SolverOptions only to refuse a
-    # negative cap.
+    # counts its own work where it does it, so no package code reads
+    # search_edge_cap, a field kept only for the benchmark.
     trees = _package_trees()
     uses = _uses(trees, lambda n: isinstance(n, ast.Attribute) and n.attr == "search_edge_cap")
-    readers = {(name, getattr(top, "name", None)) for name, top, _ in uses}
-    allowed = {("atsolver.py", "find_at_orientation"), ("theorems.py", "_closed_form_row"),
-               ("options.py", "SolverOptions")}
-    assert readers == allowed, f"search_edge_cap read by {sorted(readers - allowed)} too, " \
-                               f"not by {sorted(allowed - readers)}"
+    assert not uses, f"search_edge_cap read at {[(name, line) for name, _, line in uses]}"
     # the engines' caps are module constants, each read by its engine alone
     # and named nowhere else, not even as an attribute of its module
     owners = {"ENUM_CAP": ("eulerian.py", "eulerian_tally_enumerate"),
               "POLY_BUDGET": ("eulerian.py", "eulerian_diff_poly"),
+              "MAX_WORK": ("eulerian.py", "monomial_search"),
               "CHROMATIC_BLOCK_CAP": ("atsolver.py", "chromatic_number")}
     for cap, owner in owners.items():
         uses = _uses(trees, lambda n: cap in (getattr(n, "id", None), getattr(n, "attr", None))

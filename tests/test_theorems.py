@@ -69,15 +69,16 @@ def test_lemma_3_2_range():
         assert rep.verdict == "pass" and rep.predicted == str(expected)
 
 
-def test_closed_form_rows_cross_check_exactly_the_graphs_within_the_edge_cap():
-    # a search the edge cap refuses is no evidence: both closed-form claims
-    # skip it rather than report its bracket, and label a search alike
-    reports = run_suite(["lemma3.1", "lemma3.2"], SolverOptions(search_edge_cap=0))
+def test_closed_form_rows_cross_check_exactly_the_graphs_within_the_edge_cap(monkeypatch):
+    # a search the edge cap leaves out is no evidence: both closed-form
+    # claims skip it rather than report a bracket, and label a search alike
+    monkeypatch.setattr(theorems, "CROSS_CHECK_EDGE_CAP", 0)
+    reports = run_suite(["lemma3.1", "lemma3.2"])
     assert [r.verdict for r in reports] == ["pass"] * 10, reports
     assert not any("search" in r.evidence for r in reports)
     # Q3 has 12 edges, K3,3 9 and Q4 32
-    cap12 = {r.instance: r for r in run_suite(["lemma3.1", "lemma3.2"],
-                                              SolverOptions(search_edge_cap=12))}
+    monkeypatch.setattr(theorems, "CROSS_CHECK_EDGE_CAP", 12)
+    cap12 = {r.instance: r for r in run_suite(["lemma3.1", "lemma3.2"])}
     assert cap12["Q3"].evidence.endswith("; exhaustive search: 3")
     assert cap12["K3,3"].evidence.endswith("; exhaustive search: 3")
     assert "search" not in cap12["Q4"].evidence
@@ -174,12 +175,11 @@ def test_corollary_3_8_and_lemma_3_9():
 
 
 def test_toroidal_rows():
-    opts = SolverOptions(search_edge_cap=24)
-    rep = check_toroidal_regression(3, 3, opts)
+    rep = check_toroidal_regression(3, 3)
     assert (rep.predicted, rep.computed, rep.verdict) == ("4", "4", "pass")
-    rep = check_toroidal_regression(3, 4, opts)
+    rep = check_toroidal_regression(3, 4)
     assert (rep.predicted, rep.computed, rep.verdict) == ("3", "3", "pass")
-    rep = check_toroidal_regression(4, 4, opts)
+    rep = check_toroidal_regression(4, 4)
     assert (rep.predicted, rep.computed, rep.verdict) == ("3", "3", "pass")
     assert "bipartite" in rep.evidence
 
@@ -207,13 +207,12 @@ def test_corona_at_multiplies_the_recorded_factor_magnitudes(monkeypatch):
     assert verify_certificate(res.certificate).diff_magnitude == 4
     # with ENUM_CAP 3 the C3 x C3 certificate is re-checked by the
     # coefficient engine alone; its recorded |diff| still feeds the law
-    tight = SolverOptions(search_edge_cap=18)
     c3c3 = cartesian_product(cycle(3), cycle(3))
     with monkeypatch.context() as patch:
         patch.setattr(eulerian, "ENUM_CAP", 3)
-        factor = at_exact(c3c3, tight).certificate
+        factor = at_exact(c3c3).certificate
         assert factor.method == "polynomial" and factor.diff_magnitude == 2
-        res = corona_at(c3c3, complete(2), tight)
+        res = corona_at(c3c3, complete(2))
     assert (res.lo, res.hi) == (4, 4)
     assert res.certificate.diff_magnitude == 2 and res.certificate.method == "product-law"
     rep = verify_certificate(res.certificate)
